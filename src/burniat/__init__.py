@@ -27,7 +27,7 @@ from .picard import (Block, XClass, GeneratorTable, build_generator_table,
                      canonical_lift, parse_xclass, xclass_to_text,
                      NotARepresentableClass, NotLiftable, TableInconsistent)
 from .effective import (InS, NonEffective, Unresolved, ReductionTrace,
-                        minimal_form, is_minimal, s_membership,
+                        InvalidEvidence, minimal_form, is_minimal, s_membership,
                         prove_non_effective, decide, scan, step3_tables,
                         exceptional_induction)
 from .degeneration import (FiberContext, SMOOTH, DEGENERATE,

@@ -17,7 +17,8 @@ has three layers:
   certificate search at every use).
 
 Verdicts carry re-checkable evidence: certificates re-sum through phi and
-traces re-validate step by step.
+traces re-validate step by step.  Those checks raise InvalidEvidence
+explicitly, so they also run under ``python -O``.
 """
 from __future__ import annotations
 
@@ -37,16 +38,21 @@ INTERNAL_OF_LETTER = {"A": ("A1", "A2"), "B": ("B1", "B2"), "C": ("C1", "C2")}
 # Classes with no sections, imported as facts about the surface:
 #   Q10  the conic-degree class (3; 1 10; 1 10; 1 10)
 #   H00  the line-degree class with trivial restriction data
-#   Q00  the conic-degree class with trivial torsion bits
 #   KX   the canonical class itself (p_g = 0)
 # Q10 and H00 are swapped by the 0<->3 configuration symmetry and fixed by the
-# letter cycle; Q00 and KX carry the same printed data in degree 3 and 6.
+# letter cycle.  Each entry is minimal and is the endpoint of some reduction
+# in scan(12) or the exceptional-collection check.  The degree-3 print
+# (3; 1 00; 1 00; 1 00) of the canonical class is not listed: it is not
+# minimal and reduces to negative degree through A3t,B0t,A3t,C0-.
 TRUSTED: dict[str, str] = {
     "(3; 1 10; 1 10; 1 10)": "Q10",
     "(3; 0 00; 0 00; 0 00)": "H00",
-    "(3; 1 00; 1 00; 1 00)": "Q00",
     "(6; 1 00; 1 00; 1 00)": "KX",
 }
+
+
+class InvalidEvidence(ValueError):
+    """A certificate or reduction trace failed its re-check."""
 
 
 @dataclass(frozen=True)
@@ -68,15 +74,20 @@ class ReductionTrace:
         for step in self.steps:
             p = table.pairing(x, step.curve)
             if step.reason == "negative":
-                assert p < 0, f"step {step} not justified at {x}"
+                justified = p < 0
+            elif step.reason == "torsion":
+                justified = p == 0 and not table.column(combo, step.curve).is_zero()
             else:
-                assert p == 0 and not table.column(combo, step.curve).is_zero(), \
-                    f"step {step} not justified at {x}"
-            x = x - table.phi({step.curve: 1})
+                justified = False
+            if not justified:
+                raise InvalidEvidence(f"step {step} not justified at {x}")
+            x = x - table.row(step.curve)
             combo = dict(combo)
             combo[step.curve] = combo.get(step.curve, 0) - 1
-        assert x == self.final, "trace endpoint mismatch"
-        assert len(self.steps) == self.start.d - self.final.d
+        if x != self.final:
+            raise InvalidEvidence(f"trace ends at {x}, not at {self.final}")
+        if len(self.steps) != self.start.d - self.final.d:
+            raise InvalidEvidence("trace length differs from its degree drop")
 
 
 @dataclass(frozen=True)
@@ -132,7 +143,7 @@ def minimal_form(table: GeneratorTable, x: XClass) -> tuple[XClass, ReductionTra
         if fired is None:
             break
         steps.append(fired)
-        x = x - table.phi({fired.curve: 1})
+        x = x - table.row(fired.curve)
         combo = dict(combo)
         combo[fired.curve] = combo.get(fired.curve, 0) - 1
     return x, ReductionTrace(start, tuple(steps), x)
@@ -141,11 +152,16 @@ def minimal_form(table: GeneratorTable, x: XClass) -> tuple[XClass, ReductionTra
 def is_minimal(table: GeneratorTable, x: XClass) -> bool:
     if x.d < 0:
         return False
-    combo = table.preimage_combo(x)
+    combo = None  # only a zero pairing needs the restriction
     for f in SCAN_ORDER:
         p = table.pairing(x, f)
-        if p < 0 or (p == 0 and not table.column(combo, f).is_zero()):
+        if p < 0:
             return False
+        if p == 0:
+            if combo is None:
+                combo = table.preimage_combo(x)
+            if not table.column(combo, f).is_zero():
+                return False
     return True
 
 
@@ -221,8 +237,8 @@ def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
     if cert is None:
         return None
     verdict = InS(cert)
-    check = table.phi(verdict.as_dict())
-    assert check == x, f"certificate does not re-sum to {x}"
+    if table.phi(verdict.as_dict()) != x:
+        raise InvalidEvidence(f"certificate {verdict.as_dict()} does not re-sum to {x}")
     if trusted_id(x) is not None:
         raise TableInconsistent(
             f"trusted class {x} received certificate {verdict.as_dict()}")
@@ -370,7 +386,12 @@ def scan(table: GeneratorTable, d_max: int) -> ScanReport:
             v = decide(table, x)
             if isinstance(v, NonEffective):
                 v.trace.validate(table)
-            report.records.append(ScanRecord(x, ycls, is_minimal(table, x), v))
+                # the trace is the minimal_form pass of x, which stops at
+                # once exactly when x is minimal or has negative degree
+                minimal = not v.trace.steps and x.d >= 0
+            else:
+                minimal = is_minimal(table, x)
+            report.records.append(ScanRecord(x, ycls, minimal, v))
     return report
 
 
@@ -468,7 +489,9 @@ def exceptional_induction(table: GeneratorTable, x: XClass,
                     cert = list(sub.certificate)
                     cert[GENERATORS.index(gen)] += 1
                     out = InS(tuple(cert))
-                    assert table.phi(out.as_dict()) == y
+                    if table.phi(out.as_dict()) != y:
+                        raise InvalidEvidence(
+                            f"induction certificate does not re-sum to {y}")
                     break
             if out is not None:
                 break

@@ -24,6 +24,15 @@ torsion vectors of the six standard difference divisors, kernel consistency
 of the derived A3/B3/C3 restriction maps, the spanning property of the
 torsion vectors, the image index 3 for K^2 = 6, and agreement of every block
 degree with the lattice pairing.
+
+phi and column work on integers.  Once the blocks are fixed (including any
+override) the table packs each generator into one flat row (d, the three
+block degrees, a 6-bit torsion mask, emult) and each (generator, boundary
+curve) block into a (deg, 2-bit mask) pair; a combination is summed with
+integer products and an XOR of the masks of its odd coefficients, and only
+the result is built as an XClass or Block.  preimage_combo corrects torsion
+bits against the constant basis VEC, so its GF(2) solve has only 64 targets
+and is memoised per target; every call still checks its combo against x.
 """
 from __future__ import annotations
 
@@ -76,6 +85,17 @@ class Block:
 
 
 ZERO_BLOCK = Block(0, (0, 0))
+
+# torsion label (b0, b1) of a block <-> its 2-bit mask 2*b0 + b1
+_PAIR = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _mask(bits: tuple[int, ...]) -> int:
+    """Bit-vector as an int, first entry most significant."""
+    m = 0
+    for b in bits:
+        m = 2 * m + (b & 1)
+    return m
 
 
 @dataclass(frozen=True)
@@ -225,14 +245,23 @@ class GeneratorTable:
                 self.block[(g, f)] = blk
         if block_override:
             self.block.update(block_override)
+        self._rows = {g: XClass(self.degree[g],
+                                tuple(self.block[(g, f)] for f in ("A0", "B0", "C0")),
+                                self.emult[g])
+                      for g in GENERATORS}
+        # integer kernel of phi: (d, deg A0, deg B0, deg C0, 6-bit mask, emult)
+        self._int_rows = {g: (x.d, *(b.deg for b in x.blocks), _mask(x.bits), x.emult)
+                          for g, x in self._rows.items()}
+        # integer kernel of column: per boundary curve, g -> (deg, 2-bit mask)
+        self._columns = {f: {g: (self.block[(g, f)].deg, _mask(self.block[(g, f)].bits))
+                             for g in GENERATORS}
+                         for f in BOUNDARY}
         self._check_consistency()
 
     # -- generator images ---------------------------------------------------
 
     def row(self, g: str) -> XClass:
-        return XClass(self.degree[g],
-                      tuple(self.block[(g, f)] for f in ("A0", "B0", "C0")),
-                      self.emult[g])
+        return self._rows[g]
 
     def e_row(self, s: int) -> XClass:
         return XClass(2, (ZERO_BLOCK,) * 3,
@@ -241,19 +270,28 @@ class GeneratorTable:
     def phi(self, combo: dict[str, int],
             e_combo: dict[int, int] | None = None) -> XClass:
         """Image of an integer combination of generators (and E_s)."""
-        out = XClass(0, (ZERO_BLOCK,) * 3, (0,) * self.k)
+        d = r0 = r1 = r2 = mask = 0
+        em = [0] * self.k
+        rows = self._int_rows
         for g, c in combo.items():
             if c == 0:
                 continue
-            r = self.row(g)
-            out = XClass(out.d + c * r.d,
-                         tuple(a + b.scaled(c) for a, b in zip(out.blocks, r.blocks)),
-                         tuple(a + c * b for a, b in zip(out.emult, r.emult)))
+            gd, g0, g1, g2, gmask, gem = rows[g]
+            d += c * gd
+            r0 += c * g0
+            r1 += c * g1
+            r2 += c * g2
+            if c & 1:
+                mask ^= gmask
+            if gem:
+                em = [a + c * b for a, b in zip(em, gem)]
         for s, c in (e_combo or {}).items():
-            r = self.e_row(s)
-            out = XClass(out.d + c * r.d, out.blocks,
-                         tuple(a + c * b for a, b in zip(out.emult, r.emult)))
-        return out
+            if not 0 <= s < self.k:
+                raise ValueError(f"no exceptional curve E{s} for K^2 = {6 - self.k}")
+            d += 2 * c
+            em[s] -= 2 * c
+        return XClass(d, (Block(r0, _PAIR[mask >> 4]), Block(r1, _PAIR[mask >> 2 & 3]),
+                          Block(r2, _PAIR[mask & 3])), tuple(em))
 
     def combo_y_class(self, combo: dict[str, int],
                       e_combo: dict[int, int] | None = None) -> YClass:
@@ -266,10 +304,14 @@ class GeneratorTable:
 
     def column(self, combo: dict[str, int], f: str) -> Block:
         """Restriction of a generator combination to the boundary curve f."""
-        out = ZERO_BLOCK
+        deg = mask = 0
+        col = self._columns[f]
         for g, c in combo.items():
-            out = out + self.block[(g, f)].scaled(c)
-        return out
+            gdeg, gmask = col[g]
+            deg += c * gdeg
+            if c & 1:
+                mask ^= gmask
+        return Block(deg, _PAIR[mask])
 
     # -- K^2 = 6 specific queries --------------------------------------------
 
@@ -297,15 +339,16 @@ class GeneratorTable:
         nh, n1, n2, n3 = cls.coeffs
         combo = {"A3": nh, "B0": nh + n2, "C0": nh + n3, "A0": n1}
         base = self.phi(combo)
-        assert self.to_y(base) == cls
-        target = bits_add(x.bits, base.bits)
-        sol = gf2_solve([VEC[v] for v in VEC_ORDER], target)
-        assert sol is not None, "torsion vectors span V"
-        for eps, v in zip(sol, VEC_ORDER):
-            if eps:
-                for g, c in VEC_COMBO[v].items():
-                    combo[g] = combo.get(g, 0) + c
-        assert self.phi(combo) == x
+        if self.to_y(base) != cls:
+            raise TableInconsistent(f"base combo {combo} does not lie over {cls}")
+        correction = _torsion_solution(bits_add(x.bits, base.bits))
+        if correction is None:
+            raise TableInconsistent("torsion vectors do not span V")
+        for v in correction:
+            for g, c in VEC_COMBO[v].items():
+                combo[g] = combo.get(g, 0) + c
+        if self.phi(combo) != x:
+            raise TableInconsistent(f"preimage combo {combo} does not map to {x}")
         return combo
 
     def restrict(self, x: XClass, f: str) -> Block:
@@ -416,6 +459,15 @@ class GeneratorTable:
                 if not self.column(gen_part, f).is_zero():
                     raise TableInconsistent(
                         f"kernel combo has nonzero restriction on {f}")
+
+
+@lru_cache(maxsize=64)
+def _torsion_solution(target: tuple[int, ...]) -> tuple[str, ...] | None:
+    """Names of the VEC basis vectors summing to target, or None."""
+    sol = gf2_solve([VEC[v] for v in VEC_ORDER], target)
+    if sol is None:
+        return None
+    return tuple(v for eps, v in zip(sol, VEC_ORDER) if eps)
 
 
 def _gf2_left_null(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

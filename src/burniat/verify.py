@@ -266,9 +266,9 @@ CRITERIA: list[tuple[int, str, Callable[[int], tuple[bool, str]]]] = [
 def run_criterion(number: int, seed: int = DEFAULT_SEED) -> CriterionResult:
     for num, name, fn in CRITERIA:
         if num == number:
-            t0 = time.time()
+            t0 = time.perf_counter()
             passed, detail = fn(seed)
-            return CriterionResult(num, name, passed, detail, time.time() - t0)
+            return CriterionResult(num, name, passed, detail, time.perf_counter() - t0)
     raise ValueError(f"no criterion {number}")
 
 
@@ -278,9 +278,9 @@ def run_all(seed: int = DEFAULT_SEED,
     for num, name, fn in CRITERIA:
         if only is not None and only not in name:
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         passed, detail = fn(seed)
-        results.append(CriterionResult(num, name, passed, detail, time.time() - t0))
+        results.append(CriterionResult(num, name, passed, detail, time.perf_counter() - t0))
     if only is not None and not results:
         raise ValueError(f"no criterion matches {only!r}")
     return results

@@ -1,11 +1,18 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import burniat
 from burniat.config import BOUNDARY, GENERATORS
+from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_check
 from burniat.delpezzo import classify_exceptional
-from burniat.effective import (ALL_BITS, InS, NonEffective, Unresolved, decide,
-                               effective_lifts, exceptional_induction,
+from burniat.effective import (ALL_BITS, TRUSTED, InS, NonEffective, Unresolved,
+                               decide, effective_lifts, exceptional_induction,
                                is_minimal, minimal_form, prove_non_effective,
                                s_membership, scan, step3_tables)
 from burniat.lattice import YClass
@@ -151,6 +158,76 @@ def test_scan_is_deterministic():
 def test_scan_rejects_large_degree():
     with pytest.raises(ValueError):
         scan(T, 13)
+
+
+# sha256 of scan(12).to_text() as first recorded for this library
+SCAN12_SHA256 = "3abc0a500641b690409ce615d8d01affe71360b5a1e433b71f10116d62888efc"
+
+
+@pytest.fixture(scope="module")
+def scan12():
+    return scan(T, 12)
+
+
+def test_scan12_text_unchanged(scan12):
+    assert hashlib.sha256(scan12.to_text().encode()).hexdigest() == SCAN12_SHA256
+
+
+def test_scan_minimal_flag_agrees_with_is_minimal():
+    for r in scan(T, 6).records:
+        assert is_minimal(T, r.x) == r.minimal
+
+
+def test_trusted_classes_are_minimal_and_used(scan12):
+    reached = {text for _, text in scan12.trusted_hits}
+    for ctx in (SMOOTH, DEGENERATE):
+        rep = exceptional_collection_check(ctx)
+        verdicts = [v for row in rep.pairs for v in (row.forward, row.serre)]
+        verdicts += [row.canonical for row in rep.selfs]
+        reached.update(xclass_to_text(v.trace.final) for v in verdicts
+                       if isinstance(v, NonEffective) and v.base.startswith("trusted:"))
+    assert set(TRUSTED) <= reached
+    for text in TRUSTED:
+        assert is_minimal(T, lit(text))
+
+
+# --- evidence checks under python -O ----------------------------------------------
+
+FORGERIES = """
+import burniat.effective as eff
+from burniat.config import GENERATORS
+from burniat.picard import build_generator_table
+
+T = build_generator_table(6)
+K = T.canonical()
+print("debug", __debug__)
+# K.A0 = 1, so subtracting A0 as a negative-pairing step is not justified
+trace = eff.ReductionTrace(K, (eff.ReductionStep("A0", "negative"),),
+                           K - T.phi({"A0": 1}))
+try:
+    trace.validate(T)
+    print("trace accepted")
+except eff.InvalidEvidence:
+    print("trace rejected")
+# A2 has the numerical class of A1 but other torsion bits
+x = T.phi({"A1": 1})
+wrong = tuple(int(g == "A2") for g in GENERATORS)
+eff.effective_lifts = lambda ycoeffs: {x.bits: wrong}
+try:
+    eff.s_membership(T, x)
+    print("certificate accepted")
+except eff.InvalidEvidence:
+    print("certificate rejected")
+"""
+
+
+def test_forged_evidence_rejected_under_optimize():
+    src = str(Path(burniat.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", FORGERIES], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split("\n")[:3] == ["debug False", "trace rejected",
+                                           "certificate rejected"]
 
 
 # --- canonical-class tables -------------------------------------------------------

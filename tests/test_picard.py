@@ -1,16 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burniat.config import BOUNDARY, GENERATORS, standard_config
 from burniat.lattice import MixedGroup, subgroup_index
-from burniat.linalg import bits_add, solve_integer
+from burniat.linalg import bits_add, bits_scale, solve_integer
 from burniat.picard import (Block, GeneratorTable, NotARepresentableClass,
                             NotLiftable, TableInconsistent, VEC, VEC_COMBO,
-                            XClass, build_generator_table, canonical_lift,
-                            image_index, parse_xclass, picard_image_index,
-                            point_vector, table_override_from_text,
-                            table_to_text, torsion_subgroup, xclass_to_text)
+                            XClass, _torsion_solution, build_generator_table,
+                            canonical_lift, image_index, parse_xclass,
+                            picard_image_index, point_vector,
+                            table_override_from_text, table_to_text,
+                            torsion_subgroup, xclass_to_text)
 
 T6 = build_generator_table(6)
 CASES = ((6, "plain"), (5, "plain"), (4, "nodal"),
@@ -90,6 +92,83 @@ def test_canonical_class_and_torsion_correction():
         for g, c in VEC_COMBO[v].items():
             combo[g] = combo.get(g, 0) + c
     assert T6.phi(combo) == kx
+
+
+# --- the integer kernel against the block-sum reference -----------------------
+
+TABLES = {case: GeneratorTable(standard_config(*case)) for case in CASES}
+KERNEL6 = T6._kernel_combos()
+COEFFS = st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12))
+COMBOS = st.dictionaries(st.sampled_from(GENERATORS), COEFFS)
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+def _block_sum(a: Block, c: int, b: Block) -> Block:
+    return Block(a.deg + c * b.deg, bits_add(a.bits, bits_scale(c, b.bits)))
+
+
+def reference_phi(table, combo, e_combo):
+    """phi as the sum of the scaled generator blocks."""
+    d, blocks, em = 0, (Block(0, (0, 0)),) * 3, (0,) * table.k
+    for g, c in combo.items():
+        d += c * table.degree[g]
+        blocks = tuple(_block_sum(a, c, table.block[(g, f)])
+                       for a, f in zip(blocks, ("A0", "B0", "C0")))
+        em = tuple(a + c * b for a, b in zip(em, table.emult[g]))
+    for s, c in e_combo.items():
+        d += 2 * c
+        em = tuple(a - 2 * c if t == s else a for t, a in enumerate(em))
+    return XClass(d, blocks, em)
+
+
+def reference_column(table, combo, f):
+    out = Block(0, (0, 0))
+    for g, c in combo.items():
+        out = _block_sum(out, c, table.block[(g, f)])
+    return out
+
+
+@PROPERTY
+@given(case=st.sampled_from(CASES), combo=COMBOS, data=st.data())
+def test_phi_and_column_match_block_sums(case, combo, data):
+    table = TABLES[case]
+    e_combo = {}
+    if table.k:
+        e_combo = data.draw(st.dictionaries(st.integers(0, table.k - 1), COEFFS))
+    assert table.phi(combo, e_combo) == reference_phi(table, combo, e_combo)
+    for f in BOUNDARY:
+        assert table.column(combo, f) == reference_column(table, combo, f)
+
+
+def test_phi_rejects_unknown_exceptional_curve():
+    with pytest.raises(ValueError):
+        TABLES[(5, "plain")].phi({}, {1: 2})
+    with pytest.raises(ValueError):
+        TABLES[(5, "plain")].phi({}, {-1: 2})
+
+
+def test_memoised_torsion_solutions_resum():
+    for mask in range(64):
+        target = tuple((mask >> (5 - i)) & 1 for i in range(6))
+        names = _torsion_solution(target)
+        assert names is not None
+        total = (0,) * 6
+        for v in names:
+            total = bits_add(total, VEC[v])
+        assert total == target
+
+
+@PROPERTY
+@given(combo=COMBOS, kernel=st.sampled_from(KERNEL6), mult=COEFFS)
+def test_restriction_independent_of_preimage(combo, kernel, mult):
+    x = T6.phi(combo)
+    pre = T6.preimage_combo(x)
+    shifted = dict(pre)
+    for g, c in kernel.items():
+        shifted[g] = shifted.get(g, 0) + mult * c
+    assert T6.phi(shifted) == x
+    for f in BOUNDARY:
+        assert T6.restrict(x, f) == T6.column(pre, f) == T6.column(shifted, f)
 
 
 # --- restriction maps ---------------------------------------------------------
