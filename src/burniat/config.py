@@ -175,8 +175,9 @@ def minus_two_curves(cfg: BurniatConfig) -> list[YClass]:
     for label in INTERNAL:
         if len(cfg.points_on(label)) >= 2:
             cls = cfg.strict_transform(label)
-            assert cls.dot(cls) == -2
-            assert cls.dot(canonical_class(cfg.lattice)) == 0
+            if cls.dot(cls) != -2 or cls.dot(canonical_class(cfg.lattice)) != 0:
+                raise InvalidBuildingData(f"{label} through two points is not a "
+                                          f"(-2)-curve: {cls}")
             out.append(cls)
     return out
 

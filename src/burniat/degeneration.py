@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .picard import GeneratorTable, XClass, build_generator_table
+from .picard import GeneratorTable, TableInconsistent, XClass, build_generator_table
 from .effective import (InS, NonEffective, ReductionTrace, Verdict, chi,
                         decide, minimal_form, trace_text)
 
@@ -184,7 +184,8 @@ def phi0(table: GeneratorTable, combo: dict[str, int]) -> XClass:
 
 def assert_table_identity(table: GeneratorTable) -> None:
     for g in table.degree:
-        assert phi0(table, {g: 1}) == table.phi({g: 1})
+        if phi0(table, {g: 1}) != table.phi({g: 1}):
+            raise TableInconsistent(f"phi0 and phi differ on {g}")
 
 
 def reduce_degenerate(table: GeneratorTable, x: XClass) -> tuple[XClass, ReductionTrace]:

@@ -269,9 +269,12 @@ def classify_exceptional(d: YClass) -> ExceptionalType:
             if n is not None:
                 n = None if family == "Type4" else n
                 expected = -(n - 1) if family == "Type1" else 0
-                assert p_a == expected, (d, family, n, p_a)
+                if p_a != expected:
+                    raise AssertionError(f"{d} classified {family} n={n} "
+                                         f"but p_a={p_a}")
                 return ExceptionalType(family, n, p_a, sym)
-    assert p_a > 0 or d.is_zero(), f"unclassified nef class {d} with p_a={p_a}"
+    if p_a <= 0 and not d.is_zero():
+        raise AssertionError(f"unclassified nef class {d} with p_a={p_a}")
     return ExceptionalType("NonExceptional", None, p_a, None)
 
 

@@ -7,10 +7,13 @@ has three layers:
   forced into the base locus, i.e. x.F < 0, or x.F = 0 with a nonzero
   torsion restriction to F.  Every step lowers the degree d = x.K by one.
 * s_membership: complete certificate search.  A certificate is a
-  nonnegative integer combination of the twelve curves mapping to x; the
-  search enumerates the finitely many solutions on the lattice side and
-  matches the torsion bits exactly, so "no certificate" is a proof that x
-  is not in S.
+  nonnegative integer combination of the twelve curves mapping to x.  Its
+  boundary multiplicities are fixed by a composition of n_h into A3, B3, C3
+  and the three internal letter counts, and the internal splits matter only
+  modulo 2, so the search (effective_lifts) covers every solution on the
+  lattice side and matches the torsion bits exactly: "no certificate" is a
+  proof that x is not in S.  For each (A3, B3, C3) the first certificate
+  of every torsion lift has a closed form, so the search is O(n_h^3).
 * prove_non_effective: minimal-form reduction into one of the two base
   cases: negative degree, or a member of the trusted list of classes with
   no sections (imported facts about the surface, cross-checked against the
@@ -31,7 +34,10 @@ from .config import BOUNDARY, GENERATORS
 from .picard import (Block, GeneratorTable, XClass, xclass_to_text,
                      TableInconsistent)
 
-SCAN_ORDER = BOUNDARY  # A0, B0, C0, A3, B3, C3
+# the 64 torsion bit-vectors, lexicographically
+ALL_BITS = [(b0, b1, b2, b3, b4, b5)
+            for b0 in (0, 1) for b1 in (0, 1) for b2 in (0, 1)
+            for b3 in (0, 1) for b4 in (0, 1) for b5 in (0, 1)]
 
 INTERNAL_OF_LETTER = {"A": ("A1", "A2"), "B": ("B1", "B2"), "C": ("C1", "C2")}
 
@@ -132,7 +138,7 @@ def minimal_form(table: GeneratorTable, x: XClass) -> tuple[XClass, ReductionTra
     steps: list[ReductionStep] = []
     while x.d >= 0:
         fired = None
-        for f in SCAN_ORDER:
+        for f in BOUNDARY:
             p = table.pairing(x, f)
             if p < 0:
                 fired = ReductionStep(f, "negative")
@@ -153,7 +159,7 @@ def is_minimal(table: GeneratorTable, x: XClass) -> bool:
     if x.d < 0:
         return False
     combo = None  # only a zero pairing needs the restriction
-    for f in SCAN_ORDER:
+    for f in BOUNDARY:
         p = table.pairing(x, f)
         if p < 0:
             return False
@@ -169,22 +175,42 @@ def is_minimal(table: GeneratorTable, x: XClass) -> bool:
 # Certificate search
 # ---------------------------------------------------------------------------
 
-def _letter_split(total: int, three: int, first_bit: int) -> tuple[int, int] | None:
-    """Split total = x1 + x2 with (x2 + three) = first_bit mod 2, smallest x2."""
-    want = (first_bit + three) & 1
-    if want > total:
-        return None
-    return total - want, want  # (x1, x2)
+def _least_counts(lo: int, three: int) -> tuple[int, int, int, int]:
+    """Least internal-curve count t >= lo for each (first bit, parity of t).
+
+    Indexed by 2 * first + parity.  A count t splits as t = x1 + x2 with the
+    first torsion bit equal to (x2 + three) mod 2; any first bit is
+    reachable for t >= 1, while t = 0 forces the first bit to three mod 2.
+    Every t above the least one of its parity is admissible as well.
+    """
+    even, odd = lo + (lo & 1), lo + 1 - (lo & 1)
+    if lo:
+        return even, odd, even, odd
+    return (0, 1, 2, 1) if three & 1 == 0 else (2, 1, 0, 1)
 
 
 @lru_cache(maxsize=None)
 def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
     """All torsion lifts of a numerical class that lie in S.
 
-    Maps achievable bit-vectors to one certificate each (first in the
-    deterministic composition order).  Complete: every certificate has
-    boundary multiplicities determined by its internal ones, and internal
-    splits only matter modulo 2.
+    Maps achievable bit-vectors to one certificate each: the first one in
+    the composition order (a3, b3, c3, t_a, t_b) of n_h into the three
+    boundary multiplicities A3, B3, C3 and the internal letter counts
+    t_a = A1 + A2, t_b = B1 + B2, t_c = C1 + C2.  The other boundary
+    multiplicities are then fixed, a0 = n1 + b3 + c3 + t_c,
+    b0 = n2 + a3 + c3 + t_a and c0 = n3 + a3 + b3 + t_b, and the internal
+    splits only matter modulo 2, so this enumerates every certificate up to
+    those splits: the search is complete.
+
+    Closed-form inner step: given (a3, b3, c3) and r = n_h - a3 - b3 - c3,
+    a target bit-vector fixes the parities of t_a, t_b and t_c, and a zero
+    count fixes the matching first bit (see _least_counts).  The admissible
+    values of each count are therefore all values of its parity from a least
+    one up, so the first certificate takes the least t_a and t_b, and one
+    exists iff t_c = r - t_a - t_b is at least its own least value.  Each
+    (a3, b3, c3) costs O(1), so the search is O(n_h^3).  It skips triples
+    where the least counts that a0, b0, c0 >= 0 allow already sum past r,
+    and it stops once all 64 lifts are found.
     """
     nh, n1, n2, n3 = ycoeffs
     out: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -192,40 +218,41 @@ def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int
         return out
     for a3 in range(nh + 1):
         for b3 in range(nh - a3 + 1):
+            lb = max(-n3 - a3 - b3, 0)
             for c3 in range(nh - a3 - b3 + 1):
-                for t_a in range(nh - a3 - b3 - c3 + 1):
-                    for t_b in range(nh - a3 - b3 - c3 - t_a + 1):
-                        t_c = nh - a3 - b3 - c3 - t_a - t_b
-                        a0 = n1 + b3 + c3 + t_c
-                        b0 = n2 + a3 + c3 + t_a
-                        c0 = n3 + a3 + b3 + t_b
-                        if a0 < 0 or b0 < 0 or c0 < 0:
-                            continue
-                        # bits: A-block from C-letter, B from A, C from B
-                        for afirst in ((0, 1) if t_c else (c3 & 1,)):
-                            sc = _letter_split(t_c, c3, afirst)
-                            if sc is None:
+                r = nh - a3 - b3 - c3
+                la = max(-n2 - a3 - c3, 0)
+                lc = max(-n1 - b3 - c3, 0)
+                if la + lb + lc > r:
+                    continue
+                least_a = _least_counts(la, a3)
+                least_b = _least_counts(lb, b3)
+                least_c = _least_counts(lc, c3)
+                found = []
+                for ka, t_a in enumerate(least_a):
+                    for kb, t_b in enumerate(least_b):
+                        t_c = r - t_a - t_b
+                        for afirst in (0, 1):
+                            if t_c < least_c[2 * afirst + (t_c & 1)]:
                                 continue
-                            for bfirst in ((0, 1) if t_a else (a3 & 1,)):
-                                sa = _letter_split(t_a, a3, bfirst)
-                                if sa is None:
-                                    continue
-                                for cfirst in ((0, 1) if t_b else (b3 & 1,)):
-                                    sb = _letter_split(t_b, b3, cfirst)
-                                    if sb is None:
-                                        continue
-                                    bits = (afirst, t_c & 1,
-                                            bfirst, t_a & 1,
-                                            cfirst, t_b & 1)
-                                    if bits in out:
-                                        continue
-                                    cert = {"A0": a0, "A1": sa[0], "A2": sa[1],
-                                            "A3": a3,
-                                            "B0": b0, "B1": sb[0], "B2": sb[1],
-                                            "B3": b3,
-                                            "C0": c0, "C1": sc[0], "C2": sc[1],
-                                            "C3": c3}
-                                    out[bits] = tuple(cert[g] for g in GENERATORS)
+                            # bits: A-block from C-letter, B from A, C from B
+                            bits = (afirst, t_c & 1, ka >> 1, ka & 1, kb >> 1, kb & 1)
+                            if bits not in out:
+                                found.append((t_a, t_b, afirst, ka >> 1, kb >> 1, bits))
+                # in the order (t_a, t_b, first bits) in which a full
+                # enumeration of this triple would reach them
+                for t_a, t_b, afirst, bfirst, cfirst, bits in sorted(found):
+                    t_c = r - t_a - t_b
+                    a2, b2, c2 = (bfirst + a3) & 1, (cfirst + b3) & 1, (afirst + c3) & 1
+                    cert = {"A0": n1 + b3 + c3 + t_c, "A1": t_a - a2, "A2": a2,
+                            "A3": a3,
+                            "B0": n2 + a3 + c3 + t_a, "B1": t_b - b2, "B2": b2,
+                            "B3": b3,
+                            "C0": n3 + a3 + b3 + t_b, "C1": t_c - c2, "C2": c2,
+                            "C3": c3}
+                    out[bits] = tuple(cert[g] for g in GENERATORS)
+                if len(out) == len(ALL_BITS):
+                    return out
     return out
 
 
@@ -293,11 +320,6 @@ def decide(table: GeneratorTable, x: XClass) -> Verdict:
 # ---------------------------------------------------------------------------
 # Desk-scale scan
 # ---------------------------------------------------------------------------
-
-ALL_BITS = [(b0, b1, b2, b3, b4, b5)
-            for b0 in (0, 1) for b1 in (0, 1) for b2 in (0, 1)
-            for b3 in (0, 1) for b4 in (0, 1) for b5 in (0, 1)]
-
 
 @dataclass
 class ScanRecord:

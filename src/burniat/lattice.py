@@ -112,7 +112,8 @@ def arithmetic_genus(d: YClass) -> int:
     """p_a(D) = D(D+K)/2 + 1, always an integer on these lattices."""
     k = canonical_class(SurfaceLattice(d.k))
     twice = d.dot(d + k)
-    assert twice % 2 == 0
+    if twice % 2:
+        raise ValueError(f"D.(D+K) = {twice} is odd for {d}")
     return twice // 2 + 1
 
 

@@ -546,7 +546,8 @@ def coordinate_map_index(cfg: BurniatConfig) -> int:
                     + [b.dot(cfg.pullback(c)) for c in boundary3])
     from .linalg import lattice_index
     idx = lattice_index(rows, 4 + cfg.k)
-    assert idx is not None
+    if idx is None:
+        raise TableInconsistent(f"coordinate map of K^2={cfg.ksq} is not of full rank")
     return idx
 
 

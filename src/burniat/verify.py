@@ -19,7 +19,7 @@ from .config import standard_config, ramification_span_index
 from .picard import (GeneratorTable, build_generator_table, image_index,
                      picard_image_index, torsion_subgroup, parse_xclass,
                      xclass_to_text)
-from .effective import (ALL_BITS, InS, NonEffective, decide,
+from .effective import (ALL_BITS, InS, NonEffective, ScanReport, decide,
                         exceptional_induction, is_minimal, s_membership,
                         scan, step3_tables)
 from .degeneration import (DEGENERATE, SMOOTH, exceptional_collection_check)
@@ -157,7 +157,10 @@ def _c5_decomposition_oracles(seed: int) -> tuple[bool, str]:
 
 def _c6_step2(seed: int) -> tuple[bool, str]:
     t = build_generator_table(6)
-    r3 = scan(t, 3)
+    # scan enumerates classes by degree, so the records of degree <= 3 and
+    # <= 6 are prefixes of scan(8) and render as scan(3) and scan(6) would
+    r8 = scan(t, 8)
+    r3, r6 = (ScanReport(d, [r for r in r8.records if r.x.d <= d]) for d in (3, 6))
     survivors3 = sorted(xclass_to_text(r.x) for r in r3.minimal_non_in_s)
     # the printed degree-3 list; the entry printed (3; 1 00; 1 00; 1 00) is
     # the canonical class (d(K) = K.K = 6 in this encoding) and therefore
@@ -171,13 +174,11 @@ def _c6_step2(seed: int) -> tuple[bool, str]:
             return False, f"printed class {lit} not proven non-effective"
     if survivors3 != ["(3; 0 00; 0 00; 0 00)", "(3; 1 10; 1 10; 1 10)"]:
         return False, f"unexpected degree<=3 survivors {survivors3}"
-    r6 = scan(t, 6)
     survivors6 = sorted(xclass_to_text(r.x) for r in r6.minimal_non_in_s)
     want6 = ["(3; 0 00; 0 00; 0 00)", "(3; 1 10; 1 10; 1 10)",
              "(6; 1 00; 1 00; 1 00)"]
     if survivors6 != want6:
         return False, f"survivors at d<=6: {survivors6}"
-    r8 = scan(t, 8)
     if r6.unresolved or r8.unresolved:
         return False, "unresolved classes in scan(6)/scan(8)"
     hits = dict(r6.trusted_hits)
@@ -244,7 +245,7 @@ def _c10_properties(seed: int) -> tuple[bool, str]:
         elif isinstance(r.verdict, NonEffective):
             r.verdict.trace.validate(t)
     # determinism: two scans render byte-identically
-    if scan(t, 3).to_text() != scan(t, 3).to_text():
+    if rep.to_text() != scan(t, 3).to_text():
         return False, "scan is not deterministic"
     return True, "1000 genus pairs, full scan(3) re-validation, scan determinism"
 

@@ -1,5 +1,7 @@
-from burniat.cli import main
-from burniat.picard import build_generator_table, parse_xclass, table_to_text
+from burniat.cli import EFFECTIVE_MAX_NH, main
+from burniat.lattice import YClass
+from burniat.picard import (build_generator_table, parse_xclass, table_to_text,
+                            xclass_to_text)
 
 
 def run(capsys, *argv):
@@ -53,6 +55,26 @@ def test_effective_parse_error_exit_2(capsys):
 def test_effective_congruence_error_exit_2(capsys):
     code, _, err = run(capsys, "effective", "--class", "(1; 0 00; 0 00; 0 00)")
     assert code == 2
+
+
+def _literal_with_nh(nh):
+    # nh times the numerical class of C1, with trivial torsion bits
+    return xclass_to_text(build_generator_table(6).from_y(YClass((nh, -nh, 0, 0))))
+
+
+def test_effective_refuses_classes_over_the_budget(capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("decide ran on a class over the budget")
+    monkeypatch.setattr("burniat.cli.decide", no_search)
+    code, out, err = run(capsys, "effective", "--class",
+                         _literal_with_nh(EFFECTIVE_MAX_NH + 1))
+    assert code == 2 and not out
+    assert f"n_h = {EFFECTIVE_MAX_NH + 1}" in err and "usage error" in err
+
+
+def test_effective_decides_a_class_at_the_budget(capsys):
+    code, out, _ = run(capsys, "effective", "--class", _literal_with_nh(EFFECTIVE_MAX_NH))
+    assert code == 0 and "verdict: InS" in out
 
 
 def test_scan_structured_deterministic(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import random
@@ -11,10 +12,10 @@ import burniat
 from burniat.config import BOUNDARY, GENERATORS
 from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_check
 from burniat.delpezzo import classify_exceptional
-from burniat.effective import (ALL_BITS, TRUSTED, InS, NonEffective, Unresolved,
-                               decide, effective_lifts, exceptional_induction,
-                               is_minimal, minimal_form, prove_non_effective,
-                               s_membership, scan, step3_tables)
+from burniat.effective import (ALL_BITS, TRUSTED, InS, NonEffective, ScanReport,
+                               Unresolved, decide, effective_lifts,
+                               exceptional_induction, is_minimal, minimal_form,
+                               prove_non_effective, s_membership, scan, step3_tables)
 from burniat.lattice import YClass
 from burniat.picard import (Block, XClass, build_generator_table, parse_xclass,
                             xclass_to_text)
@@ -173,6 +174,18 @@ def test_scan12_text_unchanged(scan12):
     assert hashlib.sha256(scan12.to_text().encode()).hexdigest() == SCAN12_SHA256
 
 
+@pytest.fixture(scope="module")
+def scan8():
+    return scan(T, 8)
+
+
+def test_scan_prefix_by_degree_renders_as_smaller_scan(scan8):
+    # criterion 6 filters one scan(8) instead of running scan(3) and scan(6)
+    for d in (3, 6):
+        prefix = ScanReport(d, [r for r in scan8.records if r.x.d <= d])
+        assert prefix.to_text() == scan(T, d).to_text()
+
+
 def test_scan_minimal_flag_agrees_with_is_minimal():
     for r in scan(T, 6).records:
         assert is_minimal(T, r.x) == r.minimal
@@ -230,6 +243,15 @@ def test_forged_evidence_rejected_under_optimize():
                                            "certificate rejected"]
 
 
+def test_no_assert_statements_in_the_library():
+    # python -O strips assert statements, so no check in the library may be one
+    package = Path(burniat.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 # --- canonical-class tables -------------------------------------------------------
 
 def test_step3_spot_checks():
@@ -276,13 +298,12 @@ def test_induction_preconditions():
         exceptional_induction(T, T.from_y(YClass((1, -1, 0, 0))))
 
 
-def test_every_minimal_class_of_degree_seven_up_is_in_s():
+def test_every_minimal_class_of_degree_seven_up_is_in_s(scan8):
     # strengthened form of the degree bound: at degrees 7 and 8 every
     # minimal-form class has a certificate (the only survivors sit at d <= 6)
-    rep = scan(T, 8)
-    for r in rep.minimal_non_in_s:
+    for r in scan8.minimal_non_in_s:
         assert r.x.d <= 6
-    assert not rep.unresolved
+    assert not scan8.unresolved
 
 
 def test_unresolved_is_reported_not_dropped(monkeypatch):

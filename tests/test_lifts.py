@@ -1,0 +1,129 @@
+"""The closed-form certificate search against two independent references.
+
+reference_lifts is the direct O(n_h^5) enumeration of every composition of
+n_h and every internal split parity; effective_lifts must return the same
+dict, certificates and insertion order included.  The brute-force oracle
+sums every nonnegative multiplicity vector of the twelve generators up to a
+degree bound through phi, which checks completeness: a lift with no
+certificate is not in S.
+"""
+import itertools
+
+from hypothesis import example, given, settings, strategies as st
+
+from burniat.config import GENERATORS
+from burniat.effective import effective_lifts
+from burniat.picard import build_generator_table
+
+T = build_generator_table(6)
+
+
+def _letter_split(total, three, first_bit):
+    """Split total = x1 + x2 with (x2 + three) = first_bit mod 2, smallest x2."""
+    want = (first_bit + three) & 1
+    if want > total:
+        return None
+    return total - want, want  # (x1, x2)
+
+
+def reference_lifts(ycoeffs):
+    nh, n1, n2, n3 = ycoeffs
+    out = {}
+    if nh < 0:
+        return out
+    for a3 in range(nh + 1):
+        for b3 in range(nh - a3 + 1):
+            for c3 in range(nh - a3 - b3 + 1):
+                for t_a in range(nh - a3 - b3 - c3 + 1):
+                    for t_b in range(nh - a3 - b3 - c3 - t_a + 1):
+                        t_c = nh - a3 - b3 - c3 - t_a - t_b
+                        a0 = n1 + b3 + c3 + t_c
+                        b0 = n2 + a3 + c3 + t_a
+                        c0 = n3 + a3 + b3 + t_b
+                        if a0 < 0 or b0 < 0 or c0 < 0:
+                            continue
+                        # bits: A-block from C-letter, B from A, C from B
+                        for afirst in ((0, 1) if t_c else (c3 & 1,)):
+                            sc = _letter_split(t_c, c3, afirst)
+                            if sc is None:
+                                continue
+                            for bfirst in ((0, 1) if t_a else (a3 & 1,)):
+                                sa = _letter_split(t_a, a3, bfirst)
+                                if sa is None:
+                                    continue
+                                for cfirst in ((0, 1) if t_b else (b3 & 1,)):
+                                    sb = _letter_split(t_b, b3, cfirst)
+                                    if sb is None:
+                                        continue
+                                    bits = (afirst, t_c & 1,
+                                            bfirst, t_a & 1,
+                                            cfirst, t_b & 1)
+                                    if bits in out:
+                                        continue
+                                    cert = {"A0": a0, "A1": sa[0], "A2": sa[1],
+                                            "A3": a3,
+                                            "B0": b0, "B1": sb[0], "B2": sb[1],
+                                            "B3": b3,
+                                            "C0": c0, "C1": sc[0], "C2": sc[1],
+                                            "C3": c3}
+                                    out[bits] = tuple(cert[g] for g in GENERATORS)
+    return out
+
+
+def _same(ycoeffs):
+    got, want = effective_lifts(ycoeffs), reference_lifts(ycoeffs)
+    assert list(got.items()) == list(want.items()), ycoeffs
+
+
+def test_matches_reference_on_a_box():
+    # every class with n_h <= 8 and n_i in [-n_h - 2, 2]
+    for nh in range(-1, 9):
+        for n in itertools.product(range(-nh - 2, 3), repeat=3):
+            _same((nh,) + n)
+
+
+# Derandomized, and one letter at least n_h/2 below zero: the reference costs
+# O(n_h^5) and takes seconds near n_h = 40 when every n_i is close to 0.
+# That region finds all 64 lifts in the first few (a3, b3, c3); the box and
+# (12, 0, 0, 0) below cover it.
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 40).flatmap(lambda nh: st.tuples(
+    st.just(nh), *(st.integers(-nh - 3, 3),) * 3)).filter(
+        lambda y: min(y[1:]) <= -(y[0] // 2)))
+@example((40, -20, -20, -20))
+def test_matches_reference_on_draws(ycoeffs):
+    _same(ycoeffs)
+
+
+def test_matches_reference_when_every_lift_is_found_early():
+    _same((12, 0, 0, 0))
+
+
+def test_complete_against_brute_force_oracle():
+    # every nonnegative generator combination of degree <= D, summed by phi
+    D = 8
+    rows = [T.phi({g: 1}) for g in GENERATORS]
+    reached = set()
+
+    def extend(i, x, budget):
+        if i == len(rows):
+            reached.add((T.to_y(x).coeffs, x.bits))
+            return
+        while True:
+            extend(i + 1, x, budget)
+            budget -= rows[i].d
+            if budget < 0:
+                return
+            x = x + rows[i]
+
+    extend(0, T.phi({}), D)
+    # every generator has n_h in {0, 1} and n_i in {-1, 0, 1}, so this box
+    # holds every class of degree 3 n_h + n1 + n2 + n3 <= D that S can reach
+    lifted = set()
+    for nh in range(D + 1):
+        for n in itertools.product(range(-D, D + 1), repeat=3):
+            y = (nh,) + n
+            if 3 * nh + sum(n) <= D:
+                lifted.update((y, bits) for bits in effective_lifts(y))
+    assert len(reached) > 1000
+    assert reached == lifted
