@@ -1,12 +1,14 @@
 """Exact-arithmetic Picard-group computations for Burniat surfaces.
 
 Modules:
+  linalg       exact linear algebra over Z, one GF(2) elimination routine
   lattice      Picard lattices of blowups of the plane, mixed-group indices
   delpezzo     effective/nef semigroups on the degree-6 del Pezzo surface
   config       the five branch configurations and their blowups
   picard       the coordinate model of the Picard group and its torsion
   effective    the effective-semigroup decision procedures
-  degeneration the semistable degenerate fibre and its exceptional collection
+  degeneration the exceptional-collection check; the degenerate-fibre
+               report relabels the smooth evidence under imported facts
   verify       the acceptance suite
   cli          command-line front end
 """
@@ -31,6 +33,4 @@ from .effective import (InS, NonEffective, Unresolved, ReductionTrace,
                         prove_non_effective, decide, scan, step3_tables,
                         exceptional_induction)
 from .degeneration import (FiberContext, SMOOTH, DEGENERATE,
-                           ReducibleCurveBundle, EllipticBundle,
-                           norm_pushforward, phi0, reduce_degenerate,
                            exceptional_collection_check)

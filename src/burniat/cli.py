@@ -26,7 +26,9 @@ from .verify import DEFAULT_SEED, run_all
 # Largest n_h (the h-coefficient of the numerical class) that `effective`
 # accepts.  The certificate search is O(n_h^3): at n_h = 120 the slowest
 # classes probed take about 0.4 s end to end on a 2-vCPU x86 host, and the
-# cost grows about eightfold each time n_h doubles.
+# cost grows about eightfold each time n_h doubles.  The degree is bounded by
+# 3 * EFFECTIVE_MAX_NH, the largest degree of a nef class within that budget,
+# because the reduction takes one step per unit of degree.
 EFFECTIVE_MAX_NH = 120
 
 
@@ -59,7 +61,7 @@ def cmd_verify_all(args) -> int:
             print(f"[FAIL] generator-table override rejected: {exc}")
             return 1
         print("[ ok ] generator-table override accepted")
-    results = run_all(seed=args.seed, only=args.only)
+    results = run_all(seed=args.seed, only=args.only, table=table)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -85,6 +87,10 @@ def cmd_effective(args) -> int:
         x = parse_xclass(args.cls)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    if x.d > 3 * EFFECTIVE_MAX_NH:
+        print(f"usage error: the class has degree {x.d}; the reduction "
+              f"accepts degree <= {3 * EFFECTIVE_MAX_NH}", file=sys.stderr)
         return 2
     table = build_generator_table(6)
     try:
@@ -169,6 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("effective", help="decide one class literal")
     p.add_argument("--class", dest="cls", required=True,
                    help="class literal, e.g. '(3; 0 00; 0 00; 0 00)'; its "
+                        f"degree must be <= {3 * EFFECTIVE_MAX_NH} and its "
                         f"numerical part must have n_h <= {EFFECTIVE_MAX_NH}")
     p.set_defaults(fn=cmd_effective)
 

@@ -73,6 +73,9 @@ _STANDARD_POINTS = {
                    ("A2", "B1", "C2"), ("A2", "B2", "C1")),
 }
 
+# the six (K^2, variant) cases, in decreasing K^2
+STANDARD_CASES = tuple(_STANDARD_POINTS)
+
 
 @dataclass(frozen=True)
 class BurniatConfig:
@@ -128,9 +131,7 @@ def standard_config(ksq: int, variant: str = "plain") -> BurniatConfig:
 
 
 def all_standard_configs() -> list[BurniatConfig]:
-    return [standard_config(k, v) for (k, v) in
-            ((6, "plain"), (5, "plain"), (4, "nodal"),
-             (4, "non-nodal"), (3, "plain"), (2, "plain"))]
+    return [standard_config(k, v) for (k, v) in STANDARD_CASES]
 
 
 def make_config(points: list[tuple[str, str, str]], variant: str = "custom") -> BurniatConfig:

@@ -2,7 +2,8 @@
 
 Fixed identifications on the k=3 lattice:
 
-* the six (-1)-curves, in scan order A0, B0, C0, A3, B3, C3:
+* the six (-1)-curves `config.BOUNDARY`, in scan order A0, B0, C0, A3, B3, C3,
+  with their classes from `config.CURVE_CLASS`:
       A0 = e1, B0 = e2, C0 = e3,
       A3 = h-e2-e3, B3 = h-e1-e3, C3 = h-e1-e2;
 * the ruling fibres f_i = h - e_i and the two plane pullbacks
@@ -20,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .lattice import SurfaceLattice, YClass, canonical_class, arithmetic_genus
+from .config import BOUNDARY, CURVE_CLASS
 
 
 class NotInLattice(ValueError):
@@ -27,16 +29,6 @@ class NotInLattice(ValueError):
 
 
 LAT = SurfaceLattice(3)
-
-BOUNDARY_ORDER = ("A0", "B0", "C0", "A3", "B3", "C3")
-BOUNDARY_CLASS = {
-    "A0": YClass((0, 1, 0, 0)),
-    "B0": YClass((0, 0, 1, 0)),
-    "C0": YClass((0, 0, 0, 1)),
-    "A3": YClass((1, 0, -1, -1)),
-    "B3": YClass((1, -1, 0, -1)),
-    "C3": YClass((1, -1, -1, 0)),
-}
 
 NEF_ORDER = ("f1", "f2", "f3", "h1", "h2")
 NEF_CLASS = {
@@ -71,7 +63,7 @@ class SymmetricCoords:
 def to_symmetric(d: YClass) -> SymmetricCoords:
     if d.k != 3:
         raise NotInLattice("symmetric coordinates only exist on the k=3 lattice")
-    vals = [d.dot(MINUS_K)] + [d.dot(BOUNDARY_CLASS[f]) for f in BOUNDARY_ORDER]
+    vals = [d.dot(MINUS_K)] + [d.dot(CURVE_CLASS[f]) for f in BOUNDARY]
     return SymmetricCoords(*vals)
 
 
@@ -138,8 +130,8 @@ def eff_decompose(d: YClass) -> Counter | None:
     cur = d
     while not cur.is_zero():
         subtracted = False
-        for name in BOUNDARY_ORDER:
-            rest = cur - BOUNDARY_CLASS[name]
+        for name in BOUNDARY:
+            rest = cur - CURVE_CLASS[name]
             if is_effective_class(rest):
                 out[name] += 1
                 cur = rest
@@ -150,8 +142,8 @@ def eff_decompose(d: YClass) -> Counter | None:
 
 
 def nef_witness(d: YClass) -> str | None:
-    for name in BOUNDARY_ORDER:
-        if d.dot(BOUNDARY_CLASS[name]) < 0:
+    for name in BOUNDARY:
+        if d.dot(CURVE_CLASS[name]) < 0:
             return name
     return None
 

@@ -61,11 +61,6 @@ def hnf(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return hnf_with_transform(rows, ncols)[0]
 
 
-def lattice_rank(rows: list[list[int]], ncols: int) -> int:
-    h = hnf(rows, ncols)
-    return sum(1 for r in h if any(r))
-
-
 def lattice_index(rows: list[list[int]], ncols: int) -> int | None:
     """Index in Z^ncols of the sublattice spanned by the rows.
 
@@ -114,7 +109,7 @@ def solve_integer(rows: list[list[int]], target: list[int], ncols: int) -> list[
 
 
 # ---------------------------------------------------------------------------
-# GF(2) vectors (tuples of 0/1)
+# GF(2) vectors: tuples of 0/1 outside, int bitmasks in the elimination
 # ---------------------------------------------------------------------------
 
 def bits_add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
@@ -127,66 +122,75 @@ def bits_scale(c: int, x: tuple[int, ...]) -> tuple[int, ...]:
     return x if c & 1 else tuple(0 for _ in x)
 
 
+def _mask(v: tuple[int, ...]) -> int:
+    """Bitmask with bit i set for each odd entry v[i]."""
+    return sum(1 << i for i, x in enumerate(v) if x & 1)
+
+
+def _bits(m: int, n: int) -> tuple[int, ...]:
+    return tuple((m >> i) & 1 for i in range(n))
+
+
+def gf2_eliminate(rows: list[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Gauss-Jordan elimination over GF(2) on int bitmasks, rows in order.
+
+    Returns (pivots, null).  pivots maps the lowest set bit of each row of
+    the reduced echelon basis of the span to (row, combo), where combo is
+    the bitmask of input rows summing to that row.  null holds, for each
+    input row that reduces to zero, the bitmask of input rows summing to 0.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    null: list[int] = []
+    for i, r in enumerate(rows):
+        c = 1 << i
+        for lead, (b, bc) in pivots.items():
+            if r & lead:
+                r, c = r ^ b, c ^ bc
+        if not r:
+            null.append(c)
+            continue
+        lead = r & -r
+        for k, (b, bc) in pivots.items():
+            if b & lead:
+                pivots[k] = (b ^ r, bc ^ c)
+        pivots[lead] = (r, c)
+    return pivots, null
+
+
 def gf2_echelon(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Reduced row echelon basis of the span (deterministic)."""
-    basis: list[list[int]] = []
-    for row in rows:
-        r = list(row)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            if r[lead]:
-                r = [(x + y) & 1 for x, y in zip(r, b)]
-        if any(r):
-            lead = next(i for i, x in enumerate(r) if x)
-            for b in basis:
-                if b[lead]:
-                    b[:] = [(x + y) & 1 for x, y in zip(b, r)]
-            basis.append(r)
-    basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-    return [tuple(b) for b in basis]
+    if not rows:
+        return []
+    pivots, _ = gf2_eliminate([_mask(r) for r in rows])
+    return [_bits(b, len(rows[0])) for _, (b, _) in sorted(pivots.items())]
 
 
 def gf2_nullspace(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     """Echelon basis of {v in GF(2)^n : rows @ v == 0}."""
-    ech = gf2_echelon(rows)
-    leads = [next(i for i, x in enumerate(r) if x) for r in ech]
-    free = [i for i in range(n) if i not in leads]
+    pivots, _ = gf2_eliminate([_mask(r) for r in rows])
     out = []
-    for f in free:
-        v = [0] * n
-        v[f] = 1
-        for r, lead in zip(ech, leads):
-            if r[f]:
-                v[lead] = 1
-        out.append(tuple(v))
+    for f in range(n):
+        if 1 << f in pivots:
+            continue
+        v = 1 << f
+        for lead, (b, _) in pivots.items():
+            if b >> f & 1:
+                v |= lead
+        out.append(_bits(v, n))
     return out
+
+
+def gf2_left_null(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Basis of {t : sum_i t_i rows_i == 0} over GF(2)."""
+    _, null = gf2_eliminate([_mask(r) for r in rows])
+    return [_bits(c, len(rows)) for c in null]
 
 
 def gf2_solve(rows: list[tuple[int, ...]], target: tuple[int, ...]) -> tuple[int, ...] | None:
     """x with sum_i x_i * rows_i == target, or None.  len(x) == len(rows)."""
-    n = len(target)
-    aug = [list(r) + [0] * len(rows) for r in rows]
-    for i, a in enumerate(aug):
-        a[n + i] = 1
-    # full RREF on the first n columns, carrying the bookkeeping block along
-    basis: list[list[int]] = []
-    for a in aug:
-        r = a[:]
-        for b in basis:
-            lead = next(i for i, x in enumerate(b[:n]) if x)
-            if r[lead]:
-                r = [(x + y) & 1 for x, y in zip(r, b)]
-        if any(r[:n]):
-            lead = next(i for i, x in enumerate(r[:n]) if x)
-            for b in basis:
-                if b[lead]:
-                    b[:] = [(x + y) & 1 for x, y in zip(b, r)]
-            basis.append(r)
-    t = list(target) + [0] * len(rows)
-    for b in basis:
-        lead = next(i for i, x in enumerate(b[:n]) if x)
-        if t[lead]:
-            t = [(x + y) & 1 for x, y in zip(t, b)]
-    if any(t[:n]):
-        return None
-    return tuple(t[n:])
+    pivots, _ = gf2_eliminate([_mask(r) for r in rows])
+    t, c = _mask(target), 0
+    for lead, (b, bc) in pivots.items():
+        if t & lead:
+            t, c = t ^ b, c ^ bc
+    return None if t else _bits(c, len(rows))

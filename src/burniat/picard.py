@@ -42,8 +42,8 @@ from functools import lru_cache
 
 from .lattice import (SurfaceLattice, YClass, MixedGroup, canonical_class,
                       subgroup_index)
-from .linalg import (bits_add, bits_scale, gf2_echelon, gf2_nullspace,
-                     gf2_solve, left_kernel)
+from .linalg import (bits_add, bits_scale, gf2_echelon, gf2_left_null,
+                     gf2_nullspace, gf2_solve, left_kernel)
 from .config import (BurniatConfig, BOUNDARY, GENERATORS, CURVE_CLASS,
                      standard_config)
 
@@ -206,10 +206,7 @@ def point_vector(point: tuple[str, str, str]) -> tuple[int, ...]:
 
 def torsion_subgroup(cfg: BurniatConfig) -> list[tuple[int, ...]]:
     """Echelon basis of the orthogonal complement of the point vectors."""
-    rows = [point_vector(p) for p in cfg.points]
-    if not rows:
-        return gf2_nullspace([], 6)
-    return gf2_nullspace(rows, 6)
+    return gf2_nullspace([point_vector(p) for p in cfg.points], 6)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +411,7 @@ class GeneratorTable:
         for kv in free_kernel:
             combos.append({lab: 2 * c for lab, c in zip(labels, kv) if c})
         # plus lifts of the left nullspace of the induced torsion map
-        for sol in _gf2_left_null(reduced):
+        for sol in gf2_left_null(reduced):
             combo: dict[str, int] = {}
             for t, kv in zip(sol, free_kernel):
                 if t:
@@ -468,28 +465,6 @@ def _torsion_solution(target: tuple[int, ...]) -> tuple[str, ...] | None:
     if sol is None:
         return None
     return tuple(v for eps, v in zip(sol, VEC_ORDER) if eps)
-
-
-def _gf2_left_null(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Basis of {t : sum_i t_i rows_i == 0} over GF(2)."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    aug = [list(r) + [1 if j == i else 0 for j in range(len(rows))]
-           for i, r in enumerate(rows)]
-    basis: list[list[int]] = []
-    null: list[tuple[int, ...]] = []
-    for a in aug:
-        r = a[:]
-        for b in basis:
-            lead = next(i for i, x in enumerate(b[:n]) if x)
-            if r[lead]:
-                r = [(x + y) & 1 for x, y in zip(r, b)]
-        if any(r[:n]):
-            basis.append(r)
-        else:
-            null.append(tuple(r[n:]))
-    return null
 
 
 @lru_cache(maxsize=None)

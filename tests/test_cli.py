@@ -1,6 +1,9 @@
 from burniat.cli import EFFECTIVE_MAX_NH, main
+from burniat.config import standard_config
+from burniat.effective import scan
 from burniat.lattice import YClass
-from burniat.picard import (build_generator_table, parse_xclass, table_to_text,
+from burniat.picard import (GeneratorTable, build_generator_table, parse_xclass,
+                            table_override_from_text, table_to_text,
                             xclass_to_text)
 
 
@@ -77,6 +80,25 @@ def test_effective_decides_a_class_at_the_budget(capsys):
     assert code == 0 and "verdict: InS" in out
 
 
+def test_effective_refuses_degrees_over_the_budget(capsys, monkeypatch):
+    # n_h = 0, but the reduction would take one step per unit of degree
+    def no_search(*args):
+        raise AssertionError("decide ran on a class over the degree budget")
+    monkeypatch.setattr("burniat.cli.decide", no_search)
+    code, out, err = run(capsys, "effective", "--class",
+                         "(100000; -300000 00; 100000 00; 100000 00)")
+    assert code == 2 and not out
+    assert "degree 100000" in err and "usage error" in err
+
+
+def test_effective_decides_a_class_at_the_degree_budget(capsys):
+    literal = xclass_to_text(build_generator_table(6).from_y(
+        YClass((EFFECTIVE_MAX_NH, 0, 0, 0))))
+    assert parse_xclass(literal).d == 3 * EFFECTIVE_MAX_NH
+    code, out, _ = run(capsys, "effective", "--class", literal)
+    assert code == 0 and "verdict: InS" in out
+
+
 def test_scan_structured_deterministic(capsys, tmp_path):
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
     for p in (p1, p2):
@@ -126,6 +148,23 @@ def test_verify_all_table_override(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-all", "--only", "torsion",
                        "--table", str(bad))
     assert code == 1 and "override rejected" in out
+
+
+def test_verify_all_table_override_is_the_table_scanned(tmp_path, monkeypatch):
+    from burniat import verify
+    override = GeneratorTable(standard_config(6), table_override_from_text(
+        table_to_text(build_generator_table(6))))
+    assert override is not build_generator_table(6)
+    scanned = []
+
+    def recording_scan(table, d_max):
+        scanned.append(table)
+        return scan(table, d_max)
+    monkeypatch.setattr(verify, "scan", recording_scan)
+    results = verify.run_all(only="step2", table=override)
+    results += verify.run_all(only="property", table=override)
+    assert [r.number for r in results] == [6, 10] and all(r.passed for r in results)
+    assert len(scanned) == 3 and all(t is override for t in scanned)
 
 
 def test_unknown_subcommand_exit_2(capsys):

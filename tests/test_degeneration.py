@@ -1,10 +1,7 @@
 import pytest
 
-from burniat.degeneration import (COLLECTION, COMPONENT_SELF_INT, DEGENERATE,
-                                  SMOOTH, EllipticBundle, FiberContext,
-                                  ReducibleCurveBundle, assert_table_identity,
-                                  exceptional_collection_check, norm_pushforward,
-                                  phi0, reduce_degenerate)
+from burniat.degeneration import (COLLECTION, DEGENERATE, SMOOTH, FiberContext,
+                                  PairReport, exceptional_collection_check)
 from burniat.effective import NonEffective, minimal_form
 from burniat.picard import build_generator_table, parse_xclass, xclass_to_text
 
@@ -14,86 +11,22 @@ T = build_generator_table(6)
 # --- fibre contexts -------------------------------------------------------------
 
 def test_fiber_context_data():
-    assert SMOOTH.components == ()
-    assert DEGENERATE.components == ("Bl3P2", "Bl2P2", "P1xP1")
-    assert DEGENERATE.reducible_boundary == ("B0", "B3", "C3")
-    assert not DEGENERATE.canonical_is_ample and SMOOTH.canonical_is_ample
-    for curve in DEGENERATE.reducible_boundary:
-        assert COMPONENT_SELF_INT[curve] == {"elliptic": 0, "rational": -1}
+    assert (SMOOTH.kind, DEGENERATE.kind) == ("smooth", "degenerate")
     with pytest.raises(ValueError):
         FiberContext("squishy")
 
 
-# --- bundles on a broken boundary curve and the norm map --------------------------
-
-def test_norm_elliptic_support_unchanged():
-    b = ReducibleCurveBundle.of({("elliptic", "10"): 1, ("elliptic", "00"): 2})
-    out = norm_pushforward(b)
-    assert dict(out.points) == {"00": 2, "10": 1}
-    assert out.degree == 3
-
-
-def test_norm_collapses_rational_points_to_node():
-    b = ReducibleCurveBundle.of({("rational", "Q"): 1})
-    assert dict(norm_pushforward(b).points) == {"N": 1}
-
-
-def test_norm_degree_additive():
-    b = ReducibleCurveBundle.of({("elliptic", "01"): 2, ("rational", "Q"): 3})
-    assert b.degree_elliptic == 2 and b.degree_rational == 3
-    assert norm_pushforward(b).degree == 5
-
-
-def test_norm_is_additive():
-    b1 = ReducibleCurveBundle.of({("elliptic", "11"): 1, ("rational", "Q"): 1})
-    b2 = ReducibleCurveBundle.of({("elliptic", "10"): -1, ("rational", "Q"): 2})
-    lhs = norm_pushforward(b1 + b2)
-    rhs = norm_pushforward(b1) + norm_pushforward(b2)
-    assert lhs == rhs
-
-
-def test_bundle_decomposition():
-    b = EllipticBundle.of({"10": 1, "11": 1, "N": 2})
-    assert b.degree == 4
-    assert b.torsion_bits == (0, 1)  # 10 + 11
-    assert b.node_multiplicity == 2
-
-
-def test_bundle_rejects_singular_support():
-    with pytest.raises(ValueError):
-        ReducibleCurveBundle.of({("elliptic", "N"): 1})
-    with pytest.raises(ValueError):
-        ReducibleCurveBundle.of({("sideways", "Q"): 1})
-
-
-# --- phi0 -------------------------------------------------------------------------
-
-def test_phi0_matches_smooth_table():
-    assert_table_identity(T)
-    assert phi0(T, COLLECTION[6]).is_zero()
-    k_combo = {f: 1 for f in ("A0", "B0", "C0", "A3", "B3", "C3")}
-    assert phi0(T, k_combo).d == 6
-    assert phi0(T, {"A1": 1, "A2": -1}).bits == (0, 0, 1, 0, 0, 0)
-
-
-# --- degenerate reductions ----------------------------------------------------------
-
-def test_reduce_degenerate_same_engine():
-    for text in ("(3; 1 10; 1 10; 1 10)", "(6; 1 00; 1 00; 1 00)",
-                 "(2; -2 00; 0 00; 0 00)"):
-        x = parse_xclass(text)
-        assert reduce_degenerate(T, x) == minimal_form(T, x)
-
+# --- reductions behind the degenerate labels ----------------------------------------
 
 def test_corner_class_not_effective_on_degenerate_fibre():
     x = parse_xclass("(3; 1 10; 1 10; 1 10)")
-    reduced, _ = reduce_degenerate(T, x)
+    reduced, _ = minimal_form(T, x)
     assert reduced == x  # minimal; the corner-point vanishing applies
 
 
 def test_negative_degree_on_degenerate_fibre():
     x = parse_xclass("(-1; 1 00; 0 00; 0 00)")
-    reduced, trace = reduce_degenerate(T, x)
+    reduced, trace = minimal_form(T, x)
     assert reduced.d < 0 and not trace.steps
 
 
@@ -105,6 +38,9 @@ def test_collection_images():
     assert imgs[2] == "(3; 1 10; 1 10; 1 10)"
     assert imgs[3] == "(2; 1 11; 0 01; 0 00)"
     assert imgs[6] == "(0; 0 00; 0 00; 0 00)"
+    k_combo = {f: 1 for f in ("A0", "B0", "C0", "A3", "B3", "C3")}
+    assert T.phi(k_combo).d == 6
+    assert T.phi({"A1": 1, "A2": -1}).bits == (0, 0, 1, 0, 0, 0)
 
 
 def test_exceptional_collection_smooth():
@@ -127,7 +63,14 @@ def test_exceptional_collection_degenerate():
 def test_chi_equal_across_contexts():
     rs = exceptional_collection_check(SMOOTH, T)
     rd = exceptional_collection_check(DEGENERATE, T)
-    assert rs.chi_table() == rd.chi_table()
+    assert [r.chi for r in rs.pairs] == [r.chi for r in rd.pairs]
+
+
+def test_degenerate_report_relabels_the_smooth_rows():
+    rs = exceptional_collection_check(SMOOTH, T)
+    relabelled = PairReport(DEGENERATE, rs.pairs, rs.selfs).to_text()
+    assert relabelled == exceptional_collection_check(DEGENERATE, T).to_text()
+    assert relabelled != rs.to_text()
 
 
 def test_pair_report_text_stable():

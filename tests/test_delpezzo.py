@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from burniat.delpezzo import (BOUNDARY_CLASS, BOUNDARY_ORDER, LAT, NEF_CLASS,
-                              SYMMETRY_GROUP, NotInLattice, SymmetricCoords,
-                              _apply_symmetry, classify_exceptional,
+from burniat.config import BOUNDARY, CURVE_CLASS
+from burniat.delpezzo import (LAT, NEF_CLASS, SYMMETRY_GROUP, NotInLattice,
+                              SymmetricCoords, _apply_symmetry, classify_exceptional,
                               dk_effective, eff_decompose, eff_witness,
                               enumerate_nef, from_symmetric, is_nef_class,
                               nef_decompose, to_symmetric)
@@ -46,8 +46,8 @@ def test_from_symmetric_rejects():
 def test_degree_is_sum_of_boundary_pairings():
     # -K is the sum of the six (-1)-curves, so d = a0+b0+c0+a3+b3+c3
     total = LAT.zero()
-    for f in BOUNDARY_ORDER:
-        total = total + BOUNDARY_CLASS[f]
+    for f in BOUNDARY:
+        total = total + CURVE_CLASS[f]
     assert total == MINUS_K
     s = to_symmetric(YClass((5, -2, -1, 0)))
     assert s.d == s.a0 + s.b0 + s.c0 + s.a3 + s.b3 + s.c3
@@ -55,7 +55,7 @@ def test_degree_is_sum_of_boundary_pairings():
 
 def test_eff_decompose_examples():
     assert dict(eff_decompose(E1)) == {"A0": 1}
-    assert dict(eff_decompose(MINUS_K)) == {f: 1 for f in BOUNDARY_ORDER}
+    assert dict(eff_decompose(MINUS_K)) == {f: 1 for f in BOUNDARY}
     assert eff_decompose(H - E1 - E2 - E3) is None
     assert eff_witness(H - E1 - E2 - E3) == "h2"
 
@@ -73,7 +73,7 @@ def test_decompositions_resum():
             cls = YClass((nh,) + ni)
             dec = eff_decompose(cls)
             if dec is not None:
-                assert resum(dec, BOUNDARY_CLASS) == cls
+                assert resum(dec, CURVE_CLASS) == cls
             ndec = nef_decompose(cls)
             if ndec is not None:
                 assert resum(ndec, NEF_CLASS) == cls
@@ -117,11 +117,11 @@ def test_genus_exceptions_scan_small():
 
 def test_dk_effective_examples():
     k = canonical_class(LAT)
-    assert dict(dk_effective(-2 * k)) == {f: 1 for f in BOUNDARY_ORDER}
+    assert dict(dk_effective(-2 * k)) == {f: 1 for f in BOUNDARY}
     # D = 4h - e1 - e2 - e3 has D + K = h; any valid decomposition works
     d = YClass((4, -1, -1, -1))
     dec = dk_effective(d)
-    assert resum(dec, BOUNDARY_CLASS) == H
+    assert resum(dec, CURVE_CLASS) == H
 
 
 def test_dk_effective_preconditions():

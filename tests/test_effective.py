@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import burniat
-from burniat.config import BOUNDARY, GENERATORS
+from burniat.cli import main as cli_main
+from burniat.config import BOUNDARY, GENERATORS, STANDARD_CASES, standard_config
 from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_check
 from burniat.delpezzo import classify_exceptional
 from burniat.effective import (ALL_BITS, TRUSTED, InS, NonEffective, ScanReport,
@@ -18,7 +19,8 @@ from burniat.effective import (ALL_BITS, TRUSTED, InS, NonEffective, ScanReport,
                                prove_non_effective, s_membership, scan, step3_tables)
 from burniat.lattice import YClass
 from burniat.picard import (Block, XClass, build_generator_table, parse_xclass,
-                            xclass_to_text)
+                            torsion_subgroup, xclass_to_text)
+from burniat.verify import run_all
 
 T = build_generator_table(6)
 KX = T.canonical()
@@ -172,6 +174,52 @@ def scan12():
 
 def test_scan12_text_unchanged(scan12):
     assert hashlib.sha256(scan12.to_text().encode()).hexdigest() == SCAN12_SHA256
+
+
+# sha256 of both exc-check reports, the torsion_subgroup rows of the six
+# standard cases and three verify-all detail lines, as first recorded
+EXC_CHECK_SHA256 = {
+    "smooth": "07e2eb57b72a94ddc3d4b088b9624d9f82a4b4bdd12b337311e967f7d23a91a5",
+    "degenerate": "ccdd8dde12b1f4439ccfd7d39c0a3411e835bf0137fcca5a3277db642f298249",
+}
+TORSION_ROWS = {
+    (6, "plain"): ("100000", "010000", "001000", "000100", "000010", "000001"),
+    (5, "plain"): ("010000", "101000", "000100", "100010", "000001"),
+    (4, "nodal"): ("101000", "000100", "100010", "010001"),
+    (4, "non-nodal"): ("101000", "010100", "100010", "010001"),
+    (3, "plain"): ("101000", "100010", "110101"),
+    (2, "plain"): ("101000", "100010", "010101"),
+}
+CRITERION_DETAILS = {
+    "torsion-ranks": "dims=(6, 5, 4, 4, 3, 3) expected=(6, 5, 4, 4, 3, 3)",
+    "table-consistency": "tables 6p,5p,4n,4n,3p,2p consistent; A1-A2 -> 00 10 00",
+    "exceptional-collection": "smooth 15/15 pairs, degenerate 15/15, "
+                              "chi tables identical: True",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_exc_check_reports_unchanged(capsys):
+    for ctx in (SMOOTH, DEGENERATE):
+        assert _sha256(exceptional_collection_check(ctx).to_text()) \
+            == EXC_CHECK_SHA256[ctx.kind]
+        assert cli_main(["exc-check", "--fiber", ctx.kind]) == 0
+        assert _sha256(capsys.readouterr().out) == EXC_CHECK_SHA256[ctx.kind]
+
+
+def test_torsion_rows_unchanged():
+    got = {case: tuple("".join(map(str, v))
+                       for v in torsion_subgroup(standard_config(*case)))
+           for case in STANDARD_CASES}
+    assert got == TORSION_ROWS
+
+
+def test_verify_details_unchanged():
+    for name, detail in CRITERION_DETAILS.items():
+        assert run_all(only=name)[0].detail == detail
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burniat.config import BOUNDARY, GENERATORS, standard_config
+from burniat.config import BOUNDARY, GENERATORS, STANDARD_CASES, standard_config
 from burniat.lattice import MixedGroup, subgroup_index
 from burniat.linalg import bits_add, bits_scale, solve_integer
 from burniat.picard import (Block, GeneratorTable, NotARepresentableClass,
@@ -15,8 +15,6 @@ from burniat.picard import (Block, GeneratorTable, NotARepresentableClass,
                             torsion_subgroup, xclass_to_text)
 
 T6 = build_generator_table(6)
-CASES = ((6, "plain"), (5, "plain"), (4, "nodal"),
-         (4, "non-nodal"), (3, "plain"), (2, "plain"))
 
 
 # --- generator table ---------------------------------------------------------
@@ -29,7 +27,7 @@ def test_table_blocks_examples():
 
 
 def test_tables_build_for_all_cases():
-    for ksq, variant in CASES:
+    for ksq, variant in STANDARD_CASES:
         GeneratorTable(standard_config(ksq, variant))
 
 
@@ -96,7 +94,7 @@ def test_canonical_class_and_torsion_correction():
 
 # --- the integer kernel against the block-sum reference -----------------------
 
-TABLES = {case: GeneratorTable(standard_config(*case)) for case in CASES}
+TABLES = {case: GeneratorTable(standard_config(*case)) for case in STANDARD_CASES}
 KERNEL6 = T6._kernel_combos()
 COEFFS = st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12))
 COMBOS = st.dictionaries(st.sampled_from(GENERATORS), COEFFS)
@@ -129,7 +127,7 @@ def reference_column(table, combo, f):
 
 
 @PROPERTY
-@given(case=st.sampled_from(CASES), combo=COMBOS, data=st.data())
+@given(case=st.sampled_from(STANDARD_CASES), combo=COMBOS, data=st.data())
 def test_phi_and_column_match_block_sums(case, combo, data):
     table = TABLES[case]
     e_combo = {}
@@ -228,7 +226,7 @@ def test_to_y_congruence_error():
 # --- torsion and indices ------------------------------------------------------
 
 def test_torsion_dimensions():
-    dims = [len(torsion_subgroup(standard_config(k, v))) for k, v in CASES]
+    dims = [len(torsion_subgroup(standard_config(k, v))) for k, v in STANDARD_CASES]
     assert dims == [6, 5, 4, 4, 3, 3]
 
 
@@ -242,7 +240,7 @@ def test_point_vectors_k2_sum_zero():
 
 def test_torsion_basis_orthogonal_to_points():
     from burniat.linalg import bits_dot
-    for ksq, variant in CASES:
+    for ksq, variant in STANDARD_CASES:
         cfg = standard_config(ksq, variant)
         for v in torsion_subgroup(cfg):
             for p in cfg.points:
@@ -250,9 +248,9 @@ def test_torsion_basis_orthogonal_to_points():
 
 
 def test_image_indices():
-    got = [image_index(standard_config(k, v)) for k, v in CASES]
+    got = [image_index(standard_config(k, v)) for k, v in STANDARD_CASES]
     assert got == [3, 6, 12, 12, 24, 48]
-    full = [picard_image_index(standard_config(k, v)) for k, v in CASES]
+    full = [picard_image_index(standard_config(k, v)) for k, v in STANDARD_CASES]
     assert full == [3, 6, 12, 12, 24, 24]
 
 
