@@ -38,6 +38,11 @@ def test_collection_images():
     assert imgs[2] == "(3; 1 10; 1 10; 1 10)"
     assert imgs[3] == "(2; 1 11; 0 01; 0 00)"
     assert imgs[6] == "(0; 0 00; 0 00; 0 00)"
+
+
+def test_phi0_matches_smooth_table():
+    # the degenerate fibre uses the smooth image map unchanged
+    assert T.phi(COLLECTION[6]).is_zero()
     k_combo = {f: 1 for f in ("A0", "B0", "C0", "A3", "B3", "C3")}
     assert T.phi(k_combo).d == 6
     assert T.phi({"A1": 1, "A2": -1}).bits == (0, 0, 1, 0, 0, 0)
