@@ -22,6 +22,11 @@ has three layers:
 Verdicts carry re-checkable evidence: certificates re-sum through phi and
 traces re-validate step by step.  Those checks raise InvalidEvidence
 explicitly, so they also run under ``python -O``.
+
+minimal_form and is_minimal read restrictions from the table's restriction
+dict (GeneratorTable.restrictions).  ReductionTrace.validate never reads it:
+it rebuilds preimage_combo(start) and checks every step with pairing and
+column, so it stays an independent re-check of every emitted trace.
 """
 from __future__ import annotations
 
@@ -133,42 +138,23 @@ def minimal_form(table: GeneratorTable, x: XClass) -> tuple[XClass, ReductionTra
 
     Scan order A0, B0, C0, A3, B3, C3, restarting after each subtraction.
     """
+    table.to_y(x)  # refuses a class outside the K^2 = 6 model, even if d < 0
     start = x
-    combo = table.preimage_combo(x)
     steps: list[ReductionStep] = []
     while x.d >= 0:
-        fired = None
-        for f in BOUNDARY:
-            p = table.pairing(x, f)
-            if p < 0:
-                fired = ReductionStep(f, "negative")
+        for f, (deg, mask) in zip(BOUNDARY, table.restrictions(x)):
+            if deg < 0 or (deg == 0 and mask):
+                steps.append(ReductionStep(f, "negative" if deg < 0 else "torsion"))
+                x = x - table.row(f)
                 break
-            if p == 0 and not table.column(combo, f).is_zero():
-                fired = ReductionStep(f, "torsion")
-                break
-        if fired is None:
+        else:
             break
-        steps.append(fired)
-        x = x - table.row(fired.curve)
-        combo = dict(combo)
-        combo[fired.curve] = combo.get(fired.curve, 0) - 1
     return x, ReductionTrace(start, tuple(steps), x)
 
 
 def is_minimal(table: GeneratorTable, x: XClass) -> bool:
-    if x.d < 0:
-        return False
-    combo = None  # only a zero pairing needs the restriction
-    for f in BOUNDARY:
-        p = table.pairing(x, f)
-        if p < 0:
-            return False
-        if p == 0:
-            if combo is None:
-                combo = table.preimage_combo(x)
-            if not table.column(combo, f).is_zero():
-                return False
-    return True
+    return x.d >= 0 and all(deg > 0 or (deg == 0 and not mask)
+                            for deg, mask in table.restrictions(x))
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +265,9 @@ def chi(table: GeneratorTable, x: XClass) -> int:
     return (y.dot(y) - y.dot(mk)) // 2 + 1
 
 
-def prove_non_effective(table: GeneratorTable, x: XClass) -> NonEffective | None:
-    """Reduce to a base case with no sections, or give up (None).
-
-    A Serre-dual bound (chi and the reduction of K - x) can never force
-    h^0 = 0 on its own, so it is reported as a diagnostic on Unresolved
-    verdicts rather than used as a base case here.
-    """
-    reduced, trace = minimal_form(table, x)
+def _base_case(table: GeneratorTable, trace: ReductionTrace) -> NonEffective | None:
+    """NonEffective if the reduction ends in a base case, else None."""
+    reduced = trace.final
     if reduced.d < 0:
         return NonEffective(trace, "negative-degree")
     tid = trusted_id(reduced)
@@ -295,6 +276,16 @@ def prove_non_effective(table: GeneratorTable, x: XClass) -> NonEffective | None
             raise TableInconsistent(f"trusted class {reduced} is in S")
         return NonEffective(trace, f"trusted:{tid}")
     return None
+
+
+def prove_non_effective(table: GeneratorTable, x: XClass) -> NonEffective | None:
+    """Reduce to a base case with no sections, or give up (None).
+
+    A Serre-dual bound (chi and the reduction of K - x) can never force
+    h^0 = 0 on its own, so it is reported as a diagnostic on Unresolved
+    verdicts rather than used as a base case here.
+    """
+    return _base_case(table, minimal_form(table, x)[1])
 
 
 def decide(table: GeneratorTable, x: XClass) -> Verdict:
@@ -307,10 +298,10 @@ def decide(table: GeneratorTable, x: XClass) -> Verdict:
     cert = s_membership(table, x)
     if cert is not None:
         return cert
-    non_eff = prove_non_effective(table, x)
+    reduced, trace = minimal_form(table, x)
+    non_eff = _base_case(table, trace)
     if non_eff is not None:
         return non_eff
-    reduced, trace = minimal_form(table, x)
     serre = prove_non_effective(table, table.canonical() - x)
     note = (f"minimal form {reduced} is not in S and not a trusted class; "
             f"h2{'=0' if serre is not None else ' unknown'}")

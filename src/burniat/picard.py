@@ -33,6 +33,17 @@ integer products and an XOR of the masks of its odd coefficients, and only
 the result is built as an XClass or Block.  preimage_combo corrects torsion
 bits against the constant basis VEC, so its GF(2) solve has only 64 targets
 and is memoised per target; every call still checks its combo against x.
+
+restrictions(x) gives the (deg, 2-bit mask) of a K^2 = 6 class on all six
+boundary curves without building a combo.  The degrees are integer rows of
+the numerical class y = (n_h, n_1, n_2, n_3): the block degrees on A0, B0,
+C0, and the pairings n_h - r_j - r_k on A3, B3, C3.  The masks are read from
+a per-table dict keyed by (y mod 2, x.bits), 16 * 64 = 1,024 keys, filled on
+a miss from preimage_combo and column.  The key is exact: a column mask is
+the XOR of the masks of the odd coefficients of the combo, and the parities
+of preimage_combo(x) depend only on the key, since its base combo is linear
+in y and its correction is the torsion solution of x.bits plus the bits of
+the base, which are again a function of y mod 2.
 """
 from __future__ import annotations
 
@@ -40,7 +51,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import (SurfaceLattice, YClass, MixedGroup, canonical_class,
+from .lattice import (YClass, MixedGroup, canonical_class,
                       subgroup_index)
 from .linalg import (bits_add, bits_scale, gf2_echelon, gf2_left_null,
                      gf2_nullspace, gf2_solve, left_kernel)
@@ -75,7 +86,9 @@ class Block:
         return Block(self.deg + other.deg, bits_add(self.bits, other.bits))
 
     def __sub__(self, other: "Block") -> "Block":
-        return Block(self.deg - other.deg, bits_add(self.bits, other.bits))
+        a, b = self.bits
+        c, e = other.bits
+        return Block(self.deg - other.deg, (a ^ c, b ^ e))
 
     def scaled(self, n: int) -> "Block":
         return Block(n * self.deg, bits_scale(n, self.bits))
@@ -116,8 +129,9 @@ class XClass:
                       tuple(a + b for a, b in zip(self.emult, other.emult)))
 
     def __sub__(self, other: "XClass") -> "XClass":
-        return XClass(self.d - other.d,
-                      tuple(a - b for a, b in zip(self.blocks, other.blocks)),
+        a0, a1, a2 = self.blocks
+        b0, b1, b2 = other.blocks
+        return XClass(self.d - other.d, (a0 - b0, a1 - b1, a2 - b2),
                       tuple(a - b for a, b in zip(self.emult, other.emult)))
 
     def is_zero(self) -> bool:
@@ -253,6 +267,9 @@ class GeneratorTable:
         self._columns = {f: {g: (self.block[(g, f)].deg, _mask(self.block[(g, f)].bits))
                              for g in GENERATORS}
                          for f in BOUNDARY}
+        # (y mod 2, x.bits) -> 2-bit masks on the six boundary curves, filled
+        # by restrictions on a miss; at most 1,024 entries
+        self._restriction_masks: dict[tuple, tuple[int, ...]] = {}
         self._check_consistency()
 
     # -- generator images ---------------------------------------------------
@@ -316,19 +333,21 @@ class GeneratorTable:
         """Numerical class underlying x (K^2 = 6 model)."""
         if self.k:
             raise NotARepresentableClass("Y-class recovery is the K^2=6 model")
-        r = [b.deg for b in x.blocks]
-        if (x.d + sum(r)) % 3:
+        if x.emult:
+            raise NotARepresentableClass(f"{x} has an exceptional part; K^2 = 6 has none")
+        b0, b1, b2 = x.blocks
+        nh, rest = divmod(x.d + b0.deg + b1.deg + b2.deg, 3)
+        if rest:
             raise NotARepresentableClass(f"congruence fails for {x}")
-        nh = (x.d + sum(r)) // 3
-        return YClass((nh, -r[0], -r[1], -r[2]))
+        return YClass((nh, -b0.deg, -b1.deg, -b2.deg))
 
     def from_y(self, cls: YClass, bits: tuple[int, ...] = (0,) * 6) -> XClass:
-        minus_k = -canonical_class(SurfaceLattice(3))
-        blocks = tuple(
-            Block(cls.dot(CURVE_CLASS[f]), (bits[2 * i], bits[2 * i + 1]))
-            for i, f in enumerate(("A0", "B0", "C0"))
-        )
-        return XClass(cls.dot(minus_k), blocks, ())
+        # d = cls.(-K) with -K = 3h - e1 - e2 - e3, and the block degrees are
+        # cls.A0, cls.B0, cls.C0 with A0, B0, C0 = e1, e2, e3
+        nh, n1, n2, n3 = cls.coeffs
+        return XClass(3 * nh + n1 + n2 + n3,
+                      (Block(-n1, (bits[0], bits[1])), Block(-n2, (bits[2], bits[3])),
+                       Block(-n3, (bits[4], bits[5]))))
 
     def preimage_combo(self, x: XClass) -> dict[str, int]:
         """Some integer generator combination with phi(combo) == x (K^2 = 6)."""
@@ -348,20 +367,38 @@ class GeneratorTable:
             raise TableInconsistent(f"preimage combo {combo} does not map to {x}")
         return combo
 
+    def restrictions(self, x: XClass) -> tuple[tuple[int, int], ...]:
+        """(deg, 2-bit mask) of x on each boundary curve in BOUNDARY order
+        (K^2 = 6); the mask of a block with bits (b0, b1) is 2 * b0 + b1."""
+        nh, n1, n2, n3 = self.to_y(x).coeffs
+        b0, b1, b2 = x.blocks
+        key = (nh & 1, n1 & 1, n2 & 1, n3 & 1, b0.bits, b1.bits, b2.bits)
+        masks = self._restriction_masks.get(key)
+        if masks is None:
+            combo = self.preimage_combo(x)
+            masks = tuple(_mask(self.column(combo, f).bits) for f in BOUNDARY)
+            self._restriction_masks[key] = masks
+        m0, m1, m2, m3, m4, m5 = masks
+        # the pairings with A0, B0, C0 = e1, e2, e3 and with
+        # A3, B3, C3 = h - e2 - e3, h - e1 - e3, h - e1 - e2
+        return ((-n1, m0), (-n2, m1), (-n3, m2),
+                (nh + n2 + n3, m3), (nh + n1 + n3, m4), (nh + n1 + n2, m5))
+
     def restrict(self, x: XClass, f: str) -> Block:
         """Restriction of x to any of the six boundary curves (K^2 = 6)."""
-        if f in ("A0", "B0", "C0"):
-            return x.blocks[("A0", "B0", "C0").index(f)]
         if f not in BOUNDARY:
             raise ValueError(f"unknown boundary curve {f}")
-        return self.column(self.preimage_combo(x), f)
+        deg, mask = self.restrictions(x)[BOUNDARY.index(f)]
+        return Block(deg, _PAIR[mask])
 
     def intersect_x(self, x: XClass, y: XClass) -> int:
         return self.to_y(x).dot(self.to_y(y))
 
     def pairing(self, x: XClass, f: str) -> int:
         """Intersection of x with the boundary curve f (K^2 = 6)."""
-        return self.to_y(x).dot(CURVE_CLASS[f])
+        nh, n1, n2, n3 = self.to_y(x).coeffs
+        ch, c1, c2, c3 = CURVE_CLASS[f].coeffs
+        return nh * ch - n1 * c1 - n2 * c2 - n3 * c3
 
     def canonical(self) -> XClass:
         """The canonical class (6; 1 00; 1 00; 1 00) [+ zero e-part]."""

@@ -60,6 +60,11 @@ def test_effective_congruence_error_exit_2(capsys):
     assert code == 2
 
 
+def test_effective_exceptional_part_exit_2(capsys):
+    code, out, err = run(capsys, "effective", "--class", "(3; 0 00; 0 00; 0 00; 5)")
+    assert code == 2 and not out and "usage error" in err
+
+
 def _literal_with_nh(nh):
     # nh times the numerical class of C1, with trivial torsion bits
     return xclass_to_text(build_generator_table(6).from_y(YClass((nh, -nh, 0, 0))))

@@ -13,13 +13,15 @@ from burniat.cli import main as cli_main
 from burniat.config import BOUNDARY, GENERATORS, STANDARD_CASES, standard_config
 from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_check
 from burniat.delpezzo import classify_exceptional
-from burniat.effective import (ALL_BITS, TRUSTED, InS, NonEffective, ScanReport,
-                               Unresolved, decide, effective_lifts,
+from burniat.effective import (ALL_BITS, TRUSTED, InS, InvalidEvidence, NonEffective,
+                               ScanReport, Unresolved, decide, effective_lifts,
                                exceptional_induction, is_minimal, minimal_form,
-                               prove_non_effective, s_membership, scan, step3_tables)
+                               prove_non_effective, s_membership, scan, step3_tables,
+                               verdict_text)
 from burniat.lattice import YClass
-from burniat.picard import (Block, XClass, build_generator_table, parse_xclass,
-                            torsion_subgroup, xclass_to_text)
+from burniat.picard import (Block, GeneratorTable, NotARepresentableClass, XClass,
+                            build_generator_table, parse_xclass, torsion_subgroup,
+                            xclass_to_text)
 from burniat.verify import run_all
 
 T = build_generator_table(6)
@@ -75,6 +77,9 @@ def test_negative_degree_base_case():
     x = lit("(-1; 1 00; 0 00; 0 00)")  # the class of -e1
     v = prove_non_effective(T, x)
     assert isinstance(v, NonEffective) and v.base == "negative-degree"
+    # a negative degree is no verdict for a class the model cannot represent
+    with pytest.raises(NotARepresentableClass):
+        prove_non_effective(T, lit("(-1; 0 00; 0 00; 0 00)"))
 
 
 def test_corner_class_trusted():
@@ -359,6 +364,44 @@ def test_unresolved_is_reported_not_dropped(monkeypatch):
     # Unresolved carrying its diagnostics (never a silent pass or fail)
     import burniat.effective as eff
     monkeypatch.setattr(eff, "TRUSTED", {})
-    v = decide(T, lit("(3; 1 10; 1 10; 1 10)"))
+    reduced = []
+    real_minimal_form = eff.minimal_form
+
+    def counting_minimal_form(table, x):
+        reduced.append(x)
+        return real_minimal_form(table, x)
+
+    monkeypatch.setattr(eff, "minimal_form", counting_minimal_form)
+    x = lit("(3; 1 10; 1 10; 1 10)")
+    v = decide(T, x)
     assert isinstance(v, Unresolved)
     assert v.chi == 0 and "h2=0" in v.note
+    # one reduction of x, reused for the trace, and one of K - x for the note
+    assert reduced == [x, KX - x]
+    assert verdict_text(v) == "verdict=unresolved chi=0 trace="
+    assert v.note == ("minimal form (3; 1 10; 1 10; 1 10) is not in S and not a "
+                      "trusted class; h2=0")
+
+
+def test_stray_exceptional_part_refused_on_k6():
+    # a cold and a warm restriction dict both refuse the class
+    table = GeneratorTable(standard_config(6))
+    x = lit("(3; 0 00; 0 00; 0 00; 5)")
+    with pytest.raises(NotARepresentableClass):
+        decide(table, x)
+    scan(table, 3)
+    with pytest.raises(NotARepresentableClass):
+        decide(table, x)
+
+
+def test_validate_does_not_read_the_restriction_dict():
+    # a corrupted dict entry makes minimal_form take an unjustified step on
+    # Q10 (zero pairing with A3, trivial restriction); validate rebuilds the
+    # restriction from preimage_combo and must reject the trace
+    table = GeneratorTable(standard_config(6))
+    q10 = lit("(3; 1 10; 1 10; 1 10)")
+    assert table.restrictions(q10)[BOUNDARY.index("A3")] == (0, 0)
+    (key, masks), = table._restriction_masks.items()
+    table._restriction_masks[key] = masks[:3] + (1,) + masks[4:]
+    with pytest.raises(InvalidEvidence, match="A3"):
+        scan(table, 3)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burniat.config import BOUNDARY, GENERATORS, STANDARD_CASES, standard_config
-from burniat.lattice import MixedGroup, subgroup_index
+from burniat.lattice import MixedGroup, YClass, subgroup_index
 from burniat.linalg import bits_add, bits_scale, solve_integer
 from burniat.picard import (Block, GeneratorTable, NotARepresentableClass,
                             NotLiftable, TableInconsistent, VEC, VEC_COMBO,
@@ -45,6 +45,12 @@ def test_table_text_round_trip():
     override = table_override_from_text(text)
     rebuilt = GeneratorTable(standard_config(6), override)
     assert rebuilt.block == T6.block
+    # the rebuilt table fills its own restriction dict
+    x = T6.phi({"C0": 1})
+    T6.restrictions(x)
+    assert rebuilt._restriction_masks == {}
+    assert rebuilt.restrictions(x) == T6.restrictions(x)
+    assert rebuilt._restriction_masks is not T6._restriction_masks
     with pytest.raises(ValueError):
         table_override_from_text("A9 B0 1 00")
     with pytest.raises(ValueError):
@@ -156,10 +162,35 @@ def test_memoised_torsion_solutions_resum():
         assert total == target
 
 
+def combo_path_restrictions(table, x):
+    """restrictions(x) through pairing and the columns of preimage_combo(x)."""
+    pre = table.preimage_combo(x)
+    out = []
+    for f in BOUNDARY:
+        b = table.column(pre, f)
+        out.append((table.pairing(x, f), 2 * b.bits[0] + b.bits[1]))
+    return tuple(out)
+
+
+def test_restrictions_match_the_combo_path_on_every_key():
+    # one class per key (y mod 2, bits) fills the dict; a second class of
+    # each key, shifted by an even y, must read the same masks from it
+    table = GeneratorTable(standard_config(6))
+    shift = YClass((2, -4, 6, -2))
+    for even in (YClass((0, 0, 0, 0)), shift):
+        for parity in range(16):
+            y = YClass(tuple((parity >> i) & 1 for i in range(4))) + even
+            for mask in range(64):
+                x = table.from_y(y, tuple((mask >> (5 - i)) & 1 for i in range(6)))
+                assert table.restrictions(x) == combo_path_restrictions(table, x)
+        assert len(table._restriction_masks) == 1024
+
+
 @PROPERTY
 @given(combo=COMBOS, kernel=st.sampled_from(KERNEL6), mult=COEFFS)
 def test_restriction_independent_of_preimage(combo, kernel, mult):
     x = T6.phi(combo)
+    assert T6.restrictions(x) == combo_path_restrictions(T6, x)
     pre = T6.preimage_combo(x)
     shifted = dict(pre)
     for g, c in kernel.items():
@@ -221,6 +252,9 @@ def test_intersect_x_is_the_lattice_pairing():
 def test_to_y_congruence_error():
     with pytest.raises(NotARepresentableClass):
         T6.to_y(XClass(1, (Block(0, (0, 0)),) * 3))
+    # K^2 = 6 classes have no exceptional part
+    with pytest.raises(NotARepresentableClass):
+        T6.restrictions(parse_xclass("(3; 0 00; 0 00; 0 00; 5)"))
 
 
 # --- torsion and indices ------------------------------------------------------
@@ -326,4 +360,6 @@ def test_pushforward_pullback_identity():
     rng = random.Random(31)
     for _ in range(50):
         combo = {g: rng.randint(-2, 2) for g in GENERATORS}
-        assert T6.to_y(T6.phi(combo)) == T6.combo_y_class(combo)
+        x = T6.phi(combo)
+        assert T6.to_y(x) == T6.combo_y_class(combo)
+        assert T6.from_y(T6.to_y(x), x.bits) == x
