@@ -13,21 +13,19 @@ Modules:
   cli          command-line front end
 """
 from .lattice import (SurfaceLattice, YClass, MixedGroup, MixedElement,
-                      intersect, canonical_class, arithmetic_genus,
-                      negative_curves, subgroup_index, DimensionError)
+                      canonical_class, arithmetic_genus, negative_curves,
+                      subgroup_index, DimensionError)
 from .delpezzo import (SymmetricCoords, ExceptionalType, to_symmetric,
-                       from_symmetric, eff_decompose, nef_decompose,
-                       classify_exceptional, dk_effective, enumerate_nef,
-                       NotInLattice)
-from .config import (BurniatConfig, CurveRecord, standard_config,
-                     all_standard_configs, make_config, validate_building_data,
-                     minus_two_curves, is_canonical_ample,
-                     ramification_span_index, config_to_text, config_from_text,
+                       eff_decompose, nef_decompose, classify_exceptional,
+                       enumerate_nef, NotInLattice)
+from .config import (BurniatConfig, standard_config, all_standard_configs,
+                     make_config, validate_building_data, minus_two_curves,
+                     ramification_span_index, config_from_text,
                      InvalidBuildingData)
 from .picard import (Block, XClass, GeneratorTable, build_generator_table,
                      torsion_subgroup, image_index, picard_image_index,
-                     canonical_lift, parse_xclass, xclass_to_text,
-                     NotARepresentableClass, NotLiftable, TableInconsistent)
+                     parse_xclass, xclass_to_text,
+                     NotARepresentableClass, TableInconsistent)
 from .effective import (InS, NonEffective, Unresolved, ReductionTrace,
                         InvalidEvidence, minimal_form, is_minimal, s_membership,
                         prove_non_effective, decide, scan, step3_tables,

@@ -34,7 +34,7 @@ EFFECTIVE_MAX_NH = 120
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ksq", type=int, default=6, help="K^2 of the configuration")
-    p.add_argument("--variant", default=None,
+    p.add_argument("--variant", default="plain",
                    help="nodal / non-nodal for K^2=4; default plain")
     p.add_argument("--config", default=None,
                    help="plain-text configuration file (overrides --ksq)")
@@ -44,10 +44,7 @@ def _load_config(args):
     if args.config:
         with open(args.config) as fh:
             return config_from_text(fh.read())
-    variant = args.variant
-    if variant is None:
-        variant = "plain"
-    return standard_config(args.ksq, variant)
+    return standard_config(args.ksq, args.variant)
 
 
 def cmd_verify_all(args) -> int:
@@ -117,9 +114,6 @@ def cmd_effective(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.max_degree > 12:
-        print("usage error: --max-degree is capped at 12", file=sys.stderr)
-        return 2
     table = build_generator_table(6)
     report = scan(table, args.max_degree)
     if args.format == "structured":

@@ -51,18 +51,6 @@ CURVE_CLASS = {
 }
 
 
-@dataclass(frozen=True)
-class CurveRecord:
-    label: str
-    cls: YClass
-    role: str  # "boundary" or "internal"
-
-
-def curve_record(label: str) -> CurveRecord:
-    role = "boundary" if label in BOUNDARY else "internal"
-    return CurveRecord(label, CURVE_CLASS[label], role)
-
-
 _STANDARD_POINTS = {
     (6, "plain"): (),
     (5, "plain"): (("A1", "B1", "C1"),),
@@ -94,9 +82,6 @@ class BurniatConfig:
     def lattice(self) -> SurfaceLattice:
         """Pic Y' with basis h, e_1..e_3, E_1..E_k."""
         return SurfaceLattice(3 + self.k)
-
-    def point_multiplicity(self, label: str, s: int) -> int:
-        return 1 if label in self.points[s] else 0
 
     def points_on(self, label: str) -> tuple[int, ...]:
         return tuple(s for s, p in enumerate(self.points) if label in p)
@@ -183,24 +168,10 @@ def minus_two_curves(cfg: BurniatConfig) -> list[YClass]:
     return out
 
 
-def is_canonical_ample(cfg: BurniatConfig) -> bool:
-    return not minus_two_curves(cfg)
-
-
 def ramification_span_index(cfg: BurniatConfig) -> int | None:
     """Index in Pic Y' of the span of the twelve strict transforms."""
     rows = [list(cfg.strict_transform(g).coeffs) for g in GENERATORS]
     return lattice_index(rows, 4 + cfg.k)
-
-
-# ---------------------------------------------------------------------------
-# Plain-text serialization
-# ---------------------------------------------------------------------------
-
-def config_to_text(cfg: BurniatConfig) -> str:
-    lines = [f"ksq = {cfg.ksq}", f"variant = {cfg.variant}"]
-    lines += [f"point = {a} {b} {c}" for a, b, c in cfg.points]
-    return "\n".join(lines) + "\n"
 
 
 def config_from_text(text: str) -> BurniatConfig:

@@ -67,16 +67,6 @@ def to_symmetric(d: YClass) -> SymmetricCoords:
     return SymmetricCoords(*vals)
 
 
-def from_symmetric(s: SymmetricCoords) -> YClass:
-    if (s.d + s.a0 + s.b0 + s.c0) % 3 or (s.d + s.a3 + s.b3 + s.c3) % 3:
-        raise NotInLattice(f"congruence fails for {s}")
-    nh = (s.d + s.a0 + s.b0 + s.c0) // 3
-    cls = YClass((nh, -s.a0, -s.b0, -s.c0))
-    if to_symmetric(cls) != s:
-        raise NotInLattice(f"{s} is not the coordinate vector of a class")
-    return cls
-
-
 # --- the 12-element symmetry group ------------------------------------------
 # A group element is (letter permutation sigma on (a,b,c), swap 0<->3 flag).
 
@@ -268,17 +258,3 @@ def classify_exceptional(d: YClass) -> ExceptionalType:
     if p_a <= 0 and not d.is_zero():
         raise AssertionError(f"unclassified nef class {d} with p_a={p_a}")
     return ExceptionalType("NonExceptional", None, p_a, None)
-
-
-def dk_effective(d: YClass) -> Counter:
-    """Effective decomposition of D + K for nef D != 0 with p_a(D) > 0."""
-    if not is_nef_class(d):
-        raise ValueError("input must be nef")
-    if d.is_zero():
-        raise ValueError("input must be nonzero")
-    if arithmetic_genus(d) <= 0:
-        raise ValueError("input must have positive arithmetic genus")
-    dec = eff_decompose(d + canonical_class(LAT))
-    if dec is None:
-        raise AssertionError(f"D+K not effective for {d}")
-    return dec

@@ -391,7 +391,7 @@ def scan(table: GeneratorTable, d_max: int) -> ScanReport:
     and trace has been re-validated.
     """
     if d_max > 12:
-        raise ValueError("desk scale is d_max <= 12")
+        raise ValueError(f"scan is capped at d_max <= 12, got {d_max}")
     report = ScanReport(d_max)
     for ycls in enumerate_nef(d_max):
         for bits in ALL_BITS:

@@ -76,10 +76,6 @@ class SurfaceLattice:
 
     k: int
 
-    @property
-    def rank(self) -> int:
-        return self.k + 1
-
     def zero(self) -> YClass:
         return YClass((0,) * (self.k + 1))
 
@@ -92,16 +88,6 @@ class SurfaceLattice:
         c = [0] * (self.k + 1)
         c[i] = 1
         return YClass(tuple(c))
-
-    def cls(self, nh: int, *ni: int) -> YClass:
-        if len(ni) != self.k:
-            raise DimensionError(f"expected {self.k} e-coefficients, got {len(ni)}")
-        return YClass((nh,) + tuple(ni))
-
-
-def intersect(x: YClass, y: YClass) -> int:
-    """Intersection number under the diagonal form (+1, -1, ..., -1)."""
-    return x.dot(y)
 
 
 def canonical_class(lat: SurfaceLattice) -> YClass:
@@ -169,9 +155,6 @@ class MixedGroup:
         if any(b not in (0, 1) for b in bits):
             raise ValueError("torsion coordinates must be bits")
         return MixedElement(tuple(free), tuple(bits))
-
-    def zero(self) -> MixedElement:
-        return MixedElement((0,) * self.free_rank, (0,) * self.torsion_rank)
 
 
 def subgroup_index(generators: list[MixedElement], ambient: MixedGroup) -> int | None:

@@ -86,37 +86,12 @@ def left_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return [u[i] for i in range(len(h)) if not any(h[i])]
 
 
-def solve_integer(rows: list[list[int]], target: list[int], ncols: int) -> list[int] | None:
-    """One integer solution x of x @ rows == target, or None.
-
-    Back-substitution against the HNF profile of the row span.
-    """
-    h, u = hnf_with_transform(rows, ncols)
-    nz = [i for i in range(len(h)) if any(h[i])]
-    t = list(target)
-    coeffs = [0] * len(h)
-    for i in nz:
-        col = next(c for c in range(ncols) if h[i][c] != 0)
-        if t[col] % h[i][col] != 0:
-            return None
-        q = t[col] // h[i][col]
-        coeffs[i] = q
-        t = [x - q * y for x, y in zip(t, h[i])]
-    if any(t):
-        return None
-    m = len(h)
-    return [sum(coeffs[i] * u[i][j] for i in range(m)) for j in range(m)]
-
-
 # ---------------------------------------------------------------------------
 # GF(2) vectors: tuples of 0/1 outside, int bitmasks in the elimination
 # ---------------------------------------------------------------------------
 
 def bits_add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((a + b) & 1 for a, b in zip(x, y))
-
-def bits_dot(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(x, y)) & 1
 
 def bits_scale(c: int, x: tuple[int, ...]) -> tuple[int, ...]:
     return x if c & 1 else tuple(0 for _ in x)

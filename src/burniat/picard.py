@@ -63,10 +63,6 @@ class NotARepresentableClass(ValueError):
     """Coordinates outside the image subgroup."""
 
 
-class NotLiftable(ValueError):
-    """Divisor with odd exceptional coefficients has no canonical lift."""
-
-
 class TableInconsistent(AssertionError):
     """The generator table failed its construction-time consistency suite."""
 
@@ -89,9 +85,6 @@ class Block:
         a, b = self.bits
         c, e = other.bits
         return Block(self.deg - other.deg, (a ^ c, b ^ e))
-
-    def scaled(self, n: int) -> "Block":
-        return Block(n * self.deg, bits_scale(n, self.bits))
 
     def is_zero(self) -> bool:
         return self.deg == 0 and self.bits == (0, 0)
@@ -124,11 +117,13 @@ class XClass:
         return self.blocks[0].bits + self.blocks[1].bits + self.blocks[2].bits
 
     def __add__(self, other: "XClass") -> "XClass":
+        _same_emult_length(self, other)
         return XClass(self.d + other.d,
                       tuple(a + b for a, b in zip(self.blocks, other.blocks)),
                       tuple(a + b for a, b in zip(self.emult, other.emult)))
 
     def __sub__(self, other: "XClass") -> "XClass":
+        _same_emult_length(self, other)
         a0, a1, a2 = self.blocks
         b0, b1, b2 = other.blocks
         return XClass(self.d - other.d, (a0 - b0, a1 - b1, a2 - b2),
@@ -140,6 +135,12 @@ class XClass:
 
     def __str__(self) -> str:
         return xclass_to_text(self)
+
+
+def _same_emult_length(x: XClass, y: XClass) -> None:
+    # zip would silently truncate the longer exceptional part
+    if len(x.emult) != len(y.emult):
+        raise ValueError(f"{x} and {y} have exceptional parts of different lengths")
 
 
 def xclass_to_text(x: XClass) -> str:
@@ -307,15 +308,6 @@ class GeneratorTable:
         return XClass(d, (Block(r0, _PAIR[mask >> 4]), Block(r1, _PAIR[mask >> 2 & 3]),
                           Block(r2, _PAIR[mask & 3])), tuple(em))
 
-    def combo_y_class(self, combo: dict[str, int],
-                      e_combo: dict[int, int] | None = None) -> YClass:
-        cls = self.cfg.lattice.zero()
-        for g, c in combo.items():
-            cls = cls + c * self.cfg.strict_transform(g)
-        for s, c in (e_combo or {}).items():
-            cls = cls + c * self.cfg.exceptional(s)
-        return cls
-
     def column(self, combo: dict[str, int], f: str) -> Block:
         """Restriction of a generator combination to the boundary curve f."""
         deg = mask = 0
@@ -383,16 +375,6 @@ class GeneratorTable:
         # A3, B3, C3 = h - e2 - e3, h - e1 - e3, h - e1 - e2
         return ((-n1, m0), (-n2, m1), (-n3, m2),
                 (nh + n2 + n3, m3), (nh + n1 + n3, m4), (nh + n1 + n2, m5))
-
-    def restrict(self, x: XClass, f: str) -> Block:
-        """Restriction of x to any of the six boundary curves (K^2 = 6)."""
-        if f not in BOUNDARY:
-            raise ValueError(f"unknown boundary curve {f}")
-        deg, mask = self.restrictions(x)[BOUNDARY.index(f)]
-        return Block(deg, _PAIR[mask])
-
-    def intersect_x(self, x: XClass, y: XClass) -> int:
-        return self.to_y(x).dot(self.to_y(y))
 
     def pairing(self, x: XClass, f: str) -> int:
         """Intersection of x with the boundary curve f (K^2 = 6)."""
@@ -574,14 +556,3 @@ def picard_image_index(cfg: BurniatConfig) -> int:
     index (the span of the ramification divisors has index 2 in Pic Y').
     """
     return coordinate_map_index(cfg) * 2 ** (6 - len(torsion_subgroup(cfg)))
-
-
-def canonical_lift(cfg: BurniatConfig, combo: dict[str, int],
-                   e_coeffs: dict[int, int] | None = None) -> XClass:
-    """Lift of a Y'-divisor sum(c_g G') + sum(e_s E_s) with all e_s even."""
-    e_coeffs = e_coeffs or {}
-    for s, c in e_coeffs.items():
-        if c % 2:
-            raise NotLiftable(f"coefficient {c} of E_{s} is odd")
-    table = GeneratorTable(cfg)
-    return table.phi(combo, {s: c // 2 for s, c in e_coeffs.items()})

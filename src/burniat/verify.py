@@ -12,11 +12,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .lattice import YClass, arithmetic_genus, canonical_class
+from .lattice import YClass, arithmetic_genus, canonical_class, negative_curves
 from .delpezzo import (LAT, NEF_CLASS, classify_exceptional, eff_decompose,
                        enumerate_nef, nef_decompose, to_symmetric)
-from .config import (CURVE_CLASS, all_standard_configs, standard_config,
-                     ramification_span_index)
+from .config import (BOUNDARY, CURVE_CLASS, InvalidBuildingData,
+                     all_standard_configs, minus_two_curves, standard_config,
+                     ramification_span_index, validate_building_data)
 from .picard import (GeneratorTable, build_generator_table, image_index,
                      picard_image_index, torsion_subgroup, parse_xclass,
                      xclass_to_text)
@@ -70,12 +71,22 @@ def _c2_indices(seed: int, table: GeneratorTable) -> tuple[bool, str]:
 
 
 def _c3_table_consistency(seed: int, table: GeneratorTable) -> tuple[bool, str]:
-    built = []
+    # the six boundary curves are all the (-1)-curves of Bl_3 P^2
+    ok = (sorted(c.coeffs for c in negative_curves(LAT, -1))
+          == sorted(CURVE_CLASS[f].coeffs for f in BOUNDARY))
+    built, minus_two = [], []
     for cfg in all_standard_configs():
         GeneratorTable(cfg)  # suite runs at construction
+        try:
+            validate_building_data(cfg)
+            minus_two.append(len(minus_two_curves(cfg)))
+        except InvalidBuildingData as exc:
+            return False, f"K2={cfg.ksq} {cfg.variant}: {exc}"
         built.append(f"{cfg.ksq}{cfg.variant[0]}")
+    # K is ample exactly on the configurations without (-2)-curves
+    ok &= tuple(minus_two) == (0, 0, 1, 0, 3, 6)
     img = table.phi({"A1": 1, "A2": -1})
-    ok = img.bits == (0, 0, 1, 0, 0, 0) and img.d == 0
+    ok &= img.bits == (0, 0, 1, 0, 0, 0) and img.d == 0
     return ok, f"tables {','.join(built)} consistent; A1-A2 -> 00 10 00"
 
 

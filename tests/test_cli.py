@@ -125,6 +125,7 @@ def test_scan_human_summary(capsys):
 def test_scan_degree_cap(capsys):
     code, _, err = run(capsys, "scan", "--max-degree", "13")
     assert code == 2
+    assert "d_max <= 12" in err
 
 
 def test_exc_check_both_fibers(capsys):

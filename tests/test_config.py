@@ -2,11 +2,10 @@ import pytest
 
 from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, INTERNAL,
                             InvalidBuildingData, all_standard_configs,
-                            BurniatConfig, config_from_text, config_to_text,
-                            curve_record, is_canonical_ample, make_config,
+                            BurniatConfig, config_from_text, make_config,
                             minus_two_curves, ramification_span_index,
                             standard_config, validate_building_data)
-from burniat.lattice import canonical_class
+from burniat.lattice import YClass, canonical_class
 from burniat.picard import MEET
 
 
@@ -23,13 +22,10 @@ def test_standard_point_lists():
 
 
 def test_curve_roles_and_squares():
+    assert set(BOUNDARY) | set(INTERNAL) == set(GENERATORS)
     for label in GENERATORS:
-        rec = curve_record(label)
-        sq = rec.cls.dot(rec.cls)
-        if label in BOUNDARY:
-            assert rec.role == "boundary" and sq == -1
-        else:
-            assert rec.role == "internal" and sq == 0
+        cls = CURVE_CLASS[label]
+        assert cls.dot(cls) == (-1 if label in BOUNDARY else 0)
 
 
 def test_incidence_oracle():
@@ -54,8 +50,7 @@ def test_incidence_oracle():
 
 def test_building_data_k6():
     l1, l2, l3 = validate_building_data(standard_config(6))
-    lat = standard_config(6).lattice
-    assert l1 == lat.cls(3, -2, 0, -1)  # 3h - 2e1 - e3
+    assert l1 == YClass((3, -2, 0, -1))  # 3h - 2e1 - e3
     # fundamental relations at class level
     a = standard_config(6).branch_total("A")
     assert l2 + l3 == l1 + a
@@ -100,10 +95,12 @@ def test_k2_lines_contain_two_points_each():
 
 
 def test_is_canonical_ample():
-    assert is_canonical_ample(standard_config(4, "non-nodal"))
-    assert not is_canonical_ample(standard_config(4, "nodal"))
-    assert not is_canonical_ample(standard_config(2))
-    assert not is_canonical_ample(standard_config(3))
+    # K is ample exactly when the configuration has no (-2)-curve
+    ample = {case: not minus_two_curves(standard_config(*case))
+             for case in ((6, "plain"), (5, "plain"), (4, "non-nodal"),
+                          (4, "nodal"), (3, "plain"), (2, "plain"))}
+    assert [case for case, yes in ample.items() if yes] == \
+        [(6, "plain"), (5, "plain"), (4, "non-nodal")]
 
 
 def test_ramification_span_indices():
@@ -127,10 +124,13 @@ def test_exceptional_spanned_by_named_curve(ksq, variant, named):
 
 
 def test_config_text_round_trip():
-    for cfg in all_standard_configs():
-        text = config_to_text(cfg)
-        back = config_from_text(text)
-        assert back.points == cfg.points and back.ksq == cfg.ksq
+    # the README's configuration file, plus a comment line, is the nodal case
+    text = ("# K^2 = 4, nodal\nksq = 4\nvariant = nodal\n"
+            "point = A1 B1 C1\npoint = A1 B2 C2\n")
+    assert config_from_text(text) == standard_config(4, "nodal")
+    back = config_from_text("ksq = 2\npoint = A1 B1 C1\npoint = A1 B2 C2\n"
+                            "point = A2 B1 C2\npoint = A2 B2 C1\n")
+    assert back.points == standard_config(2).points and back.variant == "custom"
 
 
 def test_config_text_rejects_garbage():

@@ -3,10 +3,9 @@ import itertools
 import pytest
 
 from burniat.config import BOUNDARY, CURVE_CLASS
-from burniat.delpezzo import (LAT, NEF_CLASS, SYMMETRY_GROUP, NotInLattice,
-                              SymmetricCoords, _apply_symmetry, classify_exceptional,
-                              dk_effective, eff_decompose, eff_witness,
-                              enumerate_nef, from_symmetric, is_nef_class,
+from burniat.delpezzo import (LAT, NEF_CLASS, SYMMETRY_GROUP, SymmetricCoords,
+                              _apply_symmetry, classify_exceptional, eff_decompose,
+                              eff_witness, enumerate_nef, is_nef_class,
                               nef_decompose, to_symmetric)
 from burniat.lattice import YClass, arithmetic_genus, canonical_class
 
@@ -22,6 +21,11 @@ def resum(dec, classes):
     return total
 
 
+def from_symmetric(s):
+    """The class with symmetric coordinates s: n_h = (d + a0 + b0 + c0) / 3."""
+    return YClass(((s.d + s.a0 + s.b0 + s.c0) // 3, -s.a0, -s.b0, -s.c0))
+
+
 def test_symmetric_coordinates_examples():
     assert to_symmetric(H - E1).as_tuple() == (2, 1, 0, 0, 1, 0, 0)
     assert to_symmetric(H).as_tuple() == (3, 0, 0, 0, 1, 1, 1)
@@ -34,13 +38,6 @@ def test_symmetric_round_trip():
         for ni in itertools.product(range(-2, 3), repeat=3):
             cls = YClass((nh,) + ni)
             assert from_symmetric(to_symmetric(cls)) == cls
-
-
-def test_from_symmetric_rejects():
-    with pytest.raises(NotInLattice):
-        from_symmetric(SymmetricCoords(1, 0, 0, 0, 0, 0, 0))  # congruence
-    with pytest.raises(NotInLattice):
-        from_symmetric(SymmetricCoords(2, 1, 0, 0, 0, 1, 0))  # not a class
 
 
 def test_degree_is_sum_of_boundary_pairings():
@@ -101,7 +98,9 @@ def test_classify_symmetry_invariance():
         et = classify_exceptional(cls)
         s = to_symmetric(cls)
         for sym in SYMMETRY_GROUP:
-            image = from_symmetric(_apply_symmetry(sym, s))
+            moved = _apply_symmetry(sym, s)
+            image = from_symmetric(moved)
+            assert to_symmetric(image) == moved  # the image is a class
             et2 = classify_exceptional(image)
             assert (et2.family, et2.n) == (et.family, et.n)
 
@@ -113,29 +112,6 @@ def test_genus_exceptions_scan_small():
         if cls.is_zero():
             continue
         assert (pa <= 0) == (fam != "NonExceptional")
-
-
-def test_dk_effective_examples():
-    k = canonical_class(LAT)
-    assert dict(dk_effective(-2 * k)) == {f: 1 for f in BOUNDARY}
-    # D = 4h - e1 - e2 - e3 has D + K = h; any valid decomposition works
-    d = YClass((4, -1, -1, -1))
-    dec = dk_effective(d)
-    assert resum(dec, CURVE_CLASS) == H
-
-
-def test_dk_effective_preconditions():
-    with pytest.raises(ValueError):
-        dk_effective(LAT.zero())
-    with pytest.raises(ValueError):
-        dk_effective(H - E1)  # p_a = 0
-    with pytest.raises(ValueError):
-        dk_effective(E1)  # not nef
-
-
-def test_dk_effective_on_minus_k():
-    # D = -K has p_a = 1 > 0 and D + K = 0: the empty decomposition
-    assert dict(dk_effective(MINUS_K)) == {}
 
 
 def test_enumerate_nef_deterministic():

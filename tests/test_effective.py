@@ -10,7 +10,8 @@ import pytest
 
 import burniat
 from burniat.cli import main as cli_main
-from burniat.config import BOUNDARY, GENERATORS, STANDARD_CASES, standard_config
+from burniat.config import (BOUNDARY, GENERATORS, STANDARD_CASES,
+                            InvalidBuildingData, standard_config)
 from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_check
 from burniat.delpezzo import classify_exceptional
 from burniat.effective import (ALL_BITS, TRUSTED, InS, InvalidEvidence, NonEffective,
@@ -58,7 +59,7 @@ def test_minimal_form_corner_class_unchanged():
     # zero pairings on A3, B3, C3 with trivial restrictions
     for f in ("A3", "B3", "C3"):
         assert T.pairing(x, f) == 0
-        assert T.restrict(x, f).is_zero()
+    assert T.restrictions(x)[3:] == ((0, 0),) * 3
 
 
 def test_trace_length_equals_degree_drop():
@@ -227,6 +228,27 @@ def test_verify_details_unchanged():
         assert run_all(only=name)[0].detail == detail
 
 
+def test_table_consistency_checks_building_data_and_negative_curves(monkeypatch):
+    # criterion 3 fails when a configuration loses its (-2)-curves (K would
+    # be ample on every case) or its building data stop being integral
+    import burniat.verify as verify
+    with monkeypatch.context() as m:
+        m.setattr(verify, "minus_two_curves", lambda cfg: [])
+        assert not run_all(only="table-consistency")[0].passed
+
+    def broken(cfg):
+        raise InvalidBuildingData("B+C is not 2-divisible")
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "validate_building_data", broken)
+        assert not run_all(only="table-consistency")[0].passed
+    with monkeypatch.context() as m:
+        m.setattr(verify, "negative_curves", lambda lat, selfint: [])
+        assert not run_all(only="table-consistency")[0].passed
+    result = run_all(only="table-consistency")[0]
+    assert result.passed and result.detail == CRITERION_DETAILS["table-consistency"]
+
+
 @pytest.fixture(scope="module")
 def scan8():
     return scan(T, 8)
@@ -303,6 +325,38 @@ def test_no_assert_statements_in_the_library():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_public_name_is_used_by_the_library():
+    # a public function, class or method that no other part of the library
+    # refers to exists only for its tests; table_to_text writes the --table
+    # files that the README documents
+    allowed = {"table_to_text"}
+    package = Path(burniat.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    used = set()
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update((node.name, node.asname))
+    defined = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{name[:-3]}.{node.name}", node.name))
+                if isinstance(node, ast.ClassDef):
+                    defined += [(f"{name[:-3]}.{node.name}.{m.name}", m.name)
+                                for m in node.body if isinstance(m, ast.FunctionDef)]
+    unused = [full for full, short in defined
+              if not short.startswith("_") and short not in used | allowed]
+    assert unused == []
 
 
 # --- canonical-class tables -------------------------------------------------------

@@ -4,22 +4,22 @@ import pytest
 
 from burniat.lattice import (DimensionError, MixedGroup, SurfaceLattice,
                              YClass, arithmetic_genus, canonical_class,
-                             intersect, negative_curves, subgroup_index)
+                             negative_curves, subgroup_index)
 
 LAT3 = SurfaceLattice(3)
 
 
 def test_intersection_form():
     h, e1 = LAT3.h(), LAT3.e(1)
-    assert intersect(h, h) == 1
-    assert intersect(e1, h - e1) == 1
+    assert h.dot(h) == 1
+    assert e1.dot(h - e1) == 1
     k = canonical_class(LAT3)
-    assert intersect(-k, -k) == 6  # degree-6 del Pezzo
+    assert (-k).dot(-k) == 6  # degree-6 del Pezzo
 
 
 def test_intersect_dimension_mismatch():
     with pytest.raises(DimensionError):
-        intersect(LAT3.h(), SurfaceLattice(2).h())
+        LAT3.h().dot(SurfaceLattice(2).h())
 
 
 def test_canonical_squares():
@@ -146,5 +146,5 @@ def test_intersect_bilinear_symmetric():
     for _ in range(200):
         x, y, z = (YClass(tuple(rng.randint(-5, 5) for _ in range(4)))
                    for _ in range(3))
-        assert intersect(x, y) == intersect(y, x)
-        assert intersect(x + y, z) == intersect(x, z) + intersect(y, z)
+        assert x.dot(y) == y.dot(x)
+        assert (x + y).dot(z) == x.dot(z) + y.dot(z)

@@ -3,18 +3,26 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burniat.config import BOUNDARY, GENERATORS, STANDARD_CASES, standard_config
+from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
+                            standard_config)
 from burniat.lattice import MixedGroup, YClass, subgroup_index
-from burniat.linalg import bits_add, bits_scale, solve_integer
+from burniat.linalg import bits_add, bits_scale
 from burniat.picard import (Block, GeneratorTable, NotARepresentableClass,
-                            NotLiftable, TableInconsistent, VEC, VEC_COMBO,
-                            XClass, _torsion_solution, build_generator_table,
-                            canonical_lift, image_index, parse_xclass,
-                            picard_image_index, point_vector,
-                            table_override_from_text, table_to_text,
-                            torsion_subgroup, xclass_to_text)
+                            TableInconsistent, VEC, VEC_COMBO, XClass,
+                            _torsion_solution, build_generator_table,
+                            image_index, parse_xclass, picard_image_index,
+                            point_vector, table_override_from_text,
+                            table_to_text, torsion_subgroup, xclass_to_text)
 
 T6 = build_generator_table(6)
+
+
+def y_class(combo):
+    """The numerical class sum(c * CURVE_CLASS[g]) of a combo on K^2 = 6."""
+    total = YClass((0, 0, 0, 0))
+    for g, c in combo.items():
+        total = total + c * CURVE_CLASS[g]
+    return total
 
 
 # --- generator table ---------------------------------------------------------
@@ -197,15 +205,16 @@ def test_restriction_independent_of_preimage(combo, kernel, mult):
         shifted[g] = shifted.get(g, 0) + mult * c
     assert T6.phi(shifted) == x
     for f in BOUNDARY:
-        assert T6.restrict(x, f) == T6.column(pre, f) == T6.column(shifted, f)
+        assert T6.column(pre, f) == T6.column(shifted, f)
 
 
 # --- restriction maps ---------------------------------------------------------
 
 def test_restrict_examples():
-    assert T6.restrict(T6.phi({"C0": 1}), "A3") == Block(1, (1, 0))
-    assert T6.restrict(T6.phi({"A1": 1}), "A0") == Block(0, (0, 0))
-    assert T6.restrict(T6.phi({}), "B3") == Block(0, (0, 0))
+    # (deg, 2-bit mask) on A0, B0, C0, A3, B3, C3; the mask of bits 10 is 2
+    assert T6.restrictions(T6.phi({"C0": 1}))[3] == (1, 2)
+    assert T6.restrictions(T6.phi({"A1": 1}))[0] == (0, 0)
+    assert T6.restrictions(T6.phi({}))[4] == (0, 0)
 
 
 def test_restrict_well_defined_on_random_combos():
@@ -215,11 +224,9 @@ def test_restrict_well_defined_on_random_combos():
     for _ in range(50):
         combo = {g: rng.randint(-2, 2) for g in GENERATORS}
         x = T6.phi(combo)
-        direct = {f: T6.column(combo, f) for f in ("A3", "B3", "C3")}
-        derived = {f: T6.restrict(x, f) for f in ("A3", "B3", "C3")}
-        assert direct == derived
-    with pytest.raises(ValueError):
-        T6.restrict(T6.phi({}), "Q7")
+        direct = [T6.column(combo, f) for f in ("A3", "B3", "C3")]
+        derived = T6.restrictions(x)[3:]
+        assert [(b.deg, 2 * b.bits[0] + b.bits[1]) for b in direct] == list(derived)
 
 
 def test_restriction_degree_equals_pairing():
@@ -227,17 +234,17 @@ def test_restriction_degree_equals_pairing():
     for _ in range(50):
         combo = {g: rng.randint(-2, 2) for g in GENERATORS}
         x = T6.phi(combo)
-        for f in BOUNDARY:
-            assert T6.restrict(x, f).deg == T6.pairing(x, f)
+        assert [deg for deg, _ in T6.restrictions(x)] == \
+            [T6.pairing(x, f) for f in BOUNDARY]
 
 
 # --- intersection -------------------------------------------------------------
 
 def test_intersect_x_examples():
-    kx = T6.canonical()
-    assert T6.intersect_x(kx, kx) == 6
-    assert T6.intersect_x(T6.phi({"A0": 1}), T6.phi({"C1": 1})) == 1
-    assert T6.intersect_x(kx, T6.phi({})) == 0
+    ky = T6.to_y(T6.canonical())
+    assert ky.dot(ky) == 6
+    assert T6.to_y(T6.phi({"A0": 1})).dot(T6.to_y(T6.phi({"C1": 1}))) == 1
+    assert ky.dot(T6.to_y(T6.phi({}))) == 0
 
 
 def test_intersect_x_is_the_lattice_pairing():
@@ -245,8 +252,8 @@ def test_intersect_x_is_the_lattice_pairing():
     for _ in range(60):
         u = {g: rng.randint(-2, 2) for g in GENERATORS}
         v = {g: rng.randint(-2, 2) for g in GENERATORS}
-        lhs = T6.intersect_x(T6.phi(u), T6.phi(v))
-        assert lhs == T6.combo_y_class(u).dot(T6.combo_y_class(v))
+        lhs = T6.to_y(T6.phi(u)).dot(T6.to_y(T6.phi(v)))
+        assert lhs == y_class(u).dot(y_class(v))
 
 
 def test_to_y_congruence_error():
@@ -273,12 +280,11 @@ def test_point_vectors_k2_sum_zero():
 
 
 def test_torsion_basis_orthogonal_to_points():
-    from burniat.linalg import bits_dot
     for ksq, variant in STANDARD_CASES:
         cfg = standard_config(ksq, variant)
         for v in torsion_subgroup(cfg):
             for p in cfg.points:
-                assert bits_dot(v, point_vector(p)) == 0
+                assert sum(a * b for a, b in zip(v, point_vector(p))) & 1 == 0
 
 
 def test_image_indices():
@@ -296,38 +302,31 @@ def test_generators_fill_the_congruence_subgroup_k6():
     elems = []
     for g in GENERATORS:
         x = T6.row(g)
-        target = [x.d] + [b.deg for b in x.blocks]
-        coords = solve_integer(basis, target, 4)
-        assert coords is not None
-        elems.append(group.element(tuple(coords), x.bits))
+        t = [x.d] + [b.deg for b in x.blocks]
+        # the solution of coords @ basis == t: it is integral iff 3 | sum(t)
+        assert sum(t) % 3 == 0
+        c4 = sum(t) // 3
+        c1 = t[0] - c4
+        coords = (c1, t[1] + c1 - c4, -t[3], c4)
+        assert [sum(c * row[j] for c, row in zip(coords, basis))
+                for j in range(4)] == t
+        elems.append(group.element(coords, x.bits))
     assert subgroup_index(elems, group) == 1
 
 
 # --- canonical lift -----------------------------------------------------------
 
-def test_canonical_lift_zero():
-    cfg = standard_config(5)
-    assert canonical_lift(cfg, {}).is_zero()
-
-
-def test_canonical_lift_even_requirement():
-    cfg = standard_config(5)
-    # the pullback of A1 - A2 has E_1-coefficient 1: not liftable as written
-    with pytest.raises(NotLiftable):
-        canonical_lift(cfg, {"A1": 1, "A2": -1}, {0: 1})
-
-
 def test_canonical_lift_torsion_class():
-    # pulling back (A1 - A2) + (B1 - B2) gives E_1-coefficient 2 and lifts to
-    # a pure torsion class with data vecA1 + vecB1
+    # pulling back (A1 - A2) + (B1 - B2) gives E_1-coefficient 2 (phi takes
+    # the E-coefficients halved) and lifts to a pure torsion class with data
+    # vecA1 + vecB1
     cfg = standard_config(5)
-    x = canonical_lift(cfg, {"A1": 1, "A2": -1, "B1": 1, "B2": -1}, {0: 2})
+    x = build_generator_table(5).phi({"A1": 1, "A2": -1, "B1": 1, "B2": -1}, {0: 1})
     assert x.d == 0 and all(b.deg == 0 for b in x.blocks)
     assert not any(x.emult)
     assert x.bits == bits_add(VEC["A1"], VEC["B1"])
     # and this vector is indeed in the torsion subgroup for K^2 = 5
-    from burniat.linalg import bits_dot
-    assert bits_dot(x.bits, point_vector(cfg.points[0])) == 0
+    assert sum(a * b for a, b in zip(x.bits, point_vector(cfg.points[0]))) & 1 == 0
 
 
 # --- serialization -------------------------------------------------------------
@@ -354,6 +353,20 @@ def test_xclass_parse_rejects():
             parse_xclass(bad)
 
 
+def test_xclass_arithmetic_refuses_exceptional_parts_of_different_lengths():
+    k6 = T6.canonical()
+    stray = parse_xclass("(3; 0 00; 0 00; 0 00; 5)")
+    with pytest.raises(ValueError):
+        k6 - stray  # K^2 = 6 has no exceptional part; zip dropped the 5
+    with pytest.raises(ValueError):
+        stray + k6
+    a0 = build_generator_table(5).phi({"A0": 1})
+    with pytest.raises(ValueError):
+        a0 - parse_xclass("(3; 0 00; 0 00; 0 00; 5,1)")
+    assert a0 - parse_xclass("(3; 0 00; 0 00; 0 00; 5)") == \
+        parse_xclass("(-2; -1 00; 0 00; 0 00; -5)")
+
+
 def test_pushforward_pullback_identity():
     # recovering the numerical class of a generator combination inverts the
     # half-pullback at class level
@@ -361,5 +374,5 @@ def test_pushforward_pullback_identity():
     for _ in range(50):
         combo = {g: rng.randint(-2, 2) for g in GENERATORS}
         x = T6.phi(combo)
-        assert T6.to_y(x) == T6.combo_y_class(combo)
+        assert T6.to_y(x) == y_class(combo)
         assert T6.from_y(T6.to_y(x), x.bits) == x
