@@ -7,11 +7,13 @@ Subcommands:
   scan         classify every candidate up to a degree bound
   exc-check    the 15-pair exceptional-collection table
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+141 (128 + SIGPIPE) when standard output is a pipe that the reader closed.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import config_from_text, standard_config
@@ -189,7 +191,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: stop quietly, as after SIGPIPE, and point
+        # stdout at /dev/null so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

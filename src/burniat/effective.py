@@ -23,10 +23,12 @@ Verdicts carry re-checkable evidence: certificates re-sum through phi and
 traces re-validate step by step.  Those checks raise InvalidEvidence
 explicitly, so they also run under ``python -O``.
 
-minimal_form and is_minimal read restrictions from the table's restriction
-dict (GeneratorTable.restrictions).  ReductionTrace.validate never reads it:
-it rebuilds preimage_combo(start) and checks every step with pairing and
-column, so it stays an independent re-check of every emitted trace.
+minimal_form, is_minimal, s_membership and ReductionTrace.validate pack
+their class once into (n_h, n_1, n_2, n_3, mask) (see picard) and build an
+XClass again only for a trace's final class.  minimal_form and is_minimal
+read restrictions from the table's restriction dict. ReductionTrace.validate
+never reads it: it rebuilds preimage_combo(start) and checks every step with
+pairing and column, so it stays an independent re-check of every trace.
 """
 from __future__ import annotations
 
@@ -36,13 +38,11 @@ from functools import lru_cache
 from .lattice import YClass, canonical_class
 from .delpezzo import LAT, classify_exceptional, enumerate_nef, is_nef_class
 from .config import BOUNDARY, GENERATORS
-from .picard import (Block, GeneratorTable, XClass, xclass_to_text,
-                     TableInconsistent)
+from .picard import (MASK_BITS, GeneratorTable, Packed, XClass, pack,
+                     parse_xclass, unpack, xclass_to_text, TableInconsistent)
 
-# the 64 torsion bit-vectors, lexicographically
-ALL_BITS = [(b0, b1, b2, b3, b4, b5)
-            for b0 in (0, 1) for b1 in (0, 1) for b2 in (0, 1)
-            for b3 in (0, 1) for b4 in (0, 1) for b5 in (0, 1)]
+# the 64 torsion bit-vectors, lexicographically: ALL_BITS[m] has the mask m
+ALL_BITS = list(MASK_BITS)
 
 INTERNAL_OF_LETTER = {"A": ("A1", "A2"), "B": ("B1", "B2"), "C": ("C1", "C2")}
 
@@ -60,6 +60,8 @@ TRUSTED: dict[str, str] = {
     "(3; 0 00; 0 00; 0 00)": "H00",
     "(6; 1 00; 1 00; 1 00)": "KX",
 }
+TRUSTED_PACKED: dict[Packed, str] = {pack(parse_xclass(text)): tid
+                                     for text, tid in TRUSTED.items()}
 
 
 class InvalidEvidence(ValueError):
@@ -80,23 +82,23 @@ class ReductionTrace:
 
     def validate(self, table: GeneratorTable) -> None:
         """Re-check every step from scratch; raises on any mismatch."""
-        x = self.start
-        combo = table.preimage_combo(x)
+        p = table.pack(self.start)
+        combo = table.preimage_combo(self.start)
         for step in self.steps:
-            p = table.pairing(x, step.curve)
+            pairing = table.pairing(p, step.curve)
             if step.reason == "negative":
-                justified = p < 0
+                justified = pairing < 0
             elif step.reason == "torsion":
-                justified = p == 0 and not table.column(combo, step.curve).is_zero()
+                justified = pairing == 0 and not table.column(combo, step.curve).is_zero()
             else:
                 justified = False
             if not justified:
-                raise InvalidEvidence(f"step {step} not justified at {x}")
-            x = x - table.row(step.curve)
-            combo = dict(combo)
+                raise InvalidEvidence(f"step {step} not justified at {unpack(p)}")
+            p = _minus(p, table.packed_rows[step.curve])
             combo[step.curve] = combo.get(step.curve, 0) - 1
-        if x != self.final:
-            raise InvalidEvidence(f"trace ends at {x}, not at {self.final}")
+        end = unpack(p)
+        if end != self.final:
+            raise InvalidEvidence(f"trace ends at {end}, not at {self.final}")
         if len(self.steps) != self.start.d - self.final.d:
             raise InvalidEvidence("trace length differs from its degree drop")
 
@@ -126,7 +128,12 @@ Verdict = InS | NonEffective | Unresolved
 
 
 def trusted_id(x: XClass) -> str | None:
-    return TRUSTED.get(xclass_to_text(x))
+    return TRUSTED_PACKED.get(pack(x))
+
+
+def _minus(p: Packed, row: Packed) -> Packed:
+    """p minus a packed curve row."""
+    return p[0] - row[0], p[1] - row[1], p[2] - row[2], p[3] - row[3], p[4] ^ row[4]
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +145,25 @@ def minimal_form(table: GeneratorTable, x: XClass) -> tuple[XClass, ReductionTra
 
     Scan order A0, B0, C0, A3, B3, C3, restarting after each subtraction.
     """
-    table.to_y(x)  # refuses a class outside the K^2 = 6 model, even if d < 0
-    start = x
+    p = table.pack(x)  # refuses a class outside the K^2 = 6 model, even if d < 0
+    rows = table.packed_rows
     steps: list[ReductionStep] = []
-    while x.d >= 0:
-        for f, (deg, mask) in zip(BOUNDARY, table.restrictions(x)):
+    while 3 * p[0] + p[1] + p[2] + p[3] >= 0:  # the degree d
+        for f, (deg, mask) in zip(BOUNDARY, table.restrictions(p)):
             if deg < 0 or (deg == 0 and mask):
                 steps.append(ReductionStep(f, "negative" if deg < 0 else "torsion"))
-                x = x - table.row(f)
+                p = _minus(p, rows[f])
                 break
         else:
             break
-    return x, ReductionTrace(start, tuple(steps), x)
+    final = unpack(p)
+    return final, ReductionTrace(x, tuple(steps), final)
 
 
 def is_minimal(table: GeneratorTable, x: XClass) -> bool:
+    p = table.pack(x)
     return x.d >= 0 and all(deg > 0 or (deg == 0 and not mask)
-                            for deg, mask in table.restrictions(x))
+                            for deg, mask in table.restrictions(p))
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +254,14 @@ def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int
 def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
     """Certificate in S, or None (a proof of non-membership: the search is
     complete over the finitely many lattice-side solutions)."""
-    ycls = table.to_y(x)
-    cert = effective_lifts(ycls.coeffs).get(x.bits)
+    p = table.pack(x)
+    cert = effective_lifts(p[:4]).get(ALL_BITS[p[4]])
     if cert is None:
         return None
     verdict = InS(cert)
-    if table.phi(verdict.as_dict()) != x:
+    if not table.maps_to(verdict.as_dict(), p):
         raise InvalidEvidence(f"certificate {verdict.as_dict()} does not re-sum to {x}")
-    if trusted_id(x) is not None:
+    if p in TRUSTED_PACKED:
         raise TableInconsistent(
             f"trusted class {x} received certificate {verdict.as_dict()}")
     return verdict
@@ -272,7 +281,8 @@ def _base_case(table: GeneratorTable, trace: ReductionTrace) -> NonEffective | N
         return NonEffective(trace, "negative-degree")
     tid = trusted_id(reduced)
     if tid is not None:
-        if effective_lifts(table.to_y(reduced).coeffs).get(reduced.bits) is not None:
+        p = table.pack(reduced)
+        if effective_lifts(p[:4]).get(ALL_BITS[p[4]]) is not None:
             raise TableInconsistent(f"trusted class {reduced} is in S")
         return NonEffective(trace, f"trusted:{tid}")
     return None
@@ -356,8 +366,11 @@ class ScanReport:
 
     def to_text(self) -> str:
         lines = ["burniat-scan v1", f"d_max={self.d_max}"]
+        ycls = None
         for r in self.records:
-            lines.append(f"record {xclass_to_text(r.x)} y={r.ycls} "
+            if r.ycls is not ycls:  # scan shares one YClass among its 64 lifts
+                ycls, ytext = r.ycls, str(r.ycls)
+            lines.append(f"record {xclass_to_text(r.x)} y={ytext} "
                          f"minimal={int(r.minimal)} {verdict_text(r.verdict)}")
         c = self.counts()
         lines.append("summary " + " ".join(f"{k}={v}" for k, v in c.items()))
@@ -431,22 +444,18 @@ def step3_tables(table: GeneratorTable) -> Step3Report:
     k = table.canonical()
     twist_ok, twist_fail = 0, []
     canonical_not_in_s = s_membership(table, k) is None
-    for bits in ALL_BITS:
-        if not any(bits):
-            continue
-        x = XClass(k.d, tuple(Block(b.deg, (bits[2 * i], bits[2 * i + 1]))
-                              for i, b in enumerate(k.blocks)))
+    pk = table.pack(k)
+    for nu in range(1, 64):
+        x = unpack((*pk[:4], pk[4] ^ nu))
         if s_membership(table, x) is None:
             twist_fail.append(xclass_to_text(x))
         else:
             twist_ok += 1
     shift_ok, shift_fail = 0, []
     for f in BOUNDARY:
-        base = k + table.phi({f: 1})
-        for bits in ALL_BITS:
-            x = XClass(base.d, tuple(Block(b.deg, tuple((a + c) & 1 for a, c in
-                                                        zip(b.bits, bits[2 * i:2 * i + 2])))
-                                     for i, b in enumerate(base.blocks)))
+        base = table.pack(k + table.phi({f: 1}))
+        for nu in range(64):
+            x = unpack((*base[:4], base[4] ^ nu))
             if s_membership(table, x) is None:
                 shift_fail.append(xclass_to_text(x))
             else:

@@ -25,25 +25,31 @@ of the derived A3/B3/C3 restriction maps, the spanning property of the
 torsion vectors, the image index 3 for K^2 = 6, and agreement of every block
 degree with the lattice pairing.
 
+XClass is the parse and print form.  The K^2 = 6 decision procedures carry
+a class packed as (n_h, n_1, n_2, n_3, mask), its numerical class y and its
+6-bit torsion mask (A0 bits first).  pack refuses an exceptional part and a
+failed congruence, GeneratorTable.pack also a table with K^2 != 6.
+
 phi and column work on integers.  Once the blocks are fixed (including any
 override) the table packs each generator into one flat row (d, the three
-block degrees, a 6-bit torsion mask, emult) and each (generator, boundary
-curve) block into a (deg, 2-bit mask) pair; a combination is summed with
-integer products and an XOR of the masks of its odd coefficients, and only
-the result is built as an XClass or Block.  preimage_combo corrects torsion
-bits against the constant basis VEC, so its GF(2) solve has only 64 targets
-and is memoised per target; every call still checks its combo against x.
+block degrees, mask, emult), each (generator, boundary curve) block into a
+(deg, 2-bit mask) pair, and each generator into the packed CURVE_CLASS[g]
+plus its mask; subtracting a curve from a packed class is four integer
+subtractions and one XOR.  A combination is summed with integer products and
+an XOR of the masks of its odd coefficients; maps_to compares that integer
+kernel with a packed class, and phi builds only the result as an XClass.
+preimage_combo corrects torsion bits against the constant basis VEC, so its
+GF(2) solve has 64 targets and is memoised; every call checks its combo.
 
-restrictions(x) gives the (deg, 2-bit mask) of a K^2 = 6 class on all six
+restrictions(p) gives the (deg, 2-bit mask) of a packed class on all six
 boundary curves without building a combo.  The degrees are integer rows of
-the numerical class y = (n_h, n_1, n_2, n_3): the block degrees on A0, B0,
-C0, and the pairings n_h - r_j - r_k on A3, B3, C3.  The masks are read from
-a per-table dict keyed by (y mod 2, x.bits), 16 * 64 = 1,024 keys, filled on
-a miss from preimage_combo and column.  The key is exact: a column mask is
-the XOR of the masks of the odd coefficients of the combo, and the parities
-of preimage_combo(x) depend only on the key, since its base combo is linear
-in y and its correction is the torsion solution of x.bits plus the bits of
-the base, which are again a function of y mod 2.
+y: -n_1, -n_2, -n_3 on A0, B0, C0, and the pairings n_h - r_j - r_k on A3,
+B3, C3.  The masks are read from a per-table dict keyed by (y mod 2, mask),
+16 * 64 = 1,024 keys, filled on a miss from preimage_combo and column.  The
+key is exact: a column mask is the XOR of the masks of the odd coefficients
+of the combo, and the parities of preimage_combo(x) depend only on the key,
+since its base combo is linear in y and its correction is the torsion
+solution of the mask plus the bits of the base, a function of y mod 2.
 """
 from __future__ import annotations
 
@@ -82,9 +88,7 @@ class Block:
         return Block(self.deg + other.deg, bits_add(self.bits, other.bits))
 
     def __sub__(self, other: "Block") -> "Block":
-        a, b = self.bits
-        c, e = other.bits
-        return Block(self.deg - other.deg, (a ^ c, b ^ e))
+        return Block(self.deg - other.deg, bits_add(self.bits, other.bits))
 
     def is_zero(self) -> bool:
         return self.deg == 0 and self.bits == (0, 0)
@@ -94,6 +98,8 @@ ZERO_BLOCK = Block(0, (0, 0))
 
 # torsion label (b0, b1) of a block <-> its 2-bit mask 2*b0 + b1
 _PAIR = ((0, 0), (0, 1), (1, 0), (1, 1))
+# the 64 torsion bit-vectors, lexicographically: MASK_BITS[m] has the 6-bit mask m
+MASK_BITS = tuple(_PAIR[m >> 4] + _PAIR[m >> 2 & 3] + _PAIR[m & 3] for m in range(64))
 
 
 def _mask(bits: tuple[int, ...]) -> int:
@@ -124,9 +130,8 @@ class XClass:
 
     def __sub__(self, other: "XClass") -> "XClass":
         _same_emult_length(self, other)
-        a0, a1, a2 = self.blocks
-        b0, b1, b2 = other.blocks
-        return XClass(self.d - other.d, (a0 - b0, a1 - b1, a2 - b2),
+        return XClass(self.d - other.d,
+                      tuple(a - b for a, b in zip(self.blocks, other.blocks)),
                       tuple(a - b for a, b in zip(self.emult, other.emult)))
 
     def is_zero(self) -> bool:
@@ -170,6 +175,40 @@ def parse_xclass(text: str) -> XClass:
     if m.group(5) is not None:
         emult = tuple(int(v) for v in m.group(5).split(","))
     return XClass(d, tuple(blocks), emult)
+
+
+# (n_h, n_1, n_2, n_3, 6-bit torsion mask) of a K^2 = 6 class
+Packed = tuple[int, int, int, int, int]
+
+
+def pack(x: XClass) -> Packed:
+    """Packed form of a class of the K^2 = 6 model."""
+    if x.emult:
+        raise NotARepresentableClass(f"{x} has an exceptional part; K^2 = 6 has none")
+    b0, b1, b2 = x.blocks
+    nh, rest = divmod(x.d + b0.deg + b1.deg + b2.deg, 3)
+    if rest:
+        raise NotARepresentableClass(f"congruence fails for {x}")
+    (a, b), (c, e), (f, g) = b0.bits, b1.bits, b2.bits
+    return (nh, -b0.deg, -b1.deg, -b2.deg,
+            (a & 1) << 5 | (b & 1) << 4 | (c & 1) << 3 | (e & 1) << 2 | (f & 1) << 1 | g & 1)
+
+
+def _ints(p: Packed) -> tuple[int, int, int, int, int, tuple[int, ...]]:
+    """p as (d, the three block degrees, mask, emult): d = y.(-K) with
+    -K = 3h - e1 - e2 - e3, and the block degrees are y.e1, y.e2, y.e3."""
+    nh, n1, n2, n3, mask = p
+    return 3 * nh + n1 + n2 + n3, -n1, -n2, -n3, mask, ()
+
+
+def _xclass(d: int, r0: int, r1: int, r2: int, mask: int,
+            emult: tuple[int, ...]) -> XClass:
+    return XClass(d, (Block(r0, _PAIR[mask >> 4]), Block(r1, _PAIR[mask >> 2 & 3]),
+                      Block(r2, _PAIR[mask & 3])), emult)
+
+
+def unpack(p: Packed) -> XClass:
+    return _xclass(*_ints(p))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +307,10 @@ class GeneratorTable:
         self._columns = {f: {g: (self.block[(g, f)].deg, _mask(self.block[(g, f)].bits))
                              for g in GENERATORS}
                          for f in BOUNDARY}
-        # (y mod 2, x.bits) -> 2-bit masks on the six boundary curves, filled
+        # packed K^2 = 6 generator rows: the curve's numerical class and its mask
+        self.packed_rows = {g: (*CURVE_CLASS[g].coeffs, self._int_rows[g][4])
+                            for g in GENERATORS}
+        # (y mod 2, mask) -> 2-bit masks on the six boundary curves, filled
         # by restrictions on a miss; at most 1,024 entries
         self._restriction_masks: dict[tuple, tuple[int, ...]] = {}
         self._check_consistency()
@@ -285,6 +327,15 @@ class GeneratorTable:
     def phi(self, combo: dict[str, int],
             e_combo: dict[int, int] | None = None) -> XClass:
         """Image of an integer combination of generators (and E_s)."""
+        return _xclass(*self._phi_ints(combo, e_combo))
+
+    def maps_to(self, combo: dict[str, int], p: Packed) -> bool:
+        """Whether phi(combo) is the packed K^2 = 6 class p."""
+        return self._phi_ints(combo) == _ints(p)
+
+    def _phi_ints(self, combo: dict[str, int], e_combo: dict[int, int] | None = None
+                  ) -> tuple[int, int, int, int, int, tuple[int, ...]]:
+        """Integer kernel of phi: (d, the three block degrees, mask, emult)."""
         d = r0 = r1 = r2 = mask = 0
         em = [0] * self.k
         rows = self._int_rows
@@ -305,8 +356,7 @@ class GeneratorTable:
                 raise ValueError(f"no exceptional curve E{s} for K^2 = {6 - self.k}")
             d += 2 * c
             em[s] -= 2 * c
-        return XClass(d, (Block(r0, _PAIR[mask >> 4]), Block(r1, _PAIR[mask >> 2 & 3]),
-                          Block(r2, _PAIR[mask & 3])), tuple(em))
+        return d, r0, r1, r2, mask, tuple(em)
 
     def column(self, combo: dict[str, int], f: str) -> Block:
         """Restriction of a generator combination to the boundary curve f."""
@@ -321,53 +371,45 @@ class GeneratorTable:
 
     # -- K^2 = 6 specific queries --------------------------------------------
 
+    def pack(self, x: XClass) -> Packed:
+        """Packed form of x; refuses a table or class outside the K^2 = 6 model."""
+        if self.k:
+            raise NotARepresentableClass("the packed class is the K^2=6 model")
+        return pack(x)
+
     def to_y(self, x: XClass) -> YClass:
         """Numerical class underlying x (K^2 = 6 model)."""
-        if self.k:
-            raise NotARepresentableClass("Y-class recovery is the K^2=6 model")
-        if x.emult:
-            raise NotARepresentableClass(f"{x} has an exceptional part; K^2 = 6 has none")
-        b0, b1, b2 = x.blocks
-        nh, rest = divmod(x.d + b0.deg + b1.deg + b2.deg, 3)
-        if rest:
-            raise NotARepresentableClass(f"congruence fails for {x}")
-        return YClass((nh, -b0.deg, -b1.deg, -b2.deg))
+        return YClass(self.pack(x)[:4])
 
     def from_y(self, cls: YClass, bits: tuple[int, ...] = (0,) * 6) -> XClass:
-        # d = cls.(-K) with -K = 3h - e1 - e2 - e3, and the block degrees are
-        # cls.A0, cls.B0, cls.C0 with A0, B0, C0 = e1, e2, e3
-        nh, n1, n2, n3 = cls.coeffs
-        return XClass(3 * nh + n1 + n2 + n3,
-                      (Block(-n1, (bits[0], bits[1])), Block(-n2, (bits[2], bits[3])),
-                       Block(-n3, (bits[4], bits[5]))))
+        return unpack((*cls.coeffs, _mask(bits)))
 
     def preimage_combo(self, x: XClass) -> dict[str, int]:
         """Some integer generator combination with phi(combo) == x (K^2 = 6)."""
-        cls = self.to_y(x)
-        nh, n1, n2, n3 = cls.coeffs
+        p = self.pack(x)
+        nh, n1, n2, n3, mask = p
         combo = {"A3": nh, "B0": nh + n2, "C0": nh + n3, "A0": n1}
-        base = self.phi(combo)
-        if self.to_y(base) != cls:
-            raise TableInconsistent(f"base combo {combo} does not lie over {cls}")
-        correction = _torsion_solution(bits_add(x.bits, base.bits))
+        base = self._phi_ints(combo)
+        if base != _ints((nh, n1, n2, n3, base[4])):
+            raise TableInconsistent(f"base combo {combo} does not lie over {YClass(p[:4])}")
+        correction = _torsion_solution(MASK_BITS[mask ^ base[4]])
         if correction is None:
             raise TableInconsistent("torsion vectors do not span V")
         for v in correction:
             for g, c in VEC_COMBO[v].items():
                 combo[g] = combo.get(g, 0) + c
-        if self.phi(combo) != x:
+        if not self.maps_to(combo, p):
             raise TableInconsistent(f"preimage combo {combo} does not map to {x}")
         return combo
 
-    def restrictions(self, x: XClass) -> tuple[tuple[int, int], ...]:
-        """(deg, 2-bit mask) of x on each boundary curve in BOUNDARY order
-        (K^2 = 6); the mask of a block with bits (b0, b1) is 2 * b0 + b1."""
-        nh, n1, n2, n3 = self.to_y(x).coeffs
-        b0, b1, b2 = x.blocks
-        key = (nh & 1, n1 & 1, n2 & 1, n3 & 1, b0.bits, b1.bits, b2.bits)
+    def restrictions(self, p: Packed) -> tuple[tuple[int, int], ...]:
+        """(deg, 2-bit mask) of the packed class p on each boundary curve in
+        BOUNDARY order; the mask of a block with bits (b0, b1) is 2 * b0 + b1."""
+        nh, n1, n2, n3, mask = p
+        key = (nh & 1, n1 & 1, n2 & 1, n3 & 1, mask)
         masks = self._restriction_masks.get(key)
         if masks is None:
-            combo = self.preimage_combo(x)
+            combo = self.preimage_combo(unpack(p))
             masks = tuple(_mask(self.column(combo, f).bits) for f in BOUNDARY)
             self._restriction_masks[key] = masks
         m0, m1, m2, m3, m4, m5 = masks
@@ -376,9 +418,9 @@ class GeneratorTable:
         return ((-n1, m0), (-n2, m1), (-n3, m2),
                 (nh + n2 + n3, m3), (nh + n1 + n3, m4), (nh + n1 + n2, m5))
 
-    def pairing(self, x: XClass, f: str) -> int:
-        """Intersection of x with the boundary curve f (K^2 = 6)."""
-        nh, n1, n2, n3 = self.to_y(x).coeffs
+    def pairing(self, p: Packed, f: str) -> int:
+        """Intersection of the packed class p with the boundary curve f."""
+        nh, n1, n2, n3, _ = p
         ch, c1, c2, c3 = CURVE_CLASS[f].coeffs
         return nh * ch - n1 * c1 - n2 * c2 - n3 * c3
 

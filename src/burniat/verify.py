@@ -14,7 +14,7 @@ from typing import Callable
 
 from .lattice import YClass, arithmetic_genus, canonical_class, negative_curves
 from .delpezzo import (LAT, NEF_CLASS, classify_exceptional, eff_decompose,
-                       enumerate_nef, nef_decompose, to_symmetric)
+                       enumerate_nef, nef_decompose)
 from .config import (BOUNDARY, CURVE_CLASS, InvalidBuildingData,
                      all_standard_configs, minus_two_curves, standard_config,
                      ramification_span_index, validate_building_data)
@@ -129,37 +129,45 @@ def _oracle_nef(cls: YClass) -> bool:
     return False
 
 
-def _c5_decomposition_oracles(seed: int, table: GeneratorTable) -> tuple[bool, str]:
-    lo, hi = -4, 8
-    checked = 0
+def _c5_classes() -> list[YClass]:
+    """The classes of the box n_h in -5..10, n_i in -8..4 whose symmetric
+    coordinates all lie in -4..8, in box order.  The seven coordinates (the
+    pairings with -K, A0, B0, C0, A3, B3, C3, as in to_symmetric) are
+    computed on integers, so only the kept classes are built."""
+    out = []
     for nh in range(-5, 11):
         for n1 in range(-8, 5):
             for n2 in range(-8, 5):
                 for n3 in range(-8, 5):
-                    cls = YClass((nh, n1, n2, n3))
-                    s = to_symmetric(cls)
-                    if not all(lo <= v <= hi for v in s.as_tuple()):
-                        continue
-                    checked += 1
-                    dec = eff_decompose(cls)
-                    if (dec is not None) != _oracle_eff(cls):
-                        return False, f"eff mismatch at {cls}"
-                    if dec is not None:
-                        total = LAT.zero()
-                        for name, mult in dec.items():
-                            total = total + mult * CURVE_CLASS[name]
-                        if total != cls:
-                            return False, f"eff re-sum fails at {cls}"
-                    ndec = nef_decompose(cls)
-                    if (ndec is not None) != _oracle_nef(cls):
-                        return False, f"nef mismatch at {cls}"
-                    if ndec is not None:
-                        total = LAT.zero()
-                        for name, mult in ndec.items():
-                            total = total + mult * NEF_CLASS[name]
-                        if total != cls:
-                            return False, f"nef re-sum fails at {cls}"
-    return True, f"{checked} classes against exhaustive search"
+                    s = (3 * nh + n1 + n2 + n3, -n1, -n2, -n3,
+                         nh + n2 + n3, nh + n1 + n3, nh + n1 + n2)
+                    if -4 <= min(s) and max(s) <= 8:
+                        out.append(YClass((nh, n1, n2, n3)))
+    return out
+
+
+def _c5_decomposition_oracles(seed: int, table: GeneratorTable) -> tuple[bool, str]:
+    classes = _c5_classes()
+    for cls in classes:
+        dec = eff_decompose(cls)
+        if (dec is not None) != _oracle_eff(cls):
+            return False, f"eff mismatch at {cls}"
+        if dec is not None:
+            total = LAT.zero()
+            for name, mult in dec.items():
+                total = total + mult * CURVE_CLASS[name]
+            if total != cls:
+                return False, f"eff re-sum fails at {cls}"
+        ndec = nef_decompose(cls)
+        if (ndec is not None) != _oracle_nef(cls):
+            return False, f"nef mismatch at {cls}"
+        if ndec is not None:
+            total = LAT.zero()
+            for name, mult in ndec.items():
+                total = total + mult * NEF_CLASS[name]
+            if total != cls:
+                return False, f"nef re-sum fails at {cls}"
+    return True, f"{len(classes)} classes against exhaustive search"
 
 
 def _c6_step2(seed: int, table: GeneratorTable) -> tuple[bool, str]:

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import burniat
 from burniat.cli import EFFECTIVE_MAX_NH, main
 from burniat.config import standard_config
 from burniat.effective import scan
@@ -176,3 +182,27 @@ def test_verify_all_table_override_is_the_table_scanned(tmp_path, monkeypatch):
 def test_unknown_subcommand_exit_2(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_closed_pipe_exits_141_quietly():
+    # standard output is a pipe whose read end is already closed; buffered
+    # and unbuffered output both end with no message and exit code 141
+    src = str(Path(burniat.__file__).resolve().parents[1])
+    for unbuffered in ("1", ""):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "burniat.cli", "torsion", "--ksq", "4",
+                 "--variant", "nodal"], stdout=write_end, stderr=subprocess.PIPE,
+                text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "scan", "--max-degree", "0",
+                       "--out", str(tmp_path / "missing" / "report.txt"))
+    assert code == 2 and err.startswith("error: ")

@@ -119,3 +119,13 @@ def test_enumerate_nef_deterministic():
     b = [c.coeffs for c in enumerate_nef(6)]
     assert a == b
     assert all(is_nef_class(YClass(c)) for c in a)
+
+
+def test_criterion5_keeps_the_to_symmetric_filter():
+    # criterion 5 filters its box on integer symmetric coordinates; the kept
+    # classes, in order, are those whose to_symmetric coordinates lie in -4..8
+    from burniat.verify import _c5_classes
+    want = [YClass(c) for c in itertools.product(range(-5, 11), *[range(-8, 5)] * 3)
+            if all(-4 <= v <= 8 for v in to_symmetric(YClass(c)).as_tuple())]
+    assert _c5_classes() == want
+    assert len(want) == 4397

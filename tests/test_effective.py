@@ -18,7 +18,7 @@ from burniat.effective import (ALL_BITS, TRUSTED, InS, InvalidEvidence, NonEffec
                                ScanReport, Unresolved, decide, effective_lifts,
                                exceptional_induction, is_minimal, minimal_form,
                                prove_non_effective, s_membership, scan, step3_tables,
-                               verdict_text)
+                               trusted_id, verdict_text)
 from burniat.lattice import YClass
 from burniat.picard import (Block, GeneratorTable, NotARepresentableClass, XClass,
                             build_generator_table, parse_xclass, torsion_subgroup,
@@ -49,7 +49,7 @@ def test_minimal_form_canonical_unchanged():
     reduced, trace = minimal_form(T, KX)
     assert reduced == KX and not trace.steps
     for f in BOUNDARY:
-        assert T.pairing(KX, f) == 1
+        assert T.pairing(T.pack(KX), f) == 1
 
 
 def test_minimal_form_corner_class_unchanged():
@@ -58,8 +58,8 @@ def test_minimal_form_corner_class_unchanged():
     assert reduced == x and not trace.steps
     # zero pairings on A3, B3, C3 with trivial restrictions
     for f in ("A3", "B3", "C3"):
-        assert T.pairing(x, f) == 0
-    assert T.restrictions(x)[3:] == ((0, 0),) * 3
+        assert T.pairing(T.pack(x), f) == 0
+    assert T.restrictions(T.pack(x))[3:] == ((0, 0),) * 3
 
 
 def test_trace_length_equals_degree_drop():
@@ -279,6 +279,19 @@ def test_trusted_classes_are_minimal_and_used(scan12):
         assert is_minimal(T, lit(text))
 
 
+def test_trusted_id_agrees_with_the_literals_and_their_twists():
+    # the packed lookup names exactly the three literals, and none of their
+    # 63 nonzero torsion twists
+    for text, tid in TRUSTED.items():
+        x = lit(text)
+        assert trusted_id(x) == tid
+        for bits in ALL_BITS[1:]:
+            twisted = XClass(x.d, tuple(Block(b.deg, ((b.bits[0] + bits[2 * i]) & 1,
+                                                       (b.bits[1] + bits[2 * i + 1]) & 1))
+                                        for i, b in enumerate(x.blocks)))
+            assert trusted_id(twisted) == TRUSTED.get(xclass_to_text(twisted)) is None
+
+
 # --- evidence checks under python -O ----------------------------------------------
 
 FORGERIES = """
@@ -316,6 +329,45 @@ def test_forged_evidence_rejected_under_optimize():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.split("\n")[:3] == ["debug False", "trace rejected",
                                            "certificate rejected"]
+
+
+FORGERIES_ON_PACKED_CLASSES = """
+import burniat.effective as eff
+from burniat.config import standard_config
+from burniat.picard import GeneratorTable, parse_xclass
+
+T = GeneratorTable(standard_config(6))
+print("debug", __debug__)
+# a corrupted restriction-dict entry: Q10 seems to restrict nontrivially to A3
+q10 = parse_xclass("(3; 1 10; 1 10; 1 10)")
+T.restrictions(T.pack(q10))
+(key, masks), = T._restriction_masks.items()
+T._restriction_masks[key] = masks[:3] + (1,) + masks[4:]
+try:
+    eff.scan(T, 3)
+    print("corrupted dict accepted")
+except eff.InvalidEvidence:
+    print("corrupted dict rejected")
+# a trace whose steps are justified but whose final class is another one
+T = GeneratorTable(standard_config(6))
+x = T.phi({"A0": 2})
+final, trace = eff.minimal_form(T, x)
+forged = eff.ReductionTrace(x, trace.steps, T.phi({"A1": 1, "A2": -1}))
+try:
+    forged.validate(T)
+    print("wrong end accepted")
+except eff.InvalidEvidence:
+    print("wrong end rejected")
+"""
+
+
+def test_forged_packed_evidence_rejected_under_optimize():
+    src = str(Path(burniat.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", FORGERIES_ON_PACKED_CLASSES],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.splitlines() == ["debug False", "corrupted dict rejected",
+                                        "wrong end rejected"]
 
 
 def test_no_assert_statements_in_the_library():
@@ -417,7 +469,7 @@ def test_unresolved_is_reported_not_dropped(monkeypatch):
     # with the trusted list emptied, a minimal non-member must surface as
     # Unresolved carrying its diagnostics (never a silent pass or fail)
     import burniat.effective as eff
-    monkeypatch.setattr(eff, "TRUSTED", {})
+    monkeypatch.setattr(eff, "TRUSTED_PACKED", {})
     reduced = []
     real_minimal_form = eff.minimal_form
 
@@ -454,7 +506,7 @@ def test_validate_does_not_read_the_restriction_dict():
     # restriction from preimage_combo and must reject the trace
     table = GeneratorTable(standard_config(6))
     q10 = lit("(3; 1 10; 1 10; 1 10)")
-    assert table.restrictions(q10)[BOUNDARY.index("A3")] == (0, 0)
+    assert table.restrictions(table.pack(q10))[BOUNDARY.index("A3")] == (0, 0)
     (key, masks), = table._restriction_masks.items()
     table._restriction_masks[key] = masks[:3] + (1,) + masks[4:]
     with pytest.raises(InvalidEvidence, match="A3"):

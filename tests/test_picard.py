@@ -7,12 +7,13 @@ from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
                             standard_config)
 from burniat.lattice import MixedGroup, YClass, subgroup_index
 from burniat.linalg import bits_add, bits_scale
-from burniat.picard import (Block, GeneratorTable, NotARepresentableClass,
-                            TableInconsistent, VEC, VEC_COMBO, XClass,
-                            _torsion_solution, build_generator_table,
-                            image_index, parse_xclass, picard_image_index,
-                            point_vector, table_override_from_text,
-                            table_to_text, torsion_subgroup, xclass_to_text)
+from burniat.picard import (Block, GeneratorTable, MASK_BITS,
+                            NotARepresentableClass, TableInconsistent, VEC,
+                            VEC_COMBO, XClass, _torsion_solution,
+                            build_generator_table, image_index, pack,
+                            parse_xclass, picard_image_index, point_vector,
+                            table_override_from_text, table_to_text,
+                            torsion_subgroup, unpack, xclass_to_text)
 
 T6 = build_generator_table(6)
 
@@ -55,9 +56,9 @@ def test_table_text_round_trip():
     assert rebuilt.block == T6.block
     # the rebuilt table fills its own restriction dict
     x = T6.phi({"C0": 1})
-    T6.restrictions(x)
+    T6.restrictions(T6.pack(x))
     assert rebuilt._restriction_masks == {}
-    assert rebuilt.restrictions(x) == T6.restrictions(x)
+    assert rebuilt.restrictions(rebuilt.pack(x)) == T6.restrictions(T6.pack(x))
     assert rebuilt._restriction_masks is not T6._restriction_masks
     with pytest.raises(ValueError):
         table_override_from_text("A9 B0 1 00")
@@ -176,7 +177,7 @@ def combo_path_restrictions(table, x):
     out = []
     for f in BOUNDARY:
         b = table.column(pre, f)
-        out.append((table.pairing(x, f), 2 * b.bits[0] + b.bits[1]))
+        out.append((table.pairing(table.pack(x), f), 2 * b.bits[0] + b.bits[1]))
     return tuple(out)
 
 
@@ -190,7 +191,7 @@ def test_restrictions_match_the_combo_path_on_every_key():
             y = YClass(tuple((parity >> i) & 1 for i in range(4))) + even
             for mask in range(64):
                 x = table.from_y(y, tuple((mask >> (5 - i)) & 1 for i in range(6)))
-                assert table.restrictions(x) == combo_path_restrictions(table, x)
+                assert table.restrictions(table.pack(x)) == combo_path_restrictions(table, x)
         assert len(table._restriction_masks) == 1024
 
 
@@ -198,7 +199,7 @@ def test_restrictions_match_the_combo_path_on_every_key():
 @given(combo=COMBOS, kernel=st.sampled_from(KERNEL6), mult=COEFFS)
 def test_restriction_independent_of_preimage(combo, kernel, mult):
     x = T6.phi(combo)
-    assert T6.restrictions(x) == combo_path_restrictions(T6, x)
+    assert T6.restrictions(T6.pack(x)) == combo_path_restrictions(T6, x)
     pre = T6.preimage_combo(x)
     shifted = dict(pre)
     for g, c in kernel.items():
@@ -212,9 +213,9 @@ def test_restriction_independent_of_preimage(combo, kernel, mult):
 
 def test_restrict_examples():
     # (deg, 2-bit mask) on A0, B0, C0, A3, B3, C3; the mask of bits 10 is 2
-    assert T6.restrictions(T6.phi({"C0": 1}))[3] == (1, 2)
-    assert T6.restrictions(T6.phi({"A1": 1}))[0] == (0, 0)
-    assert T6.restrictions(T6.phi({}))[4] == (0, 0)
+    assert T6.restrictions(T6.pack(T6.phi({"C0": 1})))[3] == (1, 2)
+    assert T6.restrictions(T6.pack(T6.phi({"A1": 1})))[0] == (0, 0)
+    assert T6.restrictions(T6.pack(T6.phi({})))[4] == (0, 0)
 
 
 def test_restrict_well_defined_on_random_combos():
@@ -225,7 +226,7 @@ def test_restrict_well_defined_on_random_combos():
         combo = {g: rng.randint(-2, 2) for g in GENERATORS}
         x = T6.phi(combo)
         direct = [T6.column(combo, f) for f in ("A3", "B3", "C3")]
-        derived = T6.restrictions(x)[3:]
+        derived = T6.restrictions(T6.pack(x))[3:]
         assert [(b.deg, 2 * b.bits[0] + b.bits[1]) for b in direct] == list(derived)
 
 
@@ -234,8 +235,8 @@ def test_restriction_degree_equals_pairing():
     for _ in range(50):
         combo = {g: rng.randint(-2, 2) for g in GENERATORS}
         x = T6.phi(combo)
-        assert [deg for deg, _ in T6.restrictions(x)] == \
-            [T6.pairing(x, f) for f in BOUNDARY]
+        assert [deg for deg, _ in T6.restrictions(T6.pack(x))] == \
+            [T6.pairing(T6.pack(x), f) for f in BOUNDARY]
 
 
 # --- intersection -------------------------------------------------------------
@@ -261,7 +262,7 @@ def test_to_y_congruence_error():
         T6.to_y(XClass(1, (Block(0, (0, 0)),) * 3))
     # K^2 = 6 classes have no exceptional part
     with pytest.raises(NotARepresentableClass):
-        T6.restrictions(parse_xclass("(3; 0 00; 0 00; 0 00; 5)"))
+        T6.restrictions(T6.pack(parse_xclass("(3; 0 00; 0 00; 0 00; 5)")))
 
 
 # --- torsion and indices ------------------------------------------------------
@@ -376,3 +377,34 @@ def test_pushforward_pullback_identity():
         x = T6.phi(combo)
         assert T6.to_y(x) == y_class(combo)
         assert T6.from_y(T6.to_y(x), x.bits) == x
+
+
+# --- packed classes -------------------------------------------------------------
+
+def test_pack_round_trip_on_random_classes():
+    rng = random.Random(37)
+    for _ in range(500):
+        y = YClass(tuple(rng.randint(-40, 40) for _ in range(4)))
+        mask = rng.randrange(64)
+        x = T6.from_y(y, MASK_BITS[mask])
+        p = T6.pack(x)
+        assert p == (*y.coeffs, mask) == pack(x)
+        assert unpack(p) == x and x.bits == MASK_BITS[mask]
+        assert T6.to_y(x) == y
+
+
+def test_pack_refusals():
+    # an exceptional part, a failed congruence, and a table with K^2 != 6
+    with pytest.raises(NotARepresentableClass, match="exceptional part"):
+        T6.pack(parse_xclass("(3; 0 00; 0 00; 0 00; 5)"))
+    with pytest.raises(NotARepresentableClass, match="congruence"):
+        T6.pack(parse_xclass("(1; 0 00; 0 00; 0 00)"))
+    with pytest.raises(NotARepresentableClass, match="K\\^2=6"):
+        build_generator_table(5).pack(parse_xclass("(3; 0 00; 0 00; 0 00)"))
+
+
+def test_packed_rows_are_the_packed_generator_images():
+    for g in GENERATORS:
+        assert T6.packed_rows[g] == T6.pack(T6.row(g))
+        assert T6.maps_to({g: 1}, T6.packed_rows[g])
+        assert not T6.maps_to({g: 2}, T6.packed_rows[g])
