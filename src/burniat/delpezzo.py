@@ -13,6 +13,13 @@ Symmetric coordinates of a class D are
 (d; a0, b0, c0; a3, b3, c3) = (D.(-K); D.A0, D.B0, D.C0; D.A3, D.B3, D.C3).
 The configuration symmetry group (letter permutations times the 0<->3 swap,
 12 elements) acts by permuting these coordinates.
+
+YClass is the boundary type: every public function takes and returns one.
+The arithmetic runs on the coefficient tuple (n_h, n_1, n_2, n_3): the
+pairings with the five nef generators (nef_pairings) and the symmetric
+coordinates (symmetric_coords) are written out once each, D is effective
+when the first are all >= 0 and nef when the second are, and the greedy
+decompositions subtract 4-tuples.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .lattice import SurfaceLattice, YClass, canonical_class, arithmetic_genus
+from .lattice import SurfaceLattice, YClass, arithmetic_genus
 from .config import BOUNDARY, CURVE_CLASS
 
 
@@ -39,7 +46,31 @@ NEF_CLASS = {
     "h2": YClass((2, -1, -1, -1)),
 }
 
-MINUS_K = -canonical_class(LAT)
+
+def nef_pairings(c: tuple[int, ...]) -> tuple[int, ...]:
+    """The pairings of the class c with f1, f2, f3, h1, h2 (NEF_ORDER)."""
+    nh, n1, n2, n3 = c
+    return nh + n1, nh + n2, nh + n3, nh, 2 * nh + n1 + n2 + n3
+
+
+def symmetric_coords(c: tuple[int, ...]) -> tuple[int, ...]:
+    """The pairings of the class c with -K and A0, B0, C0, A3, B3, C3.
+
+    d is the sum of the other six (-K is the sum of the six curves), so the
+    class is nef exactly when the minimum of all seven is >= 0."""
+    nh, n1, n2, n3 = c
+    return (3 * nh + n1 + n2 + n3, -n1, -n2, -n3,
+            nh + n2 + n3, nh + n1 + n3, nh + n1 + n2)
+
+
+def _coeffs(d: YClass) -> tuple[int, ...]:
+    if d.k != 3:
+        raise NotInLattice(f"{d} is not a class of the k=3 lattice")
+    return d.coeffs
+
+
+def _minus(c: tuple[int, ...], row: tuple[int, ...]) -> tuple[int, ...]:
+    return c[0] - row[0], c[1] - row[1], c[2] - row[2], c[3] - row[3]
 
 
 @dataclass(frozen=True)
@@ -61,26 +92,11 @@ class SymmetricCoords:
 
 
 def to_symmetric(d: YClass) -> SymmetricCoords:
-    if d.k != 3:
-        raise NotInLattice("symmetric coordinates only exist on the k=3 lattice")
-    vals = [d.dot(MINUS_K)] + [d.dot(CURVE_CLASS[f]) for f in BOUNDARY]
-    return SymmetricCoords(*vals)
+    return SymmetricCoords(*symmetric_coords(_coeffs(d)))
 
 
 # --- the 12-element symmetry group ------------------------------------------
 # A group element is (letter permutation sigma on (a,b,c), swap 0<->3 flag).
-
-def _apply_symmetry(sym: tuple[tuple[int, int, int], bool],
-                    s: SymmetricCoords) -> SymmetricCoords:
-    perm, swap = sym
-    lo = (s.a0, s.b0, s.c0)
-    hi = (s.a3, s.b3, s.c3)
-    lo = tuple(lo[i] for i in perm)
-    hi = tuple(hi[i] for i in perm)
-    if swap:
-        lo, hi = hi, lo
-    return SymmetricCoords(s.d, *lo, *hi)
-
 
 SYMMETRY_GROUP = [
     (perm, swap)
@@ -89,18 +105,21 @@ SYMMETRY_GROUP = [
 ]
 
 
+def _symmetry_index(sym: tuple[tuple[int, int, int], bool]) -> tuple[int, ...]:
+    """Positions in (d; a0, b0, c0; a3, b3, c3) that sym moves to each slot."""
+    perm, swap = sym
+    lo = tuple(1 + i for i in perm)
+    hi = tuple(4 + i for i in perm)
+    return (0, *hi, *lo) if swap else (0, *lo, *hi)
+
+
+_SYMMETRY_INDEX = [(sym, _symmetry_index(sym)) for sym in SYMMETRY_GROUP]
+
+
 # --- effective and nef decomposition ----------------------------------------
 
-def eff_witness(d: YClass) -> str | None:
-    """Name of a nef generator pairing negatively with d, or None."""
-    for name in NEF_ORDER:
-        if d.dot(NEF_CLASS[name]) < 0:
-            return name
-    return None
-
-
-def is_effective_class(d: YClass) -> bool:
-    return eff_witness(d) is None
+_CURVE_ROWS = tuple((name, CURVE_CLASS[name].coeffs) for name in BOUNDARY)
+_NEF_ROWS = tuple((name, NEF_CLASS[name].coeffs) for name in NEF_ORDER)
 
 
 def eff_decompose(d: YClass) -> Counter | None:
@@ -112,58 +131,47 @@ def eff_decompose(d: YClass) -> Counter | None:
     generated by the six curves; a stall would be a library bug and raises.
     Deterministic: curves are tried cyclically in scan order.
     """
-    if d.k != 3:
-        raise NotInLattice("k=3 only")
-    if not is_effective_class(d):
+    cur = _coeffs(d)
+    if min(nef_pairings(cur)) < 0:
         return None
     out: Counter = Counter()
-    cur = d
-    while not cur.is_zero():
+    while any(cur):
         subtracted = False
-        for name in BOUNDARY:
-            rest = cur - CURVE_CLASS[name]
-            if is_effective_class(rest):
+        for name, row in _CURVE_ROWS:
+            rest = _minus(cur, row)
+            if min(nef_pairings(rest)) >= 0:
                 out[name] += 1
                 cur = rest
                 subtracted = True
         if not subtracted:
-            raise AssertionError(f"effective cone not totally generated at {cur}")
+            raise AssertionError(
+                f"effective cone not totally generated at {YClass(cur)}")
     return out
 
 
-def nef_witness(d: YClass) -> str | None:
-    for name in BOUNDARY:
-        if d.dot(CURVE_CLASS[name]) < 0:
-            return name
-    return None
-
-
 def is_nef_class(d: YClass) -> bool:
-    return nef_witness(d) is None
+    return min(symmetric_coords(_coeffs(d))) >= 0
 
 
 def nef_decompose(d: YClass) -> Counter | None:
     """Greedy decomposition over f1, f2, f3, h1, h2, or None if not nef."""
-    if d.k != 3:
-        raise NotInLattice("k=3 only")
-    if not is_nef_class(d):
+    cur = _coeffs(d)
+    if min(symmetric_coords(cur)) < 0:
         return None
     out: Counter = Counter()
-    cur = d
     progress = True
-    while not cur.is_zero() and progress:
+    while any(cur) and progress:
         progress = False
-        for name in NEF_ORDER:
+        for name, row in _NEF_ROWS:
             while True:
-                rest = cur - NEF_CLASS[name]
-                if is_nef_class(rest):
-                    out[name] += 1
-                    cur = rest
-                    progress = True
-                else:
+                rest = _minus(cur, row)
+                if min(symmetric_coords(rest)) < 0:
                     break
-    if not cur.is_zero():
-        raise AssertionError(f"nef semigroup not totally generated at {cur}")
+                out[name] += 1
+                cur = rest
+                progress = True
+    if any(cur):
+        raise AssertionError(f"nef semigroup not totally generated at {YClass(cur)}")
     return out
 
 
@@ -173,14 +181,15 @@ def enumerate_nef(d_max: int) -> list[YClass]:
     For nef D one has n_h = D.h1 in [0, d] and each e-coefficient in
     [-n_h, 0], so the search box below is exhaustive.
     """
-    out = []
+    found = []
     for nh in range(0, d_max + 1):
         for ni in itertools.product(range(-nh, 1), repeat=3):
-            c = YClass((nh,) + ni)
-            if c.dot(MINUS_K) <= d_max and is_nef_class(c):
-                out.append(c)
-    out.sort(key=lambda c: (c.dot(MINUS_K), c.coeffs))
-    return out
+            c = (nh, *ni)
+            s = symmetric_coords(c)
+            if s[0] <= d_max and min(s) >= 0:
+                found.append((s[0], c))
+    found.sort()
+    return [YClass(c) for _, c in found]
 
 
 # --- the nef classes of non-positive genus ----------------------------------
@@ -200,38 +209,18 @@ class ExceptionalType:
     symmetry: tuple[tuple[int, int, int], bool] | None
 
 
-def _match_type1(s: SymmetricCoords) -> int | None:
-    d = s.d
-    if d >= 2 and d % 2 == 0 and \
-            (s.a0, s.b0, s.c0) == (d // 2, 0, 0) == (s.a3, s.b3, s.c3):
-        return d // 2
-    return None
-
-
-def _match_type2(s: SymmetricCoords) -> int | None:
-    d = s.d
+def _normal_forms(d: int):
+    """(family, n, normal form in symmetric coordinates) of each family with
+    a member of degree d, in matching order."""
     if d >= 2 and d % 2 == 0:
         n = d // 2
-        if (s.a0, s.b0, s.c0) == (n - 1, 1, 0) == (s.a3, s.b3, s.c3):
-            return n
-    return None
-
-
-def _match_type3(s: SymmetricCoords) -> int | None:
-    d = s.d
+        yield "Type1", n, (d, n, 0, 0, n, 0, 0)
+        yield "Type2", n, (d, n - 1, 1, 0, n - 1, 1, 0)
     if d >= 3 and d % 2 == 1:
         n = (d - 1) // 2
-        if (s.a0, s.b0, s.c0) == (n, 1, 1) and (s.a3, s.b3, s.c3) == (n - 1, 0, 0):
-            return n
-    return None
-
-
-def _match_type4(s: SymmetricCoords) -> int | None:
-    return -1 if s.as_tuple() == (6, 2, 2, 2, 0, 0, 0) else None
-
-
-_FAMILY_MATCHERS = (("Type1", _match_type1), ("Type2", _match_type2),
-                    ("Type3", _match_type3), ("Type4", _match_type4))
+        yield "Type3", n, (d, n, 1, 1, n - 1, 0, 0)
+    if d == 6:
+        yield "Type4", None, (6, 2, 2, 2, 0, 0, 0)
 
 
 def classify_exceptional(d: YClass) -> ExceptionalType:
@@ -241,15 +230,14 @@ def classify_exceptional(d: YClass) -> ExceptionalType:
     verdict is constant on symmetry orbits even where families overlap
     (a single ruling fibre also fits the fibre-plus-section pattern at n=1).
     """
-    if not is_nef_class(d):
+    s = to_symmetric(d).as_tuple()
+    if min(s) < 0:
         raise ValueError(f"{d} is not nef")
-    s = to_symmetric(d)
     p_a = arithmetic_genus(d)
-    for family, matcher in _FAMILY_MATCHERS:
-        for sym in SYMMETRY_GROUP:
-            n = matcher(_apply_symmetry(sym, s))
-            if n is not None:
-                n = None if family == "Type4" else n
+    moved = [(sym, tuple(s[i] for i in idx)) for sym, idx in _SYMMETRY_INDEX]
+    for family, n, form in _normal_forms(s[0]):
+        for sym, m in moved:
+            if m == form:
                 expected = -(n - 1) if family == "Type1" else 0
                 if p_a != expected:
                     raise AssertionError(f"{d} classified {family} n={n} "

@@ -25,10 +25,11 @@ explicitly, so they also run under ``python -O``.
 
 minimal_form, is_minimal, s_membership and ReductionTrace.validate pack
 their class once into (n_h, n_1, n_2, n_3, mask) (see picard) and build an
-XClass again only for a trace's final class.  minimal_form and is_minimal
-read restrictions from the table's restriction dict. ReductionTrace.validate
-never reads it: it rebuilds preimage_combo(start) and checks every step with
-pairing and column, so it stays an independent re-check of every trace.
+XClass again only for a trace's final class; exceptional_induction recurses
+on packed classes too.  minimal_form and is_minimal read restrictions from
+the table's restriction dict.  ReductionTrace.validate never reads it: it
+rebuilds preimage_combo(start) and checks every step with pairing and
+column, so it stays an independent re-check of every trace.
 """
 from __future__ import annotations
 
@@ -468,8 +469,7 @@ def step3_tables(table: GeneratorTable) -> Step3Report:
 # Induction for high-degree exceptional-type classes
 # ---------------------------------------------------------------------------
 
-def exceptional_induction(table: GeneratorTable, x: XClass,
-                          _memo: dict | None = None) -> Verdict:
+def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
     """Decide a minimal-form class of exceptional type with d >= 9.
 
     Subtracts an internal curve whose numerical class is the family's ruling
@@ -484,43 +484,43 @@ def exceptional_induction(table: GeneratorTable, x: XClass,
         raise ValueError("induction applies to degrees >= 9; use the search")
     if not is_minimal(table, x):
         raise ValueError(f"{x} is not in minimal form")
-    memo = _memo if _memo is not None else {}
+    memo: dict[Packed, InS | None] = {}
+    rows = table.packed_rows
 
-    def resolve(y: XClass) -> InS | None:
-        key = xclass_to_text(y)
-        if key in memo:
-            return memo[key]
-        if y.d <= 8:
-            out = s_membership(table, y)
-            memo[key] = out
+    def resolve(p: Packed) -> InS | None:
+        if p in memo:
+            return memo[p]
+        if 3 * p[0] + p[1] + p[2] + p[3] <= 8:  # the degree d
+            out = s_membership(table, unpack(p))
+            memo[p] = out
             return out
-        ycls_y = table.to_y(y)
-        fam = classify_exceptional(ycls_y)
+        fam = classify_exceptional(YClass(p[:4]))
         out = None
         for letter in "ABC":
-            fibre = table.cfg.strict_transform(INTERNAL_OF_LETTER[letter][0])
-            rest = ycls_y - fibre
+            gens = INTERNAL_OF_LETTER[letter]
+            # both internal curves of a letter have the ruling fibre's class
+            rest = YClass(_minus(p, rows[gens[0]])[:4])
             if not is_nef_class(rest):
                 continue
             rest_et = classify_exceptional(rest)
             if rest_et.family != fam.family or (fam.n or 0) - (rest_et.n or 0) != 1:
                 continue
-            for gen in INTERNAL_OF_LETTER[letter]:
-                sub = resolve(y - table.phi({gen: 1}))
+            for gen in gens:
+                sub = resolve(_minus(p, rows[gen]))
                 if sub is not None:
                     cert = list(sub.certificate)
                     cert[GENERATORS.index(gen)] += 1
                     out = InS(tuple(cert))
-                    if table.phi(out.as_dict()) != y:
+                    if not table.maps_to(out.as_dict(), p):
                         raise InvalidEvidence(
-                            f"induction certificate does not re-sum to {y}")
+                            f"induction certificate does not re-sum to {unpack(p)}")
                     break
             if out is not None:
                 break
-        memo[key] = out
+        memo[p] = out
         return out
 
-    verdict = resolve(x)
+    verdict = resolve(table.pack(x))
     if verdict is None:
         reduced, trace = minimal_form(table, x)
         return Unresolved(trace, chi(table, x), "exceptional induction exhausted")

@@ -95,9 +95,11 @@ def canonical_class(lat: SurfaceLattice) -> YClass:
 
 
 def arithmetic_genus(d: YClass) -> int:
-    """p_a(D) = D(D+K)/2 + 1, always an integer on these lattices."""
-    k = canonical_class(SurfaceLattice(d.k))
-    twice = d.dot(d + k)
+    """p_a(D) = D(D+K)/2 + 1, always an integer on these lattices.
+
+    On the coefficients: D.D = n_h^2 - sum n_i^2 and D.K = -3n_h - sum n_i."""
+    nh, *ns = d.coeffs
+    twice = nh * nh - sum(n * n for n in ns) - 3 * nh - sum(ns)
     if twice % 2:
         raise ValueError(f"D.(D+K) = {twice} is odd for {d}")
     return twice // 2 + 1

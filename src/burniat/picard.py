@@ -430,18 +430,15 @@ class GeneratorTable:
 
     # -- consistency suite ----------------------------------------------------
 
+    def _free_rows(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(d, emult, block degrees) and torsion bits of the 12 generator rows,
+        then of the k E_s rows."""
+        xs = [self.row(g) for g in GENERATORS] + [self.e_row(s) for s in range(self.k)]
+        return [((x.d, *x.emult, *(b.deg for b in x.blocks)), x.bits) for x in xs]
+
     def generator_elements(self):
         group = MixedGroup(4 + self.k, 6)
-        elems = []
-        for g in GENERATORS:
-            x = self.row(g)
-            elems.append(group.element((x.d,) + x.emult + tuple(b.deg for b in x.blocks),
-                                       x.bits))
-        for s in range(self.k):
-            x = self.e_row(s)
-            elems.append(group.element((x.d,) + x.emult + tuple(b.deg for b in x.blocks),
-                                       x.bits))
-        return group, elems
+        return group, [group.element(free, bits) for free, bits in self._free_rows()]
 
     def image_index(self) -> int | None:
         group, elems = self.generator_elements()
@@ -450,16 +447,9 @@ class GeneratorTable:
     def _kernel_combos(self) -> list[dict[str, int]]:
         """Generators of {combos : phi(combo) == 0} over the 12+k generators."""
         labels = list(GENERATORS) + [f"E{s}" for s in range(self.k)]
-        rows = []
-        for g in GENERATORS:
-            x = self.row(g)
-            rows.append([x.d, *x.emult, *(b.deg for b in x.blocks)])
-        for s in range(self.k):
-            x = self.e_row(s)
-            rows.append([x.d, *x.emult, *(b.deg for b in x.blocks)])
-        free_kernel = left_kernel(rows, 4 + self.k)
-        bit_rows = [self.row(g).bits for g in GENERATORS]
-        bit_rows += [(0,) * 6 for _ in range(self.k)]
+        rows = self._free_rows()
+        free_kernel = left_kernel([list(free) for free, _ in rows], 4 + self.k)
+        bit_rows = [bits for _, bits in rows]
         # torsion image of each free-kernel vector
         reduced = []
         for kv in free_kernel:

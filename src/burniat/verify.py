@@ -7,6 +7,7 @@ randomness is in the property-based entries and is driven by an explicit seed.
 """
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from typing import Callable
 
 from .lattice import YClass, arithmetic_genus, canonical_class, negative_curves
 from .delpezzo import (LAT, NEF_CLASS, classify_exceptional, eff_decompose,
-                       enumerate_nef, nef_decompose)
+                       enumerate_nef, nef_decompose, symmetric_coords)
 from .config import (BOUNDARY, CURVE_CLASS, InvalidBuildingData,
                      all_standard_configs, minus_two_curves, standard_config,
                      ramification_span_index, validate_building_data)
@@ -131,19 +132,20 @@ def _oracle_nef(cls: YClass) -> bool:
 
 def _c5_classes() -> list[YClass]:
     """The classes of the box n_h in -5..10, n_i in -8..4 whose symmetric
-    coordinates all lie in -4..8, in box order.  The seven coordinates (the
-    pairings with -K, A0, B0, C0, A3, B3, C3, as in to_symmetric) are
-    computed on integers, so only the kept classes are built."""
+    coordinates all lie in -4..8, in box order.  The coordinates are computed
+    on integers, so only the kept classes are built."""
     out = []
-    for nh in range(-5, 11):
-        for n1 in range(-8, 5):
-            for n2 in range(-8, 5):
-                for n3 in range(-8, 5):
-                    s = (3 * nh + n1 + n2 + n3, -n1, -n2, -n3,
-                         nh + n2 + n3, nh + n1 + n3, nh + n1 + n2)
-                    if -4 <= min(s) and max(s) <= 8:
-                        out.append(YClass((nh, n1, n2, n3)))
+    for c in itertools.product(range(-5, 11), *[range(-8, 5)] * 3):
+        s = symmetric_coords(c)
+        if -4 <= min(s) and max(s) <= 8:
+            out.append(YClass(c))
     return out
+
+
+def _resum(dec: dict[str, int], classes: dict[str, YClass]) -> tuple[int, ...]:
+    """Coefficients of the sum of mult * classes[name] over dec."""
+    return tuple(sum(mult * classes[name].coeffs[i] for name, mult in dec.items())
+                 for i in range(4))
 
 
 def _c5_decomposition_oracles(seed: int, table: GeneratorTable) -> tuple[bool, str]:
@@ -152,21 +154,13 @@ def _c5_decomposition_oracles(seed: int, table: GeneratorTable) -> tuple[bool, s
         dec = eff_decompose(cls)
         if (dec is not None) != _oracle_eff(cls):
             return False, f"eff mismatch at {cls}"
-        if dec is not None:
-            total = LAT.zero()
-            for name, mult in dec.items():
-                total = total + mult * CURVE_CLASS[name]
-            if total != cls:
-                return False, f"eff re-sum fails at {cls}"
+        if dec is not None and _resum(dec, CURVE_CLASS) != cls.coeffs:
+            return False, f"eff re-sum fails at {cls}"
         ndec = nef_decompose(cls)
         if (ndec is not None) != _oracle_nef(cls):
             return False, f"nef mismatch at {cls}"
-        if ndec is not None:
-            total = LAT.zero()
-            for name, mult in ndec.items():
-                total = total + mult * NEF_CLASS[name]
-            if total != cls:
-                return False, f"nef re-sum fails at {cls}"
+        if ndec is not None and _resum(ndec, NEF_CLASS) != cls.coeffs:
+            return False, f"nef re-sum fails at {cls}"
     return True, f"{len(classes)} classes against exhaustive search"
 
 

@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from burniat.config import BOUNDARY, CURVE_CLASS
-from burniat.delpezzo import (LAT, NEF_CLASS, SYMMETRY_GROUP, SymmetricCoords,
-                              _apply_symmetry, classify_exceptional, eff_decompose,
-                              eff_witness, enumerate_nef, is_nef_class,
-                              nef_decompose, to_symmetric)
+from burniat.delpezzo import (LAT, NEF_CLASS, SymmetricCoords, _SYMMETRY_INDEX,
+                              classify_exceptional, eff_decompose, enumerate_nef,
+                              is_nef_class, nef_decompose, nef_pairings,
+                              to_symmetric)
 from burniat.lattice import YClass, arithmetic_genus, canonical_class
 
 H = LAT.h()
@@ -54,7 +54,8 @@ def test_eff_decompose_examples():
     assert dict(eff_decompose(E1)) == {"A0": 1}
     assert dict(eff_decompose(MINUS_K)) == {f: 1 for f in BOUNDARY}
     assert eff_decompose(H - E1 - E2 - E3) is None
-    assert eff_witness(H - E1 - E2 - E3) == "h2"
+    # f1, f2, f3, h1 pair to 0, 0, 0, 1 and h2 negatively
+    assert nef_pairings((H - E1 - E2 - E3).coeffs) == (0, 0, 0, 1, -1)
 
 
 def test_nef_decompose_examples():
@@ -96,9 +97,9 @@ def test_classify_symmetry_invariance():
     # the verdict family/n is constant on symmetry orbits
     for cls in enumerate_nef(8):
         et = classify_exceptional(cls)
-        s = to_symmetric(cls)
-        for sym in SYMMETRY_GROUP:
-            moved = _apply_symmetry(sym, s)
+        s = to_symmetric(cls).as_tuple()
+        for _, idx in _SYMMETRY_INDEX:
+            moved = SymmetricCoords(*(s[i] for i in idx))
             image = from_symmetric(moved)
             assert to_symmetric(image) == moved  # the image is a class
             et2 = classify_exceptional(image)
