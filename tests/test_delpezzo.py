@@ -54,7 +54,7 @@ def test_eff_decompose_examples():
     assert dict(eff_decompose(E1)) == {"A0": 1}
     assert dict(eff_decompose(MINUS_K)) == {f: 1 for f in BOUNDARY}
     assert eff_decompose(H - E1 - E2 - E3) is None
-    # f1, f2, f3, h1 pair to 0, 0, 0, 1 and h2 negatively
+    # h2 is the one nef generator pairing negatively
     assert nef_pairings((H - E1 - E2 - E3).coeffs) == (0, 0, 0, 1, -1)
 
 
