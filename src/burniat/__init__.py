@@ -2,7 +2,8 @@
 
 Modules:
   linalg       exact linear algebra over Z, one GF(2) elimination routine
-  lattice      Picard lattices of blowups of the plane, mixed-group indices
+  lattice      Picard lattices of blowups of the plane, subgroup indices
+               in Z^r x (Z/2)^m from integer rows
   delpezzo     effective/nef semigroups on the degree-6 del Pezzo surface
   config       the five branch configurations and their blowups
   picard       the coordinate model of the Picard group and its torsion
@@ -12,12 +13,12 @@ Modules:
   verify       the acceptance suite
   cli          command-line front end
 """
-from .lattice import (SurfaceLattice, YClass, MixedGroup, MixedElement,
-                      canonical_class, arithmetic_genus, negative_curves,
-                      subgroup_index, DimensionError)
-from .delpezzo import (SymmetricCoords, ExceptionalType, to_symmetric,
-                       eff_decompose, nef_decompose, classify_exceptional,
-                       enumerate_nef, NotInLattice)
+from .lattice import (SurfaceLattice, YClass, canonical_class,
+                      arithmetic_genus, negative_curves, subgroup_index,
+                      DimensionError)
+from .delpezzo import (ExceptionalType, symmetric_coords, eff_decompose,
+                       nef_decompose, classify_exceptional, enumerate_nef,
+                       NotInLattice)
 from .config import (BurniatConfig, standard_config, all_standard_configs,
                      make_config, validate_building_data, minus_two_curves,
                      ramification_span_index, config_from_text,

@@ -32,7 +32,7 @@ from .config import BOUNDARY, CURVE_CLASS
 
 
 class NotInLattice(ValueError):
-    """Symmetric coordinates that do not come from an integral class."""
+    """A class that is not on the k = 3 lattice."""
 
 
 LAT = SurfaceLattice(3)
@@ -71,28 +71,6 @@ def _coeffs(d: YClass) -> tuple[int, ...]:
 
 def _minus(c: tuple[int, ...], row: tuple[int, ...]) -> tuple[int, ...]:
     return c[0] - row[0], c[1] - row[1], c[2] - row[2], c[3] - row[3]
-
-
-@dataclass(frozen=True)
-class SymmetricCoords:
-    d: int
-    a0: int
-    b0: int
-    c0: int
-    a3: int
-    b3: int
-    c3: int
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (self.d, self.a0, self.b0, self.c0, self.a3, self.b3, self.c3)
-
-    def __str__(self) -> str:
-        return (f"({self.d}; {self.a0},{self.b0},{self.c0};"
-                f" {self.a3},{self.b3},{self.c3})")
-
-
-def to_symmetric(d: YClass) -> SymmetricCoords:
-    return SymmetricCoords(*symmetric_coords(_coeffs(d)))
 
 
 # --- the 12-element symmetry group ------------------------------------------
@@ -230,7 +208,7 @@ def classify_exceptional(d: YClass) -> ExceptionalType:
     verdict is constant on symmetry orbits even where families overlap
     (a single ruling fibre also fits the fibre-plus-section pattern at n=1).
     """
-    s = to_symmetric(d).as_tuple()
+    s = symmetric_coords(_coeffs(d))
     if min(s) < 0:
         raise ValueError(f"{d} is not nef")
     p_a = arithmetic_genus(d)

@@ -19,9 +19,12 @@ has three layers:
   no sections (imported facts about the surface, cross-checked against the
   certificate search at every use).
 
-Verdicts carry re-checkable evidence: certificates re-sum through phi and
-traces re-validate step by step.  Those checks raise InvalidEvidence
-explicitly, so they also run under ``python -O``.
+Every verdict's evidence is checked where the verdict is made:
+s_membership re-sums its certificate through the table (maps_to),
+exceptional_induction re-sums each certificate it builds, and _base_case,
+the only constructor of NonEffective, re-validates the reduction trace step
+by step before it returns.  Those checks raise InvalidEvidence explicitly,
+so they also run under ``python -O``.
 
 minimal_form, is_minimal, s_membership and ReductionTrace.validate pack
 their class once into (n_h, n_1, n_2, n_3, mask) (see picard) and build an
@@ -36,14 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .lattice import YClass, canonical_class
-from .delpezzo import LAT, classify_exceptional, enumerate_nef, is_nef_class
+from .lattice import YClass, arithmetic_genus
+from .delpezzo import classify_exceptional, enumerate_nef, is_nef_class
 from .config import BOUNDARY, GENERATORS
 from .picard import (MASK_BITS, GeneratorTable, Packed, XClass, pack,
                      parse_xclass, unpack, xclass_to_text, TableInconsistent)
-
-# the 64 torsion bit-vectors, lexicographically: ALL_BITS[m] has the mask m
-ALL_BITS = list(MASK_BITS)
 
 INTERNAL_OF_LETTER = {"A": ("A1", "A2"), "B": ("B1", "B2"), "C": ("C1", "C2")}
 
@@ -247,7 +247,7 @@ def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int
                             "C0": n3 + a3 + b3 + t_b, "C1": t_c - c2, "C2": c2,
                             "C3": c3}
                     out[bits] = tuple(cert[g] for g in GENERATORS)
-                if len(out) == len(ALL_BITS):
+                if len(out) == len(MASK_BITS):
                     return out
     return out
 
@@ -256,7 +256,7 @@ def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
     """Certificate in S, or None (a proof of non-membership: the search is
     complete over the finitely many lattice-side solutions)."""
     p = table.pack(x)
-    cert = effective_lifts(p[:4]).get(ALL_BITS[p[4]])
+    cert = effective_lifts(p[:4]).get(MASK_BITS[p[4]])
     if cert is None:
         return None
     verdict = InS(cert)
@@ -269,24 +269,30 @@ def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
 
 
 def chi(table: GeneratorTable, x: XClass) -> int:
-    """Euler characteristic chi(x) = x.(x - K)/2 + 1."""
-    y = table.to_y(x)
-    mk = -canonical_class(LAT)
-    return (y.dot(y) - y.dot(mk)) // 2 + 1
+    """Euler characteristic chi(x) = x.(x - K)/2 + 1.
+
+    K_X pairs as -K_Y in these coordinates (to_y(K) = (3, -1, -1, -1)), so
+    chi(x) = y.(y + K_Y)/2 + 1 for y = to_y(x): the arithmetic genus of y."""
+    return arithmetic_genus(table.to_y(x))
 
 
 def _base_case(table: GeneratorTable, trace: ReductionTrace) -> NonEffective | None:
-    """NonEffective if the reduction ends in a base case, else None."""
+    """NonEffective if the reduction ends in a base case, else None.
+
+    The trace is re-validated before the verdict is returned."""
     reduced = trace.final
     if reduced.d < 0:
-        return NonEffective(trace, "negative-degree")
-    tid = trusted_id(reduced)
-    if tid is not None:
+        base = "negative-degree"
+    else:
+        tid = trusted_id(reduced)
+        if tid is None:
+            return None
         p = table.pack(reduced)
-        if effective_lifts(p[:4]).get(ALL_BITS[p[4]]) is not None:
+        if effective_lifts(p[:4]).get(MASK_BITS[p[4]]) is not None:
             raise TableInconsistent(f"trusted class {reduced} is in S")
-        return NonEffective(trace, f"trusted:{tid}")
-    return None
+        base = f"trusted:{tid}"
+    trace.validate(table)
+    return NonEffective(trace, base)
 
 
 def prove_non_effective(table: GeneratorTable, x: XClass) -> NonEffective | None:
@@ -408,11 +414,10 @@ def scan(table: GeneratorTable, d_max: int) -> ScanReport:
         raise ValueError(f"scan is capped at d_max <= 12, got {d_max}")
     report = ScanReport(d_max)
     for ycls in enumerate_nef(d_max):
-        for bits in ALL_BITS:
+        for bits in MASK_BITS:
             x = table.from_y(ycls, bits)
             v = decide(table, x)
             if isinstance(v, NonEffective):
-                v.trace.validate(table)
                 # the trace is the minimal_form pass of x, which stops at
                 # once exactly when x is minimal or has negative degree
                 minimal = not v.trace.steps and x.d >= 0
@@ -524,6 +529,4 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
     if verdict is None:
         reduced, trace = minimal_form(table, x)
         return Unresolved(trace, chi(table, x), "exceptional induction exhausted")
-    if trusted_id(x) is not None:
-        raise TableInconsistent(f"trusted class {x} received a certificate")
     return verdict

@@ -3,6 +3,8 @@
 A class n_h*h + n_1*e_1 + ... + n_k*e_k is stored as the integer tuple
 (n_h, n_1, ..., n_k); the intersection form is diagonal with h.h = +1 and
 e_i.e_i = -1.  The canonical class is normalised as K = -3h + e_1 + ... + e_k.
+subgroup_index measures a subgroup of Z^r x (Z/2)^m given by its generators
+as plain integer rows, the (Z/2)-coordinates last.
 
 All values are immutable and all operations are pure, so everything in this
 module can be shared freely.
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import lattice_index, bits_add
+from .linalg import lattice_index
 
 
 class DimensionError(ValueError):
@@ -132,44 +134,15 @@ def negative_curves(lat: SurfaceLattice, selfint: int) -> list[YClass]:
 # Finitely generated groups Z^r x (Z/2)^m
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MixedElement:
-    free: tuple[int, ...]
-    bits: tuple[int, ...]
+def subgroup_index(rows: list[tuple[int, ...]], torsion_rank: int) -> int | None:
+    """Index of the subgroup of Z^r x (Z/2)^m generated by the rows, or None
+    when it is infinite.
 
-    def __add__(self, other: "MixedElement") -> "MixedElement":
-        return MixedElement(
-            tuple(a + b for a, b in zip(self.free, other.free)),
-            bits_add(self.bits, other.bits),
-        )
-
-
-@dataclass(frozen=True)
-class MixedGroup:
-    """The group Z^free_rank x (Z/2)^torsion_rank."""
-
-    free_rank: int
-    torsion_rank: int
-
-    def element(self, free: tuple[int, ...], bits: tuple[int, ...]) -> MixedElement:
-        if len(free) != self.free_rank or len(bits) != self.torsion_rank:
-            raise DimensionError("element shape does not match group")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("torsion coordinates must be bits")
-        return MixedElement(tuple(free), tuple(bits))
-
-
-def subgroup_index(generators: list[MixedElement], ambient: MixedGroup) -> int | None:
-    """Index of the generated subgroup, or None when it is infinite.
-
-    Each (Z/2)-coordinate is encoded as an extra Z-coordinate together with a
-    relation row 2*unit; the index is then read off the Hermite normal form
-    of the stacked integer rows.
+    The last m = torsion_rank entries of each row are its (Z/2)-coordinates.
+    Each is encoded as an extra Z-coordinate together with a relation row
+    2*unit; the index is then read off the Hermite normal form of the stacked
+    integer rows.
     """
-    r, m = ambient.free_rank, ambient.torsion_rank
-    rows = [list(g.free) + list(g.bits) for g in generators]
-    for j in range(m):
-        rel = [0] * (r + m)
-        rel[r + j] = 2
-        rows.append(rel)
-    return lattice_index(rows, r + m)
+    n = len(rows[0])
+    rels = [[2 if j == i else 0 for j in range(n)] for i in range(n - torsion_rank, n)]
+    return lattice_index([*rows, *rels], n)

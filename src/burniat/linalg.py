@@ -57,16 +57,12 @@ def hnf_with_transform(rows: list[list[int]], ncols: int) -> tuple[list[list[int
     return a, u
 
 
-def hnf(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    return hnf_with_transform(rows, ncols)[0]
-
-
 def lattice_index(rows: list[list[int]], ncols: int) -> int | None:
     """Index in Z^ncols of the sublattice spanned by the rows.
 
     None when the span has deficient rank (infinite index).
     """
-    h = [r for r in hnf(rows, ncols) if any(r)]
+    h = [r for r in hnf_with_transform(rows, ncols)[0] if any(r)]
     if len(h) < ncols:
         return None
     det = 1
@@ -92,9 +88,6 @@ def left_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
 
 def bits_add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     return tuple((a + b) & 1 for a, b in zip(x, y))
-
-def bits_scale(c: int, x: tuple[int, ...]) -> tuple[int, ...]:
-    return x if c & 1 else tuple(0 for _ in x)
 
 
 def _mask(v: tuple[int, ...]) -> int:

@@ -57,10 +57,9 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import (YClass, MixedGroup, canonical_class,
-                      subgroup_index)
-from .linalg import (bits_add, bits_scale, gf2_echelon, gf2_left_null,
-                     gf2_nullspace, gf2_solve, left_kernel)
+from .lattice import YClass, canonical_class, subgroup_index
+from .linalg import (bits_add, gf2_echelon, gf2_left_null, gf2_nullspace,
+                     gf2_solve, lattice_index, left_kernel)
 from .config import (BurniatConfig, BOUNDARY, GENERATORS, CURVE_CLASS,
                      standard_config)
 
@@ -296,17 +295,16 @@ class GeneratorTable:
                 self.block[(g, f)] = blk
         if block_override:
             self.block.update(block_override)
-        self._rows = {g: XClass(self.degree[g],
-                                tuple(self.block[(g, f)] for f in ("A0", "B0", "C0")),
-                                self.emult[g])
-                      for g in GENERATORS}
-        # integer kernel of phi: (d, deg A0, deg B0, deg C0, 6-bit mask, emult)
-        self._int_rows = {g: (x.d, *(b.deg for b in x.blocks), _mask(x.bits), x.emult)
-                          for g, x in self._rows.items()}
         # integer kernel of column: per boundary curve, g -> (deg, 2-bit mask)
         self._columns = {f: {g: (self.block[(g, f)].deg, _mask(self.block[(g, f)].bits))
                              for g in GENERATORS}
                          for f in BOUNDARY}
+        # integer kernel of phi: (d, deg A0, deg B0, deg C0, 6-bit mask, emult)
+        self._int_rows = {}
+        for g in GENERATORS:
+            (r0, m0), (r1, m1), (r2, m2) = (self._columns[f][g] for f in ("A0", "B0", "C0"))
+            self._int_rows[g] = (self.degree[g], r0, r1, r2, m0 << 4 | m1 << 2 | m2,
+                                 self.emult[g])
         # packed K^2 = 6 generator rows: the curve's numerical class and its mask
         self.packed_rows = {g: (*CURVE_CLASS[g].coeffs, self._int_rows[g][4])
                             for g in GENERATORS}
@@ -316,13 +314,6 @@ class GeneratorTable:
         self._check_consistency()
 
     # -- generator images ---------------------------------------------------
-
-    def row(self, g: str) -> XClass:
-        return self._rows[g]
-
-    def e_row(self, s: int) -> XClass:
-        return XClass(2, (ZERO_BLOCK,) * 3,
-                      tuple(-2 if t == s else 0 for t in range(self.k)))
 
     def phi(self, combo: dict[str, int],
             e_combo: dict[int, int] | None = None) -> XClass:
@@ -432,17 +423,14 @@ class GeneratorTable:
 
     def _free_rows(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """(d, emult, block degrees) and torsion bits of the 12 generator rows,
-        then of the k E_s rows."""
-        xs = [self.row(g) for g in GENERATORS] + [self.e_row(s) for s in range(self.k)]
-        return [((x.d, *x.emult, *(b.deg for b in x.blocks)), x.bits) for x in xs]
-
-    def generator_elements(self):
-        group = MixedGroup(4 + self.k, 6)
-        return group, [group.element(free, bits) for free, bits in self._free_rows()]
+        then of the k E_s rows (d = 2, emult -2 at s, trivial blocks)."""
+        rows = [((d, *em, r0, r1, r2), MASK_BITS[mask])
+                for d, r0, r1, r2, mask, em in map(self._int_rows.get, GENERATORS)]
+        return rows + [((2, *(-2 if t == s else 0 for t in range(self.k)), 0, 0, 0),
+                        MASK_BITS[0]) for s in range(self.k)]
 
     def image_index(self) -> int | None:
-        group, elems = self.generator_elements()
-        return subgroup_index(elems, group)
+        return subgroup_index([free + bits for free, bits in self._free_rows()], 6)
 
     def _kernel_combos(self) -> list[dict[str, int]]:
         """Generators of {combos : phi(combo) == 0} over the 12+k generators."""
@@ -455,7 +443,8 @@ class GeneratorTable:
         for kv in free_kernel:
             b = (0,) * 6
             for c, row in zip(kv, bit_rows):
-                b = bits_add(b, bits_scale(c, row))
+                if c & 1:
+                    b = bits_add(b, row)
             reduced.append(b)
         combos: list[dict[str, int]] = []
         # doubles of the free kernel always lie in the full kernel
@@ -474,12 +463,9 @@ class GeneratorTable:
         return combos
 
     def _check_consistency(self) -> None:
-        # (d) degrees match lattice pairings
-        minus_k = -canonical_class(self.cfg.lattice)
+        # (d) block degrees match lattice pairings
         for g in GENERATORS:
             sg = self.cfg.strict_transform(g)
-            if self.degree[g] != sg.dot(minus_k):
-                raise TableInconsistent(f"degree of {g} disagrees with the lattice")
             for f in BOUNDARY:
                 if self.block[(g, f)].deg != sg.dot(self.cfg.strict_transform(f)):
                     raise TableInconsistent(
@@ -570,7 +556,6 @@ def coordinate_map_index(cfg: BurniatConfig) -> int:
         rows.append([b.dot(minus_k)]
                     + [b.dot(cfg.exceptional(s)) for s in range(cfg.k)]
                     + [b.dot(cfg.pullback(c)) for c in boundary3])
-    from .linalg import lattice_index
     idx = lattice_index(rows, 4 + cfg.k)
     if idx is None:
         raise TableInconsistent(f"coordinate map of K^2={cfg.ksq} is not of full rank")

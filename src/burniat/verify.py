@@ -19,10 +19,10 @@ from .delpezzo import (LAT, NEF_CLASS, classify_exceptional, eff_decompose,
 from .config import (BOUNDARY, CURVE_CLASS, InvalidBuildingData,
                      all_standard_configs, minus_two_curves, standard_config,
                      ramification_span_index, validate_building_data)
-from .picard import (GeneratorTable, build_generator_table, image_index,
-                     picard_image_index, torsion_subgroup, parse_xclass,
-                     xclass_to_text)
-from .effective import (ALL_BITS, InS, NonEffective, ScanReport, decide,
+from .picard import (MASK_BITS, GeneratorTable, build_generator_table,
+                     image_index, picard_image_index, torsion_subgroup,
+                     parse_xclass, xclass_to_text)
+from .effective import (InS, NonEffective, ScanReport, decide,
                         exceptional_induction, is_minimal, s_membership,
                         scan, step3_tables)
 from .degeneration import (DEGENERATE, SMOOTH, PairReport,
@@ -208,7 +208,7 @@ def _c8_step4(seed: int, table: GeneratorTable) -> tuple[bool, str]:
         d = ycls.dot(minus_k)
         if d < 7 or classify_exceptional(ycls).family == "NonExceptional":
             continue
-        for bits in ALL_BITS:
+        for bits in MASK_BITS:
             x = table.from_y(ycls, bits)
             if not is_minimal(table, x):
                 continue

@@ -3,10 +3,9 @@ import itertools
 import pytest
 
 from burniat.config import BOUNDARY, CURVE_CLASS
-from burniat.delpezzo import (LAT, NEF_CLASS, SymmetricCoords, _SYMMETRY_INDEX,
-                              classify_exceptional, eff_decompose, enumerate_nef,
-                              is_nef_class, nef_decompose, nef_pairings,
-                              to_symmetric)
+from burniat.delpezzo import (LAT, NEF_CLASS, _SYMMETRY_INDEX, classify_exceptional,
+                              eff_decompose, enumerate_nef, is_nef_class,
+                              nef_decompose, nef_pairings, symmetric_coords)
 from burniat.lattice import YClass, arithmetic_genus, canonical_class
 
 H = LAT.h()
@@ -22,22 +21,23 @@ def resum(dec, classes):
 
 
 def from_symmetric(s):
-    """The class with symmetric coordinates s: n_h = (d + a0 + b0 + c0) / 3."""
-    return YClass(((s.d + s.a0 + s.b0 + s.c0) // 3, -s.a0, -s.b0, -s.c0))
+    """The class with symmetric coordinates s = (d; a0, b0, c0; a3, b3, c3):
+    n_h = (d + a0 + b0 + c0) / 3."""
+    d, a0, b0, c0 = s[:4]
+    return YClass(((d + a0 + b0 + c0) // 3, -a0, -b0, -c0))
 
 
 def test_symmetric_coordinates_examples():
-    assert to_symmetric(H - E1).as_tuple() == (2, 1, 0, 0, 1, 0, 0)
-    assert to_symmetric(H).as_tuple() == (3, 0, 0, 0, 1, 1, 1)
-    assert from_symmetric(SymmetricCoords(6, 2, 2, 2, 0, 0, 0)) == \
-        2 * (2 * H - E1 - E2 - E3)
+    assert symmetric_coords((H - E1).coeffs) == (2, 1, 0, 0, 1, 0, 0)
+    assert symmetric_coords(H.coeffs) == (3, 0, 0, 0, 1, 1, 1)
+    assert from_symmetric((6, 2, 2, 2, 0, 0, 0)) == 2 * (2 * H - E1 - E2 - E3)
 
 
 def test_symmetric_round_trip():
     for nh in range(-3, 4):
         for ni in itertools.product(range(-2, 3), repeat=3):
             cls = YClass((nh,) + ni)
-            assert from_symmetric(to_symmetric(cls)) == cls
+            assert from_symmetric(symmetric_coords(cls.coeffs)) == cls
 
 
 def test_degree_is_sum_of_boundary_pairings():
@@ -46,8 +46,8 @@ def test_degree_is_sum_of_boundary_pairings():
     for f in BOUNDARY:
         total = total + CURVE_CLASS[f]
     assert total == MINUS_K
-    s = to_symmetric(YClass((5, -2, -1, 0)))
-    assert s.d == s.a0 + s.b0 + s.c0 + s.a3 + s.b3 + s.c3
+    s = symmetric_coords((5, -2, -1, 0))
+    assert s[0] == sum(s[1:])
 
 
 def test_eff_decompose_examples():
@@ -97,11 +97,11 @@ def test_classify_symmetry_invariance():
     # the verdict family/n is constant on symmetry orbits
     for cls in enumerate_nef(8):
         et = classify_exceptional(cls)
-        s = to_symmetric(cls).as_tuple()
+        s = symmetric_coords(cls.coeffs)
         for _, idx in _SYMMETRY_INDEX:
-            moved = SymmetricCoords(*(s[i] for i in idx))
+            moved = tuple(s[i] for i in idx)
             image = from_symmetric(moved)
-            assert to_symmetric(image) == moved  # the image is a class
+            assert symmetric_coords(image.coeffs) == moved  # the image is a class
             et2 = classify_exceptional(image)
             assert (et2.family, et2.n) == (et.family, et.n)
 
@@ -122,11 +122,13 @@ def test_enumerate_nef_deterministic():
     assert all(is_nef_class(YClass(c)) for c in a)
 
 
-def test_criterion5_keeps_the_to_symmetric_filter():
+def test_criterion5_keeps_the_symmetric_coordinate_filter():
     # criterion 5 filters its box on integer symmetric coordinates; the kept
-    # classes, in order, are those whose to_symmetric coordinates lie in -4..8
+    # classes, in order, are those whose pairings with -K and the six boundary
+    # curves, computed with YClass.dot, lie in -4..8
     from burniat.verify import _c5_classes
+    curves = [MINUS_K] + [CURVE_CLASS[f] for f in BOUNDARY]
     want = [YClass(c) for c in itertools.product(range(-5, 11), *[range(-8, 5)] * 3)
-            if all(-4 <= v <= 8 for v in to_symmetric(YClass(c)).as_tuple())]
+            if all(-4 <= YClass(c).dot(v) <= 8 for v in curves)]
     assert _c5_classes() == want
     assert len(want) == 4397

@@ -16,8 +16,7 @@ from burniat.config import BOUNDARY, CURVE_CLASS
 from burniat.delpezzo import (LAT, NEF_CLASS, NEF_ORDER, SYMMETRY_GROUP,
                               ExceptionalType, NotInLattice, classify_exceptional,
                               eff_decompose, enumerate_nef, is_nef_class,
-                              nef_decompose, nef_pairings, symmetric_coords,
-                              to_symmetric)
+                              nef_decompose, nef_pairings, symmetric_coords)
 from burniat.lattice import SurfaceLattice, YClass, arithmetic_genus, canonical_class
 
 MINUS_K = -canonical_class(LAT)
@@ -150,8 +149,8 @@ def test_arithmetic_genus_equals_the_pairing_formula_for_any_k():
             assert arithmetic_genus(d) == d.dot(d - minus_k) // 2 + 1
 
 
-@pytest.mark.parametrize("fn", [to_symmetric, eff_decompose, nef_decompose,
-                                is_nef_class, classify_exceptional])
+@pytest.mark.parametrize("fn", [eff_decompose, nef_decompose, is_nef_class,
+                                classify_exceptional])
 @pytest.mark.parametrize("coeffs", [(1, 0, 0), (1, -1, 0, 0, 0)])
 def test_classes_off_the_k3_lattice_are_refused(fn, coeffs):
     with pytest.raises(NotInLattice):

@@ -14,14 +14,14 @@ from burniat.config import (BOUNDARY, GENERATORS, STANDARD_CASES,
                             InvalidBuildingData, standard_config)
 from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_check
 from burniat.delpezzo import classify_exceptional
-from burniat.effective import (ALL_BITS, TRUSTED, InS, InvalidEvidence, NonEffective,
+from burniat.effective import (TRUSTED, InS, InvalidEvidence, NonEffective,
                                ScanReport, Unresolved, decide, effective_lifts,
                                exceptional_induction, is_minimal, minimal_form,
                                prove_non_effective, s_membership, scan, step3_tables,
                                trusted_id, verdict_text)
 from burniat.lattice import YClass
-from burniat.picard import (Block, GeneratorTable, NotARepresentableClass, XClass,
-                            build_generator_table, parse_xclass, torsion_subgroup,
+from burniat.picard import (MASK_BITS, Block, GeneratorTable, NotARepresentableClass,
+                            XClass, build_generator_table, parse_xclass, torsion_subgroup,
                             xclass_to_text)
 from burniat.verify import run_all
 
@@ -285,7 +285,7 @@ def test_trusted_id_agrees_with_the_literals_and_their_twists():
     for text, tid in TRUSTED.items():
         x = lit(text)
         assert trusted_id(x) == tid
-        for bits in ALL_BITS[1:]:
+        for bits in MASK_BITS[1:]:
             twisted = XClass(x.d, tuple(Block(b.deg, ((b.bits[0] + bits[2 * i]) & 1,
                                                        (b.bits[1] + bits[2 * i + 1]) & 1))
                                         for i, b in enumerate(x.blocks)))
@@ -358,6 +358,24 @@ try:
     print("wrong end accepted")
 except eff.InvalidEvidence:
     print("wrong end rejected")
+# the same corrupted entry in the shared K^2 = 6 table: decide re-validates
+# its own trace, and the CLI prints no verdict
+import contextlib, io
+from burniat.cli import main
+from burniat.picard import build_generator_table
+T = build_generator_table(6)
+T.restrictions(T.pack(q10))
+(key, masks), = T._restriction_masks.items()
+T._restriction_masks[key] = masks[:3] + (1,) + masks[4:]
+try:
+    eff.decide(T, q10)
+    print("corrupted table accepted by decide")
+except eff.InvalidEvidence:
+    print("corrupted table rejected by decide")
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["effective", "--class", "(3; 1 10; 1 10; 1 10)"])
+print("cli exit", code, "verdict" in out.getvalue())
 """
 
 
@@ -367,7 +385,9 @@ def test_forged_packed_evidence_rejected_under_optimize():
                           capture_output=True, text=True, timeout=120, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.splitlines() == ["debug False", "corrupted dict rejected",
-                                        "wrong end rejected"]
+                                        "wrong end rejected",
+                                        "corrupted table rejected by decide",
+                                        "cli exit 2 False"]
 
 
 def test_no_assert_statements_in_the_library():
@@ -431,7 +451,7 @@ def test_step3_full_tables():
 # --- exceptional induction ----------------------------------------------------------
 
 def _minimal_lift_of(ycls):
-    for bits in ALL_BITS:
+    for bits in MASK_BITS:
         x = T.from_y(ycls, bits)
         if is_minimal(T, x):
             return x

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from burniat.lattice import (DimensionError, MixedGroup, SurfaceLattice,
-                             YClass, arithmetic_genus, canonical_class,
+from burniat.lattice import (DimensionError, SurfaceLattice, YClass, arithmetic_genus, canonical_class,
                              negative_curves, subgroup_index)
 
 LAT3 = SurfaceLattice(3)
@@ -86,20 +85,16 @@ def test_negative_curves_k_bound():
 
 
 def test_subgroup_index_basics():
-    g = MixedGroup(2, 0)
-    basis = [g.element((1, 0), ()), g.element((0, 1), ())]
-    assert subgroup_index(basis, g) == 1
-    doubled = [g.element((2, 0), ()), g.element((0, 2), ())]
-    assert subgroup_index(doubled, g) == 4
-    assert subgroup_index([g.element((1, 1), ())], g) is None
+    assert subgroup_index([(1, 0), (0, 1)], 0) == 1
+    assert subgroup_index([(2, 0), (0, 2)], 0) == 4
+    assert subgroup_index([(1, 1)], 0) is None
 
 
 def _brute_force_index(gens, mod=16):
     """Coset count in (Z/mod)^2 x F_2^2; exact when the index divides mod."""
     seen = {(0, 0, 0, 0)}
     frontier = [(0, 0, 0, 0)]
-    steps = [(x.free[0] % mod, x.free[1] % mod, x.bits[0], x.bits[1])
-             for x in gens]
+    steps = [(x[0] % mod, x[1] % mod, x[2], x[3]) for x in gens]
     while frontier:
         cur = frontier.pop()
         for s in steps:
@@ -113,7 +108,6 @@ def _brute_force_index(gens, mod=16):
 
 def test_subgroup_index_against_coset_counting():
     rng = random.Random(42)
-    g = MixedGroup(2, 2)
     torsion_choices = [
         ([], 4), ([(1, 0)], 2), ([(0, 1)], 2), ([(1, 1)], 2),
         ([(1, 0), (0, 1)], 1),
@@ -124,15 +118,16 @@ def test_subgroup_index_against_coset_counting():
         tgens, tcofactor = rng.choice(torsion_choices)
         if a1 * a2 * tcofactor > 16:
             continue
-        gens = [g.element((a1, 0), rng.choice(tgens) if tgens else (0, 0)),
-                g.element((0, a2), rng.choice(tgens) if tgens else (0, 0))]
-        gens += [g.element((0, 0), t) for t in tgens]
+        # rows (free part, then the two (Z/2)-coordinates)
+        gens = [(a1, 0, *(rng.choice(tgens) if tgens else (0, 0))),
+                (0, a2, *(rng.choice(tgens) if tgens else (0, 0)))]
+        gens += [(0, 0, *t) for t in tgens]
         # a unimodular mix preserves the subgroup
         m = rng.randint(-2, 2)
-        gens[0] = gens[0] + g.element(tuple(m * v for v in gens[1].free),
-                                      tuple(m % 2 * b for b in gens[1].bits))
+        (f0, g0, s0, t0), (f1, g1, s1, t1) = gens[:2]
+        gens[0] = (f0 + m * f1, g0 + m * g1, (s0 + m * s1) & 1, (t0 + m * t1) & 1)
         expected = a1 * a2 * tcofactor
-        assert subgroup_index(gens, g) == expected == _brute_force_index(gens)
+        assert subgroup_index(gens, 2) == expected == _brute_force_index(gens)
 
 
 def test_signature_on_basis():

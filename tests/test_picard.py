@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
                             standard_config)
-from burniat.lattice import MixedGroup, YClass, subgroup_index
-from burniat.linalg import bits_add, bits_scale
+from burniat.lattice import YClass, subgroup_index
+from burniat.linalg import bits_add
 from burniat.picard import (Block, GeneratorTable, MASK_BITS,
                             NotARepresentableClass, TableInconsistent, VEC,
                             VEC_COMBO, XClass, _torsion_solution,
@@ -117,7 +117,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 def _block_sum(a: Block, c: int, b: Block) -> Block:
-    return Block(a.deg + c * b.deg, bits_add(a.bits, bits_scale(c, b.bits)))
+    return Block(a.deg + c * b.deg, bits_add(a.bits, b.bits) if c & 1 else a.bits)
 
 
 def reference_phi(table, combo, e_combo):
@@ -299,10 +299,9 @@ def test_generators_fill_the_congruence_subgroup_k6():
     # expressed in a basis of the congruence subgroup of Z^4 x F_2^6, the
     # twelve generator images span everything (index 1)
     basis = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [1, 1, 1, 0]]
-    group = MixedGroup(4, 6)
     elems = []
     for g in GENERATORS:
-        x = T6.row(g)
+        x = T6.phi({g: 1})
         t = [x.d] + [b.deg for b in x.blocks]
         # the solution of coords @ basis == t: it is integral iff 3 | sum(t)
         assert sum(t) % 3 == 0
@@ -311,8 +310,8 @@ def test_generators_fill_the_congruence_subgroup_k6():
         coords = (c1, t[1] + c1 - c4, -t[3], c4)
         assert [sum(c * row[j] for c, row in zip(coords, basis))
                 for j in range(4)] == t
-        elems.append(group.element(coords, x.bits))
-    assert subgroup_index(elems, group) == 1
+        elems.append(coords + x.bits)
+    assert subgroup_index(elems, 6) == 1
 
 
 # --- canonical lift -----------------------------------------------------------
@@ -405,6 +404,6 @@ def test_pack_refusals():
 
 def test_packed_rows_are_the_packed_generator_images():
     for g in GENERATORS:
-        assert T6.packed_rows[g] == T6.pack(T6.row(g))
+        assert T6.packed_rows[g] == T6.pack(T6.phi({g: 1}))
         assert T6.maps_to({g: 1}, T6.packed_rows[g])
         assert not T6.maps_to({g: 2}, T6.packed_rows[g])
