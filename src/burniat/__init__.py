@@ -23,7 +23,7 @@ from .config import (BurniatConfig, standard_config, all_standard_configs,
                      make_config, validate_building_data, minus_two_curves,
                      ramification_span_index, config_from_text,
                      InvalidBuildingData)
-from .picard import (Block, XClass, GeneratorTable, build_generator_table,
+from .picard import (XClass, GeneratorTable, build_generator_table,
                      torsion_subgroup, image_index, picard_image_index,
                      parse_xclass, xclass_to_text,
                      NotARepresentableClass, TableInconsistent)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .lattice import YClass, arithmetic_genus
-from .delpezzo import classify_exceptional, enumerate_nef, is_nef_class
+from .delpezzo import ExceptionalType, classify_exceptional, enumerate_nef, is_nef_class
 from .config import BOUNDARY, GENERATORS
 from .picard import (MASK_BITS, GeneratorTable, Packed, XClass, pack,
                      parse_xclass, unpack, xclass_to_text, TableInconsistent)
@@ -90,7 +90,7 @@ class ReductionTrace:
             if step.reason == "negative":
                 justified = pairing < 0
             elif step.reason == "torsion":
-                justified = pairing == 0 and not table.column(combo, step.curve).is_zero()
+                justified = pairing == 0 and table.column(combo, step.curve) != (0, 0)
             else:
                 justified = False
             if not justified:
@@ -492,14 +492,14 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
     memo: dict[Packed, InS | None] = {}
     rows = table.packed_rows
 
-    def resolve(p: Packed) -> InS | None:
+    def resolve(p: Packed, fam: ExceptionalType) -> InS | None:
+        """fam is the exceptional type of p's numerical class."""
         if p in memo:
             return memo[p]
         if 3 * p[0] + p[1] + p[2] + p[3] <= 8:  # the degree d
             out = s_membership(table, unpack(p))
             memo[p] = out
             return out
-        fam = classify_exceptional(YClass(p[:4]))
         out = None
         for letter in "ABC":
             gens = INTERNAL_OF_LETTER[letter]
@@ -511,7 +511,7 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
             if rest_et.family != fam.family or (fam.n or 0) - (rest_et.n or 0) != 1:
                 continue
             for gen in gens:
-                sub = resolve(_minus(p, rows[gen]))
+                sub = resolve(_minus(p, rows[gen]), rest_et)
                 if sub is not None:
                     cert = list(sub.certificate)
                     cert[GENERATORS.index(gen)] += 1
@@ -525,7 +525,7 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
         memo[p] = out
         return out
 
-    verdict = resolve(table.pack(x))
+    verdict = resolve(table.pack(x), et)
     if verdict is None:
         reduced, trace = minimal_form(table, x)
         return Unresolved(trace, chi(table, x), "exceptional induction exhausted")

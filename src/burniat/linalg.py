@@ -31,7 +31,6 @@ def hnf_with_transform(rows: list[list[int]], ncols: int) -> tuple[list[list[int
         u[i], u[j] = u[j], u[i]
 
     pivot_row = 0
-    pivots: list[tuple[int, int]] = []
     for col in range(ncols):
         pr = next((r for r in range(pivot_row, m) if a[r][col] != 0), None)
         if pr is None:
@@ -52,7 +51,6 @@ def hnf_with_transform(rows: list[list[int]], ncols: int) -> tuple[list[list[int
             q = a[r][col] // p
             if q:
                 rowsub(r, pivot_row, q)
-        pivots.append((pivot_row, col))
         pivot_row += 1
     return a, u
 

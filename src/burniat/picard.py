@@ -1,13 +1,17 @@
 """Coordinate model for the Picard group of a Burniat surface.
 
-A divisor class L is encoded as an XClass
+A divisor class L is printed as
 
     (d; rA tA; rB tB; rC tC; m_1..m_k)
 
 where d = L.K, m_s = L.(E_s/2) (absent for K^2 = 6), and each boundary block
 (r, t) is the restriction of L to the marked elliptic curve A0/B0/C0: r is the
 degree and t in {00, 10, 01, 11} names the 2-torsion summand relative to the
-curve's four marked points.
+curve's four marked points.  In code a block is the integer pair (r, m) with
+the 2-bit mask m = 2 * t[0] + t[1], and an XClass is the flat record
+(d, r0, r1, r2, mask, emult): the block degrees on A0, B0, C0 and the 6-bit
+mask of their labels, A0 bits first.  Adding classes adds the integers and
+XORs the masks.
 
 The twelve configuration curves generate the group; their restriction blocks
 form the generator table.  The table is produced by one filling rule:
@@ -25,19 +29,18 @@ of the derived A3/B3/C3 restriction maps, the spanning property of the
 torsion vectors, the image index 3 for K^2 = 6, and agreement of every block
 degree with the lattice pairing.
 
-XClass is the parse and print form.  The K^2 = 6 decision procedures carry
-a class packed as (n_h, n_1, n_2, n_3, mask), its numerical class y and its
-6-bit torsion mask (A0 bits first).  pack refuses an exceptional part and a
-failed congruence, GeneratorTable.pack also a table with K^2 != 6.
+The K^2 = 6 decision procedures carry a class packed as
+(n_h, n_1, n_2, n_3, mask), its numerical class y and the same 6-bit mask.
+pack refuses an exceptional part and a failed congruence, GeneratorTable.pack
+also a table with K^2 != 6.
 
 phi and column work on integers.  Once the blocks are fixed (including any
 override) the table packs each generator into one flat row (d, the three
-block degrees, mask, emult), each (generator, boundary curve) block into a
-(deg, 2-bit mask) pair, and each generator into the packed CURVE_CLASS[g]
-plus its mask; subtracting a curve from a packed class is four integer
-subtractions and one XOR.  A combination is summed with integer products and
-an XOR of the masks of its odd coefficients; maps_to compares that integer
-kernel with a packed class, and phi builds only the result as an XClass.
+block degrees, mask, emult), which has the fields of XClass, and into the
+packed CURVE_CLASS[g] plus its mask; subtracting a curve from a packed class
+is four integer subtractions and one XOR.  A combination is summed with
+integer products and an XOR of the masks of its odd coefficients; maps_to
+compares that sum with a packed class, and phi wraps it as an XClass.
 preimage_combo corrects torsion bits against the constant basis VEC, so its
 GF(2) solve has 64 targets and is memoised; every call checks its combo.
 
@@ -73,32 +76,11 @@ class TableInconsistent(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# Boundary blocks and classes
+# Classes; a boundary block is a (deg, 2-bit mask) pair
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Block:
-    """Element (deg, bits) of Z.P00 + F[2] on one boundary elliptic curve."""
-
-    deg: int
-    bits: tuple[int, int]
-
-    def __add__(self, other: "Block") -> "Block":
-        return Block(self.deg + other.deg, bits_add(self.bits, other.bits))
-
-    def __sub__(self, other: "Block") -> "Block":
-        return Block(self.deg - other.deg, bits_add(self.bits, other.bits))
-
-    def is_zero(self) -> bool:
-        return self.deg == 0 and self.bits == (0, 0)
-
-
-ZERO_BLOCK = Block(0, (0, 0))
-
-# torsion label (b0, b1) of a block <-> its 2-bit mask 2*b0 + b1
-_PAIR = ((0, 0), (0, 1), (1, 0), (1, 1))
 # the 64 torsion bit-vectors, lexicographically: MASK_BITS[m] has the 6-bit mask m
-MASK_BITS = tuple(_PAIR[m >> 4] + _PAIR[m >> 2 & 3] + _PAIR[m & 3] for m in range(64))
+MASK_BITS = tuple(tuple(map(int, f"{m:06b}")) for m in range(64))
 
 
 def _mask(bits: tuple[int, ...]) -> int:
@@ -111,31 +93,36 @@ def _mask(bits: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class XClass:
-    """A class in the coordinate model; emult is empty when K^2 = 6."""
+    """A class in the coordinate model: d, the block degrees r0, r1, r2 on
+    A0, B0, C0, their 6-bit torsion mask (A0 bits first) and emult, which is
+    empty when K^2 = 6."""
 
     d: int
-    blocks: tuple[Block, Block, Block]
+    r0: int
+    r1: int
+    r2: int
+    mask: int
     emult: tuple[int, ...] = ()
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return self.blocks[0].bits + self.blocks[1].bits + self.blocks[2].bits
+        return MASK_BITS[self.mask]
 
     def __add__(self, other: "XClass") -> "XClass":
         _same_emult_length(self, other)
-        return XClass(self.d + other.d,
-                      tuple(a + b for a, b in zip(self.blocks, other.blocks)),
+        return XClass(self.d + other.d, self.r0 + other.r0, self.r1 + other.r1,
+                      self.r2 + other.r2, self.mask ^ other.mask,
                       tuple(a + b for a, b in zip(self.emult, other.emult)))
 
     def __sub__(self, other: "XClass") -> "XClass":
         _same_emult_length(self, other)
-        return XClass(self.d - other.d,
-                      tuple(a - b for a, b in zip(self.blocks, other.blocks)),
+        return XClass(self.d - other.d, self.r0 - other.r0, self.r1 - other.r1,
+                      self.r2 - other.r2, self.mask ^ other.mask,
                       tuple(a - b for a, b in zip(self.emult, other.emult)))
 
     def is_zero(self) -> bool:
-        return (self.d == 0 and all(b.is_zero() for b in self.blocks)
-                and not any(self.emult))
+        return not (self.d or self.r0 or self.r1 or self.r2 or self.mask
+                    or any(self.emult))
 
     def __str__(self) -> str:
         return xclass_to_text(self)
@@ -148,10 +135,11 @@ def _same_emult_length(x: XClass, y: XClass) -> None:
 
 
 def xclass_to_text(x: XClass) -> str:
-    parts = [str(x.d)]
-    parts += [f"{b.deg} {b.bits[0]}{b.bits[1]}" for b in x.blocks]
+    m = x.mask
+    parts = [str(x.d), f"{x.r0} {m >> 4:02b}", f"{x.r1} {m >> 2 & 3:02b}",
+             f"{x.r2} {m & 3:02b}"]
     if x.emult:
-        parts.append(",".join(str(m) for m in x.emult))
+        parts.append(",".join(str(v) for v in x.emult))
     return "(" + "; ".join(parts) + ")"
 
 
@@ -163,17 +151,17 @@ def parse_xclass(text: str) -> XClass:
     m = _X_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse class literal {text!r}")
-    d = int(m.group(1))
-    blocks = []
+    degs, mask = [], 0
     for part in m.groups()[1:4]:
         fields = part.split()
         if len(fields) != 2 or not re.fullmatch(r"[01][01]", fields[1]):
             raise ValueError(f"bad block {part!r} in {text!r}")
-        blocks.append(Block(int(fields[0]), (int(fields[1][0]), int(fields[1][1]))))
+        degs.append(int(fields[0]))
+        mask = mask << 2 | int(fields[1], 2)
     emult: tuple[int, ...] = ()
     if m.group(5) is not None:
         emult = tuple(int(v) for v in m.group(5).split(","))
-    return XClass(d, tuple(blocks), emult)
+    return XClass(int(m.group(1)), *degs, mask, emult)
 
 
 # (n_h, n_1, n_2, n_3, 6-bit torsion mask) of a K^2 = 6 class
@@ -184,13 +172,10 @@ def pack(x: XClass) -> Packed:
     """Packed form of a class of the K^2 = 6 model."""
     if x.emult:
         raise NotARepresentableClass(f"{x} has an exceptional part; K^2 = 6 has none")
-    b0, b1, b2 = x.blocks
-    nh, rest = divmod(x.d + b0.deg + b1.deg + b2.deg, 3)
+    nh, rest = divmod(x.d + x.r0 + x.r1 + x.r2, 3)
     if rest:
         raise NotARepresentableClass(f"congruence fails for {x}")
-    (a, b), (c, e), (f, g) = b0.bits, b1.bits, b2.bits
-    return (nh, -b0.deg, -b1.deg, -b2.deg,
-            (a & 1) << 5 | (b & 1) << 4 | (c & 1) << 3 | (e & 1) << 2 | (f & 1) << 1 | g & 1)
+    return nh, -x.r0, -x.r1, -x.r2, x.mask
 
 
 def _ints(p: Packed) -> tuple[int, int, int, int, int, tuple[int, ...]]:
@@ -200,14 +185,8 @@ def _ints(p: Packed) -> tuple[int, int, int, int, int, tuple[int, ...]]:
     return 3 * nh + n1 + n2 + n3, -n1, -n2, -n3, mask, ()
 
 
-def _xclass(d: int, r0: int, r1: int, r2: int, mask: int,
-            emult: tuple[int, ...]) -> XClass:
-    return XClass(d, (Block(r0, _PAIR[mask >> 4]), Block(r1, _PAIR[mask >> 2 & 3]),
-                      Block(r2, _PAIR[mask & 3])), emult)
-
-
 def unpack(p: Packed) -> XClass:
-    return _xclass(*_ints(p))
+    return XClass(*_ints(p))
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +196,14 @@ def unpack(p: Packed) -> XClass:
 # For each boundary curve F, the curves meeting it and the 2-torsion label of
 # the meeting point.  P00 is the intersection with the odd-coloured curve out
 # of the four; the labels on A3, B3, C3 mirror those on A0, B0, C0 under the
-# 0<->3 swap.
-MEET: dict[str, dict[str, tuple[int, int]]] = {
-    "A0": {"B3": (0, 0), "C3": (1, 0), "C1": (0, 1), "C2": (1, 1)},
-    "B0": {"C3": (0, 0), "A3": (1, 0), "A1": (0, 1), "A2": (1, 1)},
-    "C0": {"A3": (0, 0), "B3": (1, 0), "B1": (0, 1), "B2": (1, 1)},
-    "A3": {"B0": (0, 0), "C0": (1, 0), "C1": (0, 1), "C2": (1, 1)},
-    "B3": {"C0": (0, 0), "A0": (1, 0), "A1": (0, 1), "A2": (1, 1)},
-    "C3": {"A0": (0, 0), "B0": (1, 0), "B1": (0, 1), "B2": (1, 1)},
+# 0<->3 swap.  A label t is stored as its 2-bit mask, 0b10 for t = 10.
+MEET: dict[str, dict[str, int]] = {
+    "A0": {"B3": 0b00, "C3": 0b10, "C1": 0b01, "C2": 0b11},
+    "B0": {"C3": 0b00, "A3": 0b10, "A1": 0b01, "A2": 0b11},
+    "C0": {"A3": 0b00, "B3": 0b10, "B1": 0b01, "B2": 0b11},
+    "A3": {"B0": 0b00, "C0": 0b10, "C1": 0b01, "C2": 0b11},
+    "B3": {"C0": 0b00, "A0": 0b10, "A1": 0b01, "A2": 0b11},
+    "C3": {"A0": 0b00, "B0": 0b10, "B1": 0b01, "B2": 0b11},
 }
 
 # Basis vectors of V = F_2^6, blocked (A0 | B0 | C0).
@@ -274,7 +253,7 @@ class GeneratorTable:
     """
 
     def __init__(self, cfg: BurniatConfig,
-                 block_override: dict[tuple[str, str], Block] | None = None):
+                 block_override: dict[tuple[str, str], tuple[int, int]] | None = None):
         self.cfg = cfg
         self.k = cfg.k
         minus_k = -canonical_class(cfg.lattice)
@@ -283,26 +262,23 @@ class GeneratorTable:
             g: tuple(1 if s in cfg.points_on(g) else 0 for s in range(cfg.k))
             for g in GENERATORS
         }
-        self.block: dict[tuple[str, str], Block] = {}
+        # (generator, boundary curve) -> (deg, 2-bit mask) of the restriction
+        self.block: dict[tuple[str, str], tuple[int, int]] = {}
         for g in GENERATORS:
             for f in BOUNDARY:
                 if g == f:
-                    blk = Block(-1, (0, 0))
+                    blk = (-1, 0)
                 elif g in MEET[f]:
-                    blk = Block(1, MEET[f][g])
+                    blk = (1, MEET[f][g])
                 else:
-                    blk = ZERO_BLOCK
+                    blk = (0, 0)
                 self.block[(g, f)] = blk
         if block_override:
             self.block.update(block_override)
-        # integer kernel of column: per boundary curve, g -> (deg, 2-bit mask)
-        self._columns = {f: {g: (self.block[(g, f)].deg, _mask(self.block[(g, f)].bits))
-                             for g in GENERATORS}
-                         for f in BOUNDARY}
-        # integer kernel of phi: (d, deg A0, deg B0, deg C0, 6-bit mask, emult)
+        # integer kernel of phi: the XClass fields (d, r0, r1, r2, mask, emult)
         self._int_rows = {}
         for g in GENERATORS:
-            (r0, m0), (r1, m1), (r2, m2) = (self._columns[f][g] for f in ("A0", "B0", "C0"))
+            (r0, m0), (r1, m1), (r2, m2) = (self.block[g, f] for f in ("A0", "B0", "C0"))
             self._int_rows[g] = (self.degree[g], r0, r1, r2, m0 << 4 | m1 << 2 | m2,
                                  self.emult[g])
         # packed K^2 = 6 generator rows: the curve's numerical class and its mask
@@ -318,7 +294,7 @@ class GeneratorTable:
     def phi(self, combo: dict[str, int],
             e_combo: dict[int, int] | None = None) -> XClass:
         """Image of an integer combination of generators (and E_s)."""
-        return _xclass(*self._phi_ints(combo, e_combo))
+        return XClass(*self._phi_ints(combo, e_combo))
 
     def maps_to(self, combo: dict[str, int], p: Packed) -> bool:
         """Whether phi(combo) is the packed K^2 = 6 class p."""
@@ -326,7 +302,7 @@ class GeneratorTable:
 
     def _phi_ints(self, combo: dict[str, int], e_combo: dict[int, int] | None = None
                   ) -> tuple[int, int, int, int, int, tuple[int, ...]]:
-        """Integer kernel of phi: (d, the three block degrees, mask, emult)."""
+        """Integer kernel of phi: the XClass fields (d, r0, r1, r2, mask, emult)."""
         d = r0 = r1 = r2 = mask = 0
         em = [0] * self.k
         rows = self._int_rows
@@ -349,16 +325,17 @@ class GeneratorTable:
             em[s] -= 2 * c
         return d, r0, r1, r2, mask, tuple(em)
 
-    def column(self, combo: dict[str, int], f: str) -> Block:
-        """Restriction of a generator combination to the boundary curve f."""
+    def column(self, combo: dict[str, int], f: str) -> tuple[int, int]:
+        """(deg, 2-bit mask) of the restriction of a generator combination to
+        the boundary curve f."""
         deg = mask = 0
-        col = self._columns[f]
+        block = self.block
         for g, c in combo.items():
-            gdeg, gmask = col[g]
+            gdeg, gmask = block[(g, f)]
             deg += c * gdeg
             if c & 1:
                 mask ^= gmask
-        return Block(deg, _PAIR[mask])
+        return deg, mask
 
     # -- K^2 = 6 specific queries --------------------------------------------
 
@@ -395,13 +372,13 @@ class GeneratorTable:
 
     def restrictions(self, p: Packed) -> tuple[tuple[int, int], ...]:
         """(deg, 2-bit mask) of the packed class p on each boundary curve in
-        BOUNDARY order; the mask of a block with bits (b0, b1) is 2 * b0 + b1."""
+        BOUNDARY order."""
         nh, n1, n2, n3, mask = p
         key = (nh & 1, n1 & 1, n2 & 1, n3 & 1, mask)
         masks = self._restriction_masks.get(key)
         if masks is None:
             combo = self.preimage_combo(unpack(p))
-            masks = tuple(_mask(self.column(combo, f).bits) for f in BOUNDARY)
+            masks = tuple(self.column(combo, f)[1] for f in BOUNDARY)
             self._restriction_masks[key] = masks
         m0, m1, m2, m3, m4, m5 = masks
         # the pairings with A0, B0, C0 = e1, e2, e3 and with
@@ -417,7 +394,7 @@ class GeneratorTable:
 
     def canonical(self) -> XClass:
         """The canonical class (6; 1 00; 1 00; 1 00) [+ zero e-part]."""
-        return XClass(6, (Block(1, (0, 0)),) * 3, (0,) * self.k)
+        return XClass(6, 1, 1, 1, 0, (0,) * self.k)
 
     # -- consistency suite ----------------------------------------------------
 
@@ -467,7 +444,7 @@ class GeneratorTable:
         for g in GENERATORS:
             sg = self.cfg.strict_transform(g)
             for f in BOUNDARY:
-                if self.block[(g, f)].deg != sg.dot(self.cfg.strict_transform(f)):
+                if self.block[(g, f)][0] != sg.dot(self.cfg.strict_transform(f)):
                     raise TableInconsistent(
                         f"block degree ({g},{f}) disagrees with the lattice")
         # (a) the six standard difference combos hit the basis vectors
@@ -475,7 +452,7 @@ class GeneratorTable:
             img = self.phi(VEC_COMBO[v])
             if img.bits != VEC[v]:
                 raise TableInconsistent(f"combo for vec {v} maps to {img.bits}")
-            if self.k == 0 and (img.d != 0 or any(b.deg for b in img.blocks)):
+            if self.k == 0 and (img.d or img.r0 or img.r1 or img.r2):
                 raise TableInconsistent(f"combo for vec {v} is not torsion")
         # (c) the basis vectors span V; index 3 for K^2 = 6
         if len(gf2_echelon([VEC[v] for v in VEC_ORDER])) != 6:
@@ -490,7 +467,7 @@ class GeneratorTable:
             if not img.is_zero():
                 raise TableInconsistent("kernel generator does not map to zero")
             for f in ("A3", "B3", "C3"):
-                if not self.column(gen_part, f).is_zero():
+                if self.column(gen_part, f) != (0, 0):
                     raise TableInconsistent(
                         f"kernel combo has nonzero restriction on {f}")
 
@@ -514,14 +491,14 @@ def table_to_text(table: GeneratorTable) -> str:
     lines = []
     for g in GENERATORS:
         for f in BOUNDARY:
-            b = table.block[(g, f)]
-            lines.append(f"{g} {f} {b.deg} {b.bits[0]}{b.bits[1]}")
+            deg, m = table.block[(g, f)]
+            lines.append(f"{g} {f} {deg} {m:02b}")
     return "\n".join(lines) + "\n"
 
 
-def table_override_from_text(text: str) -> dict[tuple[str, str], Block]:
+def table_override_from_text(text: str) -> dict[tuple[str, str], tuple[int, int]]:
     """Parse a block-table dump; unknown labels or malformed lines reject."""
-    out: dict[tuple[str, str], Block] = {}
+    out: dict[tuple[str, str], tuple[int, int]] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -534,7 +511,7 @@ def table_override_from_text(text: str) -> dict[tuple[str, str], Block]:
             raise ValueError(f"unknown labels in {raw!r}")
         if not re.fullmatch(r"[01][01]", bits):
             raise ValueError(f"bad bits in {raw!r}")
-        out[(g, f)] = Block(int(deg), (int(bits[0]), int(bits[1])))
+        out[(g, f)] = (int(deg), int(bits, 2))
     return out
 
 

@@ -243,14 +243,11 @@ def _c10_properties(seed: int, table: GeneratorTable) -> tuple[bool, str]:
         rhs = arithmetic_genus(d1) + arithmetic_genus(d2) + d1.dot(d2) - 1
         if lhs != rhs:
             return False, f"p_a additivity fails at {d1}, {d2}"
-    # certificate and trace re-validation over a scan
+    # certificate re-sum over a scan; decide has validated every trace
     rep = scan(table, 3)
     for r in rep.records:
-        if isinstance(r.verdict, InS):
-            if table.phi(r.verdict.as_dict()) != r.x:
-                return False, f"certificate fails to re-sum at {r.x}"
-        elif isinstance(r.verdict, NonEffective):
-            r.verdict.trace.validate(table)
+        if isinstance(r.verdict, InS) and table.phi(r.verdict.as_dict()) != r.x:
+            return False, f"certificate fails to re-sum at {r.x}"
     # determinism: two scans render byte-identically
     if rep.to_text() != scan(table, 3).to_text():
         return False, "scan is not deterministic"

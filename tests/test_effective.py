@@ -20,7 +20,7 @@ from burniat.effective import (TRUSTED, InS, InvalidEvidence, NonEffective,
                                prove_non_effective, s_membership, scan, step3_tables,
                                trusted_id, verdict_text)
 from burniat.lattice import YClass
-from burniat.picard import (MASK_BITS, Block, GeneratorTable, NotARepresentableClass,
+from burniat.picard import (MASK_BITS, GeneratorTable, NotARepresentableClass,
                             XClass, build_generator_table, parse_xclass, torsion_subgroup,
                             xclass_to_text)
 from burniat.verify import run_all
@@ -285,10 +285,8 @@ def test_trusted_id_agrees_with_the_literals_and_their_twists():
     for text, tid in TRUSTED.items():
         x = lit(text)
         assert trusted_id(x) == tid
-        for bits in MASK_BITS[1:]:
-            twisted = XClass(x.d, tuple(Block(b.deg, ((b.bits[0] + bits[2 * i]) & 1,
-                                                       (b.bits[1] + bits[2 * i + 1]) & 1))
-                                        for i, b in enumerate(x.blocks)))
+        for twist in range(1, 64):
+            twisted = XClass(x.d, x.r0, x.r1, x.r2, x.mask ^ twist)
             assert trusted_id(twisted) == TRUSTED.get(xclass_to_text(twisted)) is None
 
 
@@ -435,7 +433,7 @@ def test_every_public_name_is_used_by_the_library():
 
 def test_step3_spot_checks():
     # one nonzero twist and one shift, plus the bare canonical class
-    nu = XClass(0, (Block(0, (1, 0)), Block(0, (0, 0)), Block(0, (0, 0))))
+    nu = XClass(0, 0, 0, 0, 0b100000)  # (0; 0 10; 0 00; 0 00)
     assert isinstance(s_membership(T, KX + nu), InS)
     assert isinstance(s_membership(T, KX + T.phi({"A0": 1})), InS)
     assert s_membership(T, KX) is None

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
                             standard_config)
 from burniat.lattice import YClass, subgroup_index
 from burniat.linalg import bits_add
-from burniat.picard import (Block, GeneratorTable, MASK_BITS,
+from burniat.picard import (GeneratorTable, MASK_BITS,
                             NotARepresentableClass, TableInconsistent, VEC,
                             VEC_COMBO, XClass, _torsion_solution,
                             build_generator_table, image_index, pack,
@@ -29,10 +30,11 @@ def y_class(combo):
 # --- generator table ---------------------------------------------------------
 
 def test_table_blocks_examples():
-    assert T6.block[("C3", "A0")] == Block(1, (1, 0))
-    assert T6.block[("A0", "A0")] == Block(-1, (0, 0))
-    assert T6.block[("A1", "B0")] == Block(1, (0, 1))
-    assert T6.block[("A1", "A0")] == Block(0, (0, 0))
+    # (deg, 2-bit mask); the mask of the label 10 is 0b10
+    assert T6.block[("C3", "A0")] == (1, 0b10)
+    assert T6.block[("A0", "A0")] == (-1, 0b00)
+    assert T6.block[("A1", "B0")] == (1, 0b01)
+    assert T6.block[("A1", "A0")] == (0, 0b00)
 
 
 def test_tables_build_for_all_cases():
@@ -41,16 +43,23 @@ def test_tables_build_for_all_cases():
 
 
 def test_corrupted_table_rejected():
-    override = {("C3", "A0"): Block(1, (0, 1))}
+    override = {("C3", "A0"): (1, 0b01)}
     with pytest.raises(TableInconsistent):
         GeneratorTable(standard_config(6), override)
-    override = {("A1", "B0"): Block(0, (0, 1))}  # wrong degree
+    override = {("A1", "B0"): (0, 0b01)}  # wrong degree
     with pytest.raises(TableInconsistent):
         GeneratorTable(standard_config(6), override)
 
 
 def test_table_text_round_trip():
     text = table_to_text(T6)
+    # the printed format itself, which a change made to both the writer and
+    # the parser would keep round-tripping
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "78788501d294c9b64618375cd543836c2ff8d3daa167f2afcdb0b83f823569a3"
+    lines = text.splitlines()
+    for line in ("C3 A0 1 10", "A1 B0 1 01", "C2 A0 1 11", "A0 A0 -1 00"):
+        assert line in lines
     override = table_override_from_text(text)
     rebuilt = GeneratorTable(standard_config(6), override)
     assert rebuilt.block == T6.block
@@ -82,14 +91,14 @@ def test_phi_congruence_closure():
     for _ in range(100):
         combo = {g: rng.randint(-2, 2) for g in GENERATORS}
         x = T6.phi(combo)
-        assert (x.d + sum(b.deg for b in x.blocks)) % 3 == 0
+        assert (x.d + x.r0 + x.r1 + x.r2) % 3 == 0
 
 
 def test_vec_combos_map_to_basis_vectors():
     for name, combo in VEC_COMBO.items():
         img = T6.phi(combo)
         assert img.bits == VEC[name]
-        assert img.d == 0 and all(b.deg == 0 for b in img.blocks)
+        assert (img.d, img.r0, img.r1, img.r2) == (0, 0, 0, 0)
 
 
 def test_canonical_class_and_torsion_correction():
@@ -116,13 +125,21 @@ COMBOS = st.dictionaries(st.sampled_from(GENERATORS), COEFFS)
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
-def _block_sum(a: Block, c: int, b: Block) -> Block:
-    return Block(a.deg + c * b.deg, bits_add(a.bits, b.bits) if c & 1 else a.bits)
+def _label(mask2):
+    """The torsion label (b0, b1) of a 2-bit block mask."""
+    return mask2 >> 1, mask2 & 1
+
+
+def _block_sum(a, c, block):
+    """a + c * block, a as (deg, label) and block as (deg, 2-bit mask)."""
+    deg, mask2 = block
+    return a[0] + c * deg, bits_add(a[1], _label(mask2)) if c & 1 else a[1]
 
 
 def reference_phi(table, combo, e_combo):
-    """phi as the sum of the scaled generator blocks."""
-    d, blocks, em = 0, (Block(0, (0, 0)),) * 3, (0,) * table.k
+    """phi as (d, block degrees, torsion bits, emult), the sum of the scaled
+    generator blocks with their labels added by bits_add."""
+    d, blocks, em = 0, ((0, (0, 0)),) * 3, (0,) * table.k
     for g, c in combo.items():
         d += c * table.degree[g]
         blocks = tuple(_block_sum(a, c, table.block[(g, f)])
@@ -131,11 +148,11 @@ def reference_phi(table, combo, e_combo):
     for s, c in e_combo.items():
         d += 2 * c
         em = tuple(a - 2 * c if t == s else a for t, a in enumerate(em))
-    return XClass(d, blocks, em)
+    return d, tuple(deg for deg, _ in blocks), sum((t for _, t in blocks), ()), em
 
 
 def reference_column(table, combo, f):
-    out = Block(0, (0, 0))
+    out = (0, (0, 0))
     for g, c in combo.items():
         out = _block_sum(out, c, table.block[(g, f)])
     return out
@@ -148,9 +165,12 @@ def test_phi_and_column_match_block_sums(case, combo, data):
     e_combo = {}
     if table.k:
         e_combo = data.draw(st.dictionaries(st.integers(0, table.k - 1), COEFFS))
-    assert table.phi(combo, e_combo) == reference_phi(table, combo, e_combo)
+    x = table.phi(combo, e_combo)
+    assert (x.d, (x.r0, x.r1, x.r2), x.bits, x.emult) == \
+        reference_phi(table, combo, e_combo)
     for f in BOUNDARY:
-        assert table.column(combo, f) == reference_column(table, combo, f)
+        deg, mask2 = table.column(combo, f)
+        assert (deg, _label(mask2)) == reference_column(table, combo, f)
 
 
 def test_phi_rejects_unknown_exceptional_curve():
@@ -176,8 +196,7 @@ def combo_path_restrictions(table, x):
     pre = table.preimage_combo(x)
     out = []
     for f in BOUNDARY:
-        b = table.column(pre, f)
-        out.append((table.pairing(table.pack(x), f), 2 * b.bits[0] + b.bits[1]))
+        out.append((table.pairing(table.pack(x), f), table.column(pre, f)[1]))
     return tuple(out)
 
 
@@ -227,7 +246,7 @@ def test_restrict_well_defined_on_random_combos():
         x = T6.phi(combo)
         direct = [T6.column(combo, f) for f in ("A3", "B3", "C3")]
         derived = T6.restrictions(T6.pack(x))[3:]
-        assert [(b.deg, 2 * b.bits[0] + b.bits[1]) for b in direct] == list(derived)
+        assert direct == list(derived)
 
 
 def test_restriction_degree_equals_pairing():
@@ -259,7 +278,7 @@ def test_intersect_x_is_the_lattice_pairing():
 
 def test_to_y_congruence_error():
     with pytest.raises(NotARepresentableClass):
-        T6.to_y(XClass(1, (Block(0, (0, 0)),) * 3))
+        T6.to_y(XClass(1, 0, 0, 0, 0))
     # K^2 = 6 classes have no exceptional part
     with pytest.raises(NotARepresentableClass):
         T6.restrictions(T6.pack(parse_xclass("(3; 0 00; 0 00; 0 00; 5)")))
@@ -302,7 +321,7 @@ def test_generators_fill_the_congruence_subgroup_k6():
     elems = []
     for g in GENERATORS:
         x = T6.phi({g: 1})
-        t = [x.d] + [b.deg for b in x.blocks]
+        t = [x.d, x.r0, x.r1, x.r2]
         # the solution of coords @ basis == t: it is integral iff 3 | sum(t)
         assert sum(t) % 3 == 0
         c4 = sum(t) // 3
@@ -322,7 +341,7 @@ def test_canonical_lift_torsion_class():
     # vecA1 + vecB1
     cfg = standard_config(5)
     x = build_generator_table(5).phi({"A1": 1, "A2": -1, "B1": 1, "B2": -1}, {0: 1})
-    assert x.d == 0 and all(b.deg == 0 for b in x.blocks)
+    assert (x.d, x.r0, x.r1, x.r2) == (0, 0, 0, 0)
     assert not any(x.emult)
     assert x.bits == bits_add(VEC["A1"], VEC["B1"])
     # and this vector is indeed in the torsion subgroup for K^2 = 5
@@ -332,6 +351,10 @@ def test_canonical_lift_torsion_class():
 # --- serialization -------------------------------------------------------------
 
 def test_xclass_text_round_trip():
+    # the mask holds the A0 label in its top bits and each label's first digit
+    # above its second: the order of TRUSTED_PACKED and of the scan records
+    assert parse_xclass("(3; 1 10; 1 10; 1 10)") == XClass(3, 1, 1, 1, 0b101010)
+    assert parse_xclass("(0; 0 10; 0 00; 0 01)") == XClass(0, 0, 0, 0, 0b100001)
     rng = random.Random(23)
     for _ in range(100):
         combo = {g: rng.randint(-2, 2) for g in GENERATORS}
@@ -340,7 +363,7 @@ def test_xclass_text_round_trip():
 
 
 def test_xclass_parse_with_emult():
-    x = XClass(2, (Block(0, (0, 0)),) * 3, (-2, 0))
+    x = XClass(2, 0, 0, 0, 0, (-2, 0))
     text = xclass_to_text(x)
     assert text == "(2; 0 00; 0 00; 0 00; -2,0)"
     assert parse_xclass(text) == x
