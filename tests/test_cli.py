@@ -28,6 +28,29 @@ def test_torsion_counts(capsys):
         assert all(len(l.replace(" ", "")) == 6 for l in lines)
 
 
+# the full `burniat torsion` text of the six standard cases
+TORSION_TEXT = {
+    (6, "plain"): "# torsion basis, K^2=6 variant=plain (dimension 6)\n"
+                  "10 00 00\n01 00 00\n00 10 00\n00 01 00\n00 00 10\n00 00 01\n",
+    (5, "plain"): "# torsion basis, K^2=5 variant=plain (dimension 5)\n"
+                  "01 00 00\n10 10 00\n00 01 00\n10 00 10\n00 00 01\n",
+    (4, "nodal"): "# torsion basis, K^2=4 variant=nodal (dimension 4)\n"
+                  "10 10 00\n00 01 00\n10 00 10\n01 00 01\n",
+    (4, "non-nodal"): "# torsion basis, K^2=4 variant=non-nodal (dimension 4)\n"
+                      "10 10 00\n01 01 00\n10 00 10\n01 00 01\n",
+    (3, "plain"): "# torsion basis, K^2=3 variant=plain (dimension 3)\n"
+                  "10 10 00\n10 00 10\n11 01 01\n",
+    (2, "plain"): "# torsion basis, K^2=2 variant=plain (dimension 3)\n"
+                  "10 10 00\n10 00 10\n01 01 01\n",
+}
+
+
+def test_torsion_text_unchanged(capsys):
+    for (ksq, variant), text in TORSION_TEXT.items():
+        assert run(capsys, "torsion", "--ksq", str(ksq), "--variant", variant) \
+            == (0, text, "")
+
+
 def test_torsion_from_config_file(capsys, tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("ksq = 5\nvariant = plain\npoint = A1 B1 C1\n")

@@ -1,7 +1,8 @@
 import random
 
-from burniat.linalg import (bits_add, gf2_echelon, gf2_nullspace, gf2_solve,
-                            hnf_with_transform, lattice_index, left_kernel)
+from burniat.linalg import (bits_add, gf2_echelon, gf2_left_null, gf2_nullspace,
+                            gf2_solve, hnf_with_transform, lattice_index,
+                            left_kernel)
 
 
 def test_hnf_transform_invariant():
@@ -57,3 +58,71 @@ def test_gf2_solve():
             acc = bits_add(acc, r)
     assert acc == target
     assert gf2_solve([(1, 1, 0)], (1, 0, 0)) is None
+
+
+# --- the GF(2) routines against brute force -------------------------------------
+# Vectors are 6-bit ints, coordinate 0 most significant; a row combination is
+# a bitmask with bit i set for row i.
+
+def _tuple(v):
+    return tuple(v >> (5 - i) & 1 for i in range(6))
+
+
+def _int(t):
+    return sum(b << (5 - i) for i, b in enumerate(t))
+
+
+def _combo(sol):
+    return sum(b << i for i, b in enumerate(sol))
+
+
+def _subset_sums(rows):
+    """The XOR of every subset of rows, indexed by the subset's bitmask."""
+    sums = [0]
+    for r in rows:
+        sums += [s ^ r for s in sums]
+    return sums
+
+
+def _is_basis_of(basis, space):
+    return set(_subset_sums(basis)) == space and 2 ** len(basis) == len(space)
+
+
+def _random_rows(rng):
+    n = rng.randint(0, 6)
+    if rng.random() < 0.5:
+        return [rng.randrange(64) for _ in range(n)]
+    # rows from a random subspace of low rank, so that dependencies are common
+    gens = [rng.randrange(64) for _ in range(rng.randint(1, 3))]
+    return [rng.choice(_subset_sums(gens)) for _ in range(n)]
+
+
+def test_gf2_routines_against_brute_force():
+    rng = random.Random(41)
+    for _ in range(300):
+        rows = _random_rows(rng)
+        trows = [_tuple(r) for r in rows]
+        sums = _subset_sums(rows)
+        span = set(sums)
+        # reduced echelon basis of the span: leading coordinates increase and
+        # each leading coordinate is zero in every other row
+        ech = [_int(v) for v in gf2_echelon(trows)]
+        assert _is_basis_of(ech, span)
+        leads = [1 << (v.bit_length() - 1) for v in ech]
+        assert leads == sorted(set(leads), reverse=True)
+        for i, lead in enumerate(leads):
+            assert all(not v & lead for j, v in enumerate(ech) if j != i)
+        # right null space over all 64 vectors
+        null = {v for v in range(64)
+                if all((v & r).bit_count() % 2 == 0 for r in rows)}
+        assert _is_basis_of([_int(v) for v in gf2_nullspace(trows, 6)], null)
+        # left null space over all row subsets
+        zero_sums = {c for c, s in enumerate(sums) if s == 0}
+        assert _is_basis_of([_combo(c) for c in gf2_left_null(trows)], zero_sums)
+        # every target: a combination summing to it exactly when it is in the span
+        for target in range(64):
+            sol = gf2_solve(trows, _tuple(target))
+            if target in span:
+                assert sol is not None and sums[_combo(sol)] == target
+            else:
+                assert sol is None
