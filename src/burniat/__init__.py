@@ -24,7 +24,7 @@ from .config import (BurniatConfig, standard_config, all_standard_configs,
                      ramification_span_index, config_from_text,
                      InvalidBuildingData)
 from .picard import (XClass, GeneratorTable, build_generator_table,
-                     torsion_subgroup, image_index, picard_image_index,
+                     torsion_subgroup, picard_image_index,
                      parse_xclass, xclass_to_text,
                      NotARepresentableClass, TableInconsistent)
 from .effective import (InS, NonEffective, Unresolved, ReductionTrace,

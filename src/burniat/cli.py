@@ -77,7 +77,7 @@ def cmd_torsion(args) -> int:
     print(f"# torsion basis, K^2={cfg.ksq} variant={cfg.variant}"
           f" (dimension {len(basis)})")
     for v in basis:
-        print(f"{v[0]}{v[1]} {v[2]}{v[3]} {v[4]}{v[5]}")
+        print(f"{v >> 4:02b} {v >> 2 & 3:02b} {v & 3:02b}")
     return 0
 
 

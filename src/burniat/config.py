@@ -121,11 +121,15 @@ def all_standard_configs() -> list[BurniatConfig]:
 
 def make_config(points: list[tuple[str, str, str]], variant: str = "custom") -> BurniatConfig:
     """Configuration from explicit triple points, for experiments."""
+    seen: set[frozenset[str]] = set()
     for p in points:
         if len(p) != 3 or sorted(x[0] for x in p) != ["A", "B", "C"]:
             raise ValueError(f"point {p} is not one curve from each letter group")
         if any(x not in INTERNAL for x in p):
             raise ValueError(f"point {p} must lie on internal curves")
+        if frozenset(p) in seen:
+            raise ValueError(f"point {' '.join(p)} is given twice")
+        seen.add(frozenset(p))
     return BurniatConfig(6 - len(points), variant, tuple(points))
 
 

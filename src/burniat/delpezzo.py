@@ -91,7 +91,7 @@ def _symmetry_index(sym: tuple[tuple[int, int, int], bool]) -> tuple[int, ...]:
     return (0, *hi, *lo) if swap else (0, *lo, *hi)
 
 
-_SYMMETRY_INDEX = [(sym, _symmetry_index(sym)) for sym in SYMMETRY_GROUP]
+_SYMMETRY_INDEX = [_symmetry_index(sym) for sym in SYMMETRY_GROUP]
 
 
 # --- effective and nef decomposition ----------------------------------------
@@ -177,14 +177,12 @@ class ExceptionalType:
     """Classification of a nef class by arithmetic genus.
 
     family is one of "Type1".."Type4" or "NonExceptional"; n parametrises
-    families 1-3; symmetry records which group element carries the input to
-    the family's normal form.
+    families 1-3.
     """
 
     family: str
     n: int | None
     p_a: int
-    symmetry: tuple[tuple[int, int, int], bool] | None
 
 
 def _normal_forms(d: int):
@@ -212,15 +210,15 @@ def classify_exceptional(d: YClass) -> ExceptionalType:
     if min(s) < 0:
         raise ValueError(f"{d} is not nef")
     p_a = arithmetic_genus(d)
-    moved = [(sym, tuple(s[i] for i in idx)) for sym, idx in _SYMMETRY_INDEX]
+    moved = [tuple(s[i] for i in idx) for idx in _SYMMETRY_INDEX]
     for family, n, form in _normal_forms(s[0]):
-        for sym, m in moved:
+        for m in moved:
             if m == form:
                 expected = -(n - 1) if family == "Type1" else 0
                 if p_a != expected:
                     raise AssertionError(f"{d} classified {family} n={n} "
                                          f"but p_a={p_a}")
-                return ExceptionalType(family, n, p_a, sym)
+                return ExceptionalType(family, n, p_a)
     if p_a <= 0 and not d.is_zero():
         raise AssertionError(f"unclassified nef class {d} with p_a={p_a}")
-    return ExceptionalType("NonExceptional", None, p_a, None)
+    return ExceptionalType("NonExceptional", None, p_a)

@@ -186,11 +186,11 @@ def _least_counts(lo: int, three: int) -> tuple[int, int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
+def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     """All torsion lifts of a numerical class that lie in S.
 
-    Maps achievable bit-vectors to one certificate each: the first one in
-    the composition order (a3, b3, c3, t_a, t_b) of n_h into the three
+    Maps achievable 6-bit torsion masks to one certificate each: the first
+    one in the composition order (a3, b3, c3, t_a, t_b) of n_h into the three
     boundary multiplicities A3, B3, C3 and the internal letter counts
     t_a = A1 + A2, t_b = B1 + B2, t_c = C1 + C2.  The other boundary
     multiplicities are then fixed, a0 = n1 + b3 + c3 + t_c,
@@ -199,7 +199,7 @@ def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int
     those splits: the search is complete.
 
     Closed-form inner step: given (a3, b3, c3) and r = n_h - a3 - b3 - c3,
-    a target bit-vector fixes the parities of t_a, t_b and t_c, and a zero
+    a target mask fixes the parities of t_a, t_b and t_c, and a zero
     count fixes the matching first bit (see _least_counts).  The admissible
     values of each count are therefore all values of its parity from a least
     one up, so the first certificate takes the least t_a and t_b, and one
@@ -209,7 +209,7 @@ def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int
     and it stops once all 64 lifts are found.
     """
     nh, n1, n2, n3 = ycoeffs
-    out: dict[tuple[int, ...], tuple[int, ...]] = {}
+    out: dict[int, tuple[int, ...]] = {}
     if nh < 0:
         return out
     for a3 in range(nh + 1):
@@ -231,13 +231,13 @@ def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int
                         for afirst in (0, 1):
                             if t_c < least_c[2 * afirst + (t_c & 1)]:
                                 continue
-                            # bits: A-block from C-letter, B from A, C from B
-                            bits = (afirst, t_c & 1, ka >> 1, ka & 1, kb >> 1, kb & 1)
-                            if bits not in out:
-                                found.append((t_a, t_b, afirst, ka >> 1, kb >> 1, bits))
+                            # mask: A-block from C-letter, B from A, C from B
+                            mask = afirst << 5 | (t_c & 1) << 4 | ka << 2 | kb
+                            if mask not in out:
+                                found.append((t_a, t_b, afirst, ka >> 1, kb >> 1, mask))
                 # in the order (t_a, t_b, first bits) in which a full
                 # enumeration of this triple would reach them
-                for t_a, t_b, afirst, bfirst, cfirst, bits in sorted(found):
+                for t_a, t_b, afirst, bfirst, cfirst, mask in sorted(found):
                     t_c = r - t_a - t_b
                     a2, b2, c2 = (bfirst + a3) & 1, (cfirst + b3) & 1, (afirst + c3) & 1
                     cert = {"A0": n1 + b3 + c3 + t_c, "A1": t_a - a2, "A2": a2,
@@ -246,8 +246,8 @@ def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int
                             "B3": b3,
                             "C0": n3 + a3 + b3 + t_b, "C1": t_c - c2, "C2": c2,
                             "C3": c3}
-                    out[bits] = tuple(cert[g] for g in GENERATORS)
-                if len(out) == len(MASK_BITS):
+                    out[mask] = tuple(cert[g] for g in GENERATORS)
+                if len(out) == 64:
                     return out
     return out
 
@@ -256,7 +256,7 @@ def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
     """Certificate in S, or None (a proof of non-membership: the search is
     complete over the finitely many lattice-side solutions)."""
     p = table.pack(x)
-    cert = effective_lifts(p[:4]).get(MASK_BITS[p[4]])
+    cert = effective_lifts(p[:4]).get(p[4])
     if cert is None:
         return None
     verdict = InS(cert)
@@ -288,7 +288,7 @@ def _base_case(table: GeneratorTable, trace: ReductionTrace) -> NonEffective | N
         if tid is None:
             return None
         p = table.pack(reduced)
-        if effective_lifts(p[:4]).get(MASK_BITS[p[4]]) is not None:
+        if p[4] in effective_lifts(p[:4]):
             raise TableInconsistent(f"trusted class {reduced} is in S")
         base = f"trusted:{tid}"
     trace.validate(table)

@@ -1,7 +1,10 @@
 """Exact linear algebra over Z and GF(2).
 
 Everything here works on plain Python ints (arbitrary precision), so there is
-no floating point anywhere.  Matrices are lists of row tuples/lists.
+no floating point anywhere.  Integer matrices are lists of row tuples/lists.
+A GF(2) vector of length n is one n-bit int with coordinate 0 as its most
+significant bit, the encoding of the 6-bit torsion masks of picard; a
+combination of rows comes back as the tuple of its row indices.
 """
 from __future__ import annotations
 
@@ -81,29 +84,17 @@ def left_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) vectors: tuples of 0/1 outside, int bitmasks in the elimination
+# GF(2): a vector of length n is an n-bit int, coordinate 0 most significant
 # ---------------------------------------------------------------------------
 
-def bits_add(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((a + b) & 1 for a, b in zip(x, y))
-
-
-def _mask(v: tuple[int, ...]) -> int:
-    """Bitmask with bit i set for each odd entry v[i]."""
-    return sum(1 << i for i, x in enumerate(v) if x & 1)
-
-
-def _bits(m: int, n: int) -> tuple[int, ...]:
-    return tuple((m >> i) & 1 for i in range(n))
-
-
 def gf2_eliminate(rows: list[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
-    """Gauss-Jordan elimination over GF(2) on int bitmasks, rows in order.
+    """Gauss-Jordan elimination over GF(2), rows in order.
 
-    Returns (pivots, null).  pivots maps the lowest set bit of each row of
-    the reduced echelon basis of the span to (row, combo), where combo is
-    the bitmask of input rows summing to that row.  null holds, for each
-    input row that reduces to zero, the bitmask of input rows summing to 0.
+    Returns (pivots, null).  pivots maps the highest set bit (the first
+    coordinate) of each row of the reduced echelon basis of the span to
+    (row, combo), where combo has bit i set for each input row i summing to
+    that row.  null holds, for each input row that reduces to zero, the
+    combo of input rows summing to 0.
     """
     pivots: dict[int, tuple[int, int]] = {}
     null: list[int] = []
@@ -115,7 +106,7 @@ def gf2_eliminate(rows: list[int]) -> tuple[dict[int, tuple[int, int]], list[int
         if not r:
             null.append(c)
             continue
-        lead = r & -r
+        lead = 1 << (r.bit_length() - 1)
         for k, (b, bc) in pivots.items():
             if b & lead:
                 pivots[k] = (b ^ r, bc ^ c)
@@ -123,40 +114,43 @@ def gf2_eliminate(rows: list[int]) -> tuple[dict[int, tuple[int, int]], list[int
     return pivots, null
 
 
-def gf2_echelon(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Reduced row echelon basis of the span (deterministic)."""
-    if not rows:
-        return []
-    pivots, _ = gf2_eliminate([_mask(r) for r in rows])
-    return [_bits(b, len(rows[0])) for _, (b, _) in sorted(pivots.items())]
+def _indices(combo: int) -> tuple[int, ...]:
+    """The row indices set in a combo."""
+    return tuple(i for i in range(combo.bit_length()) if combo >> i & 1)
 
 
-def gf2_nullspace(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+def gf2_echelon(rows: list[int]) -> list[int]:
+    """Reduced row echelon basis of the span, first coordinate first."""
+    pivots, _ = gf2_eliminate(rows)
+    return [b for _, (b, _) in sorted(pivots.items(), reverse=True)]
+
+
+def gf2_nullspace(rows: list[int], n: int) -> list[int]:
     """Echelon basis of {v in GF(2)^n : rows @ v == 0}."""
-    pivots, _ = gf2_eliminate([_mask(r) for r in rows])
+    pivots, _ = gf2_eliminate(rows)
     out = []
-    for f in range(n):
-        if 1 << f in pivots:
-            continue
+    for f in range(n - 1, -1, -1):  # the bit of coordinate n - 1 - f
         v = 1 << f
+        if v in pivots:
+            continue
         for lead, (b, _) in pivots.items():
             if b >> f & 1:
                 v |= lead
-        out.append(_bits(v, n))
+        out.append(v)
     return out
 
 
-def gf2_left_null(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Basis of {t : sum_i t_i rows_i == 0} over GF(2)."""
-    _, null = gf2_eliminate([_mask(r) for r in rows])
-    return [_bits(c, len(rows)) for c in null]
+def gf2_left_null(rows: list[int]) -> list[tuple[int, ...]]:
+    """Basis of {t : sum_{i in t} rows_i == 0} over GF(2), as row indices."""
+    _, null = gf2_eliminate(rows)
+    return [_indices(c) for c in null]
 
 
-def gf2_solve(rows: list[tuple[int, ...]], target: tuple[int, ...]) -> tuple[int, ...] | None:
-    """x with sum_i x_i * rows_i == target, or None.  len(x) == len(rows)."""
-    pivots, _ = gf2_eliminate([_mask(r) for r in rows])
-    t, c = _mask(target), 0
+def gf2_solve(rows: list[int], target: int) -> tuple[int, ...] | None:
+    """Indices of rows summing to target, or None."""
+    pivots, _ = gf2_eliminate(rows)
+    t, c = target, 0
     for lead, (b, bc) in pivots.items():
         if t & lead:
             t, c = t ^ b, c ^ bc
-    return None if t else _bits(c, len(rows))
+    return None if t else _indices(c)

@@ -11,7 +11,10 @@ curve's four marked points.  In code a block is the integer pair (r, m) with
 the 2-bit mask m = 2 * t[0] + t[1], and an XClass is the flat record
 (d, r0, r1, r2, mask, emult): the block degrees on A0, B0, C0 and the 6-bit
 mask of their labels, A0 bits first.  Adding classes adds the integers and
-XORs the masks.
+XORs the masks.  That 6-bit int is the one encoding of a torsion vector: the
+basis VEC, point_vector, torsion_subgroup and the GF(2) solves of linalg use
+it as well (MASK_BITS spells a mask as a 0/1 tuple only for from_y and for
+the integer rows of image_index).
 
 The twelve configuration curves generate the group; their restriction blocks
 form the generator table.  The table is produced by one filling rule:
@@ -61,8 +64,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import YClass, canonical_class, subgroup_index
-from .linalg import (bits_add, gf2_echelon, gf2_left_null, gf2_nullspace,
-                     gf2_solve, lattice_index, left_kernel)
+from .linalg import (gf2_echelon, gf2_left_null, gf2_nullspace, gf2_solve,
+                     lattice_index, left_kernel)
 from .config import (BurniatConfig, BOUNDARY, GENERATORS, CURVE_CLASS,
                      standard_config)
 
@@ -79,16 +82,9 @@ class TableInconsistent(AssertionError):
 # Classes; a boundary block is a (deg, 2-bit mask) pair
 # ---------------------------------------------------------------------------
 
-# the 64 torsion bit-vectors, lexicographically: MASK_BITS[m] has the 6-bit mask m
+# MASK_BITS[m] is the 6-bit mask m as a 0/1 tuple, first entry most
+# significant: the order in which scan enumerates the torsion lifts
 MASK_BITS = tuple(tuple(map(int, f"{m:06b}")) for m in range(64))
-
-
-def _mask(bits: tuple[int, ...]) -> int:
-    """Bit-vector as an int, first entry most significant."""
-    m = 0
-    for b in bits:
-        m = 2 * m + (b & 1)
-    return m
 
 
 @dataclass(frozen=True)
@@ -104,9 +100,9 @@ class XClass:
     mask: int
     emult: tuple[int, ...] = ()
 
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return MASK_BITS[self.mask]
+    def __post_init__(self) -> None:
+        if not 0 <= self.mask < 64:
+            raise ValueError(f"torsion mask {self.mask} is not a 6-bit mask")
 
     def __add__(self, other: "XClass") -> "XClass":
         _same_emult_length(self, other)
@@ -206,14 +202,14 @@ MEET: dict[str, dict[str, int]] = {
     "C3": {"A0": 0b00, "B0": 0b10, "B1": 0b01, "B2": 0b11},
 }
 
-# Basis vectors of V = F_2^6, blocked (A0 | B0 | C0).
+# Basis vectors of V = F_2^6 as 6-bit masks, blocked (A0 | B0 | C0).
 VEC = {
-    "A1": (0, 0, 1, 0, 0, 0),
-    "A2": (0, 0, 1, 1, 0, 0),
-    "B1": (0, 0, 0, 0, 1, 0),
-    "B2": (0, 0, 0, 0, 1, 1),
-    "C1": (1, 0, 0, 0, 0, 0),
-    "C2": (1, 1, 0, 0, 0, 0),
+    "A1": 0b00_10_00,
+    "A2": 0b00_11_00,
+    "B1": 0b00_00_10,
+    "B2": 0b00_00_11,
+    "C1": 0b10_00_00,
+    "C2": 0b11_00_00,
 }
 
 # Divisor combinations whose torsion data realises the basis vectors.
@@ -229,14 +225,12 @@ VEC_COMBO: dict[str, dict[str, int]] = {
 VEC_ORDER = ("A1", "A2", "B1", "B2", "C1", "C2")
 
 
-def point_vector(point: tuple[str, str, str]) -> tuple[int, ...]:
-    v = (0,) * 6
-    for label in point:
-        v = bits_add(v, VEC[label])
-    return v
+def point_vector(point: tuple[str, str, str]) -> int:
+    a, b, c = point
+    return VEC[a] ^ VEC[b] ^ VEC[c]
 
 
-def torsion_subgroup(cfg: BurniatConfig) -> list[tuple[int, ...]]:
+def torsion_subgroup(cfg: BurniatConfig) -> list[int]:
     """Echelon basis of the orthogonal complement of the point vectors."""
     return gf2_nullspace([point_vector(p) for p in cfg.points], 6)
 
@@ -350,7 +344,11 @@ class GeneratorTable:
         return YClass(self.pack(x)[:4])
 
     def from_y(self, cls: YClass, bits: tuple[int, ...] = (0,) * 6) -> XClass:
-        return unpack((*cls.coeffs, _mask(bits)))
+        """The lift of cls with the torsion bits, first bit most significant."""
+        mask = 0
+        for b in bits:
+            mask = 2 * mask + (b & 1)
+        return unpack((*cls.coeffs, mask))
 
     def preimage_combo(self, x: XClass) -> dict[str, int]:
         """Some integer generator combination with phi(combo) == x (K^2 = 6)."""
@@ -360,7 +358,7 @@ class GeneratorTable:
         base = self._phi_ints(combo)
         if base != _ints((nh, n1, n2, n3, base[4])):
             raise TableInconsistent(f"base combo {combo} does not lie over {YClass(p[:4])}")
-        correction = _torsion_solution(MASK_BITS[mask ^ base[4]])
+        correction = _torsion_solution(mask ^ base[4])
         if correction is None:
             raise TableInconsistent("torsion vectors do not span V")
         for v in correction:
@@ -398,31 +396,31 @@ class GeneratorTable:
 
     # -- consistency suite ----------------------------------------------------
 
-    def _free_rows(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """(d, emult, block degrees) and torsion bits of the 12 generator rows,
+    def _free_rows(self) -> list[tuple[tuple[int, ...], int]]:
+        """(d, emult, block degrees) and torsion mask of the 12 generator rows,
         then of the k E_s rows (d = 2, emult -2 at s, trivial blocks)."""
-        rows = [((d, *em, r0, r1, r2), MASK_BITS[mask])
+        rows = [((d, *em, r0, r1, r2), mask)
                 for d, r0, r1, r2, mask, em in map(self._int_rows.get, GENERATORS)]
-        return rows + [((2, *(-2 if t == s else 0 for t in range(self.k)), 0, 0, 0),
-                        MASK_BITS[0]) for s in range(self.k)]
+        return rows + [((2, *(-2 if t == s else 0 for t in range(self.k)), 0, 0, 0), 0)
+                       for s in range(self.k)]
 
     def image_index(self) -> int | None:
-        return subgroup_index([free + bits for free, bits in self._free_rows()], 6)
+        rows = [free + MASK_BITS[mask] for free, mask in self._free_rows()]
+        return subgroup_index(rows, 6)
 
     def _kernel_combos(self) -> list[dict[str, int]]:
         """Generators of {combos : phi(combo) == 0} over the 12+k generators."""
         labels = list(GENERATORS) + [f"E{s}" for s in range(self.k)]
         rows = self._free_rows()
         free_kernel = left_kernel([list(free) for free, _ in rows], 4 + self.k)
-        bit_rows = [bits for _, bits in rows]
         # torsion image of each free-kernel vector
         reduced = []
         for kv in free_kernel:
-            b = (0,) * 6
-            for c, row in zip(kv, bit_rows):
+            m = 0
+            for c, (_, mask) in zip(kv, rows):
                 if c & 1:
-                    b = bits_add(b, row)
-            reduced.append(b)
+                    m ^= mask
+            reduced.append(m)
         combos: list[dict[str, int]] = []
         # doubles of the free kernel always lie in the full kernel
         for kv in free_kernel:
@@ -430,11 +428,10 @@ class GeneratorTable:
         # plus lifts of the left nullspace of the induced torsion map
         for sol in gf2_left_null(reduced):
             combo: dict[str, int] = {}
-            for t, kv in zip(sol, free_kernel):
-                if t:
-                    for lab, c in zip(labels, kv):
-                        if c:
-                            combo[lab] = combo.get(lab, 0) + c
+            for i in sol:
+                for lab, c in zip(labels, free_kernel[i]):
+                    if c:
+                        combo[lab] = combo.get(lab, 0) + c
             if combo:
                 combos.append(combo)
         return combos
@@ -450,8 +447,8 @@ class GeneratorTable:
         # (a) the six standard difference combos hit the basis vectors
         for v in VEC_ORDER:
             img = self.phi(VEC_COMBO[v])
-            if img.bits != VEC[v]:
-                raise TableInconsistent(f"combo for vec {v} maps to {img.bits}")
+            if img.mask != VEC[v]:
+                raise TableInconsistent(f"combo for vec {v} maps to {img.mask:06b}")
             if self.k == 0 and (img.d or img.r0 or img.r1 or img.r2):
                 raise TableInconsistent(f"combo for vec {v} is not torsion")
         # (c) the basis vectors span V; index 3 for K^2 = 6
@@ -473,12 +470,10 @@ class GeneratorTable:
 
 
 @lru_cache(maxsize=64)
-def _torsion_solution(target: tuple[int, ...]) -> tuple[str, ...] | None:
-    """Names of the VEC basis vectors summing to target, or None."""
+def _torsion_solution(target: int) -> tuple[str, ...] | None:
+    """Names of the VEC basis vectors summing to the mask target, or None."""
     sol = gf2_solve([VEC[v] for v in VEC_ORDER], target)
-    if sol is None:
-        return None
-    return tuple(v for eps, v in zip(sol, VEC_ORDER) if eps)
+    return None if sol is None else tuple(VEC_ORDER[i] for i in sol)
 
 
 @lru_cache(maxsize=None)
@@ -515,10 +510,6 @@ def table_override_from_text(text: str) -> dict[tuple[str, str], tuple[int, int]
     return out
 
 
-def image_index(cfg: BurniatConfig) -> int | None:
-    return GeneratorTable(cfg).image_index()
-
-
 def coordinate_map_index(cfg: BurniatConfig) -> int:
     """Index in Z^(4+k) of the image of the full lattice Pic Y'.
 
@@ -545,8 +536,9 @@ def picard_image_index(cfg: BurniatConfig) -> int:
     The free part of the Picard group maps onto an index-3 sublattice (the
     coordinate map determinant on a unimodular lattice) and the torsion maps
     onto the orthogonal complement of the point vectors, so the index is
-    3 * 2^(6 - dim).  For K^2 >= 3 this agrees with image_index; for K^2 = 2
-    the twelve curves and the E_s only generate a subgroup of twice this
-    index (the span of the ramification divisors has index 2 in Pic Y').
+    3 * 2^(6 - dim).  For K^2 >= 3 this agrees with GeneratorTable.image_index;
+    for K^2 = 2 the twelve curves and the E_s only generate a subgroup of
+    twice this index (the span of the ramification divisors has index 2 in
+    Pic Y').
     """
     return coordinate_map_index(cfg) * 2 ** (6 - len(torsion_subgroup(cfg)))

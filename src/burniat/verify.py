@@ -20,8 +20,8 @@ from .config import (BOUNDARY, CURVE_CLASS, InvalidBuildingData,
                      all_standard_configs, minus_two_curves, standard_config,
                      ramification_span_index, validate_building_data)
 from .picard import (MASK_BITS, GeneratorTable, build_generator_table,
-                     image_index, picard_image_index, torsion_subgroup,
-                     parse_xclass, xclass_to_text)
+                     picard_image_index, torsion_subgroup, parse_xclass,
+                     xclass_to_text)
 from .effective import (InS, NonEffective, ScanReport, decide,
                         exceptional_induction, is_minimal, s_membership,
                         scan, step3_tables)
@@ -53,7 +53,7 @@ def _c2_indices(seed: int, table: GeneratorTable) -> tuple[bool, str]:
                      (4, "non-nodal"): 12, (3, "plain"): 24}
     for case, want in expected_span.items():
         cfg = standard_config(*case)
-        got = image_index(cfg)
+        got = GeneratorTable(cfg).image_index()
         full = picard_image_index(cfg)
         ok &= got == want == full
         notes.append(f"K2={case[0]}{case[1][0]}:{got}")
@@ -61,8 +61,8 @@ def _c2_indices(seed: int, table: GeneratorTable) -> tuple[bool, str]:
     # the twelve curves and the E_s only span a subgroup of twice that index;
     # the factor two is exactly the ramification-span gap.
     cfg2 = standard_config(2)
-    span2, full2, gap = image_index(cfg2), picard_image_index(cfg2), \
-        ramification_span_index(cfg2)
+    span2 = GeneratorTable(cfg2).image_index()
+    full2, gap = picard_image_index(cfg2), ramification_span_index(cfg2)
     ok &= full2 == 24 and span2 == 48 and gap == 2 and span2 == gap * full2
     notes.append(f"K2=2:full={full2},span={span2},gap={gap}")
     ram = tuple(ramification_span_index(cfg) for cfg in all_standard_configs())
@@ -87,7 +87,7 @@ def _c3_table_consistency(seed: int, table: GeneratorTable) -> tuple[bool, str]:
     # K is ample exactly on the configurations without (-2)-curves
     ok &= tuple(minus_two) == (0, 0, 1, 0, 3, 6)
     img = table.phi({"A1": 1, "A2": -1})
-    ok &= img.bits == (0, 0, 1, 0, 0, 0) and img.d == 0
+    ok &= img.mask == 0b00_10_00 and img.d == 0
     return ok, f"tables {','.join(built)} consistent; A1-A2 -> 00 10 00"
 
 

@@ -58,6 +58,15 @@ def test_torsion_from_config_file(capsys, tmp_path):
     assert code == 0 and "dimension 5" in out
 
 
+def test_torsion_refuses_a_repeated_point(capsys, tmp_path):
+    # the same triple point twice, in any order, is one blowup, not two
+    path = tmp_path / "cfg.txt"
+    for again in ("A1 B1 C1", "C1 B1 A1"):
+        path.write_text(f"ksq = 4\npoint = A1 B1 C1\npoint = {again}\n")
+        code, out, err = run(capsys, "torsion", "--config", str(path))
+        assert code == 2 and not out and "given twice" in err
+
+
 def test_torsion_invalid_case(capsys):
     code, _, err = run(capsys, "torsion", "--ksq", "9")
     assert code == 2

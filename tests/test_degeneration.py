@@ -45,7 +45,7 @@ def test_phi0_matches_smooth_table():
     assert T.phi(COLLECTION[6]).is_zero()
     k_combo = {f: 1 for f in ("A0", "B0", "C0", "A3", "B3", "C3")}
     assert T.phi(k_combo).d == 6
-    assert T.phi({"A1": 1, "A2": -1}).bits == (0, 0, 1, 0, 0, 0)
+    assert T.phi({"A1": 1, "A2": -1}).mask == 0b00_10_00
 
 
 def test_exceptional_collection_smooth():

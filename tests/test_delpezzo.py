@@ -98,7 +98,7 @@ def test_classify_symmetry_invariance():
     for cls in enumerate_nef(8):
         et = classify_exceptional(cls)
         s = symmetric_coords(cls.coeffs)
-        for _, idx in _SYMMETRY_INDEX:
+        for idx in _SYMMETRY_INDEX:
             moved = tuple(s[i] for i in idx)
             image = from_symmetric(moved)
             assert symmetric_coords(image.coeffs) == moved  # the image is a class

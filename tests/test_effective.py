@@ -120,8 +120,8 @@ def test_effective_lifts_of_the_conic_class():
     # the conic-degree class 2h-e1-e2-e3 has exactly 9 effective torsion lifts
     lifts = effective_lifts((2, -1, -1, -1))
     assert len(lifts) == 9
-    assert (0, 0, 0, 0, 0, 0) not in lifts
-    assert (1, 0, 1, 0, 1, 0) not in lifts
+    assert 0b00_00_00 not in lifts
+    assert 0b10_10_10 not in lifts
 
 
 def test_monotonicity_under_adding_generators():
@@ -217,8 +217,7 @@ def test_exc_check_reports_unchanged(capsys):
 
 
 def test_torsion_rows_unchanged():
-    got = {case: tuple("".join(map(str, v))
-                       for v in torsion_subgroup(standard_config(*case)))
+    got = {case: tuple(f"{v:06b}" for v in torsion_subgroup(standard_config(*case)))
            for case in STANDARD_CASES}
     assert got == TORSION_ROWS
 
@@ -311,7 +310,7 @@ except eff.InvalidEvidence:
 # A2 has the numerical class of A1 but other torsion bits
 x = T.phi({"A1": 1})
 wrong = tuple(int(g == "A2") for g in GENERATORS)
-eff.effective_lifts = lambda ycoeffs: {x.bits: wrong}
+eff.effective_lifts = lambda ycoeffs: {x.mask: wrong}
 try:
     eff.s_membership(T, x)
     print("certificate accepted")

@@ -42,7 +42,7 @@ def reference_lifts(ycoeffs):
                         c0 = n3 + a3 + b3 + t_b
                         if a0 < 0 or b0 < 0 or c0 < 0:
                             continue
-                        # bits: A-block from C-letter, B from A, C from B
+                        # mask: A-block from C-letter, B from A, C from B
                         for afirst in ((0, 1) if t_c else (c3 & 1,)):
                             sc = _letter_split(t_c, c3, afirst)
                             if sc is None:
@@ -55,10 +55,10 @@ def reference_lifts(ycoeffs):
                                     sb = _letter_split(t_b, b3, cfirst)
                                     if sb is None:
                                         continue
-                                    bits = (afirst, t_c & 1,
-                                            bfirst, t_a & 1,
-                                            cfirst, t_b & 1)
-                                    if bits in out:
+                                    mask = (afirst << 5 | (t_c & 1) << 4
+                                            | bfirst << 3 | (t_a & 1) << 2
+                                            | cfirst << 1 | (t_b & 1))
+                                    if mask in out:
                                         continue
                                     cert = {"A0": a0, "A1": sa[0], "A2": sa[1],
                                             "A3": a3,
@@ -66,7 +66,7 @@ def reference_lifts(ycoeffs):
                                             "B3": b3,
                                             "C0": c0, "C1": sc[0], "C2": sc[1],
                                             "C3": c3}
-                                    out[bits] = tuple(cert[g] for g in GENERATORS)
+                                    out[mask] = tuple(cert[g] for g in GENERATORS)
     return out
 
 
@@ -107,7 +107,7 @@ def test_complete_against_brute_force_oracle():
 
     def extend(i, x, budget):
         if i == len(rows):
-            reached.add((T.to_y(x).coeffs, x.bits))
+            reached.add((T.to_y(x).coeffs, x.mask))
             return
         while True:
             extend(i + 1, x, budget)
@@ -124,6 +124,6 @@ def test_complete_against_brute_force_oracle():
         for n in itertools.product(range(-D, D + 1), repeat=3):
             y = (nh,) + n
             if 3 * nh + sum(n) <= D:
-                lifted.update((y, bits) for bits in effective_lifts(y))
+                lifted.update((y, mask) for mask in effective_lifts(y))
     assert len(reached) > 1000
     assert reached == lifted

@@ -1,8 +1,7 @@
 import random
 
-from burniat.linalg import (bits_add, gf2_echelon, gf2_left_null, gf2_nullspace,
-                            gf2_solve, hnf_with_transform, lattice_index,
-                            left_kernel)
+from burniat.linalg import (gf2_echelon, gf2_left_null, gf2_nullspace, gf2_solve,
+                            hnf_with_transform, lattice_index, left_kernel)
 
 
 def test_hnf_transform_invariant():
@@ -37,43 +36,34 @@ def test_left_kernel():
 
 
 def test_gf2_echelon_and_nullspace():
-    rows = [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    rows = [0b110, 0b011, 0b101]
     ech = gf2_echelon(rows)
     assert len(ech) == 2
     null = gf2_nullspace(rows, 3)
     assert len(null) == 1
     v = null[0]
     for r in rows:
-        assert sum(a * b for a, b in zip(r, v)) & 1 == 0
+        assert (r & v).bit_count() & 1 == 0
 
 
 def test_gf2_solve():
-    rows = [(1, 0, 1), (0, 1, 1), (1, 1, 1)]
-    target = (0, 0, 1)
+    rows = [0b101, 0b011, 0b111]
+    target = 0b001
     sol = gf2_solve(rows, target)
     assert sol is not None
-    acc = (0, 0, 0)
-    for c, r in zip(sol, rows):
-        if c:
-            acc = bits_add(acc, r)
+    acc = 0
+    for i in sol:
+        acc ^= rows[i]
     assert acc == target
-    assert gf2_solve([(1, 1, 0)], (1, 0, 0)) is None
+    assert gf2_solve([0b110], 0b100) is None
 
 
 # --- the GF(2) routines against brute force -------------------------------------
-# Vectors are 6-bit ints, coordinate 0 most significant; a row combination is
-# a bitmask with bit i set for row i.
-
-def _tuple(v):
-    return tuple(v >> (5 - i) & 1 for i in range(6))
-
-
-def _int(t):
-    return sum(b << (5 - i) for i, b in enumerate(t))
-
+# Vectors are 6-bit ints, coordinate 0 most significant.  The brute force
+# names a subset of rows by a bitmask with bit i set for row i.
 
 def _combo(sol):
-    return sum(b << i for i, b in enumerate(sol))
+    return sum(1 << i for i in sol)
 
 
 def _subset_sums(rows):
@@ -101,12 +91,11 @@ def test_gf2_routines_against_brute_force():
     rng = random.Random(41)
     for _ in range(300):
         rows = _random_rows(rng)
-        trows = [_tuple(r) for r in rows]
         sums = _subset_sums(rows)
         span = set(sums)
         # reduced echelon basis of the span: leading coordinates increase and
         # each leading coordinate is zero in every other row
-        ech = [_int(v) for v in gf2_echelon(trows)]
+        ech = gf2_echelon(rows)
         assert _is_basis_of(ech, span)
         leads = [1 << (v.bit_length() - 1) for v in ech]
         assert leads == sorted(set(leads), reverse=True)
@@ -115,13 +104,13 @@ def test_gf2_routines_against_brute_force():
         # right null space over all 64 vectors
         null = {v for v in range(64)
                 if all((v & r).bit_count() % 2 == 0 for r in rows)}
-        assert _is_basis_of([_int(v) for v in gf2_nullspace(trows, 6)], null)
+        assert _is_basis_of(gf2_nullspace(rows, 6), null)
         # left null space over all row subsets
         zero_sums = {c for c, s in enumerate(sums) if s == 0}
-        assert _is_basis_of([_combo(c) for c in gf2_left_null(trows)], zero_sums)
+        assert _is_basis_of([_combo(c) for c in gf2_left_null(rows)], zero_sums)
         # every target: a combination summing to it exactly when it is in the span
         for target in range(64):
-            sol = gf2_solve(trows, _tuple(target))
+            sol = gf2_solve(rows, target)
             if target in span:
                 assert sol is not None and sums[_combo(sol)] == target
             else:

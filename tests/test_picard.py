@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
                             standard_config)
 from burniat.lattice import YClass, subgroup_index
-from burniat.linalg import bits_add
 from burniat.picard import (GeneratorTable, MASK_BITS,
                             NotARepresentableClass, TableInconsistent, VEC,
                             VEC_COMBO, XClass, _torsion_solution,
-                            build_generator_table, image_index, pack,
+                            build_generator_table, pack,
                             parse_xclass, picard_image_index, point_vector,
                             table_override_from_text, table_to_text,
                             torsion_subgroup, unpack, xclass_to_text)
@@ -97,7 +96,7 @@ def test_phi_congruence_closure():
 def test_vec_combos_map_to_basis_vectors():
     for name, combo in VEC_COMBO.items():
         img = T6.phi(combo)
-        assert img.bits == VEC[name]
+        assert img.mask == VEC[name]
         assert (img.d, img.r0, img.r1, img.r2) == (0, 0, 0, 0)
 
 
@@ -107,7 +106,7 @@ def test_canonical_class_and_torsion_correction():
     # the boundary sum is K plus the torsion (10,10,10)
     boundary_sum = T6.phi({f: 1 for f in BOUNDARY})
     diff = boundary_sum - kx
-    assert diff.d == 0 and diff.bits == (1, 0, 1, 0, 1, 0)
+    assert diff.d == 0 and diff.mask == 0b10_10_10
     # K itself as an explicit combo
     combo = {f: 1 for f in BOUNDARY}
     for v in ("A1", "B1", "C1"):
@@ -128,6 +127,11 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 def _label(mask2):
     """The torsion label (b0, b1) of a 2-bit block mask."""
     return mask2 >> 1, mask2 & 1
+
+
+def bits_add(x, y):
+    """Sum of two 0/1 tuples over GF(2)."""
+    return tuple((a + b) & 1 for a, b in zip(x, y))
 
 
 def _block_sum(a, c, block):
@@ -166,7 +170,7 @@ def test_phi_and_column_match_block_sums(case, combo, data):
     if table.k:
         e_combo = data.draw(st.dictionaries(st.integers(0, table.k - 1), COEFFS))
     x = table.phi(combo, e_combo)
-    assert (x.d, (x.r0, x.r1, x.r2), x.bits, x.emult) == \
+    assert (x.d, (x.r0, x.r1, x.r2), MASK_BITS[x.mask], x.emult) == \
         reference_phi(table, combo, e_combo)
     for f in BOUNDARY:
         deg, mask2 = table.column(combo, f)
@@ -182,13 +186,12 @@ def test_phi_rejects_unknown_exceptional_curve():
 
 def test_memoised_torsion_solutions_resum():
     for mask in range(64):
-        target = tuple((mask >> (5 - i)) & 1 for i in range(6))
-        names = _torsion_solution(target)
+        names = _torsion_solution(mask)
         assert names is not None
-        total = (0,) * 6
+        total = 0
         for v in names:
-            total = bits_add(total, VEC[v])
-        assert total == target
+            total ^= VEC[v]
+        assert total == mask
 
 
 def combo_path_restrictions(table, x):
@@ -293,10 +296,10 @@ def test_torsion_dimensions():
 
 def test_point_vectors_k2_sum_zero():
     cfg = standard_config(2)
-    total = (0,) * 6
+    total = 0
     for p in cfg.points:
-        total = bits_add(total, point_vector(p))
-    assert total == (0,) * 6
+        total ^= point_vector(p)
+    assert total == 0
 
 
 def test_torsion_basis_orthogonal_to_points():
@@ -304,11 +307,12 @@ def test_torsion_basis_orthogonal_to_points():
         cfg = standard_config(ksq, variant)
         for v in torsion_subgroup(cfg):
             for p in cfg.points:
-                assert sum(a * b for a, b in zip(v, point_vector(p))) & 1 == 0
+                assert (v & point_vector(p)).bit_count() & 1 == 0
 
 
 def test_image_indices():
-    got = [image_index(standard_config(k, v)) for k, v in STANDARD_CASES]
+    got = [GeneratorTable(standard_config(k, v)).image_index()
+           for k, v in STANDARD_CASES]
     assert got == [3, 6, 12, 12, 24, 48]
     full = [picard_image_index(standard_config(k, v)) for k, v in STANDARD_CASES]
     assert full == [3, 6, 12, 12, 24, 24]
@@ -329,7 +333,7 @@ def test_generators_fill_the_congruence_subgroup_k6():
         coords = (c1, t[1] + c1 - c4, -t[3], c4)
         assert [sum(c * row[j] for c, row in zip(coords, basis))
                 for j in range(4)] == t
-        elems.append(coords + x.bits)
+        elems.append(coords + MASK_BITS[x.mask])
     assert subgroup_index(elems, 6) == 1
 
 
@@ -343,9 +347,9 @@ def test_canonical_lift_torsion_class():
     x = build_generator_table(5).phi({"A1": 1, "A2": -1, "B1": 1, "B2": -1}, {0: 1})
     assert (x.d, x.r0, x.r1, x.r2) == (0, 0, 0, 0)
     assert not any(x.emult)
-    assert x.bits == bits_add(VEC["A1"], VEC["B1"])
+    assert x.mask == VEC["A1"] ^ VEC["B1"]
     # and this vector is indeed in the torsion subgroup for K^2 = 5
-    assert sum(a * b for a, b in zip(x.bits, point_vector(cfg.points[0]))) & 1 == 0
+    assert (x.mask & point_vector(cfg.points[0])).bit_count() & 1 == 0
 
 
 # --- serialization -------------------------------------------------------------
@@ -376,6 +380,13 @@ def test_xclass_parse_rejects():
             parse_xclass(bad)
 
 
+def test_xclass_refuses_a_mask_outside_six_bits():
+    for mask in (64, -1):
+        with pytest.raises(ValueError, match="6-bit"):
+            XClass(3, 0, 0, 0, mask)
+    assert XClass(3, 0, 0, 0, 63).mask == 63
+
+
 def test_xclass_arithmetic_refuses_exceptional_parts_of_different_lengths():
     k6 = T6.canonical()
     stray = parse_xclass("(3; 0 00; 0 00; 0 00; 5)")
@@ -398,7 +409,7 @@ def test_pushforward_pullback_identity():
         combo = {g: rng.randint(-2, 2) for g in GENERATORS}
         x = T6.phi(combo)
         assert T6.to_y(x) == y_class(combo)
-        assert T6.from_y(T6.to_y(x), x.bits) == x
+        assert T6.from_y(T6.to_y(x), MASK_BITS[x.mask]) == x
 
 
 # --- packed classes -------------------------------------------------------------
@@ -411,7 +422,7 @@ def test_pack_round_trip_on_random_classes():
         x = T6.from_y(y, MASK_BITS[mask])
         p = T6.pack(x)
         assert p == (*y.coeffs, mask) == pack(x)
-        assert unpack(p) == x and x.bits == MASK_BITS[mask]
+        assert unpack(p) == x and x.mask == mask
         assert T6.to_y(x) == y
 
 
