@@ -26,11 +26,11 @@ from .picard import (GeneratorTable, NotARepresentableClass, TableInconsistent,
 from .verify import DEFAULT_SEED, run_all
 
 # Largest n_h (the h-coefficient of the numerical class) that `effective`
-# accepts.  The certificate search is O(n_h^3): at n_h = 120 the slowest
-# classes probed take about 0.4 s end to end on a 2-vCPU x86 host, and the
-# cost grows about eightfold each time n_h doubles.  The degree is bounded by
-# 3 * EFFECTIVE_MAX_NH, the largest degree of a nef class within that budget,
-# because the reduction takes one step per unit of degree.
+# accepts.  The certificate search is O(n_h^3) at worst; the slowest classes
+# probed, such as (120, -119, 1, 1), take 0.02 s of search (0.25 s end to end)
+# on a 2-vCPU x86 host, about fourfold each time n_h doubles.  The degree is
+# bounded by 3 * EFFECTIVE_MAX_NH, the largest degree of a nef class within
+# that budget, because the reduction takes one step per unit of degree.
 EFFECTIVE_MAX_NH = 120
 
 

@@ -13,7 +13,8 @@ has three layers:
   modulo 2, so the search (effective_lifts) covers every solution on the
   lattice side and matches the torsion bits exactly: "no certificate" is a
   proof that x is not in S.  For each (A3, B3, C3) the first certificate
-  of every torsion lift has a closed form, so the search is O(n_h^3).
+  of every torsion lift has a closed form, and the search skips every
+  triple that cannot add a lift: O(n_h^3) at worst.
 * prove_non_effective: minimal-form reduction into one of the two base
   cases: negative degree, or a member of the trusted list of classes with
   no sections (imported facts about the surface, cross-checked against the
@@ -185,6 +186,60 @@ def _least_counts(lo: int, three: int) -> tuple[int, int, int, int]:
     return (0, 1, 2, 1) if three & 1 == 0 else (2, 1, 0, 1)
 
 
+def _triple_lifts(r: int, la: int, lb: int, lc: int, a3: int, b3: int, c3: int):
+    """(t_a, t_b, afirst, ka, kb, mask) of the first certificate of every lift
+    of one (a3, b3, c3) with r = n_h - a3 - b3 - c3 and least counts la, lb,
+    lc (ka, kb index _least_counts of the A and B letters)."""
+    least_c = _least_counts(lc, c3)
+    for ka, t_a in enumerate(_least_counts(la, a3)):
+        for kb, t_b in enumerate(_least_counts(lb, b3)):
+            t_c = r - t_a - t_b
+            for afirst in (0, 1):
+                if t_c >= least_c[2 * afirst + (t_c & 1)]:
+                    # mask: A-block from C-letter, B from A, C from B
+                    yield (t_a, t_b, afirst, ka, kb,
+                           afirst << 5 | (t_c & 1) << 4 | ka << 2 | kb)
+
+
+@lru_cache(maxsize=None)
+def _reach(key_a: int, key_b: int, key_c: int, slack: int) -> int:
+    """Bitset of the masks that _triple_lifts finds for every triple with
+    this key (see _triples), computed on the least representative."""
+    lows = [4 - k if k > 1 else 0 for k in (key_a, key_b, key_c)]
+    return sum(1 << f[5] for f in _triple_lifts(sum(lows) + slack, *lows,
+                                                key_a, key_b, key_c))
+
+
+def _triples(ycoeffs: tuple[int, ...]):
+    """(a3, b3, c3, la, lb, lc, key) of every triple with la + lb + lc <= r.
+
+    la, lb, lc are the least t_a, t_b, t_c that a0, b0, c0 >= 0 allow.  With
+    u = -n2 - a3 and w = -n1 - b3, la + lc + c3 = max(u + w - c3, u, w, c3),
+    so the triples of an (a3, b3) row form one c3 range.  The key is what
+    _least_counts needs besides l, per letter: 2 + l mod 2 if l > 0, else the
+    parity of three; then the slack r - la - lb - lc, capped at 8 or 9 with
+    its parity kept (t_c = r - t_a - t_b meets every least count from slack 6).
+    """
+    nh, n1, n2, n3 = ycoeffs
+    for a3 in range(nh + 1):
+        u = -n2 - a3
+        for b3 in range(nh - a3 + 1):
+            w = -n1 - b3
+            lb = max(-n3 - a3 - b3, 0)
+            top = nh - a3 - b3 - lb  # r - lb at c3 = 0
+            if u > top or w > top:
+                continue
+            key_b = 2 + (lb & 1) if lb else b3 & 1
+            for c3 in range(max(0, u + w - top), top + 1):
+                la = u - c3 if u > c3 else 0
+                lc = w - c3 if w > c3 else 0
+                slack = top - c3 - la - lc
+                yield (a3, b3, c3, la, lb, lc,
+                       (2 + (la & 1) if la else a3 & 1, key_b,
+                        2 + (lc & 1) if lc else c3 & 1,
+                        slack if slack < 10 else 8 + (slack & 1)))
+
+
 @lru_cache(maxsize=None)
 def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     """All torsion lifts of a numerical class that lie in S.
@@ -203,52 +258,37 @@ def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     count fixes the matching first bit (see _least_counts).  The admissible
     values of each count are therefore all values of its parity from a least
     one up, so the first certificate takes the least t_a and t_b, and one
-    exists iff t_c = r - t_a - t_b is at least its own least value.  Each
-    (a3, b3, c3) costs O(1), so the search is O(n_h^3).  It skips triples
-    where the least counts that a0, b0, c0 >= 0 allow already sum past r,
-    and it stops once all 64 lifts are found.
+    exists iff t_c = r - t_a - t_b is at least its own least value.
+
+    A triple from _triples is skipped when _reach(key) adds no mask to those
+    found, so the dict is unchanged, and the search stops at 64 lifts.  It is
+    O(n_h^3) at worst; the slowest classes probed, such as (120, -119, 1, 1)
+    with 40 lifts, visit about n_h^2 triples.
     """
     nh, n1, n2, n3 = ycoeffs
     out: dict[int, tuple[int, ...]] = {}
-    if nh < 0:
-        return out
-    for a3 in range(nh + 1):
-        for b3 in range(nh - a3 + 1):
-            lb = max(-n3 - a3 - b3, 0)
-            for c3 in range(nh - a3 - b3 + 1):
-                r = nh - a3 - b3 - c3
-                la = max(-n2 - a3 - c3, 0)
-                lc = max(-n1 - b3 - c3, 0)
-                if la + lb + lc > r:
-                    continue
-                least_a = _least_counts(la, a3)
-                least_b = _least_counts(lb, b3)
-                least_c = _least_counts(lc, c3)
-                found = []
-                for ka, t_a in enumerate(least_a):
-                    for kb, t_b in enumerate(least_b):
-                        t_c = r - t_a - t_b
-                        for afirst in (0, 1):
-                            if t_c < least_c[2 * afirst + (t_c & 1)]:
-                                continue
-                            # mask: A-block from C-letter, B from A, C from B
-                            mask = afirst << 5 | (t_c & 1) << 4 | ka << 2 | kb
-                            if mask not in out:
-                                found.append((t_a, t_b, afirst, ka >> 1, kb >> 1, mask))
-                # in the order (t_a, t_b, first bits) in which a full
-                # enumeration of this triple would reach them
-                for t_a, t_b, afirst, bfirst, cfirst, mask in sorted(found):
-                    t_c = r - t_a - t_b
-                    a2, b2, c2 = (bfirst + a3) & 1, (cfirst + b3) & 1, (afirst + c3) & 1
-                    cert = {"A0": n1 + b3 + c3 + t_c, "A1": t_a - a2, "A2": a2,
-                            "A3": a3,
-                            "B0": n2 + a3 + c3 + t_a, "B1": t_b - b2, "B2": b2,
-                            "B3": b3,
-                            "C0": n3 + a3 + b3 + t_b, "C1": t_c - c2, "C2": c2,
-                            "C3": c3}
-                    out[mask] = tuple(cert[g] for g in GENERATORS)
-                if len(out) == 64:
-                    return out
+    have = 0  # bitset of the masks in out
+    for a3, b3, c3, la, lb, lc, key in _triples(ycoeffs):
+        if not _reach(*key) & ~have:
+            continue
+        r = nh - a3 - b3 - c3
+        found = [f for f in _triple_lifts(r, la, lb, lc, a3, b3, c3)
+                 if not have >> f[5] & 1]
+        # in the order (t_a, t_b, first bits) in which a full
+        # enumeration of this triple would reach them
+        for t_a, t_b, afirst, ka, kb, mask in sorted(found):
+            t_c = r - t_a - t_b
+            a2, b2, c2 = ((ka >> 1) + a3) & 1, ((kb >> 1) + b3) & 1, (afirst + c3) & 1
+            cert = {"A0": n1 + b3 + c3 + t_c, "A1": t_a - a2, "A2": a2,
+                    "A3": a3,
+                    "B0": n2 + a3 + c3 + t_a, "B1": t_b - b2, "B2": b2,
+                    "B3": b3,
+                    "C0": n3 + a3 + b3 + t_b, "C1": t_c - c2, "C2": c2,
+                    "C3": c3}
+            out[mask] = tuple(cert[g] for g in GENERATORS)
+            have |= 1 << mask
+        if len(out) == 64:
+            return out
     return out
 
 

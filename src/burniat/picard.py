@@ -476,8 +476,13 @@ def _torsion_solution(target: int) -> tuple[str, ...] | None:
     return None if sol is None else tuple(VEC_ORDER[i] for i in sol)
 
 
-@lru_cache(maxsize=None)
 def build_generator_table(ksq: int, variant: str = "plain") -> GeneratorTable:
+    """Built once per (ksq, variant), however the variant is passed."""
+    return _standard_table(ksq, variant)
+
+
+@lru_cache(maxsize=None)
+def _standard_table(ksq: int, variant: str) -> GeneratorTable:
     return GeneratorTable(standard_config(ksq, variant))
 
 

@@ -17,7 +17,7 @@ from .lattice import YClass, arithmetic_genus, canonical_class, negative_curves
 from .delpezzo import (LAT, NEF_CLASS, classify_exceptional, eff_decompose,
                        enumerate_nef, nef_decompose, symmetric_coords)
 from .config import (BOUNDARY, CURVE_CLASS, InvalidBuildingData,
-                     all_standard_configs, minus_two_curves, standard_config,
+                     all_standard_configs, minus_two_curves,
                      ramification_span_index, validate_building_data)
 from .picard import (MASK_BITS, GeneratorTable, build_generator_table,
                      picard_image_index, torsion_subgroup, parse_xclass,
@@ -52,17 +52,17 @@ def _c2_indices(seed: int, table: GeneratorTable) -> tuple[bool, str]:
     expected_span = {(6, "plain"): 3, (5, "plain"): 6, (4, "nodal"): 12,
                      (4, "non-nodal"): 12, (3, "plain"): 24}
     for case, want in expected_span.items():
-        cfg = standard_config(*case)
-        got = GeneratorTable(cfg).image_index()
-        full = picard_image_index(cfg)
+        case_table = build_generator_table(*case)
+        got = case_table.image_index()
+        full = picard_image_index(case_table.cfg)
         ok &= got == want == full
         notes.append(f"K2={case[0]}{case[1][0]}:{got}")
     # K^2 = 2: the full Picard image has index 3*2^3 = 24 by covolume, but
     # the twelve curves and the E_s only span a subgroup of twice that index;
     # the factor two is exactly the ramification-span gap.
-    cfg2 = standard_config(2)
-    span2 = GeneratorTable(cfg2).image_index()
-    full2, gap = picard_image_index(cfg2), ramification_span_index(cfg2)
+    table2 = build_generator_table(2)
+    span2 = table2.image_index()
+    full2, gap = picard_image_index(table2.cfg), ramification_span_index(table2.cfg)
     ok &= full2 == 24 and span2 == 48 and gap == 2 and span2 == gap * full2
     notes.append(f"K2=2:full={full2},span={span2},gap={gap}")
     ram = tuple(ramification_span_index(cfg) for cfg in all_standard_configs())
@@ -77,7 +77,7 @@ def _c3_table_consistency(seed: int, table: GeneratorTable) -> tuple[bool, str]:
           == sorted(CURVE_CLASS[f].coeffs for f in BOUNDARY))
     built, minus_two = [], []
     for cfg in all_standard_configs():
-        GeneratorTable(cfg)  # suite runs at construction
+        build_generator_table(cfg.ksq, cfg.variant)  # the suite runs on first build
         try:
             validate_building_data(cfg)
             minus_two.append(len(minus_two_curves(cfg)))

@@ -5,14 +5,16 @@ n_h and every internal split parity; effective_lifts must return the same
 dict, certificates and insertion order included.  The brute-force oracle
 sums every nonnegative multiplicity vector of the twelve generators up to a
 degree bound through phi, which checks completeness: a lift with no
-certificate is not in S.
+certificate is not in S.  The key test checks the skip of triples that can
+add no lift: the memoised masks of a key are those its triples reach.
 """
 import itertools
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from burniat.config import GENERATORS
-from burniat.effective import effective_lifts
+from burniat.effective import _reach, _triple_lifts, _triples, effective_lifts
 from burniat.picard import build_generator_table
 
 T = build_generator_table(6)
@@ -97,6 +99,34 @@ def test_matches_reference_on_draws(ycoeffs):
 
 def test_matches_reference_when_every_lift_is_found_early():
     _same((12, 0, 0, 0))
+
+
+@pytest.mark.parametrize("ycoeffs, lifts", [
+    ((16, -16, 0, 0), 8),
+    ((16, -15, 1, 1), 40),
+    ((18, -17, 0, 1), 40),
+    ((16, -12, -12, -12), 0),
+])
+def test_matches_reference_when_some_lifts_are_never_found(ycoeffs, lifts):
+    # the search cannot stop at 64 lifts, so it runs through every triple
+    # and the skip of triples that add no mask decides the whole dict
+    _same(ycoeffs)
+    assert len(effective_lifts(ycoeffs)) == lifts
+
+
+def test_reach_of_a_key_is_what_its_triple_finds():
+    # every triple that effective_lifts visits for a class in the box n_h <= 10,
+    # n_i in [-n_h - 3, 3]; the masks of a triple depend only on r, the least
+    # counts and the parities of a3, b3, c3, so each such input is run once
+    cases = set()
+    for nh in range(11):
+        for n in itertools.product(range(-nh - 3, 4), repeat=3):
+            for a3, b3, c3, la, lb, lc, key in _triples((nh,) + n):
+                cases.add((nh - a3 - b3 - c3, la, lb, lc, a3 & 1, b3 & 1, c3 & 1, key))
+    assert len(cases) > 4000
+    for r, la, lb, lc, a3, b3, c3, key in cases:
+        masks = {f[5] for f in _triple_lifts(r, la, lb, lc, a3, b3, c3)}
+        assert _reach(*key) == sum(1 << m for m in masks), (r, la, lb, lc, a3, b3, c3)
 
 
 def test_complete_against_brute_force_oracle():

@@ -41,6 +41,11 @@ def test_tables_build_for_all_cases():
         GeneratorTable(standard_config(ksq, variant))
 
 
+def test_standard_table_is_built_once_however_the_variant_is_passed():
+    assert build_generator_table(6) is build_generator_table(6, "plain")
+    assert build_generator_table(2) is build_generator_table(ksq=2, variant="plain")
+
+
 def test_corrupted_table_rejected():
     override = {("C3", "A0"): (1, 0b01)}
     with pytest.raises(TableInconsistent):
