@@ -5,7 +5,7 @@ Modules:
   lattice      Picard lattices of blowups of the plane, subgroup indices
                in Z^r x (Z/2)^m from integer rows
   delpezzo     effective/nef semigroups on the degree-6 del Pezzo surface
-  config       the five branch configurations and their blowups
+  config       six branch configurations (five values of K^2), blowups
   picard       the coordinate model of the Picard group and its torsion
   effective    the effective-semigroup decision procedures
   degeneration the exceptional-collection check; the degenerate-fibre

@@ -1,4 +1,4 @@
-"""The five Burniat branch configurations and their blowups.
+"""Six Burniat branch configurations (five values of K^2) and their blowups.
 
 Twelve labelled curves live on Bl_3 P^2: for each letter X in {A, B, C},
 X0 and X3 are (-1)-curves and X1, X2 are fibres of one ruling.  The class

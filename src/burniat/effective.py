@@ -32,8 +32,9 @@ their class once into (n_h, n_1, n_2, n_3, mask) (see picard) and build an
 XClass again only for a trace's final class; exceptional_induction recurses
 on packed classes too.  minimal_form and is_minimal read restrictions from
 the table's restriction dict.  ReductionTrace.validate never reads it: it
-rebuilds preimage_combo(start) and checks every step with pairing and
-column, so it stays an independent re-check of every trace.
+rebuilds preimage_combo(start) and checks every step with the step curve's
+entry of delpezzo.symmetric_coords and, on a zero pairing, with column, so
+it stays an independent re-check of every trace.
 """
 from __future__ import annotations
 
@@ -41,12 +42,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .lattice import YClass, arithmetic_genus
-from .delpezzo import ExceptionalType, classify_exceptional, enumerate_nef, is_nef_class
+from .delpezzo import (ExceptionalType, classify_exceptional, enumerate_nef,
+                       is_nef_class, symmetric_coords)
 from .config import BOUNDARY, GENERATORS
 from .picard import (MASK_BITS, GeneratorTable, Packed, XClass, pack,
                      parse_xclass, unpack, xclass_to_text, TableInconsistent)
 
 INTERNAL_OF_LETTER = {"A": ("A1", "A2"), "B": ("B1", "B2"), "C": ("C1", "C2")}
+# index of each boundary curve's pairing in delpezzo.symmetric_coords
+_SYMMETRIC_INDEX = {f: i for i, f in enumerate(BOUNDARY, 1)}
 
 # Classes with no sections, imported as facts about the surface:
 #   Q10  the conic-degree class (3; 1 10; 1 10; 1 10)
@@ -87,7 +91,10 @@ class ReductionTrace:
         p = table.pack(self.start)
         combo = table.preimage_combo(self.start)
         for step in self.steps:
-            pairing = table.pairing(p, step.curve)
+            i = _SYMMETRIC_INDEX.get(step.curve)
+            if i is None:
+                raise InvalidEvidence(f"step {step} is not on a boundary curve")
+            pairing = symmetric_coords(p[:4])[i]
             if step.reason == "negative":
                 justified = pairing < 0
             elif step.reason == "torsion":
@@ -279,13 +286,10 @@ def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
         for t_a, t_b, afirst, ka, kb, mask in sorted(found):
             t_c = r - t_a - t_b
             a2, b2, c2 = ((ka >> 1) + a3) & 1, ((kb >> 1) + b3) & 1, (afirst + c3) & 1
-            cert = {"A0": n1 + b3 + c3 + t_c, "A1": t_a - a2, "A2": a2,
-                    "A3": a3,
-                    "B0": n2 + a3 + c3 + t_a, "B1": t_b - b2, "B2": b2,
-                    "B3": b3,
-                    "C0": n3 + a3 + b3 + t_b, "C1": t_c - c2, "C2": c2,
-                    "C3": c3}
-            out[mask] = tuple(cert[g] for g in GENERATORS)
+            # in GENERATORS order
+            out[mask] = (n1 + b3 + c3 + t_c, t_a - a2, a2, a3,
+                         n2 + a3 + c3 + t_a, t_b - b2, b2, b3,
+                         n3 + a3 + b3 + t_b, t_c - c2, c2, c3)
             have |= 1 << mask
         if len(out) == 64:
             return out

@@ -40,10 +40,13 @@ also a table with K^2 != 6.
 phi and column work on integers.  Once the blocks are fixed (including any
 override) the table packs each generator into one flat row (d, the three
 block degrees, mask, emult), which has the fields of XClass, and into the
-packed CURVE_CLASS[g] plus its mask; subtracting a curve from a packed class
-is four integer subtractions and one XOR.  A combination is summed with
-integer products and an XOR of the masks of its odd coefficients; maps_to
-compares that sum with a packed class, and phi wraps it as an XClass.
+packed CURVE_CLASS[g] plus its mask.  The same dict holds 2E_s under the
+label E{s}, as the row (2, 0, 0, 0, 0, emult -2 at s); phi, the image index
+and the kernel of phi read these rows alone.  Subtracting a curve from a
+packed class is four integer subtractions and one XOR.  A combination is
+summed with integer products and an XOR of the masks of its odd
+coefficients; maps_to compares that sum with a packed class, and phi wraps
+it as an XClass.
 preimage_combo corrects torsion bits against the constant basis VEC, so its
 GF(2) solve has 64 targets and is memoised; every call checks its combo.
 
@@ -250,12 +253,6 @@ class GeneratorTable:
                  block_override: dict[tuple[str, str], tuple[int, int]] | None = None):
         self.cfg = cfg
         self.k = cfg.k
-        minus_k = -canonical_class(cfg.lattice)
-        self.degree = {g: cfg.strict_transform(g).dot(minus_k) for g in GENERATORS}
-        self.emult = {
-            g: tuple(1 if s in cfg.points_on(g) else 0 for s in range(cfg.k))
-            for g in GENERATORS
-        }
         # (generator, boundary curve) -> (deg, 2-bit mask) of the restriction
         self.block: dict[tuple[str, str], tuple[int, int]] = {}
         for g in GENERATORS:
@@ -270,11 +267,17 @@ class GeneratorTable:
         if block_override:
             self.block.update(block_override)
         # integer kernel of phi: the XClass fields (d, r0, r1, r2, mask, emult)
+        # of each generator, then of 2E_s under the label E{s}
+        minus_k = -canonical_class(cfg.lattice)
         self._int_rows = {}
         for g in GENERATORS:
             (r0, m0), (r1, m1), (r2, m2) = (self.block[g, f] for f in ("A0", "B0", "C0"))
-            self._int_rows[g] = (self.degree[g], r0, r1, r2, m0 << 4 | m1 << 2 | m2,
-                                 self.emult[g])
+            sg = cfg.strict_transform(g)
+            self._int_rows[g] = (sg.dot(minus_k), r0, r1, r2, m0 << 4 | m1 << 2 | m2,
+                                 tuple(sg.dot(cfg.exceptional(s)) for s in range(self.k)))
+        for s in range(self.k):
+            self._int_rows[f"E{s}"] = (2, 0, 0, 0, 0,
+                                       tuple(-2 if t == s else 0 for t in range(self.k)))
         # packed K^2 = 6 generator rows: the curve's numerical class and its mask
         self.packed_rows = {g: (*CURVE_CLASS[g].coeffs, self._int_rows[g][4])
                             for g in GENERATORS}
@@ -288,13 +291,18 @@ class GeneratorTable:
     def phi(self, combo: dict[str, int],
             e_combo: dict[int, int] | None = None) -> XClass:
         """Image of an integer combination of generators (and E_s)."""
-        return XClass(*self._phi_ints(combo, e_combo))
+        if e_combo:
+            for s in e_combo:
+                if not 0 <= s < self.k:
+                    raise ValueError(f"no exceptional curve E{s} for K^2 = {6 - self.k}")
+            combo = {**combo, **{f"E{s}": c for s, c in e_combo.items()}}
+        return XClass(*self._phi_ints(combo))
 
     def maps_to(self, combo: dict[str, int], p: Packed) -> bool:
         """Whether phi(combo) is the packed K^2 = 6 class p."""
         return self._phi_ints(combo) == _ints(p)
 
-    def _phi_ints(self, combo: dict[str, int], e_combo: dict[int, int] | None = None
+    def _phi_ints(self, combo: dict[str, int]
                   ) -> tuple[int, int, int, int, int, tuple[int, ...]]:
         """Integer kernel of phi: the XClass fields (d, r0, r1, r2, mask, emult)."""
         d = r0 = r1 = r2 = mask = 0
@@ -312,11 +320,6 @@ class GeneratorTable:
                 mask ^= gmask
             if gem:
                 em = [a + c * b for a, b in zip(em, gem)]
-        for s, c in (e_combo or {}).items():
-            if not 0 <= s < self.k:
-                raise ValueError(f"no exceptional curve E{s} for K^2 = {6 - self.k}")
-            d += 2 * c
-            em[s] -= 2 * c
         return d, r0, r1, r2, mask, tuple(em)
 
     def column(self, combo: dict[str, int], f: str) -> tuple[int, int]:
@@ -379,16 +382,11 @@ class GeneratorTable:
             masks = tuple(self.column(combo, f)[1] for f in BOUNDARY)
             self._restriction_masks[key] = masks
         m0, m1, m2, m3, m4, m5 = masks
-        # the pairings with A0, B0, C0 = e1, e2, e3 and with
-        # A3, B3, C3 = h - e2 - e3, h - e1 - e3, h - e1 - e2
+        # the pairings with A0, B0, C0 = e1, e2, e3 and A3, B3, C3 = h - e2 - e3,
+        # h - e1 - e3, h - e1 - e2, written out as in _ints: reading them from
+        # delpezzo.symmetric_coords made scan(12) about 15% slower
         return ((-n1, m0), (-n2, m1), (-n3, m2),
                 (nh + n2 + n3, m3), (nh + n1 + n3, m4), (nh + n1 + n2, m5))
-
-    def pairing(self, p: Packed, f: str) -> int:
-        """Intersection of the packed class p with the boundary curve f."""
-        nh, n1, n2, n3, _ = p
-        ch, c1, c2, c3 = CURVE_CLASS[f].coeffs
-        return nh * ch - n1 * c1 - n2 * c2 - n3 * c3
 
     def canonical(self) -> XClass:
         """The canonical class (6; 1 00; 1 00; 1 00) [+ zero e-part]."""
@@ -397,12 +395,9 @@ class GeneratorTable:
     # -- consistency suite ----------------------------------------------------
 
     def _free_rows(self) -> list[tuple[tuple[int, ...], int]]:
-        """(d, emult, block degrees) and torsion mask of the 12 generator rows,
-        then of the k E_s rows (d = 2, emult -2 at s, trivial blocks)."""
-        rows = [((d, *em, r0, r1, r2), mask)
-                for d, r0, r1, r2, mask, em in map(self._int_rows.get, GENERATORS)]
-        return rows + [((2, *(-2 if t == s else 0 for t in range(self.k)), 0, 0, 0), 0)
-                       for s in range(self.k)]
+        """(d, emult, block degrees) and torsion mask of each row of phi."""
+        return [((d, *em, r0, r1, r2), mask)
+                for d, r0, r1, r2, mask, em in self._int_rows.values()]
 
     def image_index(self) -> int | None:
         rows = [free + MASK_BITS[mask] for free, mask in self._free_rows()]
@@ -410,31 +405,17 @@ class GeneratorTable:
 
     def _kernel_combos(self) -> list[dict[str, int]]:
         """Generators of {combos : phi(combo) == 0} over the 12+k generators."""
-        labels = list(GENERATORS) + [f"E{s}" for s in range(self.k)]
-        rows = self._free_rows()
-        free_kernel = left_kernel([list(free) for free, _ in rows], 4 + self.k)
+        labels = list(self._int_rows)
+        free_kernel = left_kernel([list(free) for free, _ in self._free_rows()],
+                                  4 + self.k)
         # torsion image of each free-kernel vector
-        reduced = []
-        for kv in free_kernel:
-            m = 0
-            for c, (_, mask) in zip(kv, rows):
-                if c & 1:
-                    m ^= mask
-            reduced.append(m)
-        combos: list[dict[str, int]] = []
-        # doubles of the free kernel always lie in the full kernel
-        for kv in free_kernel:
-            combos.append({lab: 2 * c for lab, c in zip(labels, kv) if c})
-        # plus lifts of the left nullspace of the induced torsion map
-        for sol in gf2_left_null(reduced):
-            combo: dict[str, int] = {}
-            for i in sol:
-                for lab, c in zip(labels, free_kernel[i]):
-                    if c:
-                        combo[lab] = combo.get(lab, 0) + c
-            if combo:
-                combos.append(combo)
-        return combos
+        reduced = [self._phi_ints(dict(zip(labels, kv)))[4] for kv in free_kernel]
+        # doubles of the free kernel always lie in the full kernel, plus the
+        # sums over the left nullspace of the induced torsion map
+        vectors = [[2 * c for c in kv] for kv in free_kernel]
+        vectors += [[sum(col) for col in zip(*(free_kernel[i] for i in sol))]
+                    for sol in gf2_left_null(reduced)]
+        return [{lab: c for lab, c in zip(labels, v) if c} for v in vectors]
 
     def _check_consistency(self) -> None:
         # (d) block degrees match lattice pairings
@@ -458,11 +439,9 @@ class GeneratorTable:
             raise TableInconsistent(f"image index {self.image_index()} != 3")
         # (b) kernel combos restrict to zero on A3, B3, C3
         for combo in self._kernel_combos():
-            gen_part = {g: c for g, c in combo.items() if not g.startswith("E")}
-            img = self.phi(gen_part,
-                           {int(g[1:]): c for g, c in combo.items() if g.startswith("E")})
-            if not img.is_zero():
+            if not self.phi(combo).is_zero():
                 raise TableInconsistent("kernel generator does not map to zero")
+            gen_part = {g: c for g, c in combo.items() if not g.startswith("E")}
             for f in ("A3", "B3", "C3"):
                 if self.column(gen_part, f) != (0, 0):
                     raise TableInconsistent(

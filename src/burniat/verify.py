@@ -94,16 +94,9 @@ def _c3_table_consistency(seed: int, table: GeneratorTable) -> tuple[bool, str]:
 def _c4_genus_exceptions(seed: int, table: GeneratorTable) -> tuple[bool, str]:
     counts: dict[str, int] = {}
     for c in enumerate_nef(12):
-        pa = arithmetic_genus(c)
+        # classify_exceptional raises on a genus that contradicts the family
         et = classify_exceptional(c)
         counts[et.family] = counts.get(et.family, 0) + 1
-        if et.family == "NonExceptional":
-            if pa <= 0 and not c.is_zero():
-                return False, f"untyped class {c} has p_a={pa}"
-        else:
-            want = -(et.n - 1) if et.family == "Type1" else 0
-            if pa != want:
-                return False, f"{c} classified {et.family} but p_a={pa}"
     return True, f"nef d<=12 family counts {counts}"
 
 

@@ -115,6 +115,22 @@ def test_genus_exceptions_scan_small():
         assert (pa <= 0) == (fam != "NonExceptional")
 
 
+def test_genus_contradiction_raises_in_classify(monkeypatch):
+    # criterion 4 of verify-all only counts the families: a family whose
+    # genus disagrees, or an untyped nonzero class of genus <= 0, must raise
+    # in classify_exceptional
+    import burniat.delpezzo as delpezzo
+    from burniat.verify import run_all
+    monkeypatch.setattr(delpezzo, "arithmetic_genus", lambda d: 5)
+    with pytest.raises(AssertionError, match="classified Type1"):
+        classify_exceptional(H - E1)
+    with pytest.raises(AssertionError):
+        run_all(only="genus-exceptions")
+    monkeypatch.setattr(delpezzo, "arithmetic_genus", lambda d: 0)
+    with pytest.raises(AssertionError, match="unclassified"):
+        classify_exceptional(MINUS_K)
+
+
 def test_enumerate_nef_deterministic():
     a = [c.coeffs for c in enumerate_nef(6)]
     b = [c.coeffs for c in enumerate_nef(6)]

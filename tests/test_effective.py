@@ -10,12 +10,13 @@ import pytest
 
 import burniat
 from burniat.cli import main as cli_main
-from burniat.config import (BOUNDARY, GENERATORS, STANDARD_CASES,
+from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
                             InvalidBuildingData, standard_config)
 from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_check
 from burniat.delpezzo import classify_exceptional
 from burniat.effective import (TRUSTED, InS, InvalidEvidence, NonEffective,
-                               ScanReport, Unresolved, decide, effective_lifts,
+                               ReductionStep, ReductionTrace, ScanReport,
+                               Unresolved, decide, effective_lifts,
                                exceptional_induction, is_minimal, minimal_form,
                                prove_non_effective, s_membership, scan, step3_tables,
                                trusted_id, verdict_text)
@@ -49,7 +50,7 @@ def test_minimal_form_canonical_unchanged():
     reduced, trace = minimal_form(T, KX)
     assert reduced == KX and not trace.steps
     for f in BOUNDARY:
-        assert T.pairing(T.pack(KX), f) == 1
+        assert T.to_y(KX).dot(CURVE_CLASS[f]) == 1
 
 
 def test_minimal_form_corner_class_unchanged():
@@ -58,7 +59,7 @@ def test_minimal_form_corner_class_unchanged():
     assert reduced == x and not trace.steps
     # zero pairings on A3, B3, C3 with trivial restrictions
     for f in ("A3", "B3", "C3"):
-        assert T.pairing(T.pack(x), f) == 0
+        assert T.to_y(x).dot(CURVE_CLASS[f]) == 0
     assert T.restrictions(T.pack(x))[3:] == ((0, 0),) * 3
 
 
@@ -69,6 +70,19 @@ def test_trace_length_equals_degree_drop():
         x = T.phi(combo)
         reduced, trace = minimal_form(T, x)
         assert len(trace.steps) == x.d - reduced.d
+        trace.validate(T)
+
+
+@pytest.mark.parametrize("curve, reason, combo", [
+    ("X9", "negative", {"B0": -1}),  # names no curve
+    ("A1", "negative", {"B0": -1}),  # an internal curve, and x.A1 = -1
+    ("A1", "torsion", {}),           # x.A1 = 0, and A1 has no column
+])
+def test_validate_refuses_steps_off_the_boundary(curve, reason, combo):
+    x = T.phi(combo)
+    final = x - T.phi({curve: 1}) if curve in GENERATORS else x
+    trace = ReductionTrace(x, (ReductionStep(curve, reason),), final)
+    with pytest.raises(InvalidEvidence, match="not on a boundary curve"):
         trace.validate(T)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
                             standard_config)
-from burniat.lattice import YClass, subgroup_index
+from burniat.lattice import YClass, canonical_class, subgroup_index
 from burniat.picard import (GeneratorTable, MASK_BITS,
                             NotARepresentableClass, TableInconsistent, VEC,
                             VEC_COMBO, XClass, _torsion_solution,
@@ -147,13 +147,17 @@ def _block_sum(a, c, block):
 
 def reference_phi(table, combo, e_combo):
     """phi as (d, block degrees, torsion bits, emult), the sum of the scaled
-    generator blocks with their labels added by bits_add."""
+    generator blocks with their labels added by bits_add; d and emult are
+    the lattice pairings of the strict transforms with -K and the E_s."""
+    cfg = table.cfg
+    minus_k = -canonical_class(cfg.lattice)
     d, blocks, em = 0, ((0, (0, 0)),) * 3, (0,) * table.k
     for g, c in combo.items():
-        d += c * table.degree[g]
+        sg = cfg.strict_transform(g)
+        d += c * sg.dot(minus_k)
         blocks = tuple(_block_sum(a, c, table.block[(g, f)])
                        for a, f in zip(blocks, ("A0", "B0", "C0")))
-        em = tuple(a + c * b for a, b in zip(em, table.emult[g]))
+        em = tuple(a + c * sg.dot(cfg.exceptional(s)) for s, a in enumerate(em))
     for s, c in e_combo.items():
         d += 2 * c
         em = tuple(a - 2 * c if t == s else a for t, a in enumerate(em))
@@ -200,11 +204,12 @@ def test_memoised_torsion_solutions_resum():
 
 
 def combo_path_restrictions(table, x):
-    """restrictions(x) through pairing and the columns of preimage_combo(x)."""
+    """restrictions(x) through the lattice pairing and the columns of
+    preimage_combo(x)."""
     pre = table.preimage_combo(x)
     out = []
     for f in BOUNDARY:
-        out.append((table.pairing(table.pack(x), f), table.column(pre, f)[1]))
+        out.append((table.to_y(x).dot(CURVE_CLASS[f]), table.column(pre, f)[1]))
     return tuple(out)
 
 
@@ -263,7 +268,7 @@ def test_restriction_degree_equals_pairing():
         combo = {g: rng.randint(-2, 2) for g in GENERATORS}
         x = T6.phi(combo)
         assert [deg for deg, _ in T6.restrictions(T6.pack(x))] == \
-            [T6.pairing(T6.pack(x), f) for f in BOUNDARY]
+            [T6.to_y(x).dot(CURVE_CLASS[f]) for f in BOUNDARY]
 
 
 # --- intersection -------------------------------------------------------------
