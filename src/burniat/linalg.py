@@ -1,10 +1,12 @@
 """Exact linear algebra over Z and GF(2).
 
 Everything here works on plain Python ints (arbitrary precision), so there is
-no floating point anywhere.  Integer matrices are lists of row tuples/lists.
-A GF(2) vector of length n is one n-bit int with coordinate 0 as its most
-significant bit, the encoding of the 6-bit torsion masks of picard; a
-combination of rows comes back as the tuple of its row indices.
+no floating point anywhere.  Integer matrices are lists of row tuples/lists;
+over Z this module gives the row Hermite normal form and the index of a row
+span.  Over GF(2) one elimination serves the echelon basis, the null space
+and the solve.  A GF(2) vector of length n is one n-bit int with coordinate 0
+as its most significant bit, the encoding of the 6-bit torsion masks of
+picard; a combination of rows comes back as the tuple of its row indices.
 """
 from __future__ import annotations
 
@@ -77,57 +79,42 @@ def lattice_index(rows: list[list[int]], ncols: int) -> int | None:
     return abs(det)
 
 
-def left_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of {x : x @ rows == 0} as rows of integers."""
-    h, u = hnf_with_transform(rows, ncols)
-    return [u[i] for i in range(len(h)) if not any(h[i])]
-
-
 # ---------------------------------------------------------------------------
 # GF(2): a vector of length n is an n-bit int, coordinate 0 most significant
 # ---------------------------------------------------------------------------
 
-def gf2_eliminate(rows: list[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+def gf2_eliminate(rows: list[int]) -> dict[int, tuple[int, int]]:
     """Gauss-Jordan elimination over GF(2), rows in order.
 
-    Returns (pivots, null).  pivots maps the highest set bit (the first
-    coordinate) of each row of the reduced echelon basis of the span to
-    (row, combo), where combo has bit i set for each input row i summing to
-    that row.  null holds, for each input row that reduces to zero, the
-    combo of input rows summing to 0.
+    Maps the highest set bit (the first coordinate) of each row of the
+    reduced echelon basis of the span to (row, combo), where combo has bit i
+    set for each input row i summing to that row.
     """
     pivots: dict[int, tuple[int, int]] = {}
-    null: list[int] = []
     for i, r in enumerate(rows):
         c = 1 << i
         for lead, (b, bc) in pivots.items():
             if r & lead:
                 r, c = r ^ b, c ^ bc
-        if not r:
-            null.append(c)
+        if not r:  # r is a sum of earlier rows
             continue
         lead = 1 << (r.bit_length() - 1)
         for k, (b, bc) in pivots.items():
             if b & lead:
                 pivots[k] = (b ^ r, bc ^ c)
         pivots[lead] = (r, c)
-    return pivots, null
-
-
-def _indices(combo: int) -> tuple[int, ...]:
-    """The row indices set in a combo."""
-    return tuple(i for i in range(combo.bit_length()) if combo >> i & 1)
+    return pivots
 
 
 def gf2_echelon(rows: list[int]) -> list[int]:
     """Reduced row echelon basis of the span, first coordinate first."""
-    pivots, _ = gf2_eliminate(rows)
+    pivots = gf2_eliminate(rows)
     return [b for _, (b, _) in sorted(pivots.items(), reverse=True)]
 
 
 def gf2_nullspace(rows: list[int], n: int) -> list[int]:
     """Echelon basis of {v in GF(2)^n : rows @ v == 0}."""
-    pivots, _ = gf2_eliminate(rows)
+    pivots = gf2_eliminate(rows)
     out = []
     for f in range(n - 1, -1, -1):  # the bit of coordinate n - 1 - f
         v = 1 << f
@@ -140,17 +127,11 @@ def gf2_nullspace(rows: list[int], n: int) -> list[int]:
     return out
 
 
-def gf2_left_null(rows: list[int]) -> list[tuple[int, ...]]:
-    """Basis of {t : sum_{i in t} rows_i == 0} over GF(2), as row indices."""
-    _, null = gf2_eliminate(rows)
-    return [_indices(c) for c in null]
-
-
 def gf2_solve(rows: list[int], target: int) -> tuple[int, ...] | None:
     """Indices of rows summing to target, or None."""
-    pivots, _ = gf2_eliminate(rows)
+    pivots = gf2_eliminate(rows)
     t, c = target, 0
     for lead, (b, bc) in pivots.items():
         if t & lead:
             t, c = t ^ b, c ^ bc
-    return None if t else _indices(c)
+    return None if t else tuple(i for i in range(c.bit_length()) if c >> i & 1)

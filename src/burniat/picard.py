@@ -14,7 +14,7 @@ mask of their labels, A0 bits first.  Adding classes adds the integers and
 XORs the masks.  That 6-bit int is the one encoding of a torsion vector: the
 basis VEC, point_vector, torsion_subgroup and the GF(2) solves of linalg use
 it as well (MASK_BITS spells a mask as a 0/1 tuple only for from_y and for
-the integer rows of image_index).
+the integer rows whose indices the consistency suite compares).
 
 The twelve configuration curves generate the group; their restriction blocks
 form the generator table.  The table is produced by one filling rule:
@@ -26,11 +26,14 @@ form the generator table.  The table is produced by one filling rule:
 * to (-1, 00) on itself (adjunction against a canonical class with trivial
   torsion data).
 
-A construction-time consistency suite cross-checks the rule: the printed
-torsion vectors of the six standard difference divisors, kernel consistency
-of the derived A3/B3/C3 restriction maps, the spanning property of the
-torsion vectors, the image index 3 for K^2 = 6, and agreement of every block
-degree with the lattice pairing.
+A construction-time consistency suite cross-checks the rule: agreement of
+every block degree with the lattice pairing, the printed torsion vectors of
+the six standard difference divisors, the spanning property of the torsion
+vectors, a finite image index (3 for K^2 = 6), and that the derived A3/B3/C3
+restriction maps are well defined on the image.  The last is one index
+comparison: appending to each row of phi the masks of its restrictions to
+A3, B3, C3 multiplies the image index by 2^6 exactly when those masks vanish
+on every combination that phi sends to zero.
 
 The K^2 = 6 decision procedures carry a class packed as
 (n_h, n_1, n_2, n_3, mask), its numerical class y and the same 6-bit mask.
@@ -41,12 +44,11 @@ phi and column work on integers.  Once the blocks are fixed (including any
 override) the table packs each generator into one flat row (d, the three
 block degrees, mask, emult), which has the fields of XClass, and into the
 packed CURVE_CLASS[g] plus its mask.  The same dict holds 2E_s under the
-label E{s}, as the row (2, 0, 0, 0, 0, emult -2 at s); phi, the image index
-and the kernel of phi read these rows alone.  Subtracting a curve from a
-packed class is four integer subtractions and one XOR.  A combination is
-summed with integer products and an XOR of the masks of its odd
-coefficients; maps_to compares that sum with a packed class, and phi wraps
-it as an XClass.
+label E{s}, as the row (2, 0, 0, 0, 0, emult -2 at s); phi and the image
+index read these rows alone.  Subtracting a curve from a packed class is four
+integer subtractions and one XOR.  A combination is summed with integer
+products and an XOR of the masks of its odd coefficients; maps_to compares
+that sum with a packed class, and phi wraps it as an XClass.
 preimage_combo corrects torsion bits against the constant basis VEC, so its
 GF(2) solve has 64 targets and is memoised; every call checks its combo.
 
@@ -67,8 +69,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import YClass, canonical_class, subgroup_index
-from .linalg import (gf2_echelon, gf2_left_null, gf2_nullspace, gf2_solve,
-                     lattice_index, left_kernel)
+from .linalg import gf2_echelon, gf2_nullspace, gf2_solve, lattice_index
 from .config import (BurniatConfig, BOUNDARY, GENERATORS, CURVE_CLASS,
                      standard_config)
 
@@ -118,10 +119,6 @@ class XClass:
         return XClass(self.d - other.d, self.r0 - other.r0, self.r1 - other.r1,
                       self.r2 - other.r2, self.mask ^ other.mask,
                       tuple(a - b for a, b in zip(self.emult, other.emult)))
-
-    def is_zero(self) -> bool:
-        return not (self.d or self.r0 or self.r1 or self.r2 or self.mask
-                    or any(self.emult))
 
     def __str__(self) -> str:
         return xclass_to_text(self)
@@ -288,14 +285,8 @@ class GeneratorTable:
 
     # -- generator images ---------------------------------------------------
 
-    def phi(self, combo: dict[str, int],
-            e_combo: dict[int, int] | None = None) -> XClass:
-        """Image of an integer combination of generators (and E_s)."""
-        if e_combo:
-            for s in e_combo:
-                if not 0 <= s < self.k:
-                    raise ValueError(f"no exceptional curve E{s} for K^2 = {6 - self.k}")
-            combo = {**combo, **{f"E{s}": c for s, c in e_combo.items()}}
+    def phi(self, combo: dict[str, int]) -> XClass:
+        """Image of an integer combination of generators and of 2E_s (E{s})."""
         return XClass(*self._phi_ints(combo))
 
     def maps_to(self, combo: dict[str, int], p: Packed) -> bool:
@@ -394,28 +385,21 @@ class GeneratorTable:
 
     # -- consistency suite ----------------------------------------------------
 
-    def _free_rows(self) -> list[tuple[tuple[int, ...], int]]:
-        """(d, emult, block degrees) and torsion mask of each row of phi."""
-        return [((d, *em, r0, r1, r2), mask)
-                for d, r0, r1, r2, mask, em in self._int_rows.values()]
+    def _index_rows(self, derived: bool = False) -> list[tuple[int, ...]]:
+        """Each row of phi as integers (d, emult, block degrees, mask bits);
+        with derived, also the label digits of its restrictions to A3, B3,
+        C3, which are 0 on the E_s rows."""
+        rows = []
+        for g, (d, r0, r1, r2, mask, em) in self._int_rows.items():
+            row = (d, *em, r0, r1, r2, *MASK_BITS[mask])
+            if derived:
+                for f in ("A3", "B3", "C3"):
+                    row += divmod(self.block.get((g, f), (0, 0))[1], 2)
+            rows.append(row)
+        return rows
 
     def image_index(self) -> int | None:
-        rows = [free + MASK_BITS[mask] for free, mask in self._free_rows()]
-        return subgroup_index(rows, 6)
-
-    def _kernel_combos(self) -> list[dict[str, int]]:
-        """Generators of {combos : phi(combo) == 0} over the 12+k generators."""
-        labels = list(self._int_rows)
-        free_kernel = left_kernel([list(free) for free, _ in self._free_rows()],
-                                  4 + self.k)
-        # torsion image of each free-kernel vector
-        reduced = [self._phi_ints(dict(zip(labels, kv)))[4] for kv in free_kernel]
-        # doubles of the free kernel always lie in the full kernel, plus the
-        # sums over the left nullspace of the induced torsion map
-        vectors = [[2 * c for c in kv] for kv in free_kernel]
-        vectors += [[sum(col) for col in zip(*(free_kernel[i] for i in sol))]
-                    for sol in gf2_left_null(reduced)]
-        return [{lab: c for lab, c in zip(labels, v) if c} for v in vectors]
+        return subgroup_index(self._index_rows(), 6)
 
     def _check_consistency(self) -> None:
         # (d) block degrees match lattice pairings
@@ -432,20 +416,20 @@ class GeneratorTable:
                 raise TableInconsistent(f"combo for vec {v} maps to {img.mask:06b}")
             if self.k == 0 and (img.d or img.r0 or img.r1 or img.r2):
                 raise TableInconsistent(f"combo for vec {v} is not torsion")
-        # (c) the basis vectors span V; index 3 for K^2 = 6
+        # (c) the basis vectors span V; the image has finite index, 3 for K^2 = 6
         if len(gf2_echelon([VEC[v] for v in VEC_ORDER])) != 6:
             raise TableInconsistent("torsion vectors do not span")
-        if self.k == 0 and self.image_index() != 3:
-            raise TableInconsistent(f"image index {self.image_index()} != 3")
-        # (b) kernel combos restrict to zero on A3, B3, C3
-        for combo in self._kernel_combos():
-            if not self.phi(combo).is_zero():
-                raise TableInconsistent("kernel generator does not map to zero")
-            gen_part = {g: c for g, c in combo.items() if not g.startswith("E")}
-            for f in ("A3", "B3", "C3"):
-                if self.column(gen_part, f) != (0, 0):
-                    raise TableInconsistent(
-                        f"kernel combo has nonzero restriction on {f}")
+        index = self.image_index()
+        if index is None:
+            raise TableInconsistent("the image of phi has infinite index")
+        if self.k == 0 and index != 3:
+            raise TableInconsistent(f"image index {index} != 3")
+        # (b) the derived masks on A3, B3, C3 vanish on ker phi, and so the
+        # maps are well defined (their degrees are lattice pairings by (d)),
+        # exactly when appending them multiplies the image index by 2^6
+        if subgroup_index(self._index_rows(derived=True), 12) != 64 * index:
+            raise TableInconsistent(
+                "the restrictions to A3, B3, C3 are not well defined on the image of phi")
 
 
 @lru_cache(maxsize=64)

@@ -94,8 +94,10 @@ def _c3_table_consistency(seed: int, table: GeneratorTable) -> tuple[bool, str]:
 def _c4_genus_exceptions(seed: int, table: GeneratorTable) -> tuple[bool, str]:
     counts: dict[str, int] = {}
     for c in enumerate_nef(12):
-        # classify_exceptional raises on a genus that contradicts the family
-        et = classify_exceptional(c)
+        try:
+            et = classify_exceptional(c)
+        except AssertionError as exc:  # a genus that contradicts the family
+            return False, f"genus contradiction at {c}: {exc}"
         counts[et.family] = counts.get(et.family, 0) + 1
     return True, f"nef d<=12 family counts {counts}"
 

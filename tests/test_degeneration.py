@@ -42,7 +42,7 @@ def test_collection_images():
 
 def test_phi0_matches_smooth_table():
     # the degenerate fibre uses the smooth image map unchanged
-    assert T.phi(COLLECTION[6]).is_zero()
+    assert T.phi(COLLECTION[6]) == T.phi({})
     k_combo = {f: 1 for f in ("A0", "B0", "C0", "A3", "B3", "C3")}
     assert T.phi(k_combo).d == 6
     assert T.phi({"A1": 1, "A2": -1}).mask == 0b00_10_00

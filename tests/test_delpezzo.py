@@ -115,17 +115,24 @@ def test_genus_exceptions_scan_small():
         assert (pa <= 0) == (fam != "NonExceptional")
 
 
-def test_genus_contradiction_raises_in_classify(monkeypatch):
-    # criterion 4 of verify-all only counts the families: a family whose
-    # genus disagrees, or an untyped nonzero class of genus <= 0, must raise
-    # in classify_exceptional
+def test_genus_contradiction_raises_in_classify(monkeypatch, capsys):
+    # a family whose genus disagrees, or an untyped nonzero class of genus
+    # <= 0, raises in classify_exceptional; criterion 4 of verify-all turns
+    # the raise into a FAIL line naming the class
     import burniat.delpezzo as delpezzo
+    from burniat.cli import main
     from burniat.verify import run_all
     monkeypatch.setattr(delpezzo, "arithmetic_genus", lambda d: 5)
     with pytest.raises(AssertionError, match="classified Type1"):
         classify_exceptional(H - E1)
-    with pytest.raises(AssertionError):
-        run_all(only="genus-exceptions")
+    [result] = run_all(only="genus-exceptions")
+    assert not result.passed
+    assert result.detail.startswith("genus contradiction at ")
+    assert "but p_a=5" in result.detail
+    assert main(["verify-all", "--only", "genus"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] criterion  4 genus-exceptions" in out
+    assert "genus contradiction at " in out
     monkeypatch.setattr(delpezzo, "arithmetic_genus", lambda d: 0)
     with pytest.raises(AssertionError, match="unclassified"):
         classify_exceptional(MINUS_K)

@@ -1,7 +1,7 @@
 import random
 
-from burniat.linalg import (gf2_echelon, gf2_left_null, gf2_nullspace, gf2_solve,
-                            hnf_with_transform, lattice_index, left_kernel)
+from burniat.linalg import (gf2_echelon, gf2_nullspace, gf2_solve,
+                            hnf_with_transform, lattice_index)
 
 
 def test_hnf_transform_invariant():
@@ -25,14 +25,6 @@ def test_lattice_index_known():
     assert lattice_index([[1, 2], [3, 4]], 2) == 2
     assert lattice_index([[1, 2]], 2) is None
     assert lattice_index([[2, 4], [1, 2]], 2) is None
-
-
-def test_left_kernel():
-    rows = [[1, 0], [2, 0], [0, 1]]
-    kern = left_kernel(rows, 2)
-    assert len(kern) == 1
-    x = kern[0]
-    assert [sum(x[k] * rows[k][j] for k in range(3)) for j in range(2)] == [0, 0]
 
 
 def test_gf2_echelon_and_nullspace():
@@ -105,9 +97,6 @@ def test_gf2_routines_against_brute_force():
         null = {v for v in range(64)
                 if all((v & r).bit_count() % 2 == 0 for r in rows)}
         assert _is_basis_of(gf2_nullspace(rows, 6), null)
-        # left null space over all row subsets
-        zero_sums = {c for c, s in enumerate(sums) if s == 0}
-        assert _is_basis_of([_combo(c) for c in gf2_left_null(rows)], zero_sums)
         # every target: a combination summing to it exactly when it is in the span
         for target in range(64):
             sol = gf2_solve(rows, target)

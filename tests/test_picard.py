@@ -55,6 +55,39 @@ def test_corrupted_table_rejected():
         GeneratorTable(standard_config(6), override)
 
 
+def _relabelled(table, g, f):
+    """The three blocks (deg, mask) that differ from block (g, f) in the mask."""
+    deg, mask = table.block[(g, f)]
+    return [(deg, m) for m in range(4) if m != mask]
+
+
+@pytest.mark.parametrize("case", STANDARD_CASES)
+def test_every_relabelled_derived_column_fails_check_b(case):
+    # the A3, B3, C3 columns enter neither phi nor the degree check, so the
+    # well-definedness of the derived restriction maps must refuse each label
+    table = build_generator_table(*case)
+    overrides = [{(g, f): blk} for g in GENERATORS for f in ("A3", "B3", "C3")
+                 for blk in _relabelled(table, g, f)]
+    assert len(overrides) == 108
+    for override in overrides:
+        with pytest.raises(TableInconsistent, match="A3, B3, C3 are not well defined"):
+            GeneratorTable(table.cfg, override)
+
+
+def test_every_single_entry_override_of_the_k6_table_is_refused():
+    # each block with another label or with its degree one off
+    overrides = []
+    for g in GENERATORS:
+        for f in BOUNDARY:
+            deg, mask = T6.block[(g, f)]
+            overrides += [{(g, f): blk} for blk in
+                          _relabelled(T6, g, f) + [(deg - 1, mask), (deg + 1, mask)]]
+    assert len(overrides) == 360
+    for override in overrides:
+        with pytest.raises(TableInconsistent):
+            GeneratorTable(T6.cfg, override)
+
+
 def test_table_text_round_trip():
     text = table_to_text(T6)
     # the printed format itself, which a change made to both the writer and
@@ -82,8 +115,7 @@ def test_table_text_round_trip():
 # --- phi ----------------------------------------------------------------------
 
 def test_phi_examples():
-    zero = T6.phi({})
-    assert zero.is_zero()
+    assert T6.phi({}) == XClass(0, 0, 0, 0, 0)
     boundary_sum = T6.phi({f: 1 for f in BOUNDARY})
     assert xclass_to_text(boundary_sum) == "(6; 1 10; 1 10; 1 10)"
     a1 = T6.phi({"A1": 1})
@@ -123,7 +155,6 @@ def test_canonical_class_and_torsion_correction():
 # --- the integer kernel against the block-sum reference -----------------------
 
 TABLES = {case: GeneratorTable(standard_config(*case)) for case in STANDARD_CASES}
-KERNEL6 = T6._kernel_combos()
 COEFFS = st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12))
 COMBOS = st.dictionaries(st.sampled_from(GENERATORS), COEFFS)
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -145,22 +176,24 @@ def _block_sum(a, c, block):
     return a[0] + c * deg, bits_add(a[1], _label(mask2)) if c & 1 else a[1]
 
 
-def reference_phi(table, combo, e_combo):
+def reference_phi(table, combo):
     """phi as (d, block degrees, torsion bits, emult), the sum of the scaled
     generator blocks with their labels added by bits_add; d and emult are
-    the lattice pairings of the strict transforms with -K and the E_s."""
+    the lattice pairings of the strict transforms with -K and the E_s, and
+    the label E{s} stands for 2E_s, of d = 2 and emult -2 at s."""
     cfg = table.cfg
     minus_k = -canonical_class(cfg.lattice)
     d, blocks, em = 0, ((0, (0, 0)),) * 3, (0,) * table.k
     for g, c in combo.items():
+        if g.startswith("E"):
+            d += 2 * c
+            em = tuple(a - 2 * c if f"E{t}" == g else a for t, a in enumerate(em))
+            continue
         sg = cfg.strict_transform(g)
         d += c * sg.dot(minus_k)
         blocks = tuple(_block_sum(a, c, table.block[(g, f)])
                        for a, f in zip(blocks, ("A0", "B0", "C0")))
         em = tuple(a + c * sg.dot(cfg.exceptional(s)) for s, a in enumerate(em))
-    for s, c in e_combo.items():
-        d += 2 * c
-        em = tuple(a - 2 * c if t == s else a for t, a in enumerate(em))
     return d, tuple(deg for deg, _ in blocks), sum((t for _, t in blocks), ()), em
 
 
@@ -175,22 +208,16 @@ def reference_column(table, combo, f):
 @given(case=st.sampled_from(STANDARD_CASES), combo=COMBOS, data=st.data())
 def test_phi_and_column_match_block_sums(case, combo, data):
     table = TABLES[case]
-    e_combo = {}
+    full = dict(combo)
     if table.k:
-        e_combo = data.draw(st.dictionaries(st.integers(0, table.k - 1), COEFFS))
-    x = table.phi(combo, e_combo)
+        e_labels = st.sampled_from([f"E{s}" for s in range(table.k)])
+        full.update(data.draw(st.dictionaries(e_labels, COEFFS)))
+    x = table.phi(full)
     assert (x.d, (x.r0, x.r1, x.r2), MASK_BITS[x.mask], x.emult) == \
-        reference_phi(table, combo, e_combo)
+        reference_phi(table, full)
     for f in BOUNDARY:
         deg, mask2 = table.column(combo, f)
         assert (deg, _label(mask2)) == reference_column(table, combo, f)
-
-
-def test_phi_rejects_unknown_exceptional_curve():
-    with pytest.raises(ValueError):
-        TABLES[(5, "plain")].phi({}, {1: 2})
-    with pytest.raises(ValueError):
-        TABLES[(5, "plain")].phi({}, {-1: 2})
 
 
 def test_memoised_torsion_solutions_resum():
@@ -228,14 +255,18 @@ def test_restrictions_match_the_combo_path_on_every_key():
 
 
 @PROPERTY
-@given(combo=COMBOS, kernel=st.sampled_from(KERNEL6), mult=COEFFS)
-def test_restriction_independent_of_preimage(combo, kernel, mult):
+@given(combo=COMBOS, other=COMBOS, mult=COEFFS)
+def test_restriction_independent_of_preimage(combo, other, mult):
     x = T6.phi(combo)
     assert T6.restrictions(T6.pack(x)) == combo_path_restrictions(T6, x)
     pre = T6.preimage_combo(x)
+    # other minus a preimage of phi(other) lies in the kernel of phi, and
+    # every kernel element k is such a difference, since preimage_combo of
+    # the zero class has all coefficients 0
+    other_pre = T6.preimage_combo(T6.phi(other))
     shifted = dict(pre)
-    for g, c in kernel.items():
-        shifted[g] = shifted.get(g, 0) + mult * c
+    for g in GENERATORS:
+        shifted[g] = shifted.get(g, 0) + mult * (other.get(g, 0) - other_pre.get(g, 0))
     assert T6.phi(shifted) == x
     for f in BOUNDARY:
         assert T6.column(pre, f) == T6.column(shifted, f)
@@ -354,7 +385,7 @@ def test_canonical_lift_torsion_class():
     # the E-coefficients halved) and lifts to a pure torsion class with data
     # vecA1 + vecB1
     cfg = standard_config(5)
-    x = build_generator_table(5).phi({"A1": 1, "A2": -1, "B1": 1, "B2": -1}, {0: 1})
+    x = build_generator_table(5).phi({"A1": 1, "A2": -1, "B1": 1, "B2": -1, "E0": 1})
     assert (x.d, x.r0, x.r1, x.r2) == (0, 0, 0, 0)
     assert not any(x.emult)
     assert x.mask == VEC["A1"] ^ VEC["B1"]
