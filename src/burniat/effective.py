@@ -193,28 +193,29 @@ def _least_counts(lo: int, three: int) -> tuple[int, int, int, int]:
     return (0, 1, 2, 1) if three & 1 == 0 else (2, 1, 0, 1)
 
 
-def _triple_lifts(r: int, la: int, lb: int, lc: int, a3: int, b3: int, c3: int):
-    """(t_a, t_b, afirst, ka, kb, mask) of the first certificate of every lift
-    of one (a3, b3, c3) with r = n_h - a3 - b3 - c3 and least counts la, lb,
-    lc (ka, kb index _least_counts of the A and B letters)."""
-    least_c = _least_counts(lc, c3)
-    for ka, t_a in enumerate(_least_counts(la, a3)):
-        for kb, t_b in enumerate(_least_counts(lb, b3)):
-            t_c = r - t_a - t_b
+@lru_cache(maxsize=None)
+def _key_lifts(key: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(bitset of masks, lifts) of every triple with this key (see _triples).
+
+    A lift (t_a - la, t_b - lb, afirst, ka, kb, mask) is the first
+    certificate of one mask, in the order (t_a, t_b, first bits) of a full
+    enumeration of the triple; ka, kb index _least_counts of the A and B
+    letters.  All of it depends only on the key, so it is computed on the
+    key's least representative.
+    """
+    la, lb, lc = (4 - k if k > 1 else 0 for k in key[:3])
+    least_c = _least_counts(lc, key[2])
+    lifts = []
+    for ka, t_a in enumerate(_least_counts(la, key[0])):
+        for kb, t_b in enumerate(_least_counts(lb, key[1])):
+            t_c = la + lb + lc + key[3] - t_a - t_b
             for afirst in (0, 1):
                 if t_c >= least_c[2 * afirst + (t_c & 1)]:
                     # mask: A-block from C-letter, B from A, C from B
-                    yield (t_a, t_b, afirst, ka, kb,
-                           afirst << 5 | (t_c & 1) << 4 | ka << 2 | kb)
-
-
-@lru_cache(maxsize=None)
-def _reach(key_a: int, key_b: int, key_c: int, slack: int) -> int:
-    """Bitset of the masks that _triple_lifts finds for every triple with
-    this key (see _triples), computed on the least representative."""
-    lows = [4 - k if k > 1 else 0 for k in (key_a, key_b, key_c)]
-    return sum(1 << f[5] for f in _triple_lifts(sum(lows) + slack, *lows,
-                                                key_a, key_b, key_c))
+                    lifts.append((t_a - la, t_b - lb, afirst, ka, kb,
+                                  afirst << 5 | (t_c & 1) << 4 | ka << 2 | kb))
+    lifts.sort()
+    return sum(1 << f[5] for f in lifts), tuple(lifts)
 
 
 def _triples(ycoeffs: tuple[int, ...]):
@@ -267,24 +268,24 @@ def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     one up, so the first certificate takes the least t_a and t_b, and one
     exists iff t_c = r - t_a - t_b is at least its own least value.
 
-    A triple from _triples is skipped when _reach(key) adds no mask to those
-    found, so the dict is unchanged, and the search stops at 64 lifts.  It is
-    O(n_h^3) at worst; the slowest classes probed, such as (120, -119, 1, 1)
-    with 40 lifts, visit about n_h^2 triples.
+    _key_lifts lists these certificates once per key of the triple, shifted
+    by its least counts.  A triple is skipped when the masks of its key add
+    none to those found, so the dict is unchanged, and the search stops at
+    64 lifts.  It is O(n_h^3) at worst; the slowest classes probed, such as
+    (120, -119, 1, 1) with 40 lifts, visit about n_h^2 triples.
     """
     nh, n1, n2, n3 = ycoeffs
     out: dict[int, tuple[int, ...]] = {}
     have = 0  # bitset of the masks in out
     for a3, b3, c3, la, lb, lc, key in _triples(ycoeffs):
-        if not _reach(*key) & ~have:
+        reach, lifts = _key_lifts(key)
+        if not reach & ~have:
             continue
-        r = nh - a3 - b3 - c3
-        found = [f for f in _triple_lifts(r, la, lb, lc, a3, b3, c3)
-                 if not have >> f[5] & 1]
-        # in the order (t_a, t_b, first bits) in which a full
-        # enumeration of this triple would reach them
-        for t_a, t_b, afirst, ka, kb, mask in sorted(found):
-            t_c = r - t_a - t_b
+        for da, db, afirst, ka, kb, mask in lifts:
+            if have >> mask & 1:
+                continue
+            t_a, t_b = la + da, lb + db
+            t_c = nh - a3 - b3 - c3 - t_a - t_b
             a2, b2, c2 = ((ka >> 1) + a3) & 1, ((kb >> 1) + b3) & 1, (afirst + c3) & 1
             # in GENERATORS order
             out[mask] = (n1 + b3 + c3 + t_c, t_a - a2, a2, a3,
@@ -492,26 +493,17 @@ class Step3Report:
 def step3_tables(table: GeneratorTable) -> Step3Report:
     """K+nu in S for all nonzero torsion nu, and K+F+nu for all F, nu."""
     k = table.canonical()
-    twist_ok, twist_fail = 0, []
     canonical_not_in_s = s_membership(table, k) is None
-    pk = table.pack(k)
-    for nu in range(1, 64):
-        x = unpack((*pk[:4], pk[4] ^ nu))
-        if s_membership(table, x) is None:
-            twist_fail.append(xclass_to_text(x))
-        else:
-            twist_ok += 1
-    shift_ok, shift_fail = 0, []
-    for f in BOUNDARY:
-        base = table.pack(k + table.phi({f: 1}))
-        for nu in range(64):
+    ok, fail = [0, 0], ([], [])  # twists of K, then shifts K + F
+    for kind, base, nus in [(0, table.pack(k), range(1, 64))] + [
+            (1, table.pack(k + table.phi({f: 1})), range(64)) for f in BOUNDARY]:
+        for nu in nus:
             x = unpack((*base[:4], base[4] ^ nu))
             if s_membership(table, x) is None:
-                shift_fail.append(xclass_to_text(x))
+                fail[kind].append(xclass_to_text(x))
             else:
-                shift_ok += 1
-    return Step3Report(twist_ok, twist_fail, shift_ok, shift_fail,
-                       canonical_not_in_s)
+                ok[kind] += 1
+    return Step3Report(ok[0], fail[0], ok[1], fail[1], canonical_not_in_s)
 
 
 # ---------------------------------------------------------------------------

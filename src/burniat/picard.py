@@ -29,11 +29,11 @@ form the generator table.  The table is produced by one filling rule:
 A construction-time consistency suite cross-checks the rule: agreement of
 every block degree with the lattice pairing, the printed torsion vectors of
 the six standard difference divisors, the spanning property of the torsion
-vectors, a finite image index (3 for K^2 = 6), and that the derived A3/B3/C3
-restriction maps are well defined on the image.  The last is one index
-comparison: appending to each row of phi the masks of its restrictions to
-A3, B3, C3 multiplies the image index by 2^6 exactly when those masks vanish
-on every combination that phi sends to zero.
+vectors, a finite image index (3 for K^2 = 6, kept as image_index), and
+that the derived A3/B3/C3 restriction maps are well defined on the image.
+The last is one index comparison: appending to each row of phi the masks of
+its restrictions to A3, B3, C3 multiplies the image index by 2^6 exactly
+when those masks vanish on every combination that phi sends to zero.
 
 The K^2 = 6 decision procedures carry a class packed as
 (n_h, n_1, n_2, n_3, mask), its numerical class y and the same 6-bit mask.
@@ -55,12 +55,14 @@ GF(2) solve has 64 targets and is memoised; every call checks its combo.
 restrictions(p) gives the (deg, 2-bit mask) of a packed class on all six
 boundary curves without building a combo.  The degrees are integer rows of
 y: -n_1, -n_2, -n_3 on A0, B0, C0, and the pairings n_h - r_j - r_k on A3,
-B3, C3.  The masks are read from a per-table dict keyed by (y mod 2, mask),
-16 * 64 = 1,024 keys, filled on a miss from preimage_combo and column.  The
-key is exact: a column mask is the XOR of the masks of the odd coefficients
-of the combo, and the parities of preimage_combo(x) depend only on the key,
-since its base combo is linear in y and its correction is the torsion
-solution of the mask plus the bits of the base, a function of y mod 2.
+B3, C3.  The labels on A0, B0, C0 are the class's own mask, the XOR of
+block masks that phi builds.  Those on A3, B3, C3 are one 6-bit mask in a
+per-table dict keyed by the 10-bit int of (y mod 2, mask), filled on a miss
+from preimage_combo and three columns.  The key is exact: a column mask is
+the XOR of the masks of the odd coefficients of the combo, and the parities
+of preimage_combo(x) depend only on the key, since its base combo is linear
+in y and its correction is the torsion solution of the mask plus the bits
+of the base, a function of y mod 2.
 """
 from __future__ import annotations
 
@@ -278,9 +280,11 @@ class GeneratorTable:
         # packed K^2 = 6 generator rows: the curve's numerical class and its mask
         self.packed_rows = {g: (*CURVE_CLASS[g].coeffs, self._int_rows[g][4])
                             for g in GENERATORS}
-        # (y mod 2, mask) -> 2-bit masks on the six boundary curves, filled
-        # by restrictions on a miss; at most 1,024 entries
-        self._restriction_masks: dict[tuple, tuple[int, ...]] = {}
+        # y mod 2 and mask as a 10-bit int -> the 6-bit mask of the labels
+        # on A3, B3, C3, filled by restrictions on a miss
+        self._restriction_masks: dict[int, int] = {}
+        # index of the image of phi; check (c) refuses an infinite one
+        self.image_index = subgroup_index(self._index_rows(), 6)
         self._check_consistency()
 
     # -- generator images ---------------------------------------------------
@@ -366,18 +370,18 @@ class GeneratorTable:
         """(deg, 2-bit mask) of the packed class p on each boundary curve in
         BOUNDARY order."""
         nh, n1, n2, n3, mask = p
-        key = (nh & 1, n1 & 1, n2 & 1, n3 & 1, mask)
-        masks = self._restriction_masks.get(key)
-        if masks is None:
+        key = (nh & 1) << 9 | (n1 & 1) << 8 | (n2 & 1) << 7 | (n3 & 1) << 6 | mask
+        m3 = self._restriction_masks.get(key)
+        if m3 is None:
             combo = self.preimage_combo(unpack(p))
-            masks = tuple(self.column(combo, f)[1] for f in BOUNDARY)
-            self._restriction_masks[key] = masks
-        m0, m1, m2, m3, m4, m5 = masks
+            a3, b3, c3 = (self.column(combo, f)[1] for f in ("A3", "B3", "C3"))
+            m3 = self._restriction_masks[key] = a3 << 4 | b3 << 2 | c3
         # the pairings with A0, B0, C0 = e1, e2, e3 and A3, B3, C3 = h - e2 - e3,
         # h - e1 - e3, h - e1 - e2, written out as in _ints: reading them from
         # delpezzo.symmetric_coords made scan(12) about 15% slower
-        return ((-n1, m0), (-n2, m1), (-n3, m2),
-                (nh + n2 + n3, m3), (nh + n1 + n3, m4), (nh + n1 + n2, m5))
+        return ((-n1, mask >> 4), (-n2, mask >> 2 & 3), (-n3, mask & 3),
+                (nh + n2 + n3, m3 >> 4), (nh + n1 + n3, m3 >> 2 & 3),
+                (nh + n1 + n2, m3 & 3))
 
     def canonical(self) -> XClass:
         """The canonical class (6; 1 00; 1 00; 1 00) [+ zero e-part]."""
@@ -398,9 +402,6 @@ class GeneratorTable:
             rows.append(row)
         return rows
 
-    def image_index(self) -> int | None:
-        return subgroup_index(self._index_rows(), 6)
-
     def _check_consistency(self) -> None:
         # (d) block degrees match lattice pairings
         for g in GENERATORS:
@@ -419,7 +420,7 @@ class GeneratorTable:
         # (c) the basis vectors span V; the image has finite index, 3 for K^2 = 6
         if len(gf2_echelon([VEC[v] for v in VEC_ORDER])) != 6:
             raise TableInconsistent("torsion vectors do not span")
-        index = self.image_index()
+        index = self.image_index
         if index is None:
             raise TableInconsistent("the image of phi has infinite index")
         if self.k == 0 and index != 3:

@@ -53,7 +53,7 @@ def _c2_indices(seed: int, table: GeneratorTable) -> tuple[bool, str]:
                      (4, "non-nodal"): 12, (3, "plain"): 24}
     for case, want in expected_span.items():
         case_table = build_generator_table(*case)
-        got = case_table.image_index()
+        got = case_table.image_index
         full = picard_image_index(case_table.cfg)
         ok &= got == want == full
         notes.append(f"K2={case[0]}{case[1][0]}:{got}")
@@ -61,7 +61,7 @@ def _c2_indices(seed: int, table: GeneratorTable) -> tuple[bool, str]:
     # the twelve curves and the E_s only span a subgroup of twice that index;
     # the factor two is exactly the ramification-span gap.
     table2 = build_generator_table(2)
-    span2 = table2.image_index()
+    span2 = table2.image_index
     full2, gap = picard_image_index(table2.cfg), ramification_span_index(table2.cfg)
     ok &= full2 == 24 and span2 == 48 and gap == 2 and span2 == gap * full2
     notes.append(f"K2=2:full={full2},span={span2},gap={gap}")

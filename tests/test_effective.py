@@ -349,11 +349,11 @@ from burniat.picard import GeneratorTable, parse_xclass
 
 T = GeneratorTable(standard_config(6))
 print("debug", __debug__)
-# a corrupted restriction-dict entry: Q10 seems to restrict nontrivially to A3
+# a corrupted restriction-dict entry: Q10 seems to restrict to A3 with label 01
 q10 = parse_xclass("(3; 1 10; 1 10; 1 10)")
 T.restrictions(T.pack(q10))
 (key, masks), = T._restriction_masks.items()
-T._restriction_masks[key] = masks[:3] + (1,) + masks[4:]
+T._restriction_masks[key] = masks | 0b01_00_00
 try:
     eff.scan(T, 3)
     print("corrupted dict accepted")
@@ -377,7 +377,7 @@ from burniat.picard import build_generator_table
 T = build_generator_table(6)
 T.restrictions(T.pack(q10))
 (key, masks), = T._restriction_masks.items()
-T._restriction_masks[key] = masks[:3] + (1,) + masks[4:]
+T._restriction_masks[key] = masks | 0b01_00_00
 try:
     eff.decide(T, q10)
     print("corrupted table accepted by decide")
@@ -539,6 +539,6 @@ def test_validate_does_not_read_the_restriction_dict():
     q10 = lit("(3; 1 10; 1 10; 1 10)")
     assert table.restrictions(table.pack(q10))[BOUNDARY.index("A3")] == (0, 0)
     (key, masks), = table._restriction_masks.items()
-    table._restriction_masks[key] = masks[:3] + (1,) + masks[4:]
+    table._restriction_masks[key] = masks | 0b01_00_00  # A3 label 01
     with pytest.raises(InvalidEvidence, match="A3"):
         scan(table, 3)

@@ -5,8 +5,9 @@ n_h and every internal split parity; effective_lifts must return the same
 dict, certificates and insertion order included.  The brute-force oracle
 sums every nonnegative multiplicity vector of the twelve generators up to a
 degree bound through phi, which checks completeness: a lift with no
-certificate is not in S.  The key test checks the skip of triples that can
-add no lift: the memoised masks of a key are those its triples reach.
+certificate is not in S.  The key test checks the table that the search
+reads once per key: the lifts of a key, shifted by a triple's least counts,
+are the first certificates that a full enumeration of the triple finds.
 """
 import itertools
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from burniat.config import GENERATORS
-from burniat.effective import _reach, _triple_lifts, _triples, effective_lifts
+from burniat.effective import _key_lifts, _triples, effective_lifts
 from burniat.picard import build_generator_table
 
 T = build_generator_table(6)
@@ -114,19 +115,42 @@ def test_matches_reference_when_some_lifts_are_never_found(ycoeffs, lifts):
     assert len(effective_lifts(ycoeffs)) == lifts
 
 
-def test_reach_of_a_key_is_what_its_triple_finds():
-    # every triple that effective_lifts visits for a class in the box n_h <= 10,
-    # n_i in [-n_h - 3, 3]; the masks of a triple depend only on r, the least
-    # counts and the parities of a3, b3, c3, so each such input is run once
+def _first_certificates(r, la, lb, lc, a3, b3, c3):
+    """(t_a, t_b, afirst, ka, kb, mask) of the first certificate of every mask
+    of one triple, enumerating every count and first bit in order."""
+    first = {}
+    for t_a in range(la, r + 1):
+        for t_b in range(lb, r - t_a + 1):
+            t_c = r - t_a - t_b
+            if t_c < lc:
+                continue
+            for afirst, bfirst, cfirst in itertools.product((0, 1), repeat=3):
+                if None in (_letter_split(t_c, c3, afirst), _letter_split(t_a, a3, bfirst),
+                            _letter_split(t_b, b3, cfirst)):
+                    continue
+                ka, kb = 2 * bfirst + (t_a & 1), 2 * cfirst + (t_b & 1)
+                mask = afirst << 5 | (t_c & 1) << 4 | ka << 2 | kb
+                first.setdefault(mask, (t_a, t_b, afirst, ka, kb, mask))
+    return list(first.values())
+
+
+def test_key_lifts_are_the_first_certificates_of_each_triple():
+    # every triple that effective_lifts visits for a class in the box n_h <= 11,
+    # n_i in [-n_h - 3, 3], which reaches slack 11 above the cap of the key;
+    # the first certificates of a triple depend only on r, the least counts
+    # and the parities of a3, b3, c3, so each such input is run once
     cases = set()
-    for nh in range(11):
+    for nh in range(12):
         for n in itertools.product(range(-nh - 3, 4), repeat=3):
             for a3, b3, c3, la, lb, lc, key in _triples((nh,) + n):
                 cases.add((nh - a3 - b3 - c3, la, lb, lc, a3 & 1, b3 & 1, c3 & 1, key))
     assert len(cases) > 4000
-    for r, la, lb, lc, a3, b3, c3, key in cases:
-        masks = {f[5] for f in _triple_lifts(r, la, lb, lc, a3, b3, c3)}
-        assert _reach(*key) == sum(1 << m for m in masks), (r, la, lb, lc, a3, b3, c3)
+    for case in cases:
+        r, la, lb, lc, a3, b3, c3, key = case
+        want = _first_certificates(r, la, lb, lc, a3, b3, c3)
+        reach, lifts = _key_lifts(key)
+        assert [(la + da, lb + db, *rest) for da, db, *rest in lifts] == want, case
+        assert reach == sum(1 << f[5] for f in want), case
 
 
 def test_complete_against_brute_force_oracle():

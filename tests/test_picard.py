@@ -352,7 +352,7 @@ def test_torsion_basis_orthogonal_to_points():
 
 
 def test_image_indices():
-    got = [GeneratorTable(standard_config(k, v)).image_index()
+    got = [GeneratorTable(standard_config(k, v)).image_index
            for k, v in STANDARD_CASES]
     assert got == [3, 6, 12, 12, 24, 48]
     full = [picard_image_index(standard_config(k, v)) for k, v in STANDARD_CASES]
