@@ -188,6 +188,8 @@ def config_from_text(text: str) -> BurniatConfig:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if (key == "ksq" and ksq is not None) or (key == "variant" and variant is not None):
+            raise ValueError(f"repeated key {key!r}")
         if key == "ksq":
             ksq = int(value)
         elif key == "variant":

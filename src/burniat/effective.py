@@ -30,11 +30,12 @@ so they also run under ``python -O``.
 minimal_form, is_minimal, s_membership and ReductionTrace.validate pack
 their class once into (n_h, n_1, n_2, n_3, mask) (see picard) and build an
 XClass again only for a trace's final class; exceptional_induction recurses
-on packed classes too.  minimal_form and is_minimal read restrictions from
-the table's restriction dict.  ReductionTrace.validate never reads it: it
-rebuilds preimage_combo(start) and checks every step with the step curve's
-entry of delpezzo.symmetric_coords and, on a zero pairing, with column, so
-it stays an independent re-check of every trace.
+on packed classes too.  minimal_form and is_minimal read the table's
+restrictions, whose A3/B3/C3 labels come from the linear label table built
+with it.  ReductionTrace.validate never reads them: it rebuilds
+preimage_combo(start) and checks every step with the step curve's entry of
+delpezzo.symmetric_coords and, on a zero pairing, with column, so it stays
+an independent re-check of every trace.
 """
 from __future__ import annotations
 

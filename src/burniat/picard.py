@@ -52,17 +52,15 @@ that sum with a packed class, and phi wraps it as an XClass.
 preimage_combo corrects torsion bits against the constant basis VEC, so its
 GF(2) solve has 64 targets and is memoised; every call checks its combo.
 
-restrictions(p) gives the (deg, 2-bit mask) of a packed class on all six
+restrictions(p) gives the (deg, 2-bit mask) of a packed class on the six
 boundary curves without building a combo.  The degrees are integer rows of
-y: -n_1, -n_2, -n_3 on A0, B0, C0, and the pairings n_h - r_j - r_k on A3,
-B3, C3.  The labels on A0, B0, C0 are the class's own mask, the XOR of
-block masks that phi builds.  Those on A3, B3, C3 are one 6-bit mask in a
-per-table dict keyed by the 10-bit int of (y mod 2, mask), filled on a miss
-from preimage_combo and three columns.  The key is exact: a column mask is
-the XOR of the masks of the odd coefficients of the combo, and the parities
-of preimage_combo(x) depend only on the key, since its base combo is linear
-in y and its correction is the torsion solution of the mask plus the bits
-of the base, a function of y mod 2.
+y: -n_1, -n_2, -n_3 on A0, B0, C0, and n_h - r_j - r_k on A3, B3, C3.  The
+labels on A0, B0, C0 are the class's own mask.  Those on A3, B3, C3 are
+linear: every packed tuple is a class, so the 10-bit key (y mod 2, mask) is
+the class modulo twice the group, and check (b) makes restriction to A3,
+B3, C3 a homomorphism into 2-torsion, which vanishes on twice the group.
+A K^2 = 6 table builds this GF(2)-linear map once, as a 1,024-entry tuple
+spanned by the generators' keys and their block labels.
 """
 from __future__ import annotations
 
@@ -187,6 +185,12 @@ def unpack(p: Packed) -> XClass:
     return XClass(*_ints(p))
 
 
+def _key(p: Packed) -> int:
+    """p modulo twice the group: y mod 2 and the mask as one 10-bit int."""
+    nh, n1, n2, n3, mask = p
+    return (nh & 1) << 9 | (n1 & 1) << 8 | (n2 & 1) << 7 | (n3 & 1) << 6 | mask
+
+
 # ---------------------------------------------------------------------------
 # Marked points and torsion vectors
 # ---------------------------------------------------------------------------
@@ -242,11 +246,11 @@ def torsion_subgroup(cfg: BurniatConfig) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class GeneratorTable:
-    """Restriction data of the 12 curve generators (and E_s rows) on Y'.
+    """Restriction blocks of the 12 curve generators on the boundary curves,
+    the rows of phi (with 2E_s) and, for K^2 = 6, the A3/B3/C3 labels.
 
-    Read-only after construction; construction runs the consistency suite and
-    raises TableInconsistent on any failure.
-    """
+    Construction runs the consistency suite, raising TableInconsistent on any
+    failure; nothing changes the table afterwards."""
 
     def __init__(self, cfg: BurniatConfig,
                  block_override: dict[tuple[str, str], tuple[int, int]] | None = None):
@@ -280,12 +284,18 @@ class GeneratorTable:
         # packed K^2 = 6 generator rows: the curve's numerical class and its mask
         self.packed_rows = {g: (*CURVE_CLASS[g].coeffs, self._int_rows[g][4])
                             for g in GENERATORS}
-        # y mod 2 and mask as a 10-bit int -> the 6-bit mask of the labels
-        # on A3, B3, C3, filled by restrictions on a miss
-        self._restriction_masks: dict[int, int] = {}
         # index of the image of phi; check (c) refuses an infinite one
         self.image_index = subgroup_index(self._index_rows(), 6)
         self._check_consistency()
+        if not self.k:  # key (see _key) -> 6-bit mask of the A3, B3, C3 labels
+            labels = {0: 0}
+            for g in GENERATORS:
+                key = _key(self.packed_rows[g])
+                if key not in labels:
+                    a3, b3, c3 = (self.block[g, f][1] for f in ("A3", "B3", "C3"))
+                    m3 = a3 << 4 | b3 << 2 | c3
+                    labels.update({k ^ key: m ^ m3 for k, m in labels.items()})
+            self._labels3 = tuple(labels[k] for k in range(1024))
 
     # -- generator images ---------------------------------------------------
 
@@ -369,16 +379,12 @@ class GeneratorTable:
     def restrictions(self, p: Packed) -> tuple[tuple[int, int], ...]:
         """(deg, 2-bit mask) of the packed class p on each boundary curve in
         BOUNDARY order."""
+        if self.k:
+            raise NotARepresentableClass("the packed class is the K^2=6 model")
         nh, n1, n2, n3, mask = p
-        key = (nh & 1) << 9 | (n1 & 1) << 8 | (n2 & 1) << 7 | (n3 & 1) << 6 | mask
-        m3 = self._restriction_masks.get(key)
-        if m3 is None:
-            combo = self.preimage_combo(unpack(p))
-            a3, b3, c3 = (self.column(combo, f)[1] for f in ("A3", "B3", "C3"))
-            m3 = self._restriction_masks[key] = a3 << 4 | b3 << 2 | c3
-        # the pairings with A0, B0, C0 = e1, e2, e3 and A3, B3, C3 = h - e2 - e3,
-        # h - e1 - e3, h - e1 - e2, written out as in _ints: reading them from
-        # delpezzo.symmetric_coords made scan(12) about 15% slower
+        m3 = self._labels3[_key(p)]
+        # pairings with e1, e2, e3 and h - e2 - e3, h - e1 - e3, h - e1 - e2, written
+        # out: reading them from delpezzo.symmetric_coords made scan(12) 15% slower
         return ((-n1, mask >> 4), (-n2, mask >> 2 & 3), (-n3, mask & 3),
                 (nh + n2 + n3, m3 >> 4), (nh + n1 + n3, m3 >> 2 & 3),
                 (nh + n1 + n2, m3 & 3))
@@ -461,7 +467,7 @@ def table_to_text(table: GeneratorTable) -> str:
 
 
 def table_override_from_text(text: str) -> dict[tuple[str, str], tuple[int, int]]:
-    """Parse a block-table dump; unknown labels or malformed lines reject."""
+    """Parse a block-table dump; unknown or repeated labels, bad lines reject."""
     out: dict[tuple[str, str], tuple[int, int]] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -471,43 +477,32 @@ def table_override_from_text(text: str) -> dict[tuple[str, str], tuple[int, int]
         if len(fields) != 4:
             raise ValueError(f"bad table line {raw!r}")
         g, f, deg, bits = fields
-        if g not in GENERATORS or f not in BOUNDARY:
-            raise ValueError(f"unknown labels in {raw!r}")
+        if g not in GENERATORS or f not in BOUNDARY or (g, f) in out:
+            raise ValueError(f"unknown or repeated labels in {raw!r}")
         if not re.fullmatch(r"[01][01]", bits):
             raise ValueError(f"bad bits in {raw!r}")
         out[(g, f)] = (int(deg), int(bits, 2))
     return out
 
 
-def coordinate_map_index(cfg: BurniatConfig) -> int:
-    """Index in Z^(4+k) of the image of the full lattice Pic Y'.
-
-    This is the determinant of the coordinate map D -> (D.(-K), D.E_s, D.e_i);
-    it equals 3 for every configuration.
-    """
-    minus_k = -canonical_class(cfg.lattice)
-    boundary3 = [CURVE_CLASS[f] for f in ("A0", "B0", "C0")]
-    rows = []
-    basis = [cfg.lattice.h()] + [cfg.lattice.e(i) for i in range(1, 4 + cfg.k)]
-    for b in basis:
-        rows.append([b.dot(minus_k)]
-                    + [b.dot(cfg.exceptional(s)) for s in range(cfg.k)]
-                    + [b.dot(cfg.pullback(c)) for c in boundary3])
-    idx = lattice_index(rows, 4 + cfg.k)
-    if idx is None:
-        raise TableInconsistent(f"coordinate map of K^2={cfg.ksq} is not of full rank")
-    return idx
-
-
 def picard_image_index(cfg: BurniatConfig) -> int:
     """Index of the image of the full Picard group, by covolume.
 
-    The free part of the Picard group maps onto an index-3 sublattice (the
-    coordinate map determinant on a unimodular lattice) and the torsion maps
+    The free part of the Picard group maps onto an index-3 sublattice: the
+    determinant of the coordinate map D -> (D.(-K), D.E_s, D.e_i) on the
+    unimodular lattice Pic Y', 3 for every configuration.  The torsion maps
     onto the orthogonal complement of the point vectors, so the index is
     3 * 2^(6 - dim).  For K^2 >= 3 this agrees with GeneratorTable.image_index;
     for K^2 = 2 the twelve curves and the E_s only generate a subgroup of
     twice this index (the span of the ramification divisors has index 2 in
     Pic Y').
     """
-    return coordinate_map_index(cfg) * 2 ** (6 - len(torsion_subgroup(cfg)))
+    minus_k = -canonical_class(cfg.lattice)
+    basis = [cfg.lattice.h()] + [cfg.lattice.e(i) for i in range(1, 4 + cfg.k)]
+    rows = [[b.dot(minus_k)] + [b.dot(cfg.exceptional(s)) for s in range(cfg.k)]
+            + [b.dot(cfg.pullback(CURVE_CLASS[f])) for f in ("A0", "B0", "C0")]
+            for b in basis]
+    idx = lattice_index(rows, 4 + cfg.k)
+    if idx is None:
+        raise TableInconsistent(f"coordinate map of K^2={cfg.ksq} is not of full rank")
+    return idx * 2 ** (6 - len(torsion_subgroup(cfg)))

@@ -67,6 +67,13 @@ def test_torsion_refuses_a_repeated_point(capsys, tmp_path):
         assert code == 2 and not out and "given twice" in err
 
 
+def test_torsion_refuses_a_repeated_key(capsys, tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("ksq = 5\nksq = 6\nvariant = plain\nvariant = nodal\n")
+    code, out, err = run(capsys, "torsion", "--config", str(path))
+    assert code == 2 and not out and "repeated key 'ksq'" in err
+
+
 def test_torsion_invalid_case(capsys):
     code, _, err = run(capsys, "torsion", "--ksq", "9")
     assert code == 2
@@ -192,6 +199,14 @@ def test_verify_all_table_override(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-all", "--only", "torsion",
                        "--table", str(bad))
     assert code == 1 and "override rejected" in out
+
+
+def test_verify_all_refuses_a_repeated_table_line(capsys, tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text(table_to_text(build_generator_table(6)) + "C3 A0 1 01\n")
+    code, out, err = run(capsys, "verify-all", "--only", "torsion",
+                         "--table", str(path))
+    assert code == 2 and not out and "repeated labels" in err
 
 
 def test_verify_all_table_override_is_the_table_scanned(tmp_path, monkeypatch):

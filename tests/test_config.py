@@ -142,6 +142,15 @@ def test_config_text_rejects_garbage():
         config_from_text("ksq = 4\npoint = A1 B1 C1\n")  # ksq mismatch
 
 
+def test_config_text_refuses_a_repeated_key():
+    # a second ksq or variant line would silently override the first
+    for text in ("ksq = 5\nksq = 6\n", "ksq = 6\nksq = 6\n",
+                 "ksq = 6\nvariant = plain\nvariant = nodal\n",
+                 "ksq = 5\nksq = 6\nvariant = plain\nvariant = nodal\n"):
+        with pytest.raises(ValueError, match="repeated key"):
+            config_from_text(text)
+
+
 def test_make_config_validation():
     with pytest.raises(ValueError):
         make_config([("A0", "B1", "C1")])  # boundary curve in a point

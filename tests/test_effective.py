@@ -1,4 +1,5 @@
 import ast
+import copy
 import hashlib
 import os
 import random
@@ -22,8 +23,8 @@ from burniat.effective import (TRUSTED, InS, InvalidEvidence, NonEffective,
                                trusted_id, verdict_text)
 from burniat.lattice import YClass
 from burniat.picard import (MASK_BITS, GeneratorTable, NotARepresentableClass,
-                            XClass, build_generator_table, parse_xclass, torsion_subgroup,
-                            xclass_to_text)
+                            TableInconsistent, XClass, _key, build_generator_table,
+                            pack, parse_xclass, torsion_subgroup, xclass_to_text)
 from burniat.verify import run_all
 
 T = build_generator_table(6)
@@ -345,20 +346,26 @@ def test_forged_evidence_rejected_under_optimize():
 FORGERIES_ON_PACKED_CLASSES = """
 import burniat.effective as eff
 from burniat.config import standard_config
-from burniat.picard import GeneratorTable, parse_xclass
+from burniat.picard import GeneratorTable, _key, parse_xclass
+
+
+def corrupt_q10(T):
+    # Q10 seems to restrict to A3 with label 01 (the labels tuple is
+    # immutable, so the table gets a new one)
+    k = _key(T.pack(q10))
+    T._labels3 = T._labels3[:k] + (T._labels3[k] | 0b01_00_00,) + T._labels3[k + 1:]
+
 
 T = GeneratorTable(standard_config(6))
 print("debug", __debug__)
-# a corrupted restriction-dict entry: Q10 seems to restrict to A3 with label 01
+# a corrupted entry of the A3/B3/C3 labels
 q10 = parse_xclass("(3; 1 10; 1 10; 1 10)")
-T.restrictions(T.pack(q10))
-(key, masks), = T._restriction_masks.items()
-T._restriction_masks[key] = masks | 0b01_00_00
+corrupt_q10(T)
 try:
     eff.scan(T, 3)
-    print("corrupted dict accepted")
+    print("corrupted labels accepted")
 except eff.InvalidEvidence:
-    print("corrupted dict rejected")
+    print("corrupted labels rejected")
 # a trace whose steps are justified but whose final class is another one
 T = GeneratorTable(standard_config(6))
 x = T.phi({"A0": 2})
@@ -375,9 +382,7 @@ import contextlib, io
 from burniat.cli import main
 from burniat.picard import build_generator_table
 T = build_generator_table(6)
-T.restrictions(T.pack(q10))
-(key, masks), = T._restriction_masks.items()
-T._restriction_masks[key] = masks | 0b01_00_00
+corrupt_q10(T)
 try:
     eff.decide(T, q10)
     print("corrupted table accepted by decide")
@@ -395,7 +400,7 @@ def test_forged_packed_evidence_rejected_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", FORGERIES_ON_PACKED_CLASSES],
                           capture_output=True, text=True, timeout=120, check=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert proc.stdout.splitlines() == ["debug False", "corrupted dict rejected",
+    assert proc.stdout.splitlines() == ["debug False", "corrupted labels rejected",
                                         "wrong end rejected",
                                         "corrupted table rejected by decide",
                                         "cli exit 2 False"]
@@ -521,7 +526,7 @@ def test_unresolved_is_reported_not_dropped(monkeypatch):
 
 
 def test_stray_exceptional_part_refused_on_k6():
-    # a cold and a warm restriction dict both refuse the class
+    # before and after a scan the table refuses the class
     table = GeneratorTable(standard_config(6))
     x = lit("(3; 0 00; 0 00; 0 00; 5)")
     with pytest.raises(NotARepresentableClass):
@@ -531,14 +536,54 @@ def test_stray_exceptional_part_refused_on_k6():
         decide(table, x)
 
 
-def test_validate_does_not_read_the_restriction_dict():
-    # a corrupted dict entry makes minimal_form take an unjustified step on
+def test_validate_does_not_read_the_label_table():
+    # a corrupted label entry makes minimal_form take an unjustified step on
     # Q10 (zero pairing with A3, trivial restriction); validate rebuilds the
     # restriction from preimage_combo and must reject the trace
     table = GeneratorTable(standard_config(6))
     q10 = lit("(3; 1 10; 1 10; 1 10)")
     assert table.restrictions(table.pack(q10))[BOUNDARY.index("A3")] == (0, 0)
-    (key, masks), = table._restriction_masks.items()
-    table._restriction_masks[key] = masks | 0b01_00_00  # A3 label 01
+    k = _key(table.pack(q10))
+    table._labels3 = (table._labels3[:k] + (table._labels3[k] | 0b01_00_00,)
+                      + table._labels3[k + 1:])  # A3 label 01
+    assert table.restrictions(table.pack(q10))[BOUNDARY.index("A3")] == (0, 1)
     with pytest.raises(InvalidEvidence, match="A3"):
         scan(table, 3)
+
+
+def test_table_is_not_changed_by_use():
+    # the shared tables are read-only: scan and decide leave every attribute
+    # as construction made it
+    table = GeneratorTable(standard_config(6))
+    before = copy.deepcopy(vars(table))
+    scan(table, 3)
+    for text in TRUSTED:
+        decide(table, lit(text))
+    decide(table, lit("(9; 1 01; 2 10; 3 11)"))
+    assert vars(table) == before
+    # restrictions is the K^2 = 6 model, as pack is
+    with pytest.raises(NotARepresentableClass):
+        build_generator_table(5).restrictions((1, 0, 0, 0, 0))
+
+
+def test_a_certificate_for_a_trusted_class_is_refused(monkeypatch):
+    # the trusted list is cross-checked against the certificate search: A1
+    # (a generator, so in S) listed as trusted makes s_membership refuse
+    import burniat.effective as eff
+    a1 = lit("(2; 0 00; 1 01; 0 00)")
+    assert T.phi({"A1": 1}) == a1
+    monkeypatch.setattr(eff, "TRUSTED_PACKED", {**eff.TRUSTED_PACKED, pack(a1): "A1"})
+    with pytest.raises(TableInconsistent, match="received certificate"):
+        s_membership(T, a1)
+
+
+def test_a_trusted_base_case_in_s_is_refused(monkeypatch):
+    # A0 reduces to the zero class, which the empty certificate puts in S:
+    # listed as trusted, _base_case must refuse it rather than prove A0
+    # non-effective
+    import burniat.effective as eff
+    zero = T.phi({})
+    monkeypatch.setattr(eff, "TRUSTED_PACKED", {**eff.TRUSTED_PACKED, pack(zero): "ZERO"})
+    assert minimal_form(T, T.phi({"A0": 1}))[0] == zero
+    with pytest.raises(TableInconsistent, match="is in S"):
+        prove_non_effective(T, T.phi({"A0": 1}))

@@ -100,16 +100,21 @@ def test_table_text_round_trip():
     override = table_override_from_text(text)
     rebuilt = GeneratorTable(standard_config(6), override)
     assert rebuilt.block == T6.block
-    # the rebuilt table fills its own restriction dict
     x = T6.phi({"C0": 1})
-    T6.restrictions(T6.pack(x))
-    assert rebuilt._restriction_masks == {}
     assert rebuilt.restrictions(rebuilt.pack(x)) == T6.restrictions(T6.pack(x))
-    assert rebuilt._restriction_masks is not T6._restriction_masks
     with pytest.raises(ValueError):
         table_override_from_text("A9 B0 1 00")
     with pytest.raises(ValueError):
         table_override_from_text("A0 B0 1 2x")
+
+
+def test_table_override_refuses_a_repeated_block():
+    # two lines for one (GEN, CURVE) would leave the block to the last one
+    text = table_to_text(T6)
+    assert table_override_from_text(text + "# no block twice\n") == T6.block
+    for again in ("C3 A0 1 10", "C3 A0 1 01"):
+        with pytest.raises(ValueError, match="repeated"):
+            table_override_from_text(text + again + "\n")
 
 
 # --- phi ----------------------------------------------------------------------
@@ -241,8 +246,8 @@ def combo_path_restrictions(table, x):
 
 
 def test_restrictions_match_the_combo_path_on_every_key():
-    # one class per key (y mod 2, bits) fills the dict; a second class of
-    # each key, shifted by an even y, must read the same masks from it
+    # one class of each of the 1,024 keys (y mod 2, bits), and a second one
+    # shifted by an even y, against the columns of its own preimage combo
     table = GeneratorTable(standard_config(6))
     shift = YClass((2, -4, 6, -2))
     for even in (YClass((0, 0, 0, 0)), shift):
@@ -251,7 +256,6 @@ def test_restrictions_match_the_combo_path_on_every_key():
             for mask in range(64):
                 x = table.from_y(y, tuple((mask >> (5 - i)) & 1 for i in range(6)))
                 assert table.restrictions(table.pack(x)) == combo_path_restrictions(table, x)
-        assert len(table._restriction_masks) == 1024
 
 
 @PROPERTY
