@@ -21,7 +21,7 @@ has three layers:
   certificate search at every use).
 
 Every verdict's evidence is checked where the verdict is made:
-s_membership re-sums its certificate through the table (maps_to),
+s_membership re-sums its certificate tuple through the table (maps_to),
 exceptional_induction re-sums each certificate it builds, and _base_case,
 the only constructor of NonEffective, re-validates the reduction trace step
 by step before it returns.  Those checks raise InvalidEvidence explicitly,
@@ -32,10 +32,10 @@ their class once into (n_h, n_1, n_2, n_3, mask) (see picard) and build an
 XClass again only for a trace's final class; exceptional_induction recurses
 on packed classes too.  minimal_form and is_minimal read the table's
 restrictions, whose A3/B3/C3 labels come from the linear label table built
-with it.  ReductionTrace.validate never reads them: it rebuilds
-preimage_combo(start) and checks every step with the step curve's entry of
-delpezzo.symmetric_coords and, on a zero pairing, with column, so it stays
-an independent re-check of every trace.
+with it.  ReductionTrace.validate never reads them: it reads the labels of
+preimage_combo(start) with column, XORs in each step curve's labels3_rows
+mask and checks each step in O(1) with the curve's symmetric_coords entry
+and, on a zero pairing, its label: an independent re-check of every trace.
 """
 from __future__ import annotations
 
@@ -81,6 +81,11 @@ class ReductionStep:
     reason: str  # "negative" or "torsion"
 
 
+# the twelve steps minimal_form takes, (torsion, negative) per boundary curve
+_STEPS = tuple((ReductionStep(f, "torsion"), ReductionStep(f, "negative"))
+               for f in BOUNDARY)
+
+
 @dataclass(frozen=True)
 class ReductionTrace:
     start: XClass
@@ -91,6 +96,8 @@ class ReductionTrace:
         """Re-check every step from scratch; raises on any mismatch."""
         p = table.pack(self.start)
         combo = table.preimage_combo(self.start)
+        m3 = sum(table.column(combo, f)[1] << 2 * k  # the labels on A3, B3, C3
+                 for k, f in enumerate(("C3", "B3", "A3")))
         for step in self.steps:
             i = _SYMMETRIC_INDEX.get(step.curve)
             if i is None:
@@ -98,14 +105,14 @@ class ReductionTrace:
             pairing = symmetric_coords(p[:4])[i]
             if step.reason == "negative":
                 justified = pairing < 0
-            elif step.reason == "torsion":
-                justified = pairing == 0 and table.column(combo, step.curve) != (0, 0)
             else:
-                justified = False
+                labels = p[4] << 6 | m3  # all six, in BOUNDARY order
+                justified = (step.reason == "torsion" and pairing == 0
+                             and labels >> (12 - 2 * i) & 3 != 0)
             if not justified:
                 raise InvalidEvidence(f"step {step} not justified at {unpack(p)}")
             p = _minus(p, table.packed_rows[step.curve])
-            combo[step.curve] = combo.get(step.curve, 0) - 1
+            m3 ^= table.labels3_rows[step.curve]
         end = unpack(p)
         if end != self.final:
             raise InvalidEvidence(f"trace ends at {end}, not at {self.final}")
@@ -159,10 +166,10 @@ def minimal_form(table: GeneratorTable, x: XClass) -> tuple[XClass, ReductionTra
     rows = table.packed_rows
     steps: list[ReductionStep] = []
     while 3 * p[0] + p[1] + p[2] + p[3] >= 0:  # the degree d
-        for f, (deg, mask) in zip(BOUNDARY, table.restrictions(p)):
+        for pair, (deg, mask) in zip(_STEPS, table.restrictions(p)):
             if deg < 0 or (deg == 0 and mask):
-                steps.append(ReductionStep(f, "negative" if deg < 0 else "torsion"))
-                p = _minus(p, rows[f])
+                steps.append(pair[deg < 0])
+                p = _minus(p, rows[pair[0].curve])
                 break
         else:
             break
@@ -306,7 +313,7 @@ def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
     if cert is None:
         return None
     verdict = InS(cert)
-    if not table.maps_to(verdict.as_dict(), p):
+    if not table.maps_to(cert, p):
         raise InvalidEvidence(f"certificate {verdict.as_dict()} does not re-sum to {x}")
     if p in TRUSTED_PACKED:
         raise TableInconsistent(
@@ -433,7 +440,7 @@ class ScanReport:
 
 
 def cert_text(v: InS) -> str:
-    return ",".join(f"{g}:{c}" for g, c in v.as_dict().items())
+    return ",".join(f"{g}:{c}" for g, c in zip(GENERATORS, v.certificate) if c)
 
 
 def trace_text(t: ReductionTrace) -> str:
@@ -553,7 +560,7 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
                     cert = list(sub.certificate)
                     cert[GENERATORS.index(gen)] += 1
                     out = InS(tuple(cert))
-                    if not table.maps_to(out.as_dict(), p):
+                    if not table.maps_to(out.certificate, p):
                         raise InvalidEvidence(
                             f"induction certificate does not re-sum to {unpack(p)}")
                     break

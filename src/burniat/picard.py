@@ -47,8 +47,8 @@ packed CURVE_CLASS[g] plus its mask.  The same dict holds 2E_s under the
 label E{s}, as the row (2, 0, 0, 0, 0, emult -2 at s); phi and the image
 index read these rows alone.  Subtracting a curve from a packed class is four
 integer subtractions and one XOR.  A combination is summed with integer
-products and an XOR of the masks of its odd coefficients; maps_to compares
-that sum with a packed class, and phi wraps it as an XClass.
+products and an XOR of the masks of its odd coefficients; phi wraps it as
+an XClass, and maps_to compares a certificate's sum with a packed class.
 preimage_combo corrects torsion bits against the constant basis VEC, so its
 GF(2) solve has 64 targets and is memoised; every call checks its combo.
 
@@ -60,11 +60,12 @@ linear: every packed tuple is a class, so the 10-bit key (y mod 2, mask) is
 the class modulo twice the group, and check (b) makes restriction to A3,
 B3, C3 a homomorphism into 2-torsion, which vanishes on twice the group.
 A K^2 = 6 table builds this GF(2)-linear map once, as a 1,024-entry tuple
-spanned by the generators' keys and their block labels.
+spanned by the generators' keys and their labels3_rows masks.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -284,16 +285,17 @@ class GeneratorTable:
         # packed K^2 = 6 generator rows: the curve's numerical class and its mask
         self.packed_rows = {g: (*CURVE_CLASS[g].coeffs, self._int_rows[g][4])
                             for g in GENERATORS}
+        # the 6-bit mask of each generator's block labels on A3, B3, C3
+        self.labels3_rows = {g: self.block[g, "A3"][1] << 4 | self.block[g, "B3"][1] << 2
+                             | self.block[g, "C3"][1] for g in GENERATORS}
         # index of the image of phi; check (c) refuses an infinite one
         self.image_index = subgroup_index(self._index_rows(), 6)
         self._check_consistency()
         if not self.k:  # key (see _key) -> 6-bit mask of the A3, B3, C3 labels
             labels = {0: 0}
-            for g in GENERATORS:
+            for g, m3 in self.labels3_rows.items():
                 key = _key(self.packed_rows[g])
                 if key not in labels:
-                    a3, b3, c3 = (self.block[g, f][1] for f in ("A3", "B3", "C3"))
-                    m3 = a3 << 4 | b3 << 2 | c3
                     labels.update({k ^ key: m ^ m3 for k, m in labels.items()})
             self._labels3 = tuple(labels[k] for k in range(1024))
 
@@ -301,19 +303,21 @@ class GeneratorTable:
 
     def phi(self, combo: dict[str, int]) -> XClass:
         """Image of an integer combination of generators and of 2E_s (E{s})."""
-        return XClass(*self._phi_ints(combo))
+        return XClass(*self._phi_ints(combo.items()))
 
-    def maps_to(self, combo: dict[str, int], p: Packed) -> bool:
-        """Whether phi(combo) is the packed K^2 = 6 class p."""
-        return self._phi_ints(combo) == _ints(p)
+    def maps_to(self, cert: tuple[int, ...], p: Packed) -> bool:
+        """Whether a certificate in GENERATORS order sums to the packed p."""
+        if len(cert) != len(GENERATORS):  # zip would silently truncate
+            raise ValueError(f"a certificate has 12 entries, not {len(cert)}")
+        return self._phi_ints(zip(GENERATORS, cert)) == _ints(p)
 
-    def _phi_ints(self, combo: dict[str, int]
+    def _phi_ints(self, terms: Iterable[tuple[str, int]]
                   ) -> tuple[int, int, int, int, int, tuple[int, ...]]:
-        """Integer kernel of phi: the XClass fields (d, r0, r1, r2, mask, emult)."""
+        """Integer kernel of phi on (label, coefficient) pairs: XClass fields."""
         d = r0 = r1 = r2 = mask = 0
         em = [0] * self.k
         rows = self._int_rows
-        for g, c in combo.items():
+        for g, c in terms:
             if c == 0:
                 continue
             gd, g0, g1, g2, gmask, gem = rows[g]
@@ -363,7 +367,7 @@ class GeneratorTable:
         p = self.pack(x)
         nh, n1, n2, n3, mask = p
         combo = {"A3": nh, "B0": nh + n2, "C0": nh + n3, "A0": n1}
-        base = self._phi_ints(combo)
+        base = self._phi_ints(combo.items())
         if base != _ints((nh, n1, n2, n3, base[4])):
             raise TableInconsistent(f"base combo {combo} does not lie over {YClass(p[:4])}")
         correction = _torsion_solution(mask ^ base[4])
@@ -372,7 +376,7 @@ class GeneratorTable:
         for v in correction:
             for g, c in VEC_COMBO[v].items():
                 combo[g] = combo.get(g, 0) + c
-        if not self.maps_to(combo, p):
+        if self._phi_ints(combo.items()) != _ints(p):
             raise TableInconsistent(f"preimage combo {combo} does not map to {x}")
         return combo
 
@@ -397,14 +401,13 @@ class GeneratorTable:
 
     def _index_rows(self, derived: bool = False) -> list[tuple[int, ...]]:
         """Each row of phi as integers (d, emult, block degrees, mask bits);
-        with derived, also the label digits of its restrictions to A3, B3,
-        C3, which are 0 on the E_s rows."""
+        with derived, also the bits of its label mask on A3, B3, C3, which
+        are 0 on the E_s rows."""
         rows = []
         for g, (d, r0, r1, r2, mask, em) in self._int_rows.items():
             row = (d, *em, r0, r1, r2, *MASK_BITS[mask])
             if derived:
-                for f in ("A3", "B3", "C3"):
-                    row += divmod(self.block.get((g, f), (0, 0))[1], 2)
+                row += MASK_BITS[self.labels3_rows.get(g, 0)]
             rows.append(row)
         return rows
 

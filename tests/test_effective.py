@@ -158,6 +158,19 @@ def test_certificates_resum():
         assert v is not None and T.phi(v.as_dict()) == x
 
 
+def test_maps_to_refuses_every_raised_multiplicity():
+    x = KX + T.phi({"A0": 1, "B1": 2})
+    cert = s_membership(T, x).certificate
+    p = T.pack(x)
+    assert T.maps_to(cert, p)
+    for i in range(len(GENERATORS)):
+        assert not T.maps_to(cert[:i] + (cert[i] + 1,) + cert[i + 1:], p)
+    # a short or long tuple is refused, not truncated
+    for wrong_length in (cert[:11], cert + (0,)):
+        with pytest.raises(ValueError, match="12 entries"):
+            T.maps_to(wrong_length, p)
+
+
 # --- scan ------------------------------------------------------------------------
 
 def test_scan_degree_zero():
@@ -549,6 +562,18 @@ def test_validate_does_not_read_the_label_table():
     assert table.restrictions(table.pack(q10))[BOUNDARY.index("A3")] == (0, 1)
     with pytest.raises(InvalidEvidence, match="A3"):
         scan(table, 3)
+
+
+def test_validate_carries_the_generator_label_masks():
+    # validate reads the labels on A3, B3, C3 of the start from column and
+    # XORs each step curve's label mask into them; scan(6) takes torsion
+    # steps on A3 after subtracting A0, whose label on A3 is 00
+    table = GeneratorTable(standard_config(6))
+    scan(table, 6)
+    assert table.labels3_rows["A0"] >> 4 == 0b00
+    table.labels3_rows["A0"] ^= 0b01_00_00
+    with pytest.raises(InvalidEvidence, match="A3"):
+        scan(table, 6)
 
 
 def test_table_is_not_changed_by_use():
