@@ -27,7 +27,7 @@ from .picard import (XClass, GeneratorTable, build_generator_table,
                      torsion_subgroup, picard_image_index,
                      parse_xclass, xclass_to_text,
                      NotARepresentableClass, TableInconsistent)
-from .effective import (InS, NonEffective, Unresolved, ReductionTrace,
+from .effective import (KX, InS, NonEffective, Unresolved, ReductionTrace,
                         InvalidEvidence, minimal_form, is_minimal, s_membership,
                         prove_non_effective, decide, scan, step3_tables,
                         exceptional_induction)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .picard import GeneratorTable, build_generator_table
-from .effective import InS, NonEffective, Verdict, chi, decide, trace_text
+from .effective import KX, InS, NonEffective, Verdict, chi, decide, trace_text
 
 
 @dataclass(frozen=True)
@@ -126,17 +126,16 @@ def exceptional_collection_check(ctx: FiberContext,
     """
     table = table or build_generator_table(6)
     bundles = {i: table.phi(c) for i, c in COLLECTION.items()}
-    k = table.canonical()
     report = PairReport(ctx)
     for i in range(1, 7):
         for j in range(i + 1, 7):
             fwd = bundles[i] - bundles[j]
-            ser = k - bundles[i] + bundles[j]
+            ser = KX - bundles[i] + bundles[j]
             report.pairs.append(PairRow(i, j, chi(table, fwd),
                                         decide(table, fwd), decide(table, ser)))
     for i in range(1, 7):
         report.selfs.append(SelfRow(i, chi(table, bundles[i] - bundles[i]),
-                                    decide(table, k)))
+                                    decide(table, KX)))
     return report
 
 

@@ -15,17 +15,19 @@ has three layers:
   proof that x is not in S.  For each (A3, B3, C3) the first certificate
   of every torsion lift has a closed form, and the search skips every
   triple that cannot add a lift: O(n_h^3) at worst.
-* prove_non_effective: minimal-form reduction into one of the two base
+* prove_non_effective: one minimal-form reduction into one of the two base
   cases: negative degree, or a member of the trusted list of classes with
   no sections (imported facts about the surface, cross-checked against the
-  certificate search at every use).
+  certificate search at every use).  A reduction that reaches neither is
+  returned as Unresolved, with its trace.
 
+decide is s_membership, else prove_non_effective: one reduction at most.
 Every verdict's evidence is checked where the verdict is made:
 s_membership re-sums its certificate tuple through the table (maps_to),
-exceptional_induction re-sums each certificate it builds, and _base_case,
-the only constructor of NonEffective, re-validates the reduction trace step
-by step before it returns.  Those checks raise InvalidEvidence explicitly,
-so they also run under ``python -O``.
+exceptional_induction re-sums each certificate it builds, and
+prove_non_effective, the only constructor of NonEffective, re-validates the
+reduction trace step by step before it returns.  Those checks raise
+InvalidEvidence explicitly, so they also run under ``python -O``.
 
 minimal_form, is_minimal, s_membership and ReductionTrace.validate pack
 their class once into (n_h, n_1, n_2, n_3, mask) (see picard) and build an
@@ -53,6 +55,9 @@ INTERNAL_OF_LETTER = {"A": ("A1", "A2"), "B": ("B1", "B2"), "C": ("C1", "C2")}
 # index of each boundary curve's pairing in delpezzo.symmetric_coords
 _SYMMETRIC_INDEX = {f: i for i, f in enumerate(BOUNDARY, 1)}
 
+# the canonical class of the K^2 = 6 surface
+KX = parse_xclass("(6; 1 00; 1 00; 1 00)")
+
 # Classes with no sections, imported as facts about the surface:
 #   Q10  the conic-degree class (3; 1 10; 1 10; 1 10)
 #   H00  the line-degree class with trivial restriction data
@@ -65,7 +70,7 @@ _SYMMETRIC_INDEX = {f: i for i, f in enumerate(BOUNDARY, 1)}
 TRUSTED: dict[str, str] = {
     "(3; 1 10; 1 10; 1 10)": "Q10",
     "(3; 0 00; 0 00; 0 00)": "H00",
-    "(6; 1 00; 1 00; 1 00)": "KX",
+    xclass_to_text(KX): "KX",
 }
 TRUSTED_PACKED: dict[Packed, str] = {pack(parse_xclass(text)): tid
                                      for text, tid in TRUSTED.items()}
@@ -329,17 +334,23 @@ def chi(table: GeneratorTable, x: XClass) -> int:
     return arithmetic_genus(table.to_y(x))
 
 
-def _base_case(table: GeneratorTable, trace: ReductionTrace) -> NonEffective | None:
-    """NonEffective if the reduction ends in a base case, else None.
+def prove_non_effective(table: GeneratorTable, x: XClass) -> NonEffective | Unresolved:
+    """Reduce x once by minimal_form and ground the reduction in a base case.
 
-    The trace is re-validated before the verdict is returned."""
-    reduced = trace.final
+    The verdict is NonEffective when the minimal form has negative degree or
+    is a trusted class, which is cross-checked against the certificate
+    search; its trace is re-validated before it is returned.  Otherwise it is
+    Unresolved, with the same trace and chi(x).  x is taken to have no
+    certificate, as in decide, so the note says its minimal form is not in S.
+    """
+    reduced, trace = minimal_form(table, x)
     if reduced.d < 0:
         base = "negative-degree"
     else:
         tid = trusted_id(reduced)
         if tid is None:
-            return None
+            return Unresolved(trace, chi(table, x), f"minimal form {reduced} "
+                              "is not in S and not a trusted class")
         p = table.pack(reduced)
         if p[4] in effective_lifts(p[:4]):
             raise TableInconsistent(f"trusted class {reduced} is in S")
@@ -348,34 +359,14 @@ def _base_case(table: GeneratorTable, trace: ReductionTrace) -> NonEffective | N
     return NonEffective(trace, base)
 
 
-def prove_non_effective(table: GeneratorTable, x: XClass) -> NonEffective | None:
-    """Reduce to a base case with no sections, or give up (None).
-
-    A Serre-dual bound (chi and the reduction of K - x) can never force
-    h^0 = 0 on its own, so it is reported as a diagnostic on Unresolved
-    verdicts rather than used as a base case here.
-    """
-    return _base_case(table, minimal_form(table, x)[1])
-
-
 def decide(table: GeneratorTable, x: XClass) -> Verdict:
-    """Full decision: certificate, or proof of non-effectivity, or Unresolved.
+    """Full decision: the certificate of x in S if it has one, else the
+    verdict of prove_non_effective.
 
-    An Unresolved verdict carries chi(x) and the Serre-dual status of K - x
-    as diagnostics; neither bound can force h^0(x) = 0 on its own (chi < 0
-    with h^2 = 0 only bounds h^0 - h^1), so no conclusion is drawn from them.
+    chi(x) on an Unresolved verdict is a diagnostic only: chi < 0 bounds
+    h^0 - h^1 and can never force h^0(x) = 0 on its own.
     """
-    cert = s_membership(table, x)
-    if cert is not None:
-        return cert
-    reduced, trace = minimal_form(table, x)
-    non_eff = _base_case(table, trace)
-    if non_eff is not None:
-        return non_eff
-    serre = prove_non_effective(table, table.canonical() - x)
-    note = (f"minimal form {reduced} is not in S and not a trusted class; "
-            f"h2{'=0' if serre is not None else ' unknown'}")
-    return Unresolved(trace, chi(table, x), note)
+    return s_membership(table, x) or prove_non_effective(table, x)
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +491,10 @@ class Step3Report:
 
 def step3_tables(table: GeneratorTable) -> Step3Report:
     """K+nu in S for all nonzero torsion nu, and K+F+nu for all F, nu."""
-    k = table.canonical()
-    canonical_not_in_s = s_membership(table, k) is None
+    canonical_not_in_s = s_membership(table, KX) is None
     ok, fail = [0, 0], ([], [])  # twists of K, then shifts K + F
-    for kind, base, nus in [(0, table.pack(k), range(1, 64))] + [
-            (1, table.pack(k + table.phi({f: 1})), range(64)) for f in BOUNDARY]:
+    for kind, base, nus in [(0, table.pack(KX), range(1, 64))] + [
+            (1, table.pack(KX + table.phi({f: 1})), range(64)) for f in BOUNDARY]:
         for nu in nus:
             x = unpack((*base[:4], base[4] ^ nu))
             if s_membership(table, x) is None:
@@ -571,6 +561,6 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
 
     verdict = resolve(table.pack(x), et)
     if verdict is None:
-        reduced, trace = minimal_form(table, x)
+        trace = minimal_form(table, x)[1]
         return Unresolved(trace, chi(table, x), "exceptional induction exhausted")
     return verdict

@@ -37,8 +37,9 @@ when those masks vanish on every combination that phi sends to zero.
 
 The K^2 = 6 decision procedures carry a class packed as
 (n_h, n_1, n_2, n_3, mask), its numerical class y and the same 6-bit mask.
-pack refuses an exceptional part and a failed congruence, GeneratorTable.pack
-also a table with K^2 != 6.
+pack refuses an exceptional part and a failed congruence; every K^2 = 6
+query of GeneratorTable (pack, to_y, from_y, preimage_combo, restrictions,
+maps_to) also refuses a table with K^2 != 6.
 
 phi and column work on integers.  Once the blocks are fixed (including any
 override) the table packs each generator into one flat row (d, the three
@@ -305,12 +306,6 @@ class GeneratorTable:
         """Image of an integer combination of generators and of 2E_s (E{s})."""
         return XClass(*self._phi_ints(combo.items()))
 
-    def maps_to(self, cert: tuple[int, ...], p: Packed) -> bool:
-        """Whether a certificate in GENERATORS order sums to the packed p."""
-        if len(cert) != len(GENERATORS):  # zip would silently truncate
-            raise ValueError(f"a certificate has 12 entries, not {len(cert)}")
-        return self._phi_ints(zip(GENERATORS, cert)) == _ints(p)
-
     def _phi_ints(self, terms: Iterable[tuple[str, int]]
                   ) -> tuple[int, int, int, int, int, tuple[int, ...]]:
         """Integer kernel of phi on (label, coefficient) pairs: XClass fields."""
@@ -345,10 +340,21 @@ class GeneratorTable:
 
     # -- K^2 = 6 specific queries --------------------------------------------
 
-    def pack(self, x: XClass) -> Packed:
-        """Packed form of x; refuses a table or class outside the K^2 = 6 model."""
+    def _only_k6(self) -> None:
+        """Refuse a query of the packed K^2 = 6 model on another table."""
         if self.k:
             raise NotARepresentableClass("the packed class is the K^2=6 model")
+
+    def maps_to(self, cert: tuple[int, ...], p: Packed) -> bool:
+        """Whether a certificate in GENERATORS order sums to the packed p."""
+        self._only_k6()
+        if len(cert) != len(GENERATORS):  # zip would silently truncate
+            raise ValueError(f"a certificate has 12 entries, not {len(cert)}")
+        return self._phi_ints(zip(GENERATORS, cert)) == _ints(p)
+
+    def pack(self, x: XClass) -> Packed:
+        """Packed form of x; refuses a table or class outside the K^2 = 6 model."""
+        self._only_k6()
         return pack(x)
 
     def to_y(self, x: XClass) -> YClass:
@@ -357,6 +363,7 @@ class GeneratorTable:
 
     def from_y(self, cls: YClass, bits: tuple[int, ...] = (0,) * 6) -> XClass:
         """The lift of cls with the torsion bits, first bit most significant."""
+        self._only_k6()
         mask = 0
         for b in bits:
             mask = 2 * mask + (b & 1)
@@ -383,8 +390,7 @@ class GeneratorTable:
     def restrictions(self, p: Packed) -> tuple[tuple[int, int], ...]:
         """(deg, 2-bit mask) of the packed class p on each boundary curve in
         BOUNDARY order."""
-        if self.k:
-            raise NotARepresentableClass("the packed class is the K^2=6 model")
+        self._only_k6()
         nh, n1, n2, n3, mask = p
         m3 = self._labels3[_key(p)]
         # pairings with e1, e2, e3 and h - e2 - e3, h - e1 - e3, h - e1 - e2, written
@@ -392,10 +398,6 @@ class GeneratorTable:
         return ((-n1, mask >> 4), (-n2, mask >> 2 & 3), (-n3, mask & 3),
                 (nh + n2 + n3, m3 >> 4), (nh + n1 + n3, m3 >> 2 & 3),
                 (nh + n1 + n2, m3 & 3))
-
-    def canonical(self) -> XClass:
-        """The canonical class (6; 1 00; 1 00; 1 00) [+ zero e-part]."""
-        return XClass(6, 1, 1, 1, 0, (0,) * self.k)
 
     # -- consistency suite ----------------------------------------------------
 

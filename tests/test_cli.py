@@ -88,6 +88,29 @@ def test_effective_verdicts(capsys):
     assert code == 0 and "InS" in out and "A0:1" in out
 
 
+# the full `burniat effective` text of the three trusted bases, a reduction
+# to negative degree and a certificate
+EFFECTIVE_TEXT = {
+    "(3; 1 10; 1 10; 1 10)": "verdict: NonEffective  base: trusted:Q10\n"
+                             "reduced form: (3; 1 10; 1 10; 1 10)\n",
+    "(3; 0 00; 0 00; 0 00)": "verdict: NonEffective  base: trusted:H00\n"
+                             "reduced form: (3; 0 00; 0 00; 0 00)\n",
+    "(6; 1 00; 1 00; 1 00)": "verdict: NonEffective  base: trusted:KX\n"
+                             "reduced form: (6; 1 00; 1 00; 1 00)\n",
+    "(3; 1 00; 1 00; 1 00)": "verdict: NonEffective  base: negative-degree"
+                             "  trace: A3t,B0t,A3t,C0-\n"
+                             "reduced form: (-1; 1 00; 0 00; 0 00)\n",
+    "(9; 1 01; 2 10; 3 11)": "verdict: InS"
+                             "  certificate: A0:2,A3:1,B1:1,B3:1,C2:1,C3:1\n",
+}
+
+
+def test_effective_text_unchanged(capsys):
+    for literal, text in EFFECTIVE_TEXT.items():
+        assert run(capsys, "effective", "--class", literal) \
+            == (0, f"class {literal}\n{text}", "")
+
+
 def test_effective_round_trip_of_printed_literal(capsys):
     code, out, _ = run(capsys, "effective", "--class", "(2; 0 00; 1 01; 0 00)")
     assert code == 0

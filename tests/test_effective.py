@@ -15,7 +15,7 @@ from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
                             InvalidBuildingData, standard_config)
 from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_check
 from burniat.delpezzo import classify_exceptional
-from burniat.effective import (TRUSTED, InS, InvalidEvidence, NonEffective,
+from burniat.effective import (KX, TRUSTED, InS, InvalidEvidence, NonEffective,
                                ReductionStep, ReductionTrace, ScanReport,
                                Unresolved, decide, effective_lifts,
                                exceptional_induction, is_minimal, minimal_form,
@@ -28,7 +28,6 @@ from burniat.picard import (MASK_BITS, GeneratorTable, NotARepresentableClass,
 from burniat.verify import run_all
 
 T = build_generator_table(6)
-KX = T.canonical()
 
 
 def lit(s):
@@ -104,7 +103,7 @@ def test_corner_class_trusted():
 
 
 def test_effective_class_not_provable():
-    assert prove_non_effective(T, T.phi({"A1": 1})) is None
+    assert isinstance(prove_non_effective(T, T.phi({"A1": 1})), Unresolved)
     assert isinstance(decide(T, T.phi({"A1": 1})), InS)
 
 
@@ -325,7 +324,7 @@ from burniat.config import GENERATORS
 from burniat.picard import build_generator_table
 
 T = build_generator_table(6)
-K = T.canonical()
+K = eff.KX
 print("debug", __debug__)
 # K.A0 = 1, so subtracting A0 as a negative-pairing step is not justified
 trace = eff.ReductionTrace(K, (eff.ReductionStep("A0", "negative"),),
@@ -516,7 +515,7 @@ def test_every_minimal_class_of_degree_seven_up_is_in_s(scan8):
 
 def test_unresolved_is_reported_not_dropped(monkeypatch):
     # with the trusted list emptied, a minimal non-member must surface as
-    # Unresolved carrying its diagnostics (never a silent pass or fail)
+    # Unresolved carrying its trace and chi (never a silent pass or fail)
     import burniat.effective as eff
     monkeypatch.setattr(eff, "TRUSTED_PACKED", {})
     reduced = []
@@ -530,12 +529,40 @@ def test_unresolved_is_reported_not_dropped(monkeypatch):
     x = lit("(3; 1 10; 1 10; 1 10)")
     v = decide(T, x)
     assert isinstance(v, Unresolved)
-    assert v.chi == 0 and "h2=0" in v.note
-    # one reduction of x, reused for the trace, and one of K - x for the note
-    assert reduced == [x, KX - x]
+    assert v.chi == 0
+    # one reduction of x, and the verdict carries its trace
+    assert reduced == [x]
     assert verdict_text(v) == "verdict=unresolved chi=0 trace="
     assert v.note == ("minimal form (3; 1 10; 1 10; 1 10) is not in S and not a "
-                      "trusted class; h2=0")
+                      "trusted class")
+
+
+def test_decide_reduces_at_most_once(monkeypatch):
+    # decide is the certificate search, else one minimal_form pass of its
+    # argument: none for an InS verdict, exactly one for any other
+    import burniat.degeneration as deg
+    import burniat.effective as eff
+    reduced, verdicts = [], []
+    real_minimal_form, real_decide = eff.minimal_form, eff.decide
+
+    def counting_minimal_form(table, x):
+        reduced.append(x)
+        return real_minimal_form(table, x)
+
+    def checked_decide(table, x):
+        reduced.clear()
+        v = real_decide(table, x)
+        assert reduced == ([] if isinstance(v, InS) else [x])
+        verdicts.append(v)
+        return v
+
+    monkeypatch.setattr(eff, "minimal_form", counting_minimal_form)
+    monkeypatch.setattr(eff, "decide", checked_decide)
+    monkeypatch.setattr(deg, "decide", checked_decide)
+    scan(T, 3)
+    exceptional_collection_check(SMOOTH)
+    assert len(verdicts) == 384 + 36
+    assert {type(v) for v in verdicts} == {InS, NonEffective}
 
 
 def test_stray_exceptional_part_refused_on_k6():
@@ -604,8 +631,8 @@ def test_a_certificate_for_a_trusted_class_is_refused(monkeypatch):
 
 def test_a_trusted_base_case_in_s_is_refused(monkeypatch):
     # A0 reduces to the zero class, which the empty certificate puts in S:
-    # listed as trusted, _base_case must refuse it rather than prove A0
-    # non-effective
+    # listed as trusted, prove_non_effective must refuse it rather than prove
+    # A0 non-effective
     import burniat.effective as eff
     zero = T.phi({})
     monkeypatch.setattr(eff, "TRUSTED_PACKED", {**eff.TRUSTED_PACKED, pack(zero): "ZERO"})

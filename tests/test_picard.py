@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
                             standard_config)
+from burniat.effective import KX
 from burniat.lattice import YClass, canonical_class, subgroup_index
 from burniat.picard import (GeneratorTable, MASK_BITS,
                             NotARepresentableClass, TableInconsistent, VEC,
@@ -143,18 +144,17 @@ def test_vec_combos_map_to_basis_vectors():
 
 
 def test_canonical_class_and_torsion_correction():
-    kx = T6.canonical()
-    assert xclass_to_text(kx) == "(6; 1 00; 1 00; 1 00)"
+    assert xclass_to_text(KX) == "(6; 1 00; 1 00; 1 00)"
     # the boundary sum is K plus the torsion (10,10,10)
     boundary_sum = T6.phi({f: 1 for f in BOUNDARY})
-    diff = boundary_sum - kx
+    diff = boundary_sum - KX
     assert diff.d == 0 and diff.mask == 0b10_10_10
     # K itself as an explicit combo
     combo = {f: 1 for f in BOUNDARY}
     for v in ("A1", "B1", "C1"):
         for g, c in VEC_COMBO[v].items():
             combo[g] = combo.get(g, 0) + c
-    assert T6.phi(combo) == kx
+    assert T6.phi(combo) == KX
 
 
 # --- the integer kernel against the block-sum reference -----------------------
@@ -309,7 +309,7 @@ def test_restriction_degree_equals_pairing():
 # --- intersection -------------------------------------------------------------
 
 def test_intersect_x_examples():
-    ky = T6.to_y(T6.canonical())
+    ky = T6.to_y(KX)
     assert ky.dot(ky) == 6
     assert T6.to_y(T6.phi({"A0": 1})).dot(T6.to_y(T6.phi({"C1": 1}))) == 1
     assert ky.dot(T6.to_y(T6.phi({}))) == 0
@@ -433,12 +433,11 @@ def test_xclass_refuses_a_mask_outside_six_bits():
 
 
 def test_xclass_arithmetic_refuses_exceptional_parts_of_different_lengths():
-    k6 = T6.canonical()
     stray = parse_xclass("(3; 0 00; 0 00; 0 00; 5)")
     with pytest.raises(ValueError):
-        k6 - stray  # K^2 = 6 has no exceptional part; zip dropped the 5
+        KX - stray  # K^2 = 6 has no exceptional part; zip dropped the 5
     with pytest.raises(ValueError):
-        stray + k6
+        stray + KX
     a0 = build_generator_table(5).phi({"A0": 1})
     with pytest.raises(ValueError):
         a0 - parse_xclass("(3; 0 00; 0 00; 0 00; 5,1)")
@@ -472,13 +471,22 @@ def test_pack_round_trip_on_random_classes():
 
 
 def test_pack_refusals():
-    # an exceptional part, a failed congruence, and a table with K^2 != 6
+    # an exceptional part, a failed congruence, and a table with K^2 != 6:
+    # each query of the packed model refuses it instead of answering with
+    # K^2 = 6 results
     with pytest.raises(NotARepresentableClass, match="exceptional part"):
         T6.pack(parse_xclass("(3; 0 00; 0 00; 0 00; 5)"))
     with pytest.raises(NotARepresentableClass, match="congruence"):
         T6.pack(parse_xclass("(1; 0 00; 0 00; 0 00)"))
-    with pytest.raises(NotARepresentableClass, match="K\\^2=6"):
-        build_generator_table(5).pack(parse_xclass("(3; 0 00; 0 00; 0 00)"))
+    t5 = build_generator_table(5)
+    x, p = t5.phi({"A0": 1}), (1, 0, 0, 0, 0)
+    queries = (lambda: t5.pack(x), lambda: t5.to_y(x),
+               lambda: t5.from_y(YClass((1, 0, 0, 0))),
+               lambda: t5.preimage_combo(x), lambda: t5.restrictions(p),
+               lambda: t5.maps_to((1,) + (0,) * 11, p))
+    for query in queries:
+        with pytest.raises(NotARepresentableClass, match="K\\^2=6"):
+            query()
 
 
 def test_packed_rows_are_the_packed_generator_images():
