@@ -36,11 +36,26 @@ on packed classes too.  minimal_form and is_minimal read the table's
 restrictions, whose A3/B3/C3 labels come from the linear label table built
 with it.  ReductionTrace.validate never reads them: it reads the labels of
 preimage_combo(start) with column, XORs in each step curve's labels3_rows
-mask and checks each step in O(1) with the curve's symmetric_coords entry
-and, on a zero pairing, its label: an independent re-check of every trace.
+mask, checks each step in O(1) with the curve's symmetric_coords entry
+and, on a zero pairing, its label, and compares its packed end with the
+packed final class: an independent re-check of every trace.
+
+The first step of a class depends only on the class and the table, so
+minimal_form reads it from a memo, {packed: (step, next packed) or None},
+and records it there on a miss.  The memos live in the module-level
+WeakKeyDictionary _FIRST_STEPS, one per table, so the table stays
+read-only and a table built later starts with an empty memo.
+
+scan builds lift mask of a numerical class y as unpack((*y, mask)) and sets
+its minimal flag without another reduction.  y is nef, so its degree on
+each boundary curve is >= 0, found once per y; an InS lift is minimal
+exactly when its labels vanish on the curves of degree 0 (all 64 lifts are
+when there are none), and any other lift is minimal exactly when its
+minimal_form trace is empty.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -48,8 +63,8 @@ from .lattice import YClass, arithmetic_genus
 from .delpezzo import (ExceptionalType, classify_exceptional, enumerate_nef,
                        is_nef_class, symmetric_coords)
 from .config import BOUNDARY, GENERATORS
-from .picard import (MASK_BITS, GeneratorTable, Packed, XClass, pack,
-                     parse_xclass, unpack, xclass_to_text, TableInconsistent)
+from .picard import (GeneratorTable, NotARepresentableClass, Packed, XClass,
+                     pack, parse_xclass, unpack, xclass_to_text, TableInconsistent)
 
 INTERNAL_OF_LETTER = {"A": ("A1", "A2"), "B": ("B1", "B2"), "C": ("C1", "C2")}
 # index of each boundary curve's pairing in delpezzo.symmetric_coords
@@ -118,9 +133,12 @@ class ReductionTrace:
                 raise InvalidEvidence(f"step {step} not justified at {unpack(p)}")
             p = _minus(p, table.packed_rows[step.curve])
             m3 ^= table.labels3_rows[step.curve]
-        end = unpack(p)
-        if end != self.final:
-            raise InvalidEvidence(f"trace ends at {end}, not at {self.final}")
+        try:
+            same_end = p == table.pack(self.final)
+        except NotARepresentableClass:
+            same_end = False
+        if not same_end:
+            raise InvalidEvidence(f"trace ends at {unpack(p)}, not at {self.final}")
         if len(self.steps) != self.start.d - self.final.d:
             raise InvalidEvidence("trace length differs from its degree drop")
 
@@ -162,22 +180,37 @@ def _minus(p: Packed, row: Packed) -> Packed:
 # Minimal form
 # ---------------------------------------------------------------------------
 
+# table -> {packed class of degree >= 0: (its first minimal_form step, the
+# class after that step), or None if it is minimal}; the tables stay read-only
+_FIRST_STEPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _first_step(table: GeneratorTable, p: Packed) -> tuple[ReductionStep, Packed] | None:
+    """The first base-locus curve of p in the order A0, B0, C0, A3, B3, C3."""
+    for pair, (deg, mask) in zip(_STEPS, table.restrictions(p)):
+        if deg < 0 or (deg == 0 and mask):
+            return pair[deg < 0], _minus(p, table.packed_rows[pair[0].curve])
+    return None
+
+
 def minimal_form(table: GeneratorTable, x: XClass) -> tuple[XClass, ReductionTrace]:
     """Reduce x by base-locus boundary curves until minimal or d < 0.
 
     Scan order A0, B0, C0, A3, B3, C3, restarting after each subtraction.
+    Each class's first step is read from the table's memo in _FIRST_STEPS.
     """
     p = table.pack(x)  # refuses a class outside the K^2 = 6 model, even if d < 0
-    rows = table.packed_rows
+    memo = _FIRST_STEPS.setdefault(table, {})
     steps: list[ReductionStep] = []
     while 3 * p[0] + p[1] + p[2] + p[3] >= 0:  # the degree d
-        for pair, (deg, mask) in zip(_STEPS, table.restrictions(p)):
-            if deg < 0 or (deg == 0 and mask):
-                steps.append(pair[deg < 0])
-                p = _minus(p, rows[pair[0].curve])
-                break
-        else:
+        try:
+            nxt = memo[p]
+        except KeyError:
+            nxt = memo[p] = _first_step(table, p)
+        if nxt is None:
             break
+        steps.append(nxt[0])
+        p = nxt[1]
     final = unpack(p)
     return final, ReductionTrace(x, tuple(steps), final)
 
@@ -340,8 +373,9 @@ def prove_non_effective(table: GeneratorTable, x: XClass) -> NonEffective | Unre
     The verdict is NonEffective when the minimal form has negative degree or
     is a trusted class, which is cross-checked against the certificate
     search; its trace is re-validated before it is returned.  Otherwise it is
-    Unresolved, with the same trace and chi(x).  x is taken to have no
-    certificate, as in decide, so the note says its minimal form is not in S.
+    Unresolved, with the same trace and chi(x); the note says only what the
+    reduction established, since x may still have a certificate when it is
+    called outside decide.
     """
     reduced, trace = minimal_form(table, x)
     if reduced.d < 0:
@@ -350,7 +384,7 @@ def prove_non_effective(table: GeneratorTable, x: XClass) -> NonEffective | Unre
         tid = trusted_id(reduced)
         if tid is None:
             return Unresolved(trace, chi(table, x), f"minimal form {reduced} "
-                              "is not in S and not a trusted class")
+                              "has degree >= 0 and is not a trusted class")
         p = table.pack(reduced)
         if p[4] in effective_lifts(p[:4]):
             raise TableInconsistent(f"trusted class {reduced} is in S")
@@ -410,9 +444,7 @@ class ScanReport:
                "minimal": sum(r.minimal for r in self.records),
                "in_s": 0, "non_effective": 0, "unresolved": 0}
         for r in self.records:
-            key = {"InS": "in_s", "NonEffective": "non_effective",
-                   "Unresolved": "unresolved"}[type(r.verdict).__name__]
-            out[key] += 1
+            out[_COUNTER[type(r.verdict)]] += 1
         return out
 
     def to_text(self) -> str:
@@ -430,8 +462,14 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
+# the summary counter of each verdict class, and the "g:" prefix of each
+# generator in a certificate
+_COUNTER = {InS: "in_s", NonEffective: "non_effective", Unresolved: "unresolved"}
+_CERT_PREFIX = tuple(f"{g}:" for g in GENERATORS)
+
+
 def cert_text(v: InS) -> str:
-    return ",".join(f"{g}:{c}" for g, c in zip(GENERATORS, v.certificate) if c)
+    return ",".join([g + str(c) for g, c in zip(_CERT_PREFIX, v.certificate) if c])
 
 
 def trace_text(t: ReductionTrace) -> str:
@@ -451,23 +489,29 @@ def scan(table: GeneratorTable, d_max: int) -> ScanReport:
     """Classify every torsion lift of every nef class with degree <= d_max.
 
     Candidates are enumerated deterministically (nef classes by degree then
-    coefficients, bit-vectors lexicographically); every emitted certificate
-    and trace has been re-validated.
+    coefficients, torsion masks 0..63, which is MASK_BITS order); every
+    emitted certificate and trace has been re-validated.  The minimal flag
+    takes no further reduction (see the module docstring).
     """
     if d_max > 12:
         raise ValueError(f"scan is capped at d_max <= 12, got {d_max}")
     report = ScanReport(d_max)
+    records = report.records
     for ycls in enumerate_nef(d_max):
-        for bits in MASK_BITS:
-            x = table.from_y(ycls, bits)
+        y = ycls.coeffs
+        zero = [i for i, (deg, _) in enumerate(table.restrictions((*y, 0))) if deg == 0]
+        for mask in range(64):
+            p = (*y, mask)
+            x = unpack(p)
             v = decide(table, x)
-            if isinstance(v, NonEffective):
-                # the trace is the minimal_form pass of x, which stops at
-                # once exactly when x is minimal or has negative degree
-                minimal = not v.trace.steps and x.d >= 0
+            if not isinstance(v, InS):
+                minimal = not v.trace.steps
+            elif zero:
+                labels = table.restrictions(p)
+                minimal = not any(labels[i][1] for i in zero)
             else:
-                minimal = is_minimal(table, x)
-            report.records.append(ScanRecord(x, ycls, minimal, v))
+                minimal = True
+            records.append(ScanRecord(x, ycls, minimal, v))
     return report
 
 
@@ -560,7 +604,7 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
         return out
 
     verdict = resolve(table.pack(x), et)
-    if verdict is None:
-        trace = minimal_form(table, x)[1]
-        return Unresolved(trace, chi(table, x), "exceptional induction exhausted")
+    if verdict is None:  # x is minimal, so its reduction is the empty trace
+        return Unresolved(ReductionTrace(x, (), x), chi(table, x),
+                          "exceptional induction exhausted")
     return verdict

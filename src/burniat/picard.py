@@ -46,10 +46,13 @@ override) the table packs each generator into one flat row (d, the three
 block degrees, mask, emult), which has the fields of XClass, and into the
 packed CURVE_CLASS[g] plus its mask.  The same dict holds 2E_s under the
 label E{s}, as the row (2, 0, 0, 0, 0, emult -2 at s); phi and the image
-index read these rows alone.  Subtracting a curve from a packed class is four
-integer subtractions and one XOR.  A combination is summed with integer
-products and an XOR of the masks of its odd coefficients; phi wraps it as
-an XClass, and maps_to compares a certificate's sum with a packed class.
+index read these rows alone.  column reads a per-curve dict of the same
+blocks, curve_blocks[f][g], built at the same time.  Subtracting a curve
+from a packed class is four integer subtractions and one XOR.  A
+combination is summed with integer products and an XOR of the masks of its
+odd coefficients; phi wraps it as an XClass, and maps_to compares a
+certificate's sum with a packed class.  XClass has slots: scan builds one
+per candidate.
 preimage_combo corrects torsion bits against the constant basis VEC, so its
 GF(2) solve has 64 targets and is memoised; every call checks its combo.
 
@@ -93,7 +96,7 @@ class TableInconsistent(AssertionError):
 MASK_BITS = tuple(tuple(map(int, f"{m:06b}")) for m in range(64))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class XClass:
     """A class in the coordinate model: d, the block degrees r0, r1, r2 on
     A0, B0, C0, their 6-bit torsion mask (A0 bits first) and emult, which is
@@ -132,13 +135,17 @@ def _same_emult_length(x: XClass, y: XClass) -> None:
         raise ValueError(f"{x} and {y} have exceptional parts of different lengths")
 
 
+# _LABEL_TEXT[m] is the 2-bit label m as printed
+_LABEL_TEXT = ("00", "01", "10", "11")
+
+
 def xclass_to_text(x: XClass) -> str:
     m = x.mask
-    parts = [str(x.d), f"{x.r0} {m >> 4:02b}", f"{x.r1} {m >> 2 & 3:02b}",
-             f"{x.r2} {m & 3:02b}"]
+    text = (f"({x.d}; {x.r0} {_LABEL_TEXT[m >> 4]}; {x.r1} {_LABEL_TEXT[m >> 2 & 3]}; "
+            f"{x.r2} {_LABEL_TEXT[m & 3]}")
     if x.emult:
-        parts.append(",".join(str(v) for v in x.emult))
-    return "(" + "; ".join(parts) + ")"
+        text += "; " + ",".join(str(v) for v in x.emult)
+    return text + ")"
 
 
 _X_RE = re.compile(r"^\(\s*(-?\d+)\s*;([^;]+);([^;]+);([^;)]+)(?:;([^)]+))?\)$")
@@ -271,6 +278,9 @@ class GeneratorTable:
                 self.block[(g, f)] = blk
         if block_override:
             self.block.update(block_override)
+        # boundary curve -> generator -> block, the blocks column sums
+        self.curve_blocks = {f: {g: self.block[g, f] for g in GENERATORS}
+                             for f in BOUNDARY}
         # integer kernel of phi: the XClass fields (d, r0, r1, r2, mask, emult)
         # of each generator, then of 2E_s under the label E{s}
         minus_k = -canonical_class(cfg.lattice)
@@ -330,9 +340,9 @@ class GeneratorTable:
         """(deg, 2-bit mask) of the restriction of a generator combination to
         the boundary curve f."""
         deg = mask = 0
-        block = self.block
+        blocks = self.curve_blocks[f]
         for g, c in combo.items():
-            gdeg, gmask = block[(g, f)]
+            gdeg, gmask = blocks[g]
             deg += c * gdeg
             if c & 1:
                 mask ^= gmask

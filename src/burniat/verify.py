@@ -15,7 +15,7 @@ from typing import Callable
 
 from .lattice import YClass, arithmetic_genus, canonical_class, negative_curves
 from .delpezzo import (LAT, NEF_CLASS, classify_exceptional, eff_decompose,
-                       enumerate_nef, nef_decompose, symmetric_coords)
+                       enumerate_nef, nef_decompose)
 from .config import (BOUNDARY, CURVE_CLASS, InvalidBuildingData,
                      all_standard_configs, minus_two_curves,
                      ramification_span_index, validate_building_data)
@@ -127,13 +127,17 @@ def _oracle_nef(cls: YClass) -> bool:
 
 def _c5_classes() -> list[YClass]:
     """The classes of the box n_h in -5..10, n_i in -8..4 whose symmetric
-    coordinates all lie in -4..8, in box order.  The coordinates are computed
-    on integers, so only the kept classes are built."""
+    coordinates (see delpezzo.symmetric_coords) all lie in -4..8, in box
+    order.  The box holds -n_i in -4..8, so a row (n_h, n_1, n_2) needs
+    n_h + n_1 + n_2 in -4..8, and its n_3 range is the box's cut by the
+    three coordinates that contain n_3."""
     out = []
-    for c in itertools.product(range(-5, 11), *[range(-8, 5)] * 3):
-        s = symmetric_coords(c)
-        if -4 <= min(s) and max(s) <= 8:
-            out.append(YClass(c))
+    for nh, n1, n2 in itertools.product(range(-5, 11), *[range(-8, 5)] * 2):
+        if not -4 <= nh + n1 + n2 <= 8:
+            continue
+        lo = max(-8, -4 - nh - n2, -4 - nh - n1, -4 - 3 * nh - n1 - n2)
+        hi = min(4, 8 - nh - n2, 8 - nh - n1, 8 - 3 * nh - n1 - n2)
+        out.extend(YClass((nh, n1, n2, n3)) for n3 in range(lo, hi + 1))
     return out
 
 

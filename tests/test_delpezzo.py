@@ -146,9 +146,10 @@ def test_enumerate_nef_deterministic():
 
 
 def test_criterion5_keeps_the_symmetric_coordinate_filter():
-    # criterion 5 filters its box on integer symmetric coordinates; the kept
-    # classes, in order, are those whose pairings with -K and the six boundary
-    # curves, computed with YClass.dot, lie in -4..8
+    # criterion 5 cuts its box into one n_3 range per (n_h, n_1, n_2) row;
+    # the kept classes, in order, are those of the full itertools.product box
+    # whose pairings with -K and the six boundary curves, computed with
+    # YClass.dot, lie in -4..8
     from burniat.verify import _c5_classes
     curves = [MINUS_K] + [CURVE_CLASS[f] for f in BOUNDARY]
     want = [YClass(c) for c in itertools.product(range(-5, 11), *[range(-8, 5)] * 3)

@@ -103,7 +103,12 @@ def test_corner_class_trusted():
 
 
 def test_effective_class_not_provable():
-    assert isinstance(prove_non_effective(T, T.phi({"A1": 1})), Unresolved)
+    # A1 is a generator, so in S: prove_non_effective on its own must not
+    # say that its minimal form is not in S
+    v = prove_non_effective(T, T.phi({"A1": 1}))
+    assert isinstance(v, Unresolved) and v.trace.steps == ()
+    assert v.note == ("minimal form (2; 0 00; 1 01; 0 00) has degree >= 0 and "
+                      "is not a trusted class")
     assert isinstance(decide(T, T.phi({"A1": 1})), InS)
 
 
@@ -287,9 +292,36 @@ def test_scan_prefix_by_degree_renders_as_smaller_scan(scan8):
         assert prefix.to_text() == scan(T, d).to_text()
 
 
-def test_scan_minimal_flag_agrees_with_is_minimal():
-    for r in scan(T, 6).records:
+def test_scan_minimal_flag_agrees_with_is_minimal(scan12):
+    # scan reads the flag from the degree-0 curves of each numerical class
+    for r in scan12.records:
         assert is_minimal(T, r.x) == r.minimal
+
+
+def test_first_step_memo_gives_the_same_traces(scan8):
+    # a cold memo (a fresh table) and a warm one (the same table again, and
+    # the shared table after scan8) reduce every candidate alike
+    table = GeneratorTable(standard_config(6))
+    cold = scan(table, 8)
+    warm = scan(table, 8)
+    for reports in zip(cold.records, warm.records, scan8.records):
+        assert len({(r.x, r.minimal, r.verdict) for r in reports}) == 1
+
+
+def test_first_step_memo_is_kept_per_table(scan8):
+    # scan8 warmed the shared table's memo; a fresh table with a corrupted
+    # A3 label entry for Q10 still takes the forged step, and its trace is
+    # refused
+    q10 = lit("(3; 1 10; 1 10; 1 10)")
+    assert minimal_form(T, q10)[1].steps == ()
+    table = GeneratorTable(standard_config(6))
+    k = _key(table.pack(q10))
+    table._labels3 = (table._labels3[:k] + (table._labels3[k] | 0b01_00_00,)
+                      + table._labels3[k + 1:])
+    assert minimal_form(table, q10)[1].steps[0] == ReductionStep("A3", "torsion")
+    assert minimal_form(T, q10)[1].steps == ()
+    with pytest.raises(InvalidEvidence, match="A3"):
+        scan(table, 3)
 
 
 def test_trusted_classes_are_minimal_and_used(scan12):
@@ -495,6 +527,20 @@ def test_induction_type1_degree10():
     assert T.phi(v.as_dict()) == x
 
 
+def test_exhausted_induction_reports_the_empty_trace(monkeypatch):
+    # with every direct search failing the induction is exhausted; x is
+    # minimal, so the verdict carries its empty trace without a reduction
+    import burniat.effective as eff
+    x = _minimal_lift_of(5 * YClass((1, -1, 0, 0)))
+    monkeypatch.setattr(eff, "s_membership", lambda table, y: None)
+    reduced = []
+    monkeypatch.setattr(eff, "minimal_form", lambda table, y: reduced.append(y))
+    v = exceptional_induction(T, x)
+    assert isinstance(v, Unresolved) and v.note == "exceptional induction exhausted"
+    assert v.trace == ReductionTrace(x, (), x)
+    assert reduced == []
+
+
 def test_induction_preconditions():
     with pytest.raises(ValueError):
         exceptional_induction(T, T.from_y(2 * YClass((2, -1, -1, -1))))  # Type4
@@ -533,8 +579,8 @@ def test_unresolved_is_reported_not_dropped(monkeypatch):
     # one reduction of x, and the verdict carries its trace
     assert reduced == [x]
     assert verdict_text(v) == "verdict=unresolved chi=0 trace="
-    assert v.note == ("minimal form (3; 1 10; 1 10; 1 10) is not in S and not a "
-                      "trusted class")
+    assert v.note == ("minimal form (3; 1 10; 1 10; 1 10) has degree >= 0 and is "
+                      "not a trusted class")
 
 
 def test_decide_reduces_at_most_once(monkeypatch):

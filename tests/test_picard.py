@@ -418,6 +418,21 @@ def test_xclass_parse_with_emult():
     assert parse_xclass(text) == x
 
 
+def test_xclass_text_every_mask_and_sign():
+    # each 2-bit label prints as its two binary digits, the A0 label first,
+    # for all 64 masks, negative block degrees and a K^2 < 6 exceptional part
+    for mask in range(64):
+        labels = f"{mask:06b}"
+        for x in (XClass(-7, -3, 0, -12, mask), XClass(5, 2, -1, 4, mask, (1, -2, 0))):
+            text = xclass_to_text(x)
+            want = (f"({x.d}; {x.r0} {labels[:2]}; {x.r1} {labels[2:4]}; "
+                    f"{x.r2} {labels[4:]}")
+            assert text == want + ("; 1,-2,0)" if x.emult else ")")
+            assert parse_xclass(text) == x
+    x = build_generator_table(5).phi({"A1": 1, "B3": -2, "E0": 1})
+    assert x.emult and parse_xclass(xclass_to_text(x)) == x
+
+
 def test_xclass_parse_rejects():
     for bad in ("(3; 1 10; 1 10)", "(3; 1 2; 1 10; 1 10)", "nonsense",
                 "(3; 1 10; 1 10; 1 10; x)"):
