@@ -32,9 +32,10 @@ InvalidEvidence explicitly, so they also run under ``python -O``.
 minimal_form, is_minimal, s_membership and ReductionTrace.validate pack
 their class once into (n_h, n_1, n_2, n_3, mask) (see picard) and build an
 XClass again only for a trace's final class; exceptional_induction recurses
-on packed classes too.  minimal_form and is_minimal read the table's
-restrictions, whose A3/B3/C3 labels come from the linear label table built
-with it.  ReductionTrace.validate never reads them: it reads the labels of
+on packed classes too.  Boundary pairings are symmetric_coords entries and
+the six labels one 12-bit int.  minimal_form and is_minimal apply the
+base-locus rule in _first_step, which reads the table's labels (see
+picard).  ReductionTrace.validate never reads them: it reads the labels of
 preimage_combo(start) with column, XORs in each step curve's labels3_rows
 mask, checks each step in O(1) with the curve's symmetric_coords entry
 and, on a zero pairing, its label, and compares its packed end with the
@@ -48,9 +49,9 @@ read-only and a table built later starts with an empty memo.
 
 scan builds lift mask of a numerical class y as unpack((*y, mask)) and sets
 its minimal flag without another reduction.  y is nef, so its degree on
-each boundary curve is >= 0, found once per y; an InS lift is minimal
-exactly when its labels vanish on the curves of degree 0 (all 64 lifts are
-when there are none), and any other lift is minimal exactly when its
+each boundary curve is >= 0; once per y, scan builds the int of the label
+bits of the curves of degree 0.  An InS lift is minimal exactly when its
+labels have none of those bits, and any other lift exactly when its
 minimal_form trace is empty.
 """
 from __future__ import annotations
@@ -180,16 +181,21 @@ def _minus(p: Packed, row: Packed) -> Packed:
 # Minimal form
 # ---------------------------------------------------------------------------
 
-# table -> {packed class of degree >= 0: (its first minimal_form step, the
-# class after that step), or None if it is minimal}; the tables stay read-only
+# table -> {packed class: (its first minimal_form step, the class after that
+# step), or None if it is minimal or d < 0}; the tables stay read-only
 _FIRST_STEPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _first_step(table: GeneratorTable, p: Packed) -> tuple[ReductionStep, Packed] | None:
-    """The first base-locus curve of p in the order A0, B0, C0, A3, B3, C3."""
-    for pair, (deg, mask) in zip(_STEPS, table.restrictions(p)):
-        if deg < 0 or (deg == 0 and mask):
-            return pair[deg < 0], _minus(p, table.packed_rows[pair[0].curve])
+    """The first base-locus curve of p in the order A0, B0, C0, A3, B3, C3;
+    None when p is minimal or has negative degree."""
+    d, *pairings = symmetric_coords(p[:4])
+    if d < 0:
+        return None
+    labels = table.labels(p)
+    for i, deg in enumerate(pairings):
+        if deg < 0 or (deg == 0 and labels >> (10 - 2 * i) & 3):
+            return _STEPS[i][deg < 0], _minus(p, table.packed_rows[BOUNDARY[i]])
     return None
 
 
@@ -202,7 +208,7 @@ def minimal_form(table: GeneratorTable, x: XClass) -> tuple[XClass, ReductionTra
     p = table.pack(x)  # refuses a class outside the K^2 = 6 model, even if d < 0
     memo = _FIRST_STEPS.setdefault(table, {})
     steps: list[ReductionStep] = []
-    while 3 * p[0] + p[1] + p[2] + p[3] >= 0:  # the degree d
+    while True:
         try:
             nxt = memo[p]
         except KeyError:
@@ -216,9 +222,8 @@ def minimal_form(table: GeneratorTable, x: XClass) -> tuple[XClass, ReductionTra
 
 
 def is_minimal(table: GeneratorTable, x: XClass) -> bool:
-    p = table.pack(x)
-    return x.d >= 0 and all(deg > 0 or (deg == 0 and not mask)
-                            for deg, mask in table.restrictions(p))
+    # pack first: it refuses a class outside the K^2 = 6 model, even if d < 0
+    return _first_step(table, table.pack(x)) is None and x.d >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -499,18 +504,17 @@ def scan(table: GeneratorTable, d_max: int) -> ScanReport:
     records = report.records
     for ycls in enumerate_nef(d_max):
         y = ycls.coeffs
-        zero = [i for i, (deg, _) in enumerate(table.restrictions((*y, 0))) if deg == 0]
+        # the label bits of the boundary curves on which y has degree 0
+        zero = sum(3 << 10 - 2 * i for i, deg in enumerate(symmetric_coords(y)[1:])
+                   if deg == 0)
         for mask in range(64):
             p = (*y, mask)
             x = unpack(p)
             v = decide(table, x)
-            if not isinstance(v, InS):
-                minimal = not v.trace.steps
-            elif zero:
-                labels = table.restrictions(p)
-                minimal = not any(labels[i][1] for i in zero)
+            if isinstance(v, InS):
+                minimal = not table.labels(p) & zero
             else:
-                minimal = True
+                minimal = not v.trace.steps
             records.append(ScanRecord(x, ycls, minimal, v))
     return report
 
@@ -574,7 +578,7 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
         """fam is the exceptional type of p's numerical class."""
         if p in memo:
             return memo[p]
-        if 3 * p[0] + p[1] + p[2] + p[3] <= 8:  # the degree d
+        if symmetric_coords(p[:4])[0] <= 8:
             out = s_membership(table, unpack(p))
             memo[p] = out
             return out

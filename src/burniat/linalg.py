@@ -10,6 +10,8 @@ picard; a combination of rows comes back as the tuple of its row indices.
 """
 from __future__ import annotations
 
+from math import prod
+
 
 # ---------------------------------------------------------------------------
 # Integer row Hermite normal form
@@ -68,15 +70,8 @@ def lattice_index(rows: list[list[int]], ncols: int) -> int | None:
     h = [r for r in hnf_with_transform(rows, ncols)[0] if any(r)]
     if len(h) < ncols:
         return None
-    det = 1
-    col = 0
-    for r in h:
-        while col < ncols and r[col] == 0:
-            # a skipped column means the profile is not full triangular
-            return None
-        det *= r[col]
-        col += 1
-    return abs(det)
+    # ncols positive pivots in strictly increasing columns: row i's is h[i][i]
+    return prod(h[i][i] for i in range(ncols))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ when those masks vanish on every combination that phi sends to zero.
 The K^2 = 6 decision procedures carry a class packed as
 (n_h, n_1, n_2, n_3, mask), its numerical class y and the same 6-bit mask.
 pack refuses an exceptional part and a failed congruence; every K^2 = 6
-query of GeneratorTable (pack, to_y, from_y, preimage_combo, restrictions,
+query of GeneratorTable (pack, to_y, from_y, preimage_combo, labels,
 maps_to) also refuses a table with K^2 != 6.
 
 phi and column work on integers.  Once the blocks are fixed (including any
@@ -56,15 +56,16 @@ per candidate.
 preimage_combo corrects torsion bits against the constant basis VEC, so its
 GF(2) solve has 64 targets and is memoised; every call checks its combo.
 
-restrictions(p) gives the (deg, 2-bit mask) of a packed class on the six
-boundary curves without building a combo.  The degrees are integer rows of
-y: -n_1, -n_2, -n_3 on A0, B0, C0, and n_h - r_j - r_k on A3, B3, C3.  The
-labels on A0, B0, C0 are the class's own mask.  Those on A3, B3, C3 are
-linear: every packed tuple is a class, so the 10-bit key (y mod 2, mask) is
-the class modulo twice the group, and check (b) makes restriction to A3,
-B3, C3 a homomorphism into 2-torsion, which vanishes on twice the group.
-A K^2 = 6 table builds this GF(2)-linear map once, as a 1,024-entry tuple
-spanned by the generators' keys and their labels3_rows masks.
+labels(p) gives the 2-bit labels of a packed class on the six boundary
+curves, one 12-bit int in BOUNDARY order, without building a combo; the
+degrees there are the pairings of delpezzo.symmetric_coords.  The labels
+on A0, B0, C0 are the class's own mask.  Those on A3, B3, C3 are linear:
+every packed tuple is a class, so the 10-bit key (y mod 2, mask) is the
+class modulo twice the group, and check (b) makes restriction to A3, B3,
+C3 a homomorphism into 2-torsion, which vanishes on twice the group.  A
+K^2 = 6 table builds this GF(2)-linear map once, as a 1,024-entry tuple
+spanned by the generators' keys and their labels3_rows masks, so labels
+is additive: labels(p + q) == labels(p) ^ labels(q).
 """
 from __future__ import annotations
 
@@ -149,6 +150,8 @@ def xclass_to_text(x: XClass) -> str:
 
 
 _X_RE = re.compile(r"^\(\s*(-?\d+)\s*;([^;]+);([^;]+);([^;)]+)(?:;([^)]+))?\)$")
+_BLOCK_RE = re.compile(r"\s*(-?\d+)\s+([01][01])\s*")
+_EMULT_RE = re.compile(r"\s*-?\d+\s*(?:,\s*-?\d+\s*)*")
 
 
 def parse_xclass(text: str) -> XClass:
@@ -158,13 +161,15 @@ def parse_xclass(text: str) -> XClass:
         raise ValueError(f"cannot parse class literal {text!r}")
     degs, mask = [], 0
     for part in m.groups()[1:4]:
-        fields = part.split()
-        if len(fields) != 2 or not re.fullmatch(r"[01][01]", fields[1]):
+        block = _BLOCK_RE.fullmatch(part)
+        if not block:
             raise ValueError(f"bad block {part!r} in {text!r}")
-        degs.append(int(fields[0]))
-        mask = mask << 2 | int(fields[1], 2)
+        degs.append(int(block[1]))
+        mask = mask << 2 | int(block[2], 2)
     emult: tuple[int, ...] = ()
     if m.group(5) is not None:
+        if not _EMULT_RE.fullmatch(m.group(5)):
+            raise ValueError(f"bad exceptional part {m.group(5)!r} in {text!r}")
         emult = tuple(int(v) for v in m.group(5).split(","))
     return XClass(int(m.group(1)), *degs, mask, emult)
 
@@ -397,17 +402,11 @@ class GeneratorTable:
             raise TableInconsistent(f"preimage combo {combo} does not map to {x}")
         return combo
 
-    def restrictions(self, p: Packed) -> tuple[tuple[int, int], ...]:
-        """(deg, 2-bit mask) of the packed class p on each boundary curve in
-        BOUNDARY order."""
+    def labels(self, p: Packed) -> int:
+        """The 2-bit labels of the packed class p on the six boundary curves as
+        one 12-bit int in BOUNDARY order, A0 bits first."""
         self._only_k6()
-        nh, n1, n2, n3, mask = p
-        m3 = self._labels3[_key(p)]
-        # pairings with e1, e2, e3 and h - e2 - e3, h - e1 - e3, h - e1 - e2, written
-        # out: reading them from delpezzo.symmetric_coords made scan(12) 15% slower
-        return ((-n1, mask >> 4), (-n2, mask >> 2 & 3), (-n3, mask & 3),
-                (nh + n2 + n3, m3 >> 4), (nh + n1 + n3, m3 >> 2 & 3),
-                (nh + n1 + n2, m3 & 3))
+        return p[4] << 6 | self._labels3[_key(p)]
 
     # -- consistency suite ----------------------------------------------------
 

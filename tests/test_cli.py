@@ -123,6 +123,15 @@ def test_effective_parse_error_exit_2(capsys):
     assert code == 2 and "usage error" in err
 
 
+def test_effective_malformed_numbers_exit_2(capsys):
+    # a malformed degree or exceptional part is named, not left to int()
+    for literal, message in (("(3; x 00; 0 00; 0 00)", "bad block"),
+                             ("(3; 0 00; 0 00; 0 00; )", "bad exceptional part"),
+                             ("(3; 0 00; 0 00; 0 00; 1,,2)", "bad exceptional part")):
+        code, out, err = run(capsys, "effective", "--class", literal)
+        assert code == 2 and not out and message in err and "int()" not in err
+
+
 def test_effective_congruence_error_exit_2(capsys):
     code, _, err = run(capsys, "effective", "--class", "(1; 0 00; 0 00; 0 00)")
     assert code == 2

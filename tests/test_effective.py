@@ -14,7 +14,7 @@ from burniat.cli import main as cli_main
 from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
                             InvalidBuildingData, standard_config)
 from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_check
-from burniat.delpezzo import classify_exceptional
+from burniat.delpezzo import classify_exceptional, symmetric_coords
 from burniat.effective import (KX, TRUSTED, InS, InvalidEvidence, NonEffective,
                                ReductionStep, ReductionTrace, ScanReport,
                                Unresolved, decide, effective_lifts,
@@ -60,7 +60,7 @@ def test_minimal_form_corner_class_unchanged():
     # zero pairings on A3, B3, C3 with trivial restrictions
     for f in ("A3", "B3", "C3"):
         assert T.to_y(x).dot(CURVE_CLASS[f]) == 0
-    assert T.restrictions(T.pack(x))[3:] == ((0, 0),) * 3
+    assert T.labels(T.pack(x)) & 0b111111 == 0
 
 
 def test_trace_length_equals_degree_drop():
@@ -296,6 +296,18 @@ def test_scan_minimal_flag_agrees_with_is_minimal(scan12):
     # scan reads the flag from the degree-0 curves of each numerical class
     for r in scan12.records:
         assert is_minimal(T, r.x) == r.minimal
+
+
+def test_is_minimal_agrees_with_the_combo_path(scan8):
+    # the base-locus rule on the pairings with CURVE_CLASS and the labels of
+    # the columns of preimage_combo, against the fast path of _first_step
+    for r in scan8.records:
+        y, pre = T.to_y(r.x), T.preimage_combo(r.x)
+        reference = r.x.d >= 0 and all(
+            y.dot(CURVE_CLASS[f]) > 0
+            or (y.dot(CURVE_CLASS[f]) == 0 and not T.column(pre, f)[1])
+            for f in BOUNDARY)
+        assert is_minimal(T, r.x) == reference
 
 
 def test_first_step_memo_gives_the_same_traces(scan8):
@@ -628,11 +640,12 @@ def test_validate_does_not_read_the_label_table():
     # restriction from preimage_combo and must reject the trace
     table = GeneratorTable(standard_config(6))
     q10 = lit("(3; 1 10; 1 10; 1 10)")
-    assert table.restrictions(table.pack(q10))[BOUNDARY.index("A3")] == (0, 0)
-    k = _key(table.pack(q10))
+    p = table.pack(q10)
+    assert symmetric_coords(p[:4])[4] == 0 and table.labels(p) >> 4 & 3 == 0
+    k = _key(p)
     table._labels3 = (table._labels3[:k] + (table._labels3[k] | 0b01_00_00,)
                       + table._labels3[k + 1:])  # A3 label 01
-    assert table.restrictions(table.pack(q10))[BOUNDARY.index("A3")] == (0, 1)
+    assert table.labels(p) >> 4 & 3 == 0b01
     with pytest.raises(InvalidEvidence, match="A3"):
         scan(table, 3)
 
@@ -659,9 +672,9 @@ def test_table_is_not_changed_by_use():
         decide(table, lit(text))
     decide(table, lit("(9; 1 01; 2 10; 3 11)"))
     assert vars(table) == before
-    # restrictions is the K^2 = 6 model, as pack is
+    # labels is the K^2 = 6 model, as pack is
     with pytest.raises(NotARepresentableClass):
-        build_generator_table(5).restrictions((1, 0, 0, 0, 0))
+        build_generator_table(5).labels((1, 0, 0, 0, 0))
 
 
 def test_a_certificate_for_a_trusted_class_is_refused(monkeypatch):

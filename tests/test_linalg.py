@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from burniat.linalg import (gf2_echelon, gf2_nullspace, gf2_solve,
@@ -25,6 +26,29 @@ def test_lattice_index_known():
     assert lattice_index([[1, 2], [3, 4]], 2) == 2
     assert lattice_index([[1, 2]], 2) is None
     assert lattice_index([[2, 4], [1, 2]], 2) is None
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions & 1 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_lattice_index_is_the_absolute_determinant():
+    # a square matrix spans a sublattice of index |det|, or of infinite
+    # index when det = 0
+    rng = random.Random(23)
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        det = leibniz_det(rows)
+        assert lattice_index(rows, n) == (abs(det) if det else None)
 
 
 def test_gf2_echelon_and_nullspace():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
                             standard_config)
+from burniat.delpezzo import symmetric_coords
 from burniat.effective import KX
 from burniat.lattice import YClass, canonical_class, subgroup_index
 from burniat.picard import (GeneratorTable, MASK_BITS,
@@ -102,7 +103,7 @@ def test_table_text_round_trip():
     rebuilt = GeneratorTable(standard_config(6), override)
     assert rebuilt.block == T6.block
     x = T6.phi({"C0": 1})
-    assert rebuilt.restrictions(rebuilt.pack(x)) == T6.restrictions(T6.pack(x))
+    assert rebuilt.labels(rebuilt.pack(x)) == T6.labels(T6.pack(x))
     with pytest.raises(ValueError):
         table_override_from_text("A9 B0 1 00")
     with pytest.raises(ValueError):
@@ -236,13 +237,19 @@ def test_memoised_torsion_solutions_resum():
 
 
 def combo_path_restrictions(table, x):
-    """restrictions(x) through the lattice pairing and the columns of
-    preimage_combo(x)."""
+    """The six boundary pairings of x and its 12-bit labels, through the
+    lattice pairing and the columns of preimage_combo(x)."""
     pre = table.preimage_combo(x)
-    out = []
+    labels = 0
     for f in BOUNDARY:
-        out.append((table.to_y(x).dot(CURVE_CLASS[f]), table.column(pre, f)[1]))
-    return tuple(out)
+        labels = labels << 2 | table.column(pre, f)[1]
+    return tuple(table.to_y(x).dot(CURVE_CLASS[f]) for f in BOUNDARY), labels
+
+
+def fast_path_restrictions(table, x):
+    """The same pair as the fast path reads it: symmetric_coords and labels."""
+    p = table.pack(x)
+    return symmetric_coords(p[:4])[1:], table.labels(p)
 
 
 def test_restrictions_match_the_combo_path_on_every_key():
@@ -255,14 +262,25 @@ def test_restrictions_match_the_combo_path_on_every_key():
             y = YClass(tuple((parity >> i) & 1 for i in range(4))) + even
             for mask in range(64):
                 x = table.from_y(y, tuple((mask >> (5 - i)) & 1 for i in range(6)))
-                assert table.restrictions(table.pack(x)) == combo_path_restrictions(table, x)
+                assert fast_path_restrictions(table, x) == combo_path_restrictions(table, x)
+
+
+def test_labels_are_additive():
+    # labels is a homomorphism into the 2-torsion of the six curves: the
+    # degrees of a sum add and its labels XOR
+    rng = random.Random(19)
+    for _ in range(20000):
+        p = (*(rng.randint(-40, 40) for _ in range(4)), rng.randrange(64))
+        q = (*(rng.randint(-40, 40) for _ in range(4)), rng.randrange(64))
+        total = (*(a + b for a, b in zip(p[:4], q[:4])), p[4] ^ q[4])
+        assert T6.labels(total) == T6.labels(p) ^ T6.labels(q)
 
 
 @PROPERTY
 @given(combo=COMBOS, other=COMBOS, mult=COEFFS)
 def test_restriction_independent_of_preimage(combo, other, mult):
     x = T6.phi(combo)
-    assert T6.restrictions(T6.pack(x)) == combo_path_restrictions(T6, x)
+    assert fast_path_restrictions(T6, x) == combo_path_restrictions(T6, x)
     pre = T6.preimage_combo(x)
     # other minus a preimage of phi(other) lies in the kernel of phi, and
     # every kernel element k is such a difference, since preimage_combo of
@@ -279,10 +297,12 @@ def test_restriction_independent_of_preimage(combo, other, mult):
 # --- restriction maps ---------------------------------------------------------
 
 def test_restrict_examples():
-    # (deg, 2-bit mask) on A0, B0, C0, A3, B3, C3; the mask of bits 10 is 2
-    assert T6.restrictions(T6.pack(T6.phi({"C0": 1})))[3] == (1, 2)
-    assert T6.restrictions(T6.pack(T6.phi({"A1": 1})))[0] == (0, 0)
-    assert T6.restrictions(T6.pack(T6.phi({})))[4] == (0, 0)
+    # pairings with A0, B0, C0, A3, B3, C3 and the labels, A0 bits first;
+    # the mask of bits 10 is 2
+    c0, a1, zero = (T6.pack(T6.phi(combo)) for combo in ({"C0": 1}, {"A1": 1}, {}))
+    assert symmetric_coords(c0[:4])[4] == 1 and T6.labels(c0) >> 4 & 3 == 2
+    assert symmetric_coords(a1[:4])[1] == 0 and T6.labels(a1) >> 10 == 0
+    assert symmetric_coords(zero[:4])[5] == 0 and T6.labels(zero) == 0
 
 
 def test_restrict_well_defined_on_random_combos():
@@ -293,17 +313,10 @@ def test_restrict_well_defined_on_random_combos():
         combo = {g: rng.randint(-2, 2) for g in GENERATORS}
         x = T6.phi(combo)
         direct = [T6.column(combo, f) for f in ("A3", "B3", "C3")]
-        derived = T6.restrictions(T6.pack(x))[3:]
-        assert direct == list(derived)
-
-
-def test_restriction_degree_equals_pairing():
-    rng = random.Random(13)
-    for _ in range(50):
-        combo = {g: rng.randint(-2, 2) for g in GENERATORS}
-        x = T6.phi(combo)
-        assert [deg for deg, _ in T6.restrictions(T6.pack(x))] == \
-            [T6.to_y(x).dot(CURVE_CLASS[f]) for f in BOUNDARY]
+        p = T6.pack(x)
+        derived = [(deg, T6.labels(p) >> 4 - 2 * k & 3)
+                   for k, deg in enumerate(symmetric_coords(p[:4])[4:])]
+        assert direct == derived
 
 
 # --- intersection -------------------------------------------------------------
@@ -329,7 +342,7 @@ def test_to_y_congruence_error():
         T6.to_y(XClass(1, 0, 0, 0, 0))
     # K^2 = 6 classes have no exceptional part
     with pytest.raises(NotARepresentableClass):
-        T6.restrictions(T6.pack(parse_xclass("(3; 0 00; 0 00; 0 00; 5)")))
+        T6.labels(T6.pack(parse_xclass("(3; 0 00; 0 00; 0 00; 5)")))
 
 
 # --- torsion and indices ------------------------------------------------------
@@ -497,7 +510,7 @@ def test_pack_refusals():
     x, p = t5.phi({"A0": 1}), (1, 0, 0, 0, 0)
     queries = (lambda: t5.pack(x), lambda: t5.to_y(x),
                lambda: t5.from_y(YClass((1, 0, 0, 0))),
-               lambda: t5.preimage_combo(x), lambda: t5.restrictions(p),
+               lambda: t5.preimage_combo(x), lambda: t5.labels(p),
                lambda: t5.maps_to((1,) + (0,) * 11, p))
     for query in queries:
         with pytest.raises(NotARepresentableClass, match="K\\^2=6"):
