@@ -18,6 +18,7 @@ exceptional classes E_s appended after e_3.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .lattice import SurfaceLattice, YClass, canonical_class
@@ -191,6 +192,8 @@ def config_from_text(text: str) -> BurniatConfig:
         if (key == "ksq" and ksq is not None) or (key == "variant" and variant is not None):
             raise ValueError(f"repeated key {key!r}")
         if key == "ksq":
+            if not re.fullmatch(r"-?\d+", value):
+                raise ValueError(f"bad ksq line: {raw!r}")
             ksq = int(value)
         elif key == "variant":
             variant = value

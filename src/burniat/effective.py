@@ -30,9 +30,10 @@ reduction trace step by step before it returns.  Those checks raise
 InvalidEvidence explicitly, so they also run under ``python -O``.
 
 minimal_form, is_minimal, s_membership and ReductionTrace.validate pack
-their class once into (n_h, n_1, n_2, n_3, mask) (see picard) and build an
-XClass again only for a trace's final class; exceptional_induction recurses
-on packed classes too.  Boundary pairings are symmetric_coords entries and
+their class once into (n_h, n_1, n_2, n_3, mask), the format of a table
+row (see picard), subtract a curve's row at each step and build an XClass
+again only for a trace's final class; exceptional_induction recurses on
+packed classes too.  Boundary pairings are symmetric_coords entries and
 the six labels one 12-bit int.  minimal_form and is_minimal apply the
 base-locus rule in _first_step, which reads the table's labels (see
 picard).  ReductionTrace.validate never reads them: it reads the labels of
@@ -132,7 +133,7 @@ class ReductionTrace:
                              and labels >> (12 - 2 * i) & 3 != 0)
             if not justified:
                 raise InvalidEvidence(f"step {step} not justified at {unpack(p)}")
-            p = _minus(p, table.packed_rows[step.curve])
+            p = _minus(p, table.rows[step.curve])
             m3 ^= table.labels3_rows[step.curve]
         try:
             same_end = p == table.pack(self.final)
@@ -195,7 +196,7 @@ def _first_step(table: GeneratorTable, p: Packed) -> tuple[ReductionStep, Packed
     labels = table.labels(p)
     for i, deg in enumerate(pairings):
         if deg < 0 or (deg == 0 and labels >> (10 - 2 * i) & 3):
-            return _STEPS[i][deg < 0], _minus(p, table.packed_rows[BOUNDARY[i]])
+            return _STEPS[i][deg < 0], _minus(p, table.rows[BOUNDARY[i]])
     return None
 
 
@@ -572,7 +573,6 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
     if not is_minimal(table, x):
         raise ValueError(f"{x} is not in minimal form")
     memo: dict[Packed, InS | None] = {}
-    rows = table.packed_rows
 
     def resolve(p: Packed, fam: ExceptionalType) -> InS | None:
         """fam is the exceptional type of p's numerical class."""
@@ -586,14 +586,14 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
         for letter in "ABC":
             gens = INTERNAL_OF_LETTER[letter]
             # both internal curves of a letter have the ruling fibre's class
-            rest = YClass(_minus(p, rows[gens[0]])[:4])
+            rest = YClass(_minus(p, table.rows[gens[0]])[:4])
             if not is_nef_class(rest):
                 continue
             rest_et = classify_exceptional(rest)
             if rest_et.family != fam.family or (fam.n or 0) - (rest_et.n or 0) != 1:
                 continue
             for gen in gens:
-                sub = resolve(_minus(p, rows[gen]), rest_et)
+                sub = resolve(_minus(p, table.rows[gen]), rest_et)
                 if sub is not None:
                     cert = list(sub.certificate)
                     cert[GENERATORS.index(gen)] += 1

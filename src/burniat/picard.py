@@ -35,24 +35,19 @@ The last is one index comparison: appending to each row of phi the masks of
 its restrictions to A3, B3, C3 multiplies the image index by 2^6 exactly
 when those masks vanish on every combination that phi sends to zero.
 
-The K^2 = 6 decision procedures carry a class packed as
-(n_h, n_1, n_2, n_3, mask), its numerical class y and the same 6-bit mask.
-pack refuses an exceptional part and a failed congruence; every K^2 = 6
-query of GeneratorTable (pack, to_y, from_y, preimage_combo, labels,
-maps_to) also refuses a table with K^2 != 6.
-
-phi and column work on integers.  Once the blocks are fixed (including any
-override) the table packs each generator into one flat row (d, the three
-block degrees, mask, emult), which has the fields of XClass, and into the
-packed CURVE_CLASS[g] plus its mask.  The same dict holds 2E_s under the
-label E{s}, as the row (2, 0, 0, 0, 0, emult -2 at s); phi and the image
-index read these rows alone.  column reads a per-curve dict of the same
-blocks, curve_blocks[f][g], built at the same time.  Subtracting a curve
-from a packed class is four integer subtractions and one XOR.  A
-combination is summed with integer products and an XOR of the masks of its
-odd coefficients; phi wraps it as an XClass, and maps_to compares a
-certificate's sum with a packed class.  XClass has slots: scan builds one
-per candidate.
+The table holds one row per curve, rows: a generator's class on Y' (its
+strict transform, n_h, n_1, ..., n_{3+k}) and the 6-bit mask of its labels
+on A0, B0, C0, and 2E_s under the label E{s} with mask 0.  The K^2 = 6
+decision procedures carry a class in the same format, packed as
+(n_h, n_1, n_2, n_3, mask).  pack refuses an exceptional part and a failed
+congruence; every K^2 = 6 query of GeneratorTable (pack, to_y, from_y,
+preimage_combo, labels, maps_to) also refuses a table with K^2 != 6.
+Every query sums rows, with integer products and an XOR of the masks of
+odd coefficients, and _ints is the one map from a row to the XClass
+fields: phi wraps a sum with it and the image index reads the rows through
+it.  Check (d) ties the block degrees to the lattice, so every table that
+constructs has the same phi; column sums the blocks of curve_blocks[f].
+XClass has slots: scan builds one per candidate.
 preimage_combo corrects torsion bits against the constant basis VEC, so its
 GF(2) solve has 64 targets and is memoised; every call checks its combo.
 
@@ -188,11 +183,14 @@ def pack(x: XClass) -> Packed:
     return nh, -x.r0, -x.r1, -x.r2, x.mask
 
 
-def _ints(p: Packed) -> tuple[int, int, int, int, int, tuple[int, ...]]:
-    """p as (d, the three block degrees, mask, emult): d = y.(-K) with
-    -K = 3h - e1 - e2 - e3, and the block degrees are y.e1, y.e2, y.e3."""
-    nh, n1, n2, n3, mask = p
-    return 3 * nh + n1 + n2 + n3, -n1, -n2, -n3, mask, ()
+def _ints(row: tuple[int, ...]) -> tuple[int, int, int, int, int, tuple[int, ...]]:
+    """A row (n_h, n_1, ..., n_{3+k}, mask) as the XClass fields: d = y.(-K),
+    the block degrees y.e_1, y.e_2, y.e_3 on A0, B0, C0, mask, emult y.E_s."""
+    if len(row) == 5:  # a packed K^2 = 6 class: unpacked without a star
+        nh, n1, n2, n3, mask = row
+        return 3 * nh + n1 + n2 + n3, -n1, -n2, -n3, mask, ()
+    nh, n1, n2, n3, *ns, mask = row
+    return 3 * nh + n1 + n2 + n3 + sum(ns), -n1, -n2, -n3, mask, tuple(-n for n in ns)
 
 
 def unpack(p: Packed) -> XClass:
@@ -261,7 +259,7 @@ def torsion_subgroup(cfg: BurniatConfig) -> list[int]:
 
 class GeneratorTable:
     """Restriction blocks of the 12 curve generators on the boundary curves,
-    the rows of phi (with 2E_s) and, for K^2 = 6, the A3/B3/C3 labels.
+    one row per curve (and per 2E_s) and, for K^2 = 6, the A3/B3/C3 labels.
 
     Construction runs the consistency suite, raising TableInconsistent on any
     failure; nothing changes the table afterwards."""
@@ -286,31 +284,24 @@ class GeneratorTable:
         # boundary curve -> generator -> block, the blocks column sums
         self.curve_blocks = {f: {g: self.block[g, f] for g in GENERATORS}
                              for f in BOUNDARY}
-        # integer kernel of phi: the XClass fields (d, r0, r1, r2, mask, emult)
-        # of each generator, then of 2E_s under the label E{s}
-        minus_k = -canonical_class(cfg.lattice)
-        self._int_rows = {}
-        for g in GENERATORS:
-            (r0, m0), (r1, m1), (r2, m2) = (self.block[g, f] for f in ("A0", "B0", "C0"))
-            sg = cfg.strict_transform(g)
-            self._int_rows[g] = (sg.dot(minus_k), r0, r1, r2, m0 << 4 | m1 << 2 | m2,
-                                 tuple(sg.dot(cfg.exceptional(s)) for s in range(self.k)))
+        # each generator's six block labels as one 12-bit int in BOUNDARY order
+        six_labels = {g: sum(self.block[g, f][1] << 10 - 2 * i
+                                 for i, f in enumerate(BOUNDARY)) for g in GENERATORS}
+        # one row per curve: its class on Y' and the mask of its labels on
+        # A0, B0, C0, then 2E_s under the label E{s} with mask 0
+        self.rows = {g: (*cfg.strict_transform(g).coeffs, six_labels[g] >> 6)
+                     for g in GENERATORS}
         for s in range(self.k):
-            self._int_rows[f"E{s}"] = (2, 0, 0, 0, 0,
-                                       tuple(-2 if t == s else 0 for t in range(self.k)))
-        # packed K^2 = 6 generator rows: the curve's numerical class and its mask
-        self.packed_rows = {g: (*CURVE_CLASS[g].coeffs, self._int_rows[g][4])
-                            for g in GENERATORS}
-        # the 6-bit mask of each generator's block labels on A3, B3, C3
-        self.labels3_rows = {g: self.block[g, "A3"][1] << 4 | self.block[g, "B3"][1] << 2
-                             | self.block[g, "C3"][1] for g in GENERATORS}
+            self.rows[f"E{s}"] = (*(2 * cfg.exceptional(s)).coeffs, 0)
+        # the 6-bit mask of each generator's labels on A3, B3, C3
+        self.labels3_rows = {g: six_labels[g] & 63 for g in GENERATORS}
         # index of the image of phi; check (c) refuses an infinite one
         self.image_index = subgroup_index(self._index_rows(), 6)
         self._check_consistency()
         if not self.k:  # key (see _key) -> 6-bit mask of the A3, B3, C3 labels
             labels = {0: 0}
             for g, m3 in self.labels3_rows.items():
-                key = _key(self.packed_rows[g])
+                key = _key(self.rows[g])
                 if key not in labels:
                     labels.update({k ^ key: m ^ m3 for k, m in labels.items()})
             self._labels3 = tuple(labels[k] for k in range(1024))
@@ -319,27 +310,31 @@ class GeneratorTable:
 
     def phi(self, combo: dict[str, int]) -> XClass:
         """Image of an integer combination of generators and of 2E_s (E{s})."""
-        return XClass(*self._phi_ints(combo.items()))
+        return XClass(*_ints(self._row_sum(combo.items())))
 
-    def _phi_ints(self, terms: Iterable[tuple[str, int]]
-                  ) -> tuple[int, int, int, int, int, tuple[int, ...]]:
-        """Integer kernel of phi on (label, coefficient) pairs: XClass fields."""
-        d = r0 = r1 = r2 = mask = 0
-        em = [0] * self.k
-        rows = self._int_rows
+    def _row_sum(self, terms: Iterable[tuple[str, int]]) -> tuple[int, ...]:
+        """Row of the combination c * rows[g] over (g, c); odd c XOR masks."""
+        rows = self.rows
+        if self.k:
+            total, mask = [0] * (4 + self.k), 0
+            for g, c in terms:
+                row = rows[g]
+                # zip stops at the end of total, before the mask
+                total = [a + c * b for a, b in zip(total, row)]
+                if c & 1:
+                    mask ^= row[-1]
+            return (*total, mask)
+        nh = n1 = n2 = n3 = mask = 0  # K^2 = 6 rows, unrolled for the hot path
         for g, c in terms:
-            if c == 0:
-                continue
-            gd, g0, g1, g2, gmask, gem = rows[g]
-            d += c * gd
-            r0 += c * g0
-            r1 += c * g1
-            r2 += c * g2
-            if c & 1:
-                mask ^= gmask
-            if gem:
-                em = [a + c * b for a, b in zip(em, gem)]
-        return d, r0, r1, r2, mask, tuple(em)
+            if c:
+                gh, g1, g2, g3, gmask = rows[g]
+                nh += c * gh
+                n1 += c * g1
+                n2 += c * g2
+                n3 += c * g3
+                if c & 1:
+                    mask ^= gmask
+        return nh, n1, n2, n3, mask
 
     def column(self, combo: dict[str, int], f: str) -> tuple[int, int]:
         """(deg, 2-bit mask) of the restriction of a generator combination to
@@ -365,7 +360,7 @@ class GeneratorTable:
         self._only_k6()
         if len(cert) != len(GENERATORS):  # zip would silently truncate
             raise ValueError(f"a certificate has 12 entries, not {len(cert)}")
-        return self._phi_ints(zip(GENERATORS, cert)) == _ints(p)
+        return self._row_sum(zip(GENERATORS, cert)) == p
 
     def pack(self, x: XClass) -> Packed:
         """Packed form of x; refuses a table or class outside the K^2 = 6 model."""
@@ -379,18 +374,17 @@ class GeneratorTable:
     def from_y(self, cls: YClass, bits: tuple[int, ...] = (0,) * 6) -> XClass:
         """The lift of cls with the torsion bits, first bit most significant."""
         self._only_k6()
-        mask = 0
-        for b in bits:
-            mask = 2 * mask + (b & 1)
-        return unpack((*cls.coeffs, mask))
+        if len(bits) != 6 or any(b not in (0, 1) for b in bits):
+            raise ValueError(f"torsion bits {bits!r} are not six entries in {{0, 1}}")
+        return unpack((*cls.coeffs, sum(b << 5 - i for i, b in enumerate(bits))))
 
     def preimage_combo(self, x: XClass) -> dict[str, int]:
         """Some integer generator combination with phi(combo) == x (K^2 = 6)."""
         p = self.pack(x)
         nh, n1, n2, n3, mask = p
         combo = {"A3": nh, "B0": nh + n2, "C0": nh + n3, "A0": n1}
-        base = self._phi_ints(combo.items())
-        if base != _ints((nh, n1, n2, n3, base[4])):
+        base = self._row_sum(combo.items())
+        if base[:4] != p[:4]:
             raise TableInconsistent(f"base combo {combo} does not lie over {YClass(p[:4])}")
         correction = _torsion_solution(mask ^ base[4])
         if correction is None:
@@ -398,7 +392,7 @@ class GeneratorTable:
         for v in correction:
             for g, c in VEC_COMBO[v].items():
                 combo[g] = combo.get(g, 0) + c
-        if self._phi_ints(combo.items()) != _ints(p):
+        if self._row_sum(combo.items()) != p:
             raise TableInconsistent(f"preimage combo {combo} does not map to {x}")
         return combo
 
@@ -415,7 +409,7 @@ class GeneratorTable:
         with derived, also the bits of its label mask on A3, B3, C3, which
         are 0 on the E_s rows."""
         rows = []
-        for g, (d, r0, r1, r2, mask, em) in self._int_rows.items():
+        for g, (d, r0, r1, r2, mask, em) in zip(self.rows, map(_ints, self.rows.values())):
             row = (d, *em, r0, r1, r2, *MASK_BITS[mask])
             if derived:
                 row += MASK_BITS[self.labels3_rows.get(g, 0)]
@@ -493,6 +487,8 @@ def table_override_from_text(text: str) -> dict[tuple[str, str], tuple[int, int]
         g, f, deg, bits = fields
         if g not in GENERATORS or f not in BOUNDARY or (g, f) in out:
             raise ValueError(f"unknown or repeated labels in {raw!r}")
+        if not re.fullmatch(r"-?\d+", deg):
+            raise ValueError(f"bad degree in {raw!r}")
         if not re.fullmatch(r"[01][01]", bits):
             raise ValueError(f"bad bits in {raw!r}")
         out[(g, f)] = (int(deg), int(bits, 2))

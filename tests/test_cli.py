@@ -58,6 +58,13 @@ def test_torsion_from_config_file(capsys, tmp_path):
     assert code == 0 and "dimension 5" in out
 
 
+def test_torsion_refuses_a_ksq_that_is_not_an_integer(capsys, tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("ksq = six\n")
+    code, out, err = run(capsys, "torsion", "--config", str(path))
+    assert code == 2 and not out and err == "error: bad ksq line: 'ksq = six'\n"
+
+
 def test_torsion_refuses_a_repeated_point(capsys, tmp_path):
     # the same triple point twice, in any order, is one blowup, not two
     path = tmp_path / "cfg.txt"
@@ -239,6 +246,15 @@ def test_verify_all_refuses_a_repeated_table_line(capsys, tmp_path):
     code, out, err = run(capsys, "verify-all", "--only", "torsion",
                          "--table", str(path))
     assert code == 2 and not out and "repeated labels" in err
+
+
+def test_verify_all_refuses_a_table_degree_that_is_not_an_integer(capsys, tmp_path):
+    path = tmp_path / "table.txt"
+    path.write_text(table_to_text(build_generator_table(6)).replace(
+        "A0 A0 -1 00", "A0 A0 x 00"))
+    code, out, err = run(capsys, "verify-all", "--only", "torsion",
+                         "--table", str(path))
+    assert code == 2 and not out and err == "error: bad degree in 'A0 A0 x 00'\n"
 
 
 def test_verify_all_table_override_is_the_table_scanned(tmp_path, monkeypatch):

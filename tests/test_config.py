@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, INTERNAL,
@@ -140,6 +142,15 @@ def test_config_text_rejects_garbage():
         config_from_text("ksq = 5\nnonsense = 1\n")
     with pytest.raises(ValueError):
         config_from_text("ksq = 4\npoint = A1 B1 C1\n")  # ksq mismatch
+
+
+def test_config_text_refuses_a_ksq_that_is_not_an_integer():
+    # int() alone would also take "+6" and "1_0", and its message named no line
+    for value in ("six", "+6", "1_0", "6.0", ""):
+        line = f"ksq = {value}".rstrip()
+        with pytest.raises(ValueError, match=f"bad ksq line: '{re.escape(line)}'"):
+            config_from_text(line + "\n")
+    assert config_from_text("ksq = 6\n") == make_config([])
 
 
 def test_config_text_refuses_a_repeated_key():

@@ -1,17 +1,18 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
-                            standard_config)
+                            make_config, standard_config)
 from burniat.delpezzo import symmetric_coords
 from burniat.effective import KX
 from burniat.lattice import YClass, canonical_class, subgroup_index
 from burniat.picard import (GeneratorTable, MASK_BITS,
                             NotARepresentableClass, TableInconsistent, VEC,
-                            VEC_COMBO, XClass, _torsion_solution,
+                            VEC_COMBO, XClass, _ints, _torsion_solution,
                             build_generator_table, pack,
                             parse_xclass, picard_image_index, point_vector,
                             table_override_from_text, table_to_text,
@@ -108,6 +109,16 @@ def test_table_text_round_trip():
         table_override_from_text("A9 B0 1 00")
     with pytest.raises(ValueError):
         table_override_from_text("A0 B0 1 2x")
+
+
+def test_table_override_refuses_a_degree_that_is_not_an_integer():
+    # int() alone would also take "+1" and "1_0", and its message named no line
+    for deg in ("x", "+1", "1_0", "1.0", "--1"):
+        line = f"A0 A0 {deg} 00"
+        with pytest.raises(ValueError, match=f"bad degree in '{re.escape(line)}'"):
+            table_override_from_text(line)
+    assert table_override_from_text("A0 A0 -1 00\nA0 B0 0 00") == \
+        {("A0", "A0"): (-1, 0), ("A0", "B0"): (0, 0)}
 
 
 def test_table_override_refuses_a_repeated_block():
@@ -208,6 +219,47 @@ def reference_column(table, combo, f):
     for g, c in combo.items():
         out = _block_sum(out, c, table.block[(g, f)])
     return out
+
+
+@pytest.mark.parametrize("case", STANDARD_CASES)
+def test_rows_are_the_strict_transforms_and_their_masks(case):
+    table = TABLES[case]
+    cfg = table.cfg
+    for g in GENERATORS:
+        mask = sum(table.block[g, f][1] << 4 - 2 * i
+                   for i, f in enumerate(("A0", "B0", "C0")))
+        assert table.rows[g] == (*cfg.strict_transform(g).coeffs, mask)
+    e_labels = [f"E{s}" for s in range(table.k)]
+    for s, e in enumerate(e_labels):
+        assert table.rows[e] == (*(2 * cfg.exceptional(s)).coeffs, 0)
+    assert list(table.rows) == [*GENERATORS, *e_labels]
+
+
+def test_phi_of_each_row_matches_the_block_sums():
+    # a deterministic sweep of every label of every standard table, where the
+    # property test below only samples
+    for case, table in TABLES.items():
+        for g in (*GENERATORS, *(f"E{s}" for s in range(table.k))):
+            for c in (1, -1, 2, 3):
+                x = table.phi({g: c})
+                assert (x.d, (x.r0, x.r1, x.r2), MASK_BITS[x.mask], x.emult) == \
+                    reference_phi(table, {g: c}), (case, g, c)
+
+
+def test_ints_is_the_lattice_pairing_of_a_row():
+    # the unrolled 5-tuple branch and the branch for longer rows against the
+    # pairings with -K, e_1, e_2, e_3 and the E_s
+    rng = random.Random(43)
+    for k in range(5):
+        cfg = make_config([("A1", "B1", "C1"), ("A1", "B2", "C2"),
+                           ("A2", "B1", "C2"), ("A2", "B2", "C1")][:k])
+        minus_k = -canonical_class(cfg.lattice)
+        for _ in range(300):
+            y = YClass(tuple(rng.randint(-50, 50) for _ in range(4 + k)))
+            mask = rng.randrange(64)
+            assert _ints((*y.coeffs, mask)) == (
+                y.dot(minus_k), *(y.dot(cfg.lattice.e(i)) for i in (1, 2, 3)), mask,
+                tuple(y.dot(cfg.exceptional(s)) for s in range(k)))
 
 
 @PROPERTY
@@ -517,9 +569,18 @@ def test_pack_refusals():
             query()
 
 
-def test_packed_rows_are_the_packed_generator_images():
+def test_rows_are_the_packed_generator_images():
     for g in GENERATORS:
-        assert T6.packed_rows[g] == T6.pack(T6.phi({g: 1}))
+        assert T6.rows[g] == T6.pack(T6.phi({g: 1}))
         one = tuple(int(h == g) for h in GENERATORS)
-        assert T6.maps_to(one, T6.packed_rows[g])
-        assert not T6.maps_to(tuple(2 * c for c in one), T6.packed_rows[g])
+        assert T6.maps_to(one, T6.rows[g])
+        assert not T6.maps_to(tuple(2 * c for c in one), T6.rows[g])
+
+
+def test_from_y_refuses_bits_that_are_not_six_bits():
+    # a short tuple must not be read as the low bits of the mask, nor a 2 as 0
+    y = YClass((1, 0, 0, 0))
+    for bits in ((1, 0, 1), (0,) * 7, (), (2, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, -1)):
+        with pytest.raises(ValueError, match="six entries"):
+            T6.from_y(y, bits)
+    assert T6.from_y(y, (0, 0, 0, 1, 0, 1)).mask == 0b000101
