@@ -23,8 +23,9 @@ has three layers:
 
 decide is s_membership, else prove_non_effective: one reduction at most.
 Every verdict's evidence is checked where the verdict is made:
-s_membership re-sums its certificate tuple through the table (maps_to),
-exceptional_induction re-sums each certificate it builds, and
+s_membership checks through the table (maps_to) that its certificate
+tuple is nonnegative and re-sums to x, exceptional_induction checks each
+certificate it builds alike, and
 prove_non_effective, the only constructor of NonEffective, re-validates the
 reduction trace step by step before it returns.  Those checks raise
 InvalidEvidence explicitly, so they also run under ``python -O``.
@@ -42,22 +43,21 @@ mask, checks each step in O(1) with the curve's symmetric_coords entry
 and, on a zero pairing, its label, and compares its packed end with the
 packed final class: an independent re-check of every trace.
 
-The first step of a class depends only on the class and the table, so
-minimal_form reads it from a memo, {packed: (step, next packed) or None},
-and records it there on a miss.  The memos live in the module-level
-WeakKeyDictionary _FIRST_STEPS, one per table, so the table stays
-read-only and a table built later starts with an empty memo.
+Every memo in this module is a functools cache, so each reports its size
+and hits through cache_info().  The first step of a class depends only on
+the class and the table, so _first_step is cached on (table, packed): the
+table stays read-only and a table built later starts cold.
+exceptional_induction caches its recursion for one call only, since it
+reads s_membership through the module.
 
 scan builds lift mask of a numerical class y as unpack((*y, mask)) and sets
 its minimal flag without another reduction.  y is nef, so its degree on
 each boundary curve is >= 0; once per y, scan builds the int of the label
-bits of the curves of degree 0.  An InS lift is minimal exactly when its
-labels have none of those bits, and any other lift exactly when its
-minimal_form trace is empty.
+bits of the curves of degree 0, and a lift is minimal exactly when its
+labels have none of those bits.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -182,11 +182,7 @@ def _minus(p: Packed, row: Packed) -> Packed:
 # Minimal form
 # ---------------------------------------------------------------------------
 
-# table -> {packed class: (its first minimal_form step, the class after that
-# step), or None if it is minimal or d < 0}; the tables stay read-only
-_FIRST_STEPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
+@lru_cache(maxsize=None)
 def _first_step(table: GeneratorTable, p: Packed) -> tuple[ReductionStep, Packed] | None:
     """The first base-locus curve of p in the order A0, B0, C0, A3, B3, C3;
     None when p is minimal or has negative degree."""
@@ -203,19 +199,12 @@ def _first_step(table: GeneratorTable, p: Packed) -> tuple[ReductionStep, Packed
 def minimal_form(table: GeneratorTable, x: XClass) -> tuple[XClass, ReductionTrace]:
     """Reduce x by base-locus boundary curves until minimal or d < 0.
 
-    Scan order A0, B0, C0, A3, B3, C3, restarting after each subtraction.
-    Each class's first step is read from the table's memo in _FIRST_STEPS.
+    Scan order A0, B0, C0, A3, B3, C3, restarting after each subtraction;
+    each step is read from the cache of _first_step.
     """
     p = table.pack(x)  # refuses a class outside the K^2 = 6 model, even if d < 0
-    memo = _FIRST_STEPS.setdefault(table, {})
     steps: list[ReductionStep] = []
-    while True:
-        try:
-            nxt = memo[p]
-        except KeyError:
-            nxt = memo[p] = _first_step(table, p)
-        if nxt is None:
-            break
+    while (nxt := _first_step(table, p)) is not None:
         steps.append(nxt[0])
         p = nxt[1]
     final = unpack(p)
@@ -358,7 +347,8 @@ def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
         return None
     verdict = InS(cert)
     if not table.maps_to(cert, p):
-        raise InvalidEvidence(f"certificate {verdict.as_dict()} does not re-sum to {x}")
+        raise InvalidEvidence(f"certificate {verdict.as_dict()} is not a "
+                              f"nonnegative combination re-summing to {x}")
     if p in TRUSTED_PACKED:
         raise TableInconsistent(
             f"trusted class {x} received certificate {verdict.as_dict()}")
@@ -511,12 +501,8 @@ def scan(table: GeneratorTable, d_max: int) -> ScanReport:
         for mask in range(64):
             p = (*y, mask)
             x = unpack(p)
-            v = decide(table, x)
-            if isinstance(v, InS):
-                minimal = not table.labels(p) & zero
-            else:
-                minimal = not v.trace.steps
-            records.append(ScanRecord(x, ycls, minimal, v))
+            records.append(ScanRecord(x, ycls, not table.labels(p) & zero,
+                                      decide(table, x)))
     return report
 
 
@@ -572,17 +558,12 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
         raise ValueError("induction applies to degrees >= 9; use the search")
     if not is_minimal(table, x):
         raise ValueError(f"{x} is not in minimal form")
-    memo: dict[Packed, InS | None] = {}
 
+    @lru_cache(maxsize=None)  # per call: s_membership is read through the module
     def resolve(p: Packed, fam: ExceptionalType) -> InS | None:
         """fam is the exceptional type of p's numerical class."""
-        if p in memo:
-            return memo[p]
         if symmetric_coords(p[:4])[0] <= 8:
-            out = s_membership(table, unpack(p))
-            memo[p] = out
-            return out
-        out = None
+            return s_membership(table, unpack(p))
         for letter in "ABC":
             gens = INTERNAL_OF_LETTER[letter]
             # both internal curves of a letter have the ruling fibre's class
@@ -600,12 +581,10 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
                     out = InS(tuple(cert))
                     if not table.maps_to(out.certificate, p):
                         raise InvalidEvidence(
-                            f"induction certificate does not re-sum to {unpack(p)}")
-                    break
-            if out is not None:
-                break
-        memo[p] = out
-        return out
+                            "induction certificate is not a nonnegative "
+                            f"combination re-summing to {unpack(p)}")
+                    return out
+        return None
 
     verdict = resolve(table.pack(x), et)
     if verdict is None:  # x is minimal, so its reduction is the empty trace

@@ -356,11 +356,12 @@ class GeneratorTable:
             raise NotARepresentableClass("the packed class is the K^2=6 model")
 
     def maps_to(self, cert: tuple[int, ...], p: Packed) -> bool:
-        """Whether a certificate in GENERATORS order sums to the packed p."""
+        """Whether a certificate in GENERATORS order is a nonnegative
+        combination that sums to the packed p."""
         self._only_k6()
         if len(cert) != len(GENERATORS):  # zip would silently truncate
             raise ValueError(f"a certificate has 12 entries, not {len(cert)}")
-        return self._row_sum(zip(GENERATORS, cert)) == p
+        return min(cert) >= 0 and self._row_sum(zip(GENERATORS, cert)) == p
 
     def pack(self, x: XClass) -> Packed:
         """Packed form of x; refuses a table or class outside the K^2 = 6 model."""
@@ -374,6 +375,8 @@ class GeneratorTable:
     def from_y(self, cls: YClass, bits: tuple[int, ...] = (0,) * 6) -> XClass:
         """The lift of cls with the torsion bits, first bit most significant."""
         self._only_k6()
+        if cls.k != 3:
+            raise NotARepresentableClass(f"{cls} is not a class on Bl_3 P^2")
         if len(bits) != 6 or any(b not in (0, 1) for b in bits):
             raise ValueError(f"torsion bits {bits!r} are not six entries in {{0, 1}}")
         return unpack((*cls.coeffs, sum(b << 5 - i for i, b in enumerate(bits))))
@@ -383,10 +386,9 @@ class GeneratorTable:
         p = self.pack(x)
         nh, n1, n2, n3, mask = p
         combo = {"A3": nh, "B0": nh + n2, "C0": nh + n3, "A0": n1}
-        base = self._row_sum(combo.items())
-        if base[:4] != p[:4]:
-            raise TableInconsistent(f"base combo {combo} does not lie over {YClass(p[:4])}")
-        correction = _torsion_solution(mask ^ base[4])
+        # the rows' numerical parts are fixed curve classes, so this combo
+        # lies over p[:4]; the final check covers the whole class
+        correction = _torsion_solution(mask ^ self._row_sum(combo.items())[4])
         if correction is None:
             raise TableInconsistent("torsion vectors do not span V")
         for v in correction:

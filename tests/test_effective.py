@@ -162,6 +162,10 @@ def test_certificates_resum():
         assert v is not None and T.phi(v.as_dict()) == x
 
 
+# 2 A1 - A2 in GENERATORS order
+_A1_TWICE_LESS_A2 = (0, 2, -1) + (0,) * 9
+
+
 def test_maps_to_refuses_every_raised_multiplicity():
     x = KX + T.phi({"A0": 1, "B1": 2})
     cert = s_membership(T, x).certificate
@@ -169,10 +173,21 @@ def test_maps_to_refuses_every_raised_multiplicity():
     assert T.maps_to(cert, p)
     for i in range(len(GENERATORS)):
         assert not T.maps_to(cert[:i] + (cert[i] + 1,) + cert[i + 1:], p)
+    # 2 A1 - A2 re-sums to its class, but a negative entry is no certificate
+    assert not T.maps_to(_A1_TWICE_LESS_A2, T.pack(T.phi({"A1": 2, "A2": -1})))
     # a short or long tuple is refused, not truncated
     for wrong_length in (cert[:11], cert + (0,)):
         with pytest.raises(ValueError, match="12 entries"):
             T.maps_to(wrong_length, p)
+
+
+def test_s_membership_refuses_a_certificate_with_a_negative_entry(monkeypatch):
+    import burniat.effective as eff
+    x = T.phi({"A1": 2, "A2": -1})
+    monkeypatch.setattr(eff, "effective_lifts",
+                        lambda y: {x.mask: _A1_TWICE_LESS_A2})
+    with pytest.raises(InvalidEvidence, match="nonnegative"):
+        s_membership(T, x)
 
 
 # --- scan ------------------------------------------------------------------------
@@ -551,6 +566,16 @@ def test_exhausted_induction_reports_the_empty_trace(monkeypatch):
     assert isinstance(v, Unresolved) and v.note == "exceptional induction exhausted"
     assert v.trace == ReductionTrace(x, (), x)
     assert reduced == []
+
+
+def test_induction_cache_lives_for_one_call(monkeypatch):
+    # a call that saw every direct search fail leaves nothing cached behind
+    import burniat.effective as eff
+    x = _minimal_lift_of(5 * YClass((1, -1, 0, 0)))
+    with monkeypatch.context() as m:
+        m.setattr(eff, "s_membership", lambda table, y: None)
+        assert isinstance(exceptional_induction(T, x), Unresolved)
+    assert isinstance(exceptional_induction(T, x), InS)
 
 
 def test_induction_preconditions():

@@ -577,6 +577,13 @@ def test_rows_are_the_packed_generator_images():
         assert not T6.maps_to(tuple(2 * c for c in one), T6.rows[g])
 
 
+def test_from_y_refuses_a_class_off_the_k3_lattice():
+    # neither read as a K^2 = 6 class nor failing on a bare unpacking error
+    for coeffs in ((1, 0, 0, 0, 0), (1, 0, 0)):
+        with pytest.raises(NotARepresentableClass, match="Bl_3"):
+            T6.from_y(YClass(coeffs))
+
+
 def test_from_y_refuses_bits_that_are_not_six_bits():
     # a short tuple must not be read as the low bits of the mask, nor a 2 as 0
     y = YClass((1, 0, 0, 0))
