@@ -23,11 +23,10 @@ from .effective import (InS, NonEffective, cert_text, decide, scan,
 from .picard import (GeneratorTable, NotARepresentableClass, TableInconsistent,
                      build_generator_table, parse_xclass, table_override_from_text,
                      torsion_subgroup, xclass_to_text)
-from .verify import DEFAULT_SEED, run_all
 
 # Largest n_h (the h-coefficient of the numerical class) that `effective`
 # accepts.  The certificate search is O(n_h^3) at worst; the slowest classes
-# probed, such as (120, -119, 1, 1), take 0.02 s of search (0.25 s end to end)
+# probed, such as (120, -119, 1, 1), take 0.02 s of search (0.13 s end to end)
 # on a 2-vCPU x86 host, about fourfold each time n_h doubles.  The degree is
 # bounded by 3 * EFFECTIVE_MAX_NH, the largest degree of a nef class within
 # that budget, because the reduction takes one step per unit of degree.
@@ -50,6 +49,7 @@ def _load_config(args):
 
 
 def cmd_verify_all(args) -> int:
+    from . import verify  # the acceptance suite loads only for this command
     table = None
     if args.table:
         with open(args.table) as fh:
@@ -60,7 +60,8 @@ def cmd_verify_all(args) -> int:
             print(f"[FAIL] generator-table override rejected: {exc}")
             return 1
         print("[ ok ] generator-table override accepted")
-    results = run_all(seed=args.seed, only=args.only, table=table)
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    results = verify.run_all(seed=seed, only=args.only, table=table)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -158,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")
     p.add_argument("--only", default=None, help="run criteria matching a substring")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--seed", type=int, default=None,
                    help="seed for the randomized property checks")
     p.add_argument("--table", default=None,
                    help="generator-table override file (key-value text)")

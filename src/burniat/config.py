@@ -19,7 +19,7 @@ exceptional classes E_s appended after e_3.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import SurfaceLattice, YClass, canonical_class
 from .linalg import lattice_index
@@ -66,8 +66,7 @@ _STANDARD_POINTS = {
 STANDARD_CASES = tuple(_STANDARD_POINTS)
 
 
-@dataclass(frozen=True)
-class BurniatConfig:
+class BurniatConfig(NamedTuple):
     """One branch configuration: K^2, variant and the blown-up triple points."""
 
     ksq: int
@@ -112,7 +111,9 @@ def standard_config(ksq: int, variant: str = "plain") -> BurniatConfig:
     try:
         points = _STANDARD_POINTS[(ksq, variant)]
     except KeyError:
-        raise ValueError(f"no Burniat configuration ({ksq}, {variant})") from None
+        known = ", ".join(v for k, v in STANDARD_CASES if k == ksq)
+        hint = f"; K^2 = {ksq} has {known}" if known else ""
+        raise ValueError(f"no Burniat configuration ({ksq}, {variant}){hint}") from None
     return BurniatConfig(ksq, variant, points)
 
 

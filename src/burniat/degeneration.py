@@ -20,21 +20,25 @@ components of the degenerate fibre; its statements are imported facts:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .picard import GeneratorTable, build_generator_table
 from .effective import KX, InS, NonEffective, Verdict, chi, decide, trace_text
 
 
-@dataclass(frozen=True)
-class FiberContext:
-    """Which fibre a report speaks about: "smooth" or "degenerate"."""
-
+class _FiberFields(NamedTuple):
     kind: str
 
-    def __post_init__(self):
-        if self.kind not in ("smooth", "degenerate"):
-            raise ValueError(f"unknown fibre kind {self.kind!r}")
+
+class FiberContext(_FiberFields):
+    """Which fibre a report speaks about: "smooth" or "degenerate"."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str):
+        if kind not in ("smooth", "degenerate"):
+            raise ValueError(f"unknown fibre kind {kind!r}")
+        return tuple.__new__(cls, (kind,))
 
 
 SMOOTH = FiberContext("smooth")
@@ -54,8 +58,7 @@ COLLECTION: dict[int, dict[str, int]] = {
 }
 
 
-@dataclass
-class PairRow:
+class PairRow(NamedTuple):
     i: int
     j: int
     chi: int
@@ -68,8 +71,7 @@ class PairRow:
                 and isinstance(self.serre, NonEffective))
 
 
-@dataclass
-class SelfRow:
+class SelfRow(NamedTuple):
     i: int
     chi_self: int
     canonical: Verdict
@@ -79,11 +81,10 @@ class SelfRow:
         return self.chi_self == 1 and isinstance(self.canonical, NonEffective)
 
 
-@dataclass
-class PairReport:
+class PairReport(NamedTuple):
     context: FiberContext
-    pairs: list[PairRow] = field(default_factory=list)
-    selfs: list[SelfRow] = field(default_factory=list)
+    pairs: list[PairRow]
+    selfs: list[SelfRow]
 
     @property
     def all_pass(self) -> bool:
@@ -126,7 +127,7 @@ def exceptional_collection_check(ctx: FiberContext,
     """
     table = table or build_generator_table(6)
     bundles = {i: table.phi(c) for i, c in COLLECTION.items()}
-    report = PairReport(ctx)
+    report = PairReport(ctx, [], [])
     for i in range(1, 7):
         for j in range(i + 1, 7):
             fwd = bundles[i] - bundles[j]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import SurfaceLattice, YClass, arithmetic_genus
 from .config import BOUNDARY, CURVE_CLASS
@@ -172,8 +172,7 @@ def enumerate_nef(d_max: int) -> list[YClass]:
 
 # --- the nef classes of non-positive genus ----------------------------------
 
-@dataclass(frozen=True)
-class ExceptionalType:
+class ExceptionalType(NamedTuple):
     """Classification of a nef class by arithmetic genus.
 
     family is one of "Type1".."Type4" or "NonExceptional"; n parametrises

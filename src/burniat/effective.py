@@ -58,8 +58,8 @@ labels have none of those bits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .lattice import YClass, arithmetic_genus
 from .delpezzo import (ExceptionalType, classify_exceptional, enumerate_nef,
@@ -97,8 +97,7 @@ class InvalidEvidence(ValueError):
     """A certificate or reduction trace failed its re-check."""
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     curve: str
     reason: str  # "negative" or "torsion"
 
@@ -108,8 +107,7 @@ _STEPS = tuple((ReductionStep(f, "torsion"), ReductionStep(f, "negative"))
                for f in BOUNDARY)
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     start: XClass
     steps: tuple[ReductionStep, ...]
     final: XClass
@@ -145,22 +143,19 @@ class ReductionTrace:
             raise InvalidEvidence("trace length differs from its degree drop")
 
 
-@dataclass(frozen=True)
-class InS:
+class InS(NamedTuple):
     certificate: tuple[int, ...]  # multiplicities in GENERATORS order
 
     def as_dict(self) -> dict[str, int]:
         return {g: c for g, c in zip(GENERATORS, self.certificate) if c}
 
 
-@dataclass(frozen=True)
-class NonEffective:
+class NonEffective(NamedTuple):
     trace: ReductionTrace
     base: str  # "negative-degree" or "trusted:<id>"
 
 
-@dataclass(frozen=True)
-class Unresolved:
+class Unresolved(NamedTuple):
     trace: ReductionTrace
     chi: int
     note: str
@@ -403,18 +398,16 @@ def decide(table: GeneratorTable, x: XClass) -> Verdict:
 # Desk-scale scan
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScanRecord:
+class ScanRecord(NamedTuple):
     x: XClass
     ycls: YClass
     minimal: bool
     verdict: Verdict
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     d_max: int
-    records: list[ScanRecord] = field(default_factory=list)
+    records: list[ScanRecord]
 
     @property
     def minimal_non_in_s(self) -> list[ScanRecord]:
@@ -491,7 +484,9 @@ def scan(table: GeneratorTable, d_max: int) -> ScanReport:
     """
     if d_max > 12:
         raise ValueError(f"scan is capped at d_max <= 12, got {d_max}")
-    report = ScanReport(d_max)
+    if d_max < 0:
+        raise ValueError(f"scan needs d_max >= 0, got {d_max}")
+    report = ScanReport(d_max, [])
     records = report.records
     for ycls in enumerate_nef(d_max):
         y = ycls.coeffs
@@ -510,8 +505,7 @@ def scan(table: GeneratorTable, d_max: int) -> ScanReport:
 # The canonical-class tables (nonzero torsion twists and one-curve shifts)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Step3Report:
+class Step3Report(NamedTuple):
     twist_ok: int
     twist_fail: list[str]
     shift_ok: int

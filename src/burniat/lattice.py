@@ -12,7 +12,7 @@ module can be shared freely.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import lattice_index
 
@@ -21,8 +21,7 @@ class DimensionError(ValueError):
     """Classes from lattices of different rank were combined."""
 
 
-@dataclass(frozen=True)
-class YClass:
+class YClass(NamedTuple):
     """Divisor class on Bl_k P^2, coefficients (n_h, n_1, ..., n_k)."""
 
     coeffs: tuple[int, ...]
@@ -44,6 +43,8 @@ class YClass:
 
     def __rmul__(self, n: int) -> "YClass":
         return YClass(tuple(n * a for a in self.coeffs))
+
+    __mul__ = None  # n * D scales; D * n must not repeat the tuple
 
     def dot(self, other: "YClass") -> int:
         self._check(other)
@@ -72,8 +73,7 @@ class YClass:
         return out[1:] if out.startswith("+") else out
 
 
-@dataclass(frozen=True)
-class SurfaceLattice:
+class SurfaceLattice(NamedTuple):
     """Pic(Bl_k P^2) with its fixed orthogonal basis h, e_1, ..., e_k."""
 
     k: int

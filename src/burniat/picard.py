@@ -47,7 +47,7 @@ odd coefficients, and _ints is the one map from a row to the XClass
 fields: phi wraps a sum with it and the image index reads the rows through
 it.  Check (d) ties the block degrees to the lattice, so every table that
 constructs has the same phi; column sums the blocks of curve_blocks[f].
-XClass has slots: scan builds one per candidate.
+XClass is a named tuple (no instance dict): scan builds one per candidate.
 preimage_combo corrects torsion bits against the constant basis VEC, so its
 GF(2) solve has 64 targets and is memoised; every call checks its combo.
 
@@ -66,8 +66,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .lattice import YClass, canonical_class, subgroup_index
 from .linalg import gf2_echelon, gf2_nullspace, gf2_solve, lattice_index
@@ -92,12 +92,7 @@ class TableInconsistent(AssertionError):
 MASK_BITS = tuple(tuple(map(int, f"{m:06b}")) for m in range(64))
 
 
-@dataclass(frozen=True, slots=True)
-class XClass:
-    """A class in the coordinate model: d, the block degrees r0, r1, r2 on
-    A0, B0, C0, their 6-bit torsion mask (A0 bits first) and emult, which is
-    empty when K^2 = 6."""
-
+class _XClassFields(NamedTuple):
     d: int
     r0: int
     r1: int
@@ -105,9 +100,20 @@ class XClass:
     mask: int
     emult: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask < 64:
-            raise ValueError(f"torsion mask {self.mask} is not a 6-bit mask")
+
+class XClass(_XClassFields):
+    """A class in the coordinate model: d, the block degrees r0, r1, r2 on
+    A0, B0, C0, their 6-bit torsion mask (A0 bits first) and emult, which is
+    empty when K^2 = 6."""
+
+    __slots__ = ()
+    __mul__ = __rmul__ = None  # no tuple repetition
+
+    def __new__(cls, d: int, r0: int, r1: int, r2: int, mask: int,
+                emult: tuple[int, ...] = ()):
+        if not 0 <= mask < 64:
+            raise ValueError(f"torsion mask {mask} is not a 6-bit mask")
+        return tuple.__new__(cls, (d, r0, r1, r2, mask, emult))
 
     def __add__(self, other: "XClass") -> "XClass":
         _same_emult_length(self, other)

@@ -10,8 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .lattice import YClass, arithmetic_genus, canonical_class, negative_curves
 from .delpezzo import (LAT, NEF_CLASS, classify_exceptional, eff_decompose,
@@ -31,8 +30,7 @@ from .degeneration import (DEGENERATE, SMOOTH, PairReport,
 DEFAULT_SEED = 20240901
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -86,6 +86,13 @@ def test_torsion_invalid_case(capsys):
     assert code == 2
 
 
+def test_torsion_names_the_variants_of_its_ksq(capsys):
+    code, out, err = run(capsys, "torsion", "--ksq", "4")
+    assert code == 2 and not out
+    assert err == ("error: no Burniat configuration (4, plain);"
+                   " K^2 = 4 has nodal, non-nodal\n")
+
+
 def test_effective_verdicts(capsys):
     code, out, _ = run(capsys, "effective", "--class", "(3; 0 00; 0 00; 0 00)")
     assert code == 0 and "NonEffective" in out and "trusted:H00" in out
@@ -212,6 +219,12 @@ def test_scan_degree_cap(capsys):
     assert "d_max <= 12" in err
 
 
+def test_scan_refuses_a_negative_degree_bound(capsys):
+    code, out, err = run(capsys, "scan", "--max-degree", "-1")
+    assert code == 2 and not out
+    assert err == "error: scan needs d_max >= 0, got -1\n"
+
+
 def test_exc_check_both_fibers(capsys):
     for fiber in ("smooth", "degenerate"):
         code, out, _ = run(capsys, "exc-check", "--fiber", fiber)
@@ -272,6 +285,18 @@ def test_verify_all_table_override_is_the_table_scanned(tmp_path, monkeypatch):
     results += verify.run_all(only="property", table=override)
     assert [r.number for r in results] == [6, 10] and all(r.passed for r in results)
     assert len(scanned) == 3 and all(t is override for t in scanned)
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_the_suite():
+    # the library's records are named tuples and verify-all imports the
+    # acceptance suite itself, so no other subcommand pays for them
+    src = str(Path(burniat.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import burniat.cli, sys; print(*sorted("
+         "m for m in ('dataclasses', 'inspect', 'burniat.verify') if m in sys.modules))"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
 def test_unknown_subcommand_exit_2(capsys):
