@@ -40,6 +40,10 @@ class FiberContext(_FiberFields):
             raise ValueError(f"unknown fibre kind {kind!r}")
         return tuple.__new__(cls, (kind,))
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: both check
+        return cls(*iterable)
+
 
 SMOOTH = FiberContext("smooth")
 DEGENERATE = FiberContext("degenerate")

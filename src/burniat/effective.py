@@ -34,14 +34,16 @@ minimal_form, is_minimal, s_membership and ReductionTrace.validate pack
 their class once into (n_h, n_1, n_2, n_3, mask), the format of a table
 row (see picard), subtract a curve's row at each step and build an XClass
 again only for a trace's final class; exceptional_induction recurses on
-packed classes too.  Boundary pairings are symmetric_coords entries and
-the six labels one 12-bit int.  minimal_form and is_minimal apply the
-base-locus rule in _first_step, which reads the table's labels (see
-picard).  ReductionTrace.validate never reads them: it reads the labels of
-preimage_combo(start) with column, XORs in each step curve's labels3_rows
-mask, checks each step in O(1) with the curve's symmetric_coords entry
-and, on a zero pairing, its label, and compares its packed end with the
-packed final class: an independent re-check of every trace.
+packed classes too.  Throughout, the boundary curve BOUNDARY[i] pairs with
+a class as symmetric_coords(y)[1 + i] and has the label
+labels >> 10 - 2 * i & 3 in the 12-bit int of the six labels.  minimal_form
+and is_minimal apply the base-locus rule in _first_step, which reads the
+table's labels (see picard).  ReductionTrace.validate never reads them: it
+reads the labels of preimage_combo(start) with column, XORs in each step
+curve's labels3_rows mask, checks each step in O(1) with the curve's
+symmetric_coords entry and, on a zero pairing, its label, and compares its
+packed end with the packed final class: an independent re-check of every
+trace.
 
 Every memo in this module is a functools cache, so each reports its size
 and hits through cache_info().  The first step of a class depends only on
@@ -64,13 +66,11 @@ from typing import NamedTuple
 from .lattice import YClass, arithmetic_genus
 from .delpezzo import (ExceptionalType, classify_exceptional, enumerate_nef,
                        is_nef_class, symmetric_coords)
-from .config import BOUNDARY, GENERATORS
+from .config import BOUNDARY, GENERATORS, INTERNAL
 from .picard import (GeneratorTable, NotARepresentableClass, Packed, XClass,
                      pack, parse_xclass, unpack, xclass_to_text, TableInconsistent)
 
-INTERNAL_OF_LETTER = {"A": ("A1", "A2"), "B": ("B1", "B2"), "C": ("C1", "C2")}
-# index of each boundary curve's pairing in delpezzo.symmetric_coords
-_SYMMETRIC_INDEX = {f: i for i, f in enumerate(BOUNDARY, 1)}
+_BOUNDARY_INDEX = {f: i for i, f in enumerate(BOUNDARY)}
 
 # the canonical class of the K^2 = 6 surface
 KX = parse_xclass("(6; 1 00; 1 00; 1 00)")
@@ -116,19 +116,19 @@ class ReductionTrace(NamedTuple):
         """Re-check every step from scratch; raises on any mismatch."""
         p = table.pack(self.start)
         combo = table.preimage_combo(self.start)
-        m3 = sum(table.column(combo, f)[1] << 2 * k  # the labels on A3, B3, C3
-                 for k, f in enumerate(("C3", "B3", "A3")))
+        m3 = sum(table.column(combo, f)[1] << 10 - 2 * i  # the labels on A3, B3, C3
+                 for i, f in enumerate(BOUNDARY[3:], 3))
         for step in self.steps:
-            i = _SYMMETRIC_INDEX.get(step.curve)
+            i = _BOUNDARY_INDEX.get(step.curve)
             if i is None:
                 raise InvalidEvidence(f"step {step} is not on a boundary curve")
-            pairing = symmetric_coords(p[:4])[i]
+            pairing = symmetric_coords(p[:4])[1 + i]
             if step.reason == "negative":
                 justified = pairing < 0
             else:
                 labels = p[4] << 6 | m3  # all six, in BOUNDARY order
                 justified = (step.reason == "torsion" and pairing == 0
-                             and labels >> (12 - 2 * i) & 3 != 0)
+                             and labels >> 10 - 2 * i & 3 != 0)
             if not justified:
                 raise InvalidEvidence(f"step {step} not justified at {unpack(p)}")
             p = _minus(p, table.rows[step.curve])
@@ -186,7 +186,7 @@ def _first_step(table: GeneratorTable, p: Packed) -> tuple[ReductionStep, Packed
         return None
     labels = table.labels(p)
     for i, deg in enumerate(pairings):
-        if deg < 0 or (deg == 0 and labels >> (10 - 2 * i) & 3):
+        if deg < 0 or (deg == 0 and labels >> 10 - 2 * i & 3):
             return _STEPS[i][deg < 0], _minus(p, table.rows[BOUNDARY[i]])
     return None
 
@@ -558,8 +558,7 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
         """fam is the exceptional type of p's numerical class."""
         if symmetric_coords(p[:4])[0] <= 8:
             return s_membership(table, unpack(p))
-        for letter in "ABC":
-            gens = INTERNAL_OF_LETTER[letter]
+        for gens in zip(INTERNAL[::2], INTERNAL[1::2]):
             # both internal curves of a letter have the ruling fibre's class
             rest = YClass(_minus(p, table.rows[gens[0]])[:4])
             if not is_nef_class(rest):

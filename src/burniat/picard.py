@@ -26,14 +26,17 @@ form the generator table.  The table is produced by one filling rule:
 * to (-1, 00) on itself (adjunction against a canonical class with trivial
   torsion data).
 
-A construction-time consistency suite cross-checks the rule: agreement of
-every block degree with the lattice pairing, the printed torsion vectors of
-the six standard difference divisors, the spanning property of the torsion
-vectors, a finite image index (3 for K^2 = 6, kept as image_index), and
-that the derived A3/B3/C3 restriction maps are well defined on the image.
-The last is one index comparison: appending to each row of phi the masks of
-its restrictions to A3, B3, C3 multiplies the image index by 2^6 exactly
-when those masks vanish on every combination that phi sends to zero.
+A construction-time consistency suite cross-checks the rule: (d) every
+block degree is the lattice pairing, (a) the six standard difference
+divisors have the printed torsion vectors, (c) the torsion vectors span and
+the image index is finite (3 for K^2 = 6, kept as image_index), (b) the
+derived A3/B3/C3 restriction maps are well defined on the image, and (e)
+the labels are the rule's.  Check (b) is one index comparison: appending to
+each row of phi the masks of its restrictions to A3, B3, C3 multiplies the
+image index by 2^6 exactly when those masks vanish on every combination
+that phi sends to zero.  Check (e) refuses what the others let through: a
+nonzero label on a block of degree <= 0, or four meeting points of one
+boundary curve that do not carry 00, 01, 10 and 11 once each.
 
 The table holds one row per curve, rows: a generator's class on Y' (its
 strict transform, n_h, n_1, ..., n_{3+k}) and the 6-bit mask of its labels
@@ -42,14 +45,11 @@ decision procedures carry a class in the same format, packed as
 (n_h, n_1, n_2, n_3, mask).  pack refuses an exceptional part and a failed
 congruence; every K^2 = 6 query of GeneratorTable (pack, to_y, from_y,
 preimage_combo, labels, maps_to) also refuses a table with K^2 != 6.
-Every query sums rows, with integer products and an XOR of the masks of
-odd coefficients, and _ints is the one map from a row to the XClass
-fields: phi wraps a sum with it and the image index reads the rows through
-it.  Check (d) ties the block degrees to the lattice, so every table that
-constructs has the same phi; column sums the blocks of curve_blocks[f].
-XClass is a named tuple (no instance dict): scan builds one per candidate.
-preimage_combo corrects torsion bits against the constant basis VEC, so its
-GF(2) solve has 64 targets and is memoised; every call checks its combo.
+_ints is the one map from a row to the XClass fields.  Check (d) ties the
+block degrees to the lattice, so every table that constructs has the same
+phi.  preimage_combo corrects torsion bits against the constant basis VEC,
+so its GF(2) solve has 64 targets and is memoised; every call checks its
+combo.
 
 labels(p) gives the 2-bit labels of a packed class on the six boundary
 curves, one 12-bit int in BOUNDARY order, without building a combo; the
@@ -114,6 +114,10 @@ class XClass(_XClassFields):
         if not 0 <= mask < 64:
             raise ValueError(f"torsion mask {mask} is not a 6-bit mask")
         return tuple.__new__(cls, (d, r0, r1, r2, mask, emult))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: both check
+        return cls(*iterable)
 
     def __add__(self, other: "XClass") -> "XClass":
         _same_emult_length(self, other)
@@ -246,8 +250,6 @@ VEC_COMBO: dict[str, dict[str, int]] = {
     "C2": {"C1": 1, "C3": -1, "B0": -1},
 }
 
-VEC_ORDER = ("A1", "A2", "B1", "B2", "C1", "C2")
-
 
 def point_vector(point: tuple[str, str, str]) -> int:
     a, b, c = point
@@ -287,9 +289,6 @@ class GeneratorTable:
                 self.block[(g, f)] = blk
         if block_override:
             self.block.update(block_override)
-        # boundary curve -> generator -> block, the blocks column sums
-        self.curve_blocks = {f: {g: self.block[g, f] for g in GENERATORS}
-                             for f in BOUNDARY}
         # each generator's six block labels as one 12-bit int in BOUNDARY order
         six_labels = {g: sum(self.block[g, f][1] << 10 - 2 * i
                                  for i, f in enumerate(BOUNDARY)) for g in GENERATORS}
@@ -346,9 +345,9 @@ class GeneratorTable:
         """(deg, 2-bit mask) of the restriction of a generator combination to
         the boundary curve f."""
         deg = mask = 0
-        blocks = self.curve_blocks[f]
+        block = self.block
         for g, c in combo.items():
-            gdeg, gmask = blocks[g]
+            gdeg, gmask = block[g, f]
             deg += c * gdeg
             if c & 1:
                 mask ^= gmask
@@ -433,14 +432,14 @@ class GeneratorTable:
                     raise TableInconsistent(
                         f"block degree ({g},{f}) disagrees with the lattice")
         # (a) the six standard difference combos hit the basis vectors
-        for v in VEC_ORDER:
+        for v in VEC:
             img = self.phi(VEC_COMBO[v])
             if img.mask != VEC[v]:
                 raise TableInconsistent(f"combo for vec {v} maps to {img.mask:06b}")
             if self.k == 0 and (img.d or img.r0 or img.r1 or img.r2):
                 raise TableInconsistent(f"combo for vec {v} is not torsion")
         # (c) the basis vectors span V; the image has finite index, 3 for K^2 = 6
-        if len(gf2_echelon([VEC[v] for v in VEC_ORDER])) != 6:
+        if len(gf2_echelon(list(VEC.values()))) != 6:
             raise TableInconsistent("torsion vectors do not span")
         index = self.image_index
         if index is None:
@@ -453,13 +452,21 @@ class GeneratorTable:
         if subgroup_index(self._index_rows(derived=True), 12) != 64 * index:
             raise TableInconsistent(
                 "the restrictions to A3, B3, C3 are not well defined on the image of phi")
+        # (e) the filling rule's labels: 00 on a curve that a generator misses
+        # or is, and 00, 01, 10, 11 once each at the four meeting points
+        for f in BOUNDARY:
+            blocks = [self.block[g, f] for g in GENERATORS]
+            if (sorted(m for deg, m in blocks if deg > 0) != [0, 1, 2, 3]
+                    or any(m for deg, m in blocks if deg <= 0)):
+                raise TableInconsistent(f"the labels on {f} break the filling rule")
 
 
 @lru_cache(maxsize=64)
 def _torsion_solution(target: int) -> tuple[str, ...] | None:
     """Names of the VEC basis vectors summing to the mask target, or None."""
-    sol = gf2_solve([VEC[v] for v in VEC_ORDER], target)
-    return None if sol is None else tuple(VEC_ORDER[i] for i in sol)
+    names = tuple(VEC)
+    sol = gf2_solve([VEC[v] for v in names], target)
+    return None if sol is None else tuple(names[i] for i in sol)
 
 
 def build_generator_table(ksq: int, variant: str = "plain") -> GeneratorTable:

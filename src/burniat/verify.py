@@ -12,9 +12,9 @@ import random
 import time
 from typing import Callable, NamedTuple
 
-from .lattice import YClass, arithmetic_genus, canonical_class, negative_curves
+from .lattice import YClass, arithmetic_genus, negative_curves
 from .delpezzo import (LAT, NEF_CLASS, classify_exceptional, eff_decompose,
-                       enumerate_nef, nef_decompose)
+                       enumerate_nef, nef_decompose, symmetric_coords)
 from .config import (BOUNDARY, CURVE_CLASS, InvalidBuildingData,
                      all_standard_configs, minus_two_curves,
                      ramification_span_index, validate_building_data)
@@ -199,10 +199,9 @@ def _c7_step3(seed: int, table: GeneratorTable) -> tuple[bool, str]:
 
 
 def _c8_step4(seed: int, table: GeneratorTable) -> tuple[bool, str]:
-    minus_k = -canonical_class(LAT)
     direct = induct = 0
     for ycls in enumerate_nef(12):
-        d = ycls.dot(minus_k)
+        d = symmetric_coords(ycls.coeffs)[0]
         if d < 7 or classify_exceptional(ycls).family == "NonExceptional":
             continue
         for bits in MASK_BITS:

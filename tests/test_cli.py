@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import burniat
 from burniat.cli import EFFECTIVE_MAX_NH, main
 from burniat.config import standard_config
@@ -251,6 +253,59 @@ def test_verify_all_table_override(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-all", "--only", "torsion",
                        "--table", str(bad))
     assert code == 1 and "override rejected" in out
+
+
+@pytest.mark.parametrize("lines, curve", [
+    ({"A0 A3 0 00": "A0 A3 0 10", "A2 A3 0 00": "A2 A3 0 10"}, "A3"),
+    ({"A0 B3 1 10": "A0 B3 1 00", "A1 B3 1 01": "A1 B3 1 11"}, "B3"),
+])
+def test_verify_all_rejects_a_table_that_breaks_the_filling_rule(capsys, tmp_path,
+                                                                 lines, curve):
+    text = table_to_text(build_generator_table(6))
+    for old, new in lines.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    code, out, _ = run(capsys, "verify-all", "--table", str(path))
+    assert code == 1 and out == ("[FAIL] generator-table override rejected: "
+                                 f"the labels on {curve} break the filling rule\n")
+
+
+def test_exc_check_reports_an_unresolved_vanishing_as_a_failure(capsys, monkeypatch):
+    import burniat.effective as eff
+    monkeypatch.setattr(eff, "TRUSTED_PACKED", {})
+    code, out, _ = run(capsys, "exc-check", "--fiber", "smooth")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[2] == ("pair i=1 j=2 chi=0 h0_forward=ok(negative-degree;A0-) "
+                        "h0_serre=FAIL(unresolved:minimal form (3; 0 00; 0 00; 0 00) "
+                        "has degree >= 0 and is not a trusted class) verdict=FAIL")
+    assert lines[-1] == "summary pairs_pass=12 self_pass=0"
+
+
+def test_exc_check_reports_an_effective_class_as_a_failure(capsys, monkeypatch):
+    import burniat.degeneration as deg
+    from burniat.effective import KX, InS
+    real_decide = deg.decide
+    monkeypatch.setattr(deg, "decide", lambda table, x:
+                        InS((0,) * 12) if x == KX else real_decide(table, x))
+    code, out, _ = run(capsys, "exc-check", "--fiber", "degenerate")
+    lines = out.splitlines()
+    assert code == 1
+    assert [l for l in lines if l.startswith("self")] == [
+        f"self i={i} chi=1 h0_K=FAIL(effective) verdict=FAIL" for i in range(1, 7)]
+    assert lines[-1] == "summary pairs_pass=15 self_pass=0"
+
+
+def test_effective_prints_an_unresolved_verdict(capsys, monkeypatch):
+    import burniat.effective as eff
+    monkeypatch.setattr(eff, "TRUSTED_PACKED", {})
+    code, out, _ = run(capsys, "effective", "--class", "(3; 0 00; 0 00; 0 00)")
+    assert code == 0
+    assert out == ("class (3; 0 00; 0 00; 0 00)\n"
+                   "verdict: Unresolved  chi: 0  note: minimal form (3; 0 00; 0 00; "
+                   "0 00) has degree >= 0 and is not a trusted class\n")
 
 
 def test_verify_all_refuses_a_repeated_table_line(capsys, tmp_path):

@@ -535,6 +535,23 @@ def test_step3_full_tables():
     assert rep.canonical_not_in_s
 
 
+def test_step3_lists_a_failing_twist_and_shift(monkeypatch):
+    # with one twist and one shift refused by the search, both are listed
+    # and criterion 7 fails
+    import burniat.effective as eff
+    twist, shift = KX + XClass(0, 0, 0, 0, 0b100000), KX + T.phi({"A0": 1})
+    real_s_membership = eff.s_membership
+    monkeypatch.setattr(eff, "s_membership", lambda table, x:
+                        None if x in (twist, shift) else real_s_membership(table, x))
+    rep = step3_tables(T)
+    assert (rep.twist_ok, rep.twist_fail) == (62, [xclass_to_text(twist)])
+    assert (rep.shift_ok, rep.shift_fail) == (383, [xclass_to_text(shift)])
+    assert rep.canonical_not_in_s and not rep.ok
+    [c7] = run_all(only="step3")
+    assert not c7.passed
+    assert c7.detail == "twists 62/63, shifts 383/384, bare canonical not in S: True"
+
+
 # --- exceptional induction ----------------------------------------------------------
 
 def _minimal_lift_of(ycls):
@@ -586,6 +603,13 @@ def test_induction_preconditions():
     # degree below the induction range
     with pytest.raises(ValueError):
         exceptional_induction(T, T.from_y(YClass((1, -1, 0, 0))))
+
+
+def test_induction_refuses_a_class_outside_minimal_form():
+    x = lit("(9; 3 00; 0 00; 0 01)")
+    assert classify_exceptional(T.to_y(x)).family not in ("NonExceptional", "Type4")
+    with pytest.raises(ValueError, match=r"^\(9; 3 00; 0 00; 0 01\) is not in minimal form$"):
+        exceptional_induction(T, x)
 
 
 def test_every_minimal_class_of_degree_seven_up_is_in_s(scan8):

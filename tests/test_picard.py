@@ -58,6 +58,18 @@ def test_corrupted_table_rejected():
         GeneratorTable(standard_config(6), override)
 
 
+# two-line overrides that checks (a)-(d) accept: labels on a curve that the
+# generators miss, and B3's meeting points labelled as C0's and A2's
+@pytest.mark.parametrize("override, curve", [
+    ({("A0", "A3"): (0, 0b10), ("A2", "A3"): (0, 0b10)}, "A3"),
+    ({("A0", "B3"): (1, 0b00), ("A1", "B3"): (1, 0b11)}, "B3"),
+])
+def test_check_e_refuses_labels_that_break_the_filling_rule(override, curve):
+    with pytest.raises(TableInconsistent,
+                       match=f"^the labels on {curve} break the filling rule$"):
+        GeneratorTable(standard_config(6), override)
+
+
 def _relabelled(table, g, f):
     """The three blocks (deg, mask) that differ from block (g, f) in the mask."""
     deg, mask = table.block[(g, f)]

@@ -69,3 +69,18 @@ def test_validating_types_keep_their_checks():
         FiberContext("generic")
     assert repr(XClass(1, 0, 0, 0, 3)) == "XClass(d=1, r0=0, r1=0, r2=0, mask=3, emult=())"
     assert repr(SMOOTH) == "FiberContext(kind='smooth')"
+
+
+def test_make_and_replace_keep_the_checks():
+    x = XClass(3, 1, 1, 1, 0)
+    with pytest.raises(ValueError, match="torsion mask 64 is not a 6-bit mask"):
+        x._replace(mask=64)
+    with pytest.raises(ValueError, match="torsion mask 64 is not a 6-bit mask"):
+        XClass._make((3, 1, 1, 1, 64))
+    with pytest.raises(ValueError, match="unknown fibre kind 'foo'"):
+        FiberContext._make(("foo",))
+    with pytest.raises(ValueError, match="unknown fibre kind 'foo'"):
+        SMOOTH._replace(kind="foo")
+    assert x._replace(mask=5) == XClass(3, 1, 1, 1, 5)
+    assert type(x._replace(mask=5)) is XClass
+    assert SMOOTH._replace(kind="degenerate") == FiberContext._make(("degenerate",))
