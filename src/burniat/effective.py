@@ -39,18 +39,20 @@ a class as symmetric_coords(y)[1 + i] and has the label
 labels >> 10 - 2 * i & 3 in the 12-bit int of the six labels.  minimal_form
 and is_minimal apply the base-locus rule in _first_step, which reads the
 table's labels (see picard).  ReductionTrace.validate never reads them: it
-reads the labels of preimage_combo(start) with column, XORs in each step
-curve's labels3_rows mask, checks each step in O(1) with the curve's
-symmetric_coords entry and, on a zero pairing, its label, and compares its
-packed end with the packed final class: an independent re-check of every
-trace.
+reads the start's labels on A3, B3, C3 from _key_labels3, which reads them
+with column from the checked preimage_combo of the key's least
+representative once per (table, key); they depend only on the 10-bit key
+picard._key, by check (b).  It XORs in each step curve's labels3_rows
+mask, checks each step in O(1) with the curve's symmetric_coords entry
+and, on a zero pairing, its label, and compares its packed end with the
+packed final class: an independent re-check of every trace.
 
 Every memo in this module is a functools cache, so each reports its size
 and hits through cache_info().  The first step of a class depends only on
-the class and the table, so _first_step is cached on (table, packed): the
-table stays read-only and a table built later starts cold.
-exceptional_induction caches its recursion for one call only, since it
-reads s_membership through the module.
+the class and the table, so _first_step is cached on (table, packed), and
+_key_labels3 on (table, key): the table stays read-only and a table built
+later starts cold.  exceptional_induction caches its recursion for one call
+only, since it reads s_membership through the module.
 
 scan builds lift mask of a numerical class y as unpack((*y, mask)) and sets
 its minimal flag without another reduction.  y is nef, so its degree on
@@ -68,7 +70,8 @@ from .delpezzo import (ExceptionalType, classify_exceptional, enumerate_nef,
                        is_nef_class, symmetric_coords)
 from .config import BOUNDARY, GENERATORS, INTERNAL
 from .picard import (GeneratorTable, NotARepresentableClass, Packed, XClass,
-                     pack, parse_xclass, unpack, xclass_to_text, TableInconsistent)
+                     _key, pack, parse_xclass, unpack, xclass_to_text,
+                     TableInconsistent)
 
 _BOUNDARY_INDEX = {f: i for i, f in enumerate(BOUNDARY)}
 
@@ -115,9 +118,7 @@ class ReductionTrace(NamedTuple):
     def validate(self, table: GeneratorTable) -> None:
         """Re-check every step from scratch; raises on any mismatch."""
         p = table.pack(self.start)
-        combo = table.preimage_combo(self.start)
-        m3 = sum(table.column(combo, f)[1] << 10 - 2 * i  # the labels on A3, B3, C3
-                 for i, f in enumerate(BOUNDARY[3:], 3))
+        m3 = _key_labels3(table, _key(p))  # the labels on A3, B3, C3
         for step in self.steps:
             i = _BOUNDARY_INDEX.get(step.curve)
             if i is None:
@@ -141,6 +142,17 @@ class ReductionTrace(NamedTuple):
             raise InvalidEvidence(f"trace ends at {unpack(p)}, not at {self.final}")
         if len(self.steps) != self.start.d - self.final.d:
             raise InvalidEvidence("trace length differs from its degree drop")
+
+
+@lru_cache(maxsize=None)
+def _key_labels3(table: GeneratorTable, key: int) -> int:
+    """The 6-bit mask of the labels on A3, B3, C3 of every class with this
+    key (see picard._key), read with column from the checked
+    preimage_combo of the key's least representative."""
+    combo = table.preimage_combo(unpack((key >> 9, key >> 8 & 1, key >> 7 & 1,
+                                         key >> 6 & 1, key & 63)))
+    return sum(table.column(combo, f)[1] << 10 - 2 * i
+               for i, f in enumerate(BOUNDARY[3:], 3))
 
 
 class InS(NamedTuple):
@@ -455,6 +467,9 @@ class ScanReport(NamedTuple):
 # generator in a certificate
 _COUNTER = {InS: "in_s", NonEffective: "non_effective", Unresolved: "unresolved"}
 _CERT_PREFIX = tuple(f"{g}:" for g in GENERATORS)
+# each step of _STEPS as printed in a trace: "A3t" (torsion), "A0-" (negative)
+_STEP_TEXT = {s: s.curve + ("-" if s.reason == "negative" else "t")
+              for pair in _STEPS for s in pair}
 
 
 def cert_text(v: InS) -> str:
@@ -462,8 +477,7 @@ def cert_text(v: InS) -> str:
 
 
 def trace_text(t: ReductionTrace) -> str:
-    return ",".join(f"{s.curve}{'-' if s.reason == 'negative' else 't'}"
-                    for s in t.steps)
+    return ",".join([_STEP_TEXT[s] for s in t.steps])
 
 
 def verdict_text(v: Verdict) -> str:

@@ -38,6 +38,11 @@ class YClass(NamedTuple):
         self._check(other)
         return YClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
+    def __radd__(self, other: object) -> "YClass":
+        # tuple + YClass would concatenate: the reflected sum runs first
+        raise TypeError(f"a YClass combines only with a YClass, "
+                        f"not {type(other).__name__}")
+
     def __neg__(self) -> "YClass":
         return YClass(tuple(-a for a in self.coeffs))
 
@@ -55,6 +60,9 @@ class YClass(NamedTuple):
         return not any(self.coeffs)
 
     def _check(self, other: "YClass") -> None:
+        if not isinstance(other, YClass):
+            raise TypeError(f"a YClass combines only with a YClass, "
+                            f"not {type(other).__name__}")
         if len(self.coeffs) != len(other.coeffs):
             raise DimensionError(f"rank {len(self.coeffs)} vs {len(other.coeffs)}")
 

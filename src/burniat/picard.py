@@ -120,22 +120,30 @@ class XClass(_XClassFields):
         return cls(*iterable)
 
     def __add__(self, other: "XClass") -> "XClass":
-        _same_emult_length(self, other)
+        _check_operand(self, other)
         return XClass(self.d + other.d, self.r0 + other.r0, self.r1 + other.r1,
                       self.r2 + other.r2, self.mask ^ other.mask,
                       tuple(a + b for a, b in zip(self.emult, other.emult)))
 
     def __sub__(self, other: "XClass") -> "XClass":
-        _same_emult_length(self, other)
+        _check_operand(self, other)
         return XClass(self.d - other.d, self.r0 - other.r0, self.r1 - other.r1,
                       self.r2 - other.r2, self.mask ^ other.mask,
                       tuple(a - b for a, b in zip(self.emult, other.emult)))
+
+    def __radd__(self, other: object) -> "XClass":
+        # tuple + XClass would concatenate: the reflected sum runs first
+        raise TypeError(f"an XClass combines only with an XClass, "
+                        f"not {type(other).__name__}")
 
     def __str__(self) -> str:
         return xclass_to_text(self)
 
 
-def _same_emult_length(x: XClass, y: XClass) -> None:
+def _check_operand(x: XClass, y: XClass) -> None:
+    if not isinstance(y, XClass):
+        raise TypeError(f"an XClass combines only with an XClass, "
+                        f"not {type(y).__name__}")
     # zip would silently truncate the longer exceptional part
     if len(x.emult) != len(y.emult):
         raise ValueError(f"{x} and {y} have exceptional parts of different lengths")

@@ -17,14 +17,15 @@ from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_chec
 from burniat.delpezzo import classify_exceptional, symmetric_coords
 from burniat.effective import (KX, TRUSTED, InS, InvalidEvidence, NonEffective,
                                ReductionStep, ReductionTrace, ScanReport,
-                               Unresolved, decide, effective_lifts,
+                               Unresolved, _key_labels3, decide, effective_lifts,
                                exceptional_induction, is_minimal, minimal_form,
                                prove_non_effective, s_membership, scan, step3_tables,
                                trusted_id, verdict_text)
 from burniat.lattice import YClass
 from burniat.picard import (MASK_BITS, GeneratorTable, NotARepresentableClass,
                             TableInconsistent, XClass, _key, build_generator_table,
-                            pack, parse_xclass, torsion_subgroup, xclass_to_text)
+                            pack, parse_xclass, torsion_subgroup, unpack,
+                            xclass_to_text)
 from burniat.verify import run_all
 
 T = build_generator_table(6)
@@ -709,6 +710,56 @@ def test_validate_carries_the_generator_label_masks():
     table.labels3_rows["A0"] ^= 0b01_00_00
     with pytest.raises(InvalidEvidence, match="A3"):
         scan(table, 6)
+
+
+def test_validate_labels_agree_with_the_label_table_on_every_key():
+    # two derivations of the labels on A3, B3, C3: validate's memo reads
+    # column on a preimage combo, labels reads the 1,024-entry table
+    for key in range(1024):
+        p = (key >> 9, key >> 8 & 1, key >> 7 & 1, key >> 6 & 1, key & 63)
+        assert _key(p) == key
+        assert _key_labels3(T, key) == T.labels(p) & 63
+
+
+def test_validate_labels_are_kept_per_table():
+    # a corrupted block on a fresh table reaches validate although the
+    # shared table's labels are memoised, and leaves the shared table alone
+    before = scan(T, 6).to_text()
+    assert _key_labels3.cache_info().currsize >= 1
+    table = GeneratorTable(standard_config(6))
+    table.block["C1", "A3"] = (1, 0b00)  # the meeting point's label is 01
+    with pytest.raises(InvalidEvidence, match="A3"):
+        scan(table, 2)
+    assert scan(T, 6).to_text() == before
+
+
+def test_validate_accepts_justified_steps_in_another_order():
+    # minimal_form takes B0 first; B3 is base locus as well, and subtracting
+    # either keeps the other forced
+    x = lit("(2; 1 00; 0 01; 0 00)")
+    final, trace = minimal_form(T, x)
+    b0, b3 = ReductionStep("B0", "torsion"), ReductionStep("B3", "torsion")
+    c0 = ReductionStep("C0", "negative")
+    assert trace.steps == (b0, b3, c0)
+    ReductionTrace(x, (b3, b0, c0), final).validate(T)
+
+
+def test_validate_refuses_a_forged_start_on_a_memoised_key():
+    # the memo holds a key's labels only, never a pairing: a start with the
+    # key of a validated class but a nonzero pairing with A3 is refused at
+    # its torsion step on A3
+    x = lit("(3; 1 01; 1 10; 1 00)")
+    trace = minimal_form(T, x)[1]
+    assert trace.steps == (ReductionStep("A3", "torsion"),)
+    trace.validate(T)
+    p = T.pack(x)
+    forged = (p[0] + 2, *p[1:])  # x + 2h
+    assert _key(forged) == _key(p) and symmetric_coords(forged[:4])[4] != 0
+    hits = _key_labels3.cache_info().hits
+    start, final = unpack(forged), unpack(forged) - T.phi({"A3": 1})
+    with pytest.raises(InvalidEvidence, match="not justified"):
+        ReductionTrace(start, trace.steps, final).validate(T)
+    assert _key_labels3.cache_info().hits == hits + 1
 
 
 def test_table_is_not_changed_by_use():

@@ -62,6 +62,17 @@ def test_classes_do_not_repeat_as_tuples():
             product()
 
 
+_X, _Y = parse_xclass("(3; 1 10; 1 10; 1 10)"), YClass((1, 0, -1, 0))
+
+
+@pytest.mark.parametrize("cls, other", [(_X, (1,)), (_Y, (1,)), (_X, _Y), (_Y, _X)])
+def test_classes_combine_only_with_their_own_type(cls, other):
+    # a tuple on either side of + would concatenate, or reach a missing field
+    for total in (lambda: other + cls, lambda: cls + other, lambda: cls - other):
+        with pytest.raises(TypeError, match="combines only with"):
+            total()
+
+
 def test_validating_types_keep_their_checks():
     with pytest.raises(ValueError, match="torsion mask 64 is not a 6-bit mask"):
         XClass(0, 0, 0, 0, 64)
