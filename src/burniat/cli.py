@@ -20,9 +20,9 @@ from .config import config_from_text, standard_config
 from .degeneration import DEGENERATE, SMOOTH, exceptional_collection_check
 from .effective import (InS, NonEffective, cert_text, decide, scan,
                         trace_text, verdict_text)
-from .picard import (GeneratorTable, NotARepresentableClass, TableInconsistent,
-                     build_generator_table, parse_xclass, table_override_from_text,
-                     torsion_subgroup, xclass_to_text)
+from .picard import (GeneratorTable, TableInconsistent, build_generator_table,
+                     parse_xclass, table_override_from_text, torsion_subgroup,
+                     xclass_to_text)
 
 # Largest n_h (the h-coefficient of the numerical class) that `effective`
 # accepts.  The certificate search is O(n_h^3) at worst; the slowest classes
@@ -83,8 +83,10 @@ def cmd_torsion(args) -> int:
 
 
 def cmd_effective(args) -> int:
+    table = build_generator_table(6)
     try:
-        x = parse_xclass(args.cls)
+        # a failed congruence or an exceptional part is a NotARepresentableClass
+        x = table.require_k6(parse_xclass(args.cls))
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -92,14 +94,8 @@ def cmd_effective(args) -> int:
         print(f"usage error: the class has degree {x.d}; the reduction "
               f"accepts degree <= {3 * EFFECTIVE_MAX_NH}", file=sys.stderr)
         return 2
-    table = build_generator_table(6)
-    try:
-        nh = table.to_y(x).coeffs[0]
-    except NotARepresentableClass as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    if nh > EFFECTIVE_MAX_NH:
-        print(f"usage error: the class has n_h = {nh}; the certificate search "
+    if x.nh > EFFECTIVE_MAX_NH:
+        print(f"usage error: the class has n_h = {x.nh}; the certificate search "
               f"accepts n_h <= {EFFECTIVE_MAX_NH}", file=sys.stderr)
         return 2
     v = decide(table, x)

@@ -123,15 +123,18 @@ def all_standard_configs() -> list[BurniatConfig]:
 
 def make_config(points: list[tuple[str, str, str]], variant: str = "custom") -> BurniatConfig:
     """Configuration from explicit triple points, for experiments."""
-    seen: set[frozenset[str]] = set()
-    for p in points:
+    for i, p in enumerate(points):
         if len(p) != 3 or sorted(x[0] for x in p) != ["A", "B", "C"]:
             raise ValueError(f"point {p} is not one curve from each letter group")
         if any(x not in INTERNAL for x in p):
             raise ValueError(f"point {p} must lie on internal curves")
-        if frozenset(p) in seen:
-            raise ValueError(f"point {' '.join(p)} is given twice")
-        seen.add(frozenset(p))
+        for q in points[:i]:
+            shared = sorted(set(p) & set(q))
+            if len(shared) == 3:
+                raise ValueError(f"point {' '.join(p)} is given twice")
+            if len(shared) == 2:  # (h-e2).(h-e3) = 1 and cyclically
+                raise ValueError(f"points {' '.join(q)} and {' '.join(p)} both lie "
+                                 f"on {shared[0]} and {shared[1]}, which meet once")
     return BurniatConfig(6 - len(points), variant, tuple(points))
 
 

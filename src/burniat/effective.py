@@ -30,11 +30,11 @@ prove_non_effective, the only constructor of NonEffective, re-validates the
 reduction trace step by step before it returns.  Those checks raise
 InvalidEvidence explicitly, so they also run under ``python -O``.
 
-minimal_form, is_minimal, s_membership and ReductionTrace.validate pack
-their class once into (n_h, n_1, n_2, n_3, mask), the format of a table
-row (see picard), subtract a curve's row at each step and build an XClass
-again only for a trace's final class; exceptional_induction recurses on
-packed classes too.  Throughout, the boundary curve BOUNDARY[i] pairs with
+An XClass is a table row (see picard), so minimal_form, is_minimal,
+s_membership, ReductionTrace.validate and exceptional_induction carry the
+class itself and subtract a curve's row at each step; the table's
+require_k6 refuses a class or table outside the K^2 = 6 model once, where
+each of them starts.  Throughout, the boundary curve BOUNDARY[i] pairs with
 a class as symmetric_coords(y)[1 + i] and has the label
 labels >> 10 - 2 * i & 3 in the 12-bit int of the six labels.  minimal_form
 and is_minimal apply the base-locus rule in _first_step, which reads the
@@ -44,17 +44,17 @@ with column from the checked preimage_combo of the key's least
 representative once per (table, key); they depend only on the 10-bit key
 picard._key, by check (b).  It XORs in each step curve's labels3_rows
 mask, checks each step in O(1) with the curve's symmetric_coords entry
-and, on a zero pairing, its label, and compares its packed end with the
-packed final class: an independent re-check of every trace.
+and, on a zero pairing, its label, and compares its end with the final
+class: an independent re-check of every trace.
 
 Every memo in this module is a functools cache, so each reports its size
 and hits through cache_info().  The first step of a class depends only on
-the class and the table, so _first_step is cached on (table, packed), and
+the class and the table, so _first_step is cached on (table, class), and
 _key_labels3 on (table, key): the table stays read-only and a table built
 later starts cold.  exceptional_induction caches its recursion for one call
 only, since it reads s_membership through the module.
 
-scan builds lift mask of a numerical class y as unpack((*y, mask)) and sets
+scan builds lift mask of a numerical class y as XClass(*y, mask) and sets
 its minimal flag without another reduction.  y is nef, so its degree on
 each boundary curve is >= 0; once per y, scan builds the int of the label
 bits of the curves of degree 0, and a lift is minimal exactly when its
@@ -69,8 +69,7 @@ from .lattice import YClass, arithmetic_genus
 from .delpezzo import (ExceptionalType, classify_exceptional, enumerate_nef,
                        is_nef_class, symmetric_coords)
 from .config import BOUNDARY, GENERATORS, INTERNAL
-from .picard import (GeneratorTable, NotARepresentableClass, Packed, XClass,
-                     _key, pack, parse_xclass, unpack, xclass_to_text,
+from .picard import (GeneratorTable, XClass, _key, parse_xclass, xclass_to_text,
                      TableInconsistent)
 
 _BOUNDARY_INDEX = {f: i for i, f in enumerate(BOUNDARY)}
@@ -87,13 +86,11 @@ KX = parse_xclass("(6; 1 00; 1 00; 1 00)")
 # in scan(12) or the exceptional-collection check.  The degree-3 print
 # (3; 1 00; 1 00; 1 00) of the canonical class is not listed: it is not
 # minimal and reduces to negative degree through A3t,B0t,A3t,C0-.
-TRUSTED: dict[str, str] = {
-    "(3; 1 10; 1 10; 1 10)": "Q10",
-    "(3; 0 00; 0 00; 0 00)": "H00",
-    xclass_to_text(KX): "KX",
+TRUSTED: dict[XClass, str] = {
+    parse_xclass("(3; 1 10; 1 10; 1 10)"): "Q10",
+    parse_xclass("(3; 0 00; 0 00; 0 00)"): "H00",
+    KX: "KX",
 }
-TRUSTED_PACKED: dict[Packed, str] = {pack(parse_xclass(text)): tid
-                                     for text, tid in TRUSTED.items()}
 
 
 class InvalidEvidence(ValueError):
@@ -117,29 +114,29 @@ class ReductionTrace(NamedTuple):
 
     def validate(self, table: GeneratorTable) -> None:
         """Re-check every step from scratch; raises on any mismatch."""
-        p = table.pack(self.start)
-        m3 = _key_labels3(table, _key(p))  # the labels on A3, B3, C3
+        nh, n1, n2, n3, mask, _ = table.require_k6(self.start)
+        m3 = _key_labels3(table, _key(self.start))  # the labels on A3, B3, C3
         for step in self.steps:
             i = _BOUNDARY_INDEX.get(step.curve)
             if i is None:
                 raise InvalidEvidence(f"step {step} is not on a boundary curve")
-            pairing = symmetric_coords(p[:4])[1 + i]
+            pairing = symmetric_coords((nh, n1, n2, n3))[1 + i]
             if step.reason == "negative":
                 justified = pairing < 0
             else:
-                labels = p[4] << 6 | m3  # all six, in BOUNDARY order
+                labels = mask << 6 | m3  # all six, in BOUNDARY order
                 justified = (step.reason == "torsion" and pairing == 0
                              and labels >> 10 - 2 * i & 3 != 0)
             if not justified:
-                raise InvalidEvidence(f"step {step} not justified at {unpack(p)}")
-            p = _minus(p, table.rows[step.curve])
+                raise InvalidEvidence(f"step {step} not justified at "
+                                      f"{XClass(nh, n1, n2, n3, mask)}")
+            # the class minus the row, as fields: only the end is an XClass
+            rh, r1, r2, r3, rmask, _ = table.rows[step.curve]
+            nh, n1, n2, n3, mask = nh - rh, n1 - r1, n2 - r2, n3 - r3, mask ^ rmask
             m3 ^= table.labels3_rows[step.curve]
-        try:
-            same_end = p == table.pack(self.final)
-        except NotARepresentableClass:
-            same_end = False
-        if not same_end:
-            raise InvalidEvidence(f"trace ends at {unpack(p)}, not at {self.final}")
+        end = XClass(nh, n1, n2, n3, mask)
+        if end != self.final:
+            raise InvalidEvidence(f"trace ends at {end}, not at {self.final}")
         if len(self.steps) != self.start.d - self.final.d:
             raise InvalidEvidence("trace length differs from its degree drop")
 
@@ -149,8 +146,8 @@ def _key_labels3(table: GeneratorTable, key: int) -> int:
     """The 6-bit mask of the labels on A3, B3, C3 of every class with this
     key (see picard._key), read with column from the checked
     preimage_combo of the key's least representative."""
-    combo = table.preimage_combo(unpack((key >> 9, key >> 8 & 1, key >> 7 & 1,
-                                         key >> 6 & 1, key & 63)))
+    combo = table.preimage_combo(XClass(key >> 9, key >> 8 & 1, key >> 7 & 1,
+                                        key >> 6 & 1, key & 63))
     return sum(table.column(combo, f)[1] << 10 - 2 * i
                for i, f in enumerate(BOUNDARY[3:], 3))
 
@@ -177,12 +174,16 @@ Verdict = InS | NonEffective | Unresolved
 
 
 def trusted_id(x: XClass) -> str | None:
-    return TRUSTED_PACKED.get(pack(x))
+    return TRUSTED.get(x)
 
 
-def _minus(p: Packed, row: Packed) -> Packed:
-    """p minus a packed curve row."""
-    return p[0] - row[0], p[1] - row[1], p[2] - row[2], p[3] - row[3], p[4] ^ row[4]
+def _minus(x: XClass, row: XClass) -> XClass:
+    """x minus a K^2 = 6 curve row, built unchecked as a reduction steps on:
+    XClass masks are 6-bit, so is the XOR of two, and require_k6 refused an
+    exceptional part where the reduction began."""
+    nh, n1, n2, n3, mask, _ = x
+    rh, r1, r2, r3, rmask, _ = row
+    return tuple.__new__(XClass, (nh - rh, n1 - r1, n2 - r2, n3 - r3, mask ^ rmask, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,7 @@ def _minus(p: Packed, row: Packed) -> Packed:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _first_step(table: GeneratorTable, p: Packed) -> tuple[ReductionStep, Packed] | None:
+def _first_step(table: GeneratorTable, p: XClass) -> tuple[ReductionStep, XClass] | None:
     """The first base-locus curve of p in the order A0, B0, C0, A3, B3, C3;
     None when p is minimal or has negative degree."""
     d, *pairings = symmetric_coords(p[:4])
@@ -209,18 +210,17 @@ def minimal_form(table: GeneratorTable, x: XClass) -> tuple[XClass, ReductionTra
     Scan order A0, B0, C0, A3, B3, C3, restarting after each subtraction;
     each step is read from the cache of _first_step.
     """
-    p = table.pack(x)  # refuses a class outside the K^2 = 6 model, even if d < 0
+    p = table.require_k6(x)  # refuses a class outside the K^2 = 6 model, even if d < 0
     steps: list[ReductionStep] = []
     while (nxt := _first_step(table, p)) is not None:
         steps.append(nxt[0])
         p = nxt[1]
-    final = unpack(p)
-    return final, ReductionTrace(x, tuple(steps), final)
+    return p, ReductionTrace(x, tuple(steps), p)
 
 
 def is_minimal(table: GeneratorTable, x: XClass) -> bool:
-    # pack first: it refuses a class outside the K^2 = 6 model, even if d < 0
-    return _first_step(table, table.pack(x)) is None and x.d >= 0
+    # require_k6 first: it refuses a class outside the K^2 = 6 model, even if d < 0
+    return _first_step(table, table.require_k6(x)) is None and x.d >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +348,14 @@ def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
 def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
     """Certificate in S, or None (a proof of non-membership: the search is
     complete over the finitely many lattice-side solutions)."""
-    p = table.pack(x)
-    cert = effective_lifts(p[:4]).get(p[4])
+    cert = effective_lifts(table.require_k6(x)[:4]).get(x.mask)
     if cert is None:
         return None
     verdict = InS(cert)
-    if not table.maps_to(cert, p):
+    if not table.maps_to(cert, x):
         raise InvalidEvidence(f"certificate {verdict.as_dict()} is not a "
                               f"nonnegative combination re-summing to {x}")
-    if p in TRUSTED_PACKED:
+    if x in TRUSTED:
         raise TableInconsistent(
             f"trusted class {x} received certificate {verdict.as_dict()}")
     return verdict
@@ -388,8 +387,7 @@ def prove_non_effective(table: GeneratorTable, x: XClass) -> NonEffective | Unre
         if tid is None:
             return Unresolved(trace, chi(table, x), f"minimal form {reduced} "
                               "has degree >= 0 and is not a trusted class")
-        p = table.pack(reduced)
-        if p[4] in effective_lifts(p[:4]):
+        if reduced.mask in effective_lifts(reduced[:4]):
             raise TableInconsistent(f"trusted class {reduced} is in S")
         base = f"trusted:{tid}"
     trace.validate(table)
@@ -508,9 +506,8 @@ def scan(table: GeneratorTable, d_max: int) -> ScanReport:
         zero = sum(3 << 10 - 2 * i for i, deg in enumerate(symmetric_coords(y)[1:])
                    if deg == 0)
         for mask in range(64):
-            p = (*y, mask)
-            x = unpack(p)
-            records.append(ScanRecord(x, ycls, not table.labels(p) & zero,
+            x = XClass(*y, mask)
+            records.append(ScanRecord(x, ycls, not table.labels(x) & zero,
                                       decide(table, x)))
     return report
 
@@ -536,10 +533,10 @@ def step3_tables(table: GeneratorTable) -> Step3Report:
     """K+nu in S for all nonzero torsion nu, and K+F+nu for all F, nu."""
     canonical_not_in_s = s_membership(table, KX) is None
     ok, fail = [0, 0], ([], [])  # twists of K, then shifts K + F
-    for kind, base, nus in [(0, table.pack(KX), range(1, 64))] + [
-            (1, table.pack(KX + table.phi({f: 1})), range(64)) for f in BOUNDARY]:
+    for kind, base, nus in [(0, KX, range(1, 64))] + [
+            (1, KX + table.phi({f: 1}), range(64)) for f in BOUNDARY]:
         for nu in nus:
-            x = unpack((*base[:4], base[4] ^ nu))
+            x = XClass(*base[:4], base.mask ^ nu)
             if s_membership(table, x) is None:
                 fail[kind].append(xclass_to_text(x))
             else:
@@ -568,10 +565,10 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
         raise ValueError(f"{x} is not in minimal form")
 
     @lru_cache(maxsize=None)  # per call: s_membership is read through the module
-    def resolve(p: Packed, fam: ExceptionalType) -> InS | None:
+    def resolve(p: XClass, fam: ExceptionalType) -> InS | None:
         """fam is the exceptional type of p's numerical class."""
-        if symmetric_coords(p[:4])[0] <= 8:
-            return s_membership(table, unpack(p))
+        if p.d <= 8:
+            return s_membership(table, p)
         for gens in zip(INTERNAL[::2], INTERNAL[1::2]):
             # both internal curves of a letter have the ruling fibre's class
             rest = YClass(_minus(p, table.rows[gens[0]])[:4])
@@ -589,11 +586,11 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
                     if not table.maps_to(out.certificate, p):
                         raise InvalidEvidence(
                             "induction certificate is not a nonnegative "
-                            f"combination re-summing to {unpack(p)}")
+                            f"combination re-summing to {p}")
                     return out
         return None
 
-    verdict = resolve(table.pack(x), et)
+    verdict = resolve(x, et)
     if verdict is None:  # x is minimal, so its reduction is the empty trace
         return Unresolved(ReductionTrace(x, (), x), chi(table, x),
                           "exceptional induction exhausted")

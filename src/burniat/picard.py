@@ -8,13 +8,15 @@ where d = L.K, m_s = L.(E_s/2) (absent for K^2 = 6), and each boundary block
 (r, t) is the restriction of L to the marked elliptic curve A0/B0/C0: r is the
 degree and t in {00, 10, 01, 11} names the 2-torsion summand relative to the
 curve's four marked points.  In code a block is the integer pair (r, m) with
-the 2-bit mask m = 2 * t[0] + t[1], and an XClass is the flat record
-(d, r0, r1, r2, mask, emult): the block degrees on A0, B0, C0 and the 6-bit
-mask of their labels, A0 bits first.  Adding classes adds the integers and
+the 2-bit mask m = 2 * t[0] + t[1].  An XClass is the table row
+(nh, n1, n2, n3, mask, ns): a class on Y' with ns = (n_4, ...), empty for
+K^2 = 6, and the 6-bit mask of its labels on A0, B0, C0, A0 bits first.
+The printed coordinates are properties, and parse_xclass, the one way in
+for them, refuses a failed congruence.  Adding classes adds the integers and
 XORs the masks.  That 6-bit int is the one encoding of a torsion vector: the
 basis VEC, point_vector, torsion_subgroup and the GF(2) solves of linalg use
-it as well (MASK_BITS spells a mask as a 0/1 tuple only for from_y and for
-the integer rows whose indices the consistency suite compares).
+it as well (MASK_BITS spells a mask as a 0/1 tuple only for the integer
+rows whose indices the consistency suite compares).
 
 The twelve configuration curves generate the group; their restriction blocks
 form the generator table.  The table is produced by one filling rule:
@@ -38,26 +40,23 @@ that phi sends to zero.  Check (e) refuses what the others let through: a
 nonzero label on a block of degree <= 0, or four meeting points of one
 boundary curve that do not carry 00, 01, 10 and 11 once each.
 
-The table holds one row per curve, rows: a generator's class on Y' (its
-strict transform, n_h, n_1, ..., n_{3+k}) and the 6-bit mask of its labels
-on A0, B0, C0, and 2E_s under the label E{s} with mask 0.  The K^2 = 6
-decision procedures carry a class in the same format, packed as
-(n_h, n_1, n_2, n_3, mask).  pack refuses an exceptional part and a failed
-congruence; every K^2 = 6 query of GeneratorTable (pack, to_y, from_y,
-preimage_combo, labels, maps_to) also refuses a table with K^2 != 6.
-_ints is the one map from a row to the XClass fields.  Check (d) ties the
-block degrees to the lattice, so every table that constructs has the same
-phi.  preimage_combo corrects torsion bits against the constant basis VEC,
-so its GF(2) solve has 64 targets and is memoised; every call checks its
-combo.
+The table holds one XClass per curve, rows: a generator's strict
+transform and the mask of its labels on A0, B0, C0, and 2E_s under the
+label E{s} with mask 0, so phi is a sum of rows.  Every K^2 = 6 query of
+GeneratorTable (to_y, from_y, preimage_combo, labels, maps_to) goes through
+require_k6, which refuses a table with K^2 != 6 and a class with an
+exceptional part.  Check (d) ties the block degrees to the lattice, so
+every table that constructs has the same phi.  preimage_combo corrects
+torsion bits against the constant basis VEC, so its GF(2) solve has 64
+targets and is memoised; every call checks its combo.
 
-labels(p) gives the 2-bit labels of a packed class on the six boundary
+labels(x) gives the 2-bit labels of a K^2 = 6 class on the six boundary
 curves, one 12-bit int in BOUNDARY order, without building a combo; the
 degrees there are the pairings of delpezzo.symmetric_coords.  The labels
 on A0, B0, C0 are the class's own mask.  Those on A3, B3, C3 are linear:
-every packed tuple is a class, so the 10-bit key (y mod 2, mask) is the
-class modulo twice the group, and check (b) makes restriction to A3, B3,
-C3 a homomorphism into 2-torsion, which vanishes on twice the group.  A
+every XClass with K^2 = 6 is a class, so the 10-bit key (y mod 2, mask) is
+the class modulo twice the group, and check (b) makes restriction to A3,
+B3, C3 a homomorphism into 2-torsion, which vanishes on twice the group.  A
 K^2 = 6 table builds this GF(2)-linear map once, as a 1,024-entry tuple
 spanned by the generators' keys and their labels3_rows masks, so labels
 is additive: labels(p + q) == labels(p) ^ labels(q).
@@ -93,43 +92,64 @@ MASK_BITS = tuple(tuple(map(int, f"{m:06b}")) for m in range(64))
 
 
 class _XClassFields(NamedTuple):
-    d: int
-    r0: int
-    r1: int
-    r2: int
+    nh: int
+    n1: int
+    n2: int
+    n3: int
     mask: int
-    emult: tuple[int, ...] = ()
+    ns: tuple[int, ...] = ()
 
 
 class XClass(_XClassFields):
-    """A class in the coordinate model: d, the block degrees r0, r1, r2 on
-    A0, B0, C0, their 6-bit torsion mask (A0 bits first) and emult, which is
-    empty when K^2 = 6."""
+    """A class as its table row: (n_h, n_1, n_2, n_3) on Y', the 6-bit
+    torsion mask (A0 bits first) and ns, the n_{3+s}, empty for K^2 = 6."""
 
     __slots__ = ()
     __mul__ = __rmul__ = None  # no tuple repetition
 
-    def __new__(cls, d: int, r0: int, r1: int, r2: int, mask: int,
-                emult: tuple[int, ...] = ()):
+    def __new__(cls, nh: int, n1: int, n2: int, n3: int, mask: int,
+                ns: tuple[int, ...] = ()):
         if not 0 <= mask < 64:
             raise ValueError(f"torsion mask {mask} is not a 6-bit mask")
-        return tuple.__new__(cls, (d, r0, r1, r2, mask, emult))
+        return tuple.__new__(cls, (nh, n1, n2, n3, mask, ns))
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through _make: both check
         return cls(*iterable)
 
+    # the printed coordinates: the pairings with -K_Y', e_1, e_2, e_3, E_s
+    @property
+    def d(self) -> int:
+        nh, n1, n2, n3, _, ns = self
+        return 3 * nh + n1 + n2 + n3 + sum(ns)
+
+    @property
+    def r0(self) -> int:
+        return -self.n1
+
+    @property
+    def r1(self) -> int:
+        return -self.n2
+
+    @property
+    def r2(self) -> int:
+        return -self.n3
+
+    @property
+    def emult(self) -> tuple[int, ...]:
+        return tuple(-n for n in self.ns)
+
     def __add__(self, other: "XClass") -> "XClass":
         _check_operand(self, other)
-        return XClass(self.d + other.d, self.r0 + other.r0, self.r1 + other.r1,
-                      self.r2 + other.r2, self.mask ^ other.mask,
-                      tuple(a + b for a, b in zip(self.emult, other.emult)))
+        return XClass(self.nh + other.nh, self.n1 + other.n1, self.n2 + other.n2,
+                      self.n3 + other.n3, self.mask ^ other.mask,
+                      tuple(a + b for a, b in zip(self.ns, other.ns)))
 
     def __sub__(self, other: "XClass") -> "XClass":
         _check_operand(self, other)
-        return XClass(self.d - other.d, self.r0 - other.r0, self.r1 - other.r1,
-                      self.r2 - other.r2, self.mask ^ other.mask,
-                      tuple(a - b for a, b in zip(self.emult, other.emult)))
+        return XClass(self.nh - other.nh, self.n1 - other.n1, self.n2 - other.n2,
+                      self.n3 - other.n3, self.mask ^ other.mask,
+                      tuple(a - b for a, b in zip(self.ns, other.ns)))
 
     def __radd__(self, other: object) -> "XClass":
         # tuple + XClass would concatenate: the reflected sum runs first
@@ -145,7 +165,7 @@ def _check_operand(x: XClass, y: XClass) -> None:
         raise TypeError(f"an XClass combines only with an XClass, "
                         f"not {type(y).__name__}")
     # zip would silently truncate the longer exceptional part
-    if len(x.emult) != len(y.emult):
+    if len(x.ns) != len(y.ns):
         raise ValueError(f"{x} and {y} have exceptional parts of different lengths")
 
 
@@ -154,11 +174,12 @@ _LABEL_TEXT = ("00", "01", "10", "11")
 
 
 def xclass_to_text(x: XClass) -> str:
-    m = x.mask
-    text = (f"({x.d}; {x.r0} {_LABEL_TEXT[m >> 4]}; {x.r1} {_LABEL_TEXT[m >> 2 & 3]}; "
-            f"{x.r2} {_LABEL_TEXT[m & 3]}")
-    if x.emult:
-        text += "; " + ",".join(str(v) for v in x.emult)
+    # the fields, not the properties: scan prints 13,056 classes
+    nh, n1, n2, n3, m, ns = x
+    text = (f"({3 * nh + n1 + n2 + n3 + sum(ns)}; {-n1} {_LABEL_TEXT[m >> 4]}; "
+            f"{-n2} {_LABEL_TEXT[m >> 2 & 3]}; {-n3} {_LABEL_TEXT[m & 3]}")
+    if ns:
+        text += "; " + ",".join(str(-n) for n in ns)
     return text + ")"
 
 
@@ -168,7 +189,8 @@ _EMULT_RE = re.compile(r"\s*-?\d+\s*(?:,\s*-?\d+\s*)*")
 
 
 def parse_xclass(text: str) -> XClass:
-    """Parse the bit-exact literal, e.g. ``(3; 1 10; 1 10; 1 10)``."""
+    """Parse the bit-exact literal, e.g. ``(3; 1 10; 1 10; 1 10)``; a class of
+    Y' has 3 | d + r0 + r1 + r2 + sum(emult)."""
     m = _X_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse class literal {text!r}")
@@ -184,40 +206,15 @@ def parse_xclass(text: str) -> XClass:
         if not _EMULT_RE.fullmatch(m.group(5)):
             raise ValueError(f"bad exceptional part {m.group(5)!r} in {text!r}")
         emult = tuple(int(v) for v in m.group(5).split(","))
-    return XClass(int(m.group(1)), *degs, mask, emult)
-
-
-# (n_h, n_1, n_2, n_3, 6-bit torsion mask) of a K^2 = 6 class
-Packed = tuple[int, int, int, int, int]
-
-
-def pack(x: XClass) -> Packed:
-    """Packed form of a class of the K^2 = 6 model."""
-    if x.emult:
-        raise NotARepresentableClass(f"{x} has an exceptional part; K^2 = 6 has none")
-    nh, rest = divmod(x.d + x.r0 + x.r1 + x.r2, 3)
+    nh, rest = divmod(int(m.group(1)) + sum(degs) + sum(emult), 3)
     if rest:
-        raise NotARepresentableClass(f"congruence fails for {x}")
-    return nh, -x.r0, -x.r1, -x.r2, x.mask
+        raise NotARepresentableClass(f"congruence fails for {text!r}")
+    return XClass(nh, *(-r for r in degs), mask, tuple(-v for v in emult))
 
 
-def _ints(row: tuple[int, ...]) -> tuple[int, int, int, int, int, tuple[int, ...]]:
-    """A row (n_h, n_1, ..., n_{3+k}, mask) as the XClass fields: d = y.(-K),
-    the block degrees y.e_1, y.e_2, y.e_3 on A0, B0, C0, mask, emult y.E_s."""
-    if len(row) == 5:  # a packed K^2 = 6 class: unpacked without a star
-        nh, n1, n2, n3, mask = row
-        return 3 * nh + n1 + n2 + n3, -n1, -n2, -n3, mask, ()
-    nh, n1, n2, n3, *ns, mask = row
-    return 3 * nh + n1 + n2 + n3 + sum(ns), -n1, -n2, -n3, mask, tuple(-n for n in ns)
-
-
-def unpack(p: Packed) -> XClass:
-    return XClass(*_ints(p))
-
-
-def _key(p: Packed) -> int:
-    """p modulo twice the group: y mod 2 and the mask as one 10-bit int."""
-    nh, n1, n2, n3, mask = p
+def _key(x: XClass) -> int:
+    """x modulo twice the group: y mod 2 and the mask as one 10-bit int."""
+    nh, n1, n2, n3, mask, _ = x
     return (nh & 1) << 9 | (n1 & 1) << 8 | (n2 & 1) << 7 | (n3 & 1) << 6 | mask
 
 
@@ -302,10 +299,10 @@ class GeneratorTable:
                                  for i, f in enumerate(BOUNDARY)) for g in GENERATORS}
         # one row per curve: its class on Y' and the mask of its labels on
         # A0, B0, C0, then 2E_s under the label E{s} with mask 0
-        self.rows = {g: (*cfg.strict_transform(g).coeffs, six_labels[g] >> 6)
-                     for g in GENERATORS}
-        for s in range(self.k):
-            self.rows[f"E{s}"] = (*(2 * cfg.exceptional(s)).coeffs, 0)
+        rows = [(g, cfg.strict_transform(g).coeffs, six_labels[g] >> 6)
+                for g in GENERATORS]
+        rows += [(f"E{s}", (2 * cfg.exceptional(s)).coeffs, 0) for s in range(self.k)]
+        self.rows = {g: XClass(*y[:4], mask, y[4:]) for g, y, mask in rows}
         # the 6-bit mask of each generator's labels on A3, B3, C3
         self.labels3_rows = {g: six_labels[g] & 63 for g in GENERATORS}
         # index of the image of phi; check (c) refuses an infinite one
@@ -323,31 +320,30 @@ class GeneratorTable:
 
     def phi(self, combo: dict[str, int]) -> XClass:
         """Image of an integer combination of generators and of 2E_s (E{s})."""
-        return XClass(*_ints(self._row_sum(combo.items())))
+        return self._row_sum(combo.items())
 
-    def _row_sum(self, terms: Iterable[tuple[str, int]]) -> tuple[int, ...]:
-        """Row of the combination c * rows[g] over (g, c); odd c XOR masks."""
+    def _row_sum(self, terms: Iterable[tuple[str, int]]) -> XClass:
+        """The combination c * rows[g] over (g, c); odd c XOR masks."""
         rows = self.rows
         if self.k:
             total, mask = [0] * (4 + self.k), 0
             for g, c in terms:
-                row = rows[g]
-                # zip stops at the end of total, before the mask
-                total = [a + c * b for a, b in zip(total, row)]
+                nh, n1, n2, n3, gmask, ns = rows[g]
+                total = [a + c * b for a, b in zip(total, (nh, n1, n2, n3, *ns))]
                 if c & 1:
-                    mask ^= row[-1]
-            return (*total, mask)
+                    mask ^= gmask
+            return XClass(*total[:4], mask, tuple(total[4:]))
         nh = n1 = n2 = n3 = mask = 0  # K^2 = 6 rows, unrolled for the hot path
         for g, c in terms:
             if c:
-                gh, g1, g2, g3, gmask = rows[g]
+                gh, g1, g2, g3, gmask, _ = rows[g]
                 nh += c * gh
                 n1 += c * g1
                 n2 += c * g2
                 n3 += c * g3
                 if c & 1:
                     mask ^= gmask
-        return nh, n1, n2, n3, mask
+        return XClass(nh, n1, n2, n3, mask)
 
     def column(self, combo: dict[str, int], f: str) -> tuple[int, int]:
         """(deg, 2-bit mask) of the restriction of a generator combination to
@@ -363,59 +359,56 @@ class GeneratorTable:
 
     # -- K^2 = 6 specific queries --------------------------------------------
 
-    def _only_k6(self) -> None:
-        """Refuse a query of the packed K^2 = 6 model on another table."""
+    def require_k6(self, x: XClass) -> XClass:
+        """x itself; refuses a table with K^2 != 6 and an exceptional part."""
         if self.k:
-            raise NotARepresentableClass("the packed class is the K^2=6 model")
+            raise NotARepresentableClass(
+                f"a K^2={self.cfg.ksq} table answers no query of the K^2=6 model")
+        if x.ns:
+            raise NotARepresentableClass(f"{x} has an exceptional part; K^2 = 6 has none")
+        return x
 
-    def maps_to(self, cert: tuple[int, ...], p: Packed) -> bool:
+    def maps_to(self, cert: tuple[int, ...], x: XClass) -> bool:
         """Whether a certificate in GENERATORS order is a nonnegative
-        combination that sums to the packed p."""
-        self._only_k6()
+        combination that sums to x."""
+        self.require_k6(x)
         if len(cert) != len(GENERATORS):  # zip would silently truncate
             raise ValueError(f"a certificate has 12 entries, not {len(cert)}")
-        return min(cert) >= 0 and self._row_sum(zip(GENERATORS, cert)) == p
-
-    def pack(self, x: XClass) -> Packed:
-        """Packed form of x; refuses a table or class outside the K^2 = 6 model."""
-        self._only_k6()
-        return pack(x)
+        return min(cert) >= 0 and self._row_sum(zip(GENERATORS, cert)) == x
 
     def to_y(self, x: XClass) -> YClass:
         """Numerical class underlying x (K^2 = 6 model)."""
-        return YClass(self.pack(x)[:4])
+        return YClass(self.require_k6(x)[:4])
 
     def from_y(self, cls: YClass, bits: tuple[int, ...] = (0,) * 6) -> XClass:
         """The lift of cls with the torsion bits, first bit most significant."""
-        self._only_k6()
         if cls.k != 3:
             raise NotARepresentableClass(f"{cls} is not a class on Bl_3 P^2")
         if len(bits) != 6 or any(b not in (0, 1) for b in bits):
             raise ValueError(f"torsion bits {bits!r} are not six entries in {{0, 1}}")
-        return unpack((*cls.coeffs, sum(b << 5 - i for i, b in enumerate(bits))))
+        mask = sum(b << 5 - i for i, b in enumerate(bits))
+        return self.require_k6(XClass(*cls.coeffs, mask))
 
     def preimage_combo(self, x: XClass) -> dict[str, int]:
         """Some integer generator combination with phi(combo) == x (K^2 = 6)."""
-        p = self.pack(x)
-        nh, n1, n2, n3, mask = p
+        nh, n1, n2, n3, mask, _ = self.require_k6(x)
         combo = {"A3": nh, "B0": nh + n2, "C0": nh + n3, "A0": n1}
         # the rows' numerical parts are fixed curve classes, so this combo
-        # lies over p[:4]; the final check covers the whole class
-        correction = _torsion_solution(mask ^ self._row_sum(combo.items())[4])
+        # lies over x[:4]; the final check covers the whole class
+        correction = _torsion_solution(mask ^ self._row_sum(combo.items()).mask)
         if correction is None:
             raise TableInconsistent("torsion vectors do not span V")
         for v in correction:
             for g, c in VEC_COMBO[v].items():
                 combo[g] = combo.get(g, 0) + c
-        if self._row_sum(combo.items()) != p:
+        if self._row_sum(combo.items()) != x:
             raise TableInconsistent(f"preimage combo {combo} does not map to {x}")
         return combo
 
-    def labels(self, p: Packed) -> int:
-        """The 2-bit labels of the packed class p on the six boundary curves as
-        one 12-bit int in BOUNDARY order, A0 bits first."""
-        self._only_k6()
-        return p[4] << 6 | self._labels3[_key(p)]
+    def labels(self, x: XClass) -> int:
+        """The 2-bit labels of x on the six boundary curves as one 12-bit int
+        in BOUNDARY order, A0 bits first."""
+        return self.require_k6(x).mask << 6 | self._labels3[_key(x)]
 
     # -- consistency suite ----------------------------------------------------
 
@@ -424,8 +417,8 @@ class GeneratorTable:
         with derived, also the bits of its label mask on A3, B3, C3, which
         are 0 on the E_s rows."""
         rows = []
-        for g, (d, r0, r1, r2, mask, em) in zip(self.rows, map(_ints, self.rows.values())):
-            row = (d, *em, r0, r1, r2, *MASK_BITS[mask])
+        for g, x in self.rows.items():
+            row = (x.d, *x.emult, x.r0, x.r1, x.r2, *MASK_BITS[x.mask])
             if derived:
                 row += MASK_BITS[self.labels3_rows.get(g, 0)]
             rows.append(row)

@@ -18,7 +18,7 @@ from .delpezzo import (LAT, NEF_CLASS, classify_exceptional, eff_decompose,
 from .config import (BOUNDARY, CURVE_CLASS, InvalidBuildingData,
                      all_standard_configs, minus_two_curves,
                      ramification_span_index, validate_building_data)
-from .picard import (MASK_BITS, GeneratorTable, build_generator_table,
+from .picard import (GeneratorTable, XClass, build_generator_table,
                      picard_image_index, torsion_subgroup, parse_xclass,
                      xclass_to_text)
 from .effective import (InS, NonEffective, ScanReport, decide,
@@ -204,8 +204,8 @@ def _c8_step4(seed: int, table: GeneratorTable) -> tuple[bool, str]:
         d = symmetric_coords(ycls.coeffs)[0]
         if d < 7 or classify_exceptional(ycls).family == "NonExceptional":
             continue
-        for bits in MASK_BITS:
-            x = table.from_y(ycls, bits)
+        for mask in range(64):
+            x = XClass(*ycls.coeffs, mask)
             if not is_minimal(table, x):
                 continue
             if d <= 8:

@@ -76,6 +76,16 @@ def test_torsion_refuses_a_repeated_point(capsys, tmp_path):
         assert code == 2 and not out and "given twice" in err
 
 
+def test_torsion_refuses_two_points_on_two_shared_curves(capsys, tmp_path):
+    # A1 and B1 meet once, so A1 B1 C1 and A1 B1 C2 cannot both be points
+    path = tmp_path / "cfg.txt"
+    path.write_text("ksq = 4\npoint = A1 B1 C1\npoint = A1 B1 C2\n")
+    code, out, err = run(capsys, "torsion", "--config", str(path))
+    assert code == 2 and not out
+    assert err == ("error: points A1 B1 C1 and A1 B1 C2 both lie on A1 and B1, "
+                   "which meet once\n")
+
+
 def test_torsion_refuses_a_repeated_key(capsys, tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("ksq = 5\nksq = 6\nvariant = plain\nvariant = nodal\n")
@@ -154,8 +164,8 @@ def test_effective_congruence_error_exit_2(capsys):
 
 
 def test_effective_exceptional_part_exit_2(capsys):
-    code, out, err = run(capsys, "effective", "--class", "(3; 0 00; 0 00; 0 00; 5)")
-    assert code == 2 and not out and "usage error" in err
+    code, out, err = run(capsys, "effective", "--class", "(4; 0 00; 0 00; 0 00; 5)")
+    assert code == 2 and not out and "usage error" in err and "exceptional part" in err
 
 
 def _literal_with_nh(nh):
@@ -274,7 +284,7 @@ def test_verify_all_rejects_a_table_that_breaks_the_filling_rule(capsys, tmp_pat
 
 def test_exc_check_reports_an_unresolved_vanishing_as_a_failure(capsys, monkeypatch):
     import burniat.effective as eff
-    monkeypatch.setattr(eff, "TRUSTED_PACKED", {})
+    monkeypatch.setattr(eff, "TRUSTED", {})
     code, out, _ = run(capsys, "exc-check", "--fiber", "smooth")
     lines = out.splitlines()
     assert code == 1
@@ -300,7 +310,7 @@ def test_exc_check_reports_an_effective_class_as_a_failure(capsys, monkeypatch):
 
 def test_effective_prints_an_unresolved_verdict(capsys, monkeypatch):
     import burniat.effective as eff
-    monkeypatch.setattr(eff, "TRUSTED_PACKED", {})
+    monkeypatch.setattr(eff, "TRUSTED", {})
     code, out, _ = run(capsys, "effective", "--class", "(3; 0 00; 0 00; 0 00)")
     assert code == 0
     assert out == ("class (3; 0 00; 0 00; 0 00)\n"

@@ -167,3 +167,26 @@ def test_make_config_validation():
         make_config([("A0", "B1", "C1")])  # boundary curve in a point
     with pytest.raises(ValueError):
         make_config([("A1", "A2", "C1")])  # two curves of one letter
+
+
+@pytest.mark.parametrize("first, second, shared", [
+    (("A1", "B1", "C1"), ("A1", "B1", "C2"), "A1 and B1"),
+    (("A1", "B2", "C1"), ("A2", "B2", "C1"), "B2 and C1"),
+    (("A2", "B1", "C2"), ("C2", "B2", "A2"), "A2 and C2"),
+])
+def test_make_config_refuses_two_points_on_two_shared_curves(first, second, shared):
+    # two internal curves of different letters meet once, so two distinct
+    # points cannot both lie on both of them
+    assert CURVE_CLASS[shared[:2]].dot(CURVE_CLASS[shared[-2:]]) == 1
+    with pytest.raises(ValueError, match=f"both lie on {shared}, which meet once"):
+        make_config([first, second])
+    with pytest.raises(ValueError, match="which meet once"):
+        config_from_text(f"ksq = 4\npoint = {' '.join(first)}\n"
+                         f"point = {' '.join(second)}\n")
+
+
+def test_standard_configs_share_at_most_one_curve_per_pair():
+    for cfg in all_standard_configs():
+        assert make_config(list(cfg.points), cfg.variant) == cfg
+        for i, p in enumerate(cfg.points):
+            assert all(len(set(p) & set(q)) <= 1 for q in cfg.points[:i])

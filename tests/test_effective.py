@@ -22,10 +22,9 @@ from burniat.effective import (KX, TRUSTED, InS, InvalidEvidence, NonEffective,
                                prove_non_effective, s_membership, scan, step3_tables,
                                trusted_id, verdict_text)
 from burniat.lattice import YClass
-from burniat.picard import (MASK_BITS, GeneratorTable, NotARepresentableClass,
+from burniat.picard import (GeneratorTable, NotARepresentableClass,
                             TableInconsistent, XClass, _key, build_generator_table,
-                            pack, parse_xclass, torsion_subgroup, unpack,
-                            xclass_to_text)
+                            parse_xclass, torsion_subgroup, xclass_to_text)
 from burniat.verify import run_all
 
 T = build_generator_table(6)
@@ -61,7 +60,7 @@ def test_minimal_form_corner_class_unchanged():
     # zero pairings on A3, B3, C3 with trivial restrictions
     for f in ("A3", "B3", "C3"):
         assert T.to_y(x).dot(CURVE_CLASS[f]) == 0
-    assert T.labels(T.pack(x)) & 0b111111 == 0
+    assert T.labels(x) & 0b111111 == 0
 
 
 def test_trace_length_equals_degree_drop():
@@ -170,16 +169,15 @@ _A1_TWICE_LESS_A2 = (0, 2, -1) + (0,) * 9
 def test_maps_to_refuses_every_raised_multiplicity():
     x = KX + T.phi({"A0": 1, "B1": 2})
     cert = s_membership(T, x).certificate
-    p = T.pack(x)
-    assert T.maps_to(cert, p)
+    assert T.maps_to(cert, x)
     for i in range(len(GENERATORS)):
-        assert not T.maps_to(cert[:i] + (cert[i] + 1,) + cert[i + 1:], p)
+        assert not T.maps_to(cert[:i] + (cert[i] + 1,) + cert[i + 1:], x)
     # 2 A1 - A2 re-sums to its class, but a negative entry is no certificate
-    assert not T.maps_to(_A1_TWICE_LESS_A2, T.pack(T.phi({"A1": 2, "A2": -1})))
+    assert not T.maps_to(_A1_TWICE_LESS_A2, T.phi({"A1": 2, "A2": -1}))
     # a short or long tuple is refused, not truncated
     for wrong_length in (cert[:11], cert + (0,)):
         with pytest.raises(ValueError, match="12 entries"):
-            T.maps_to(wrong_length, p)
+            T.maps_to(wrong_length, x)
 
 
 def test_s_membership_refuses_a_certificate_with_a_negative_entry(monkeypatch):
@@ -228,6 +226,12 @@ def scan12():
 
 def test_scan12_text_unchanged(scan12):
     assert hashlib.sha256(scan12.to_text().encode()).hexdigest() == SCAN12_SHA256
+
+
+def test_scan12_classes_round_trip_through_their_text(scan12):
+    for r in scan12.records:
+        text = str(r.x)
+        assert parse_xclass(text) == r.x and str(parse_xclass(text)) == text
 
 
 # sha256 of both exc-check reports, the torsion_subgroup rows of the six
@@ -343,7 +347,7 @@ def test_first_step_memo_is_kept_per_table(scan8):
     q10 = lit("(3; 1 10; 1 10; 1 10)")
     assert minimal_form(T, q10)[1].steps == ()
     table = GeneratorTable(standard_config(6))
-    k = _key(table.pack(q10))
+    k = _key(q10)
     table._labels3 = (table._labels3[:k] + (table._labels3[k] | 0b01_00_00,)
                       + table._labels3[k + 1:])
     assert minimal_form(table, q10)[1].steps[0] == ReductionStep("A3", "torsion")
@@ -360,20 +364,24 @@ def test_trusted_classes_are_minimal_and_used(scan12):
         verdicts += [row.canonical for row in rep.selfs]
         reached.update(xclass_to_text(v.trace.final) for v in verdicts
                        if isinstance(v, NonEffective) and v.base.startswith("trusted:"))
-    assert set(TRUSTED) <= reached
-    for text in TRUSTED:
-        assert is_minimal(T, lit(text))
+    assert {xclass_to_text(x) for x in TRUSTED} <= reached
+    for x in TRUSTED:
+        assert is_minimal(T, x)
 
 
 def test_trusted_id_agrees_with_the_literals_and_their_twists():
-    # the packed lookup names exactly the three literals, and none of their
-    # 63 nonzero torsion twists
-    for text, tid in TRUSTED.items():
+    # the lookup names exactly the three literals, and none of their 63
+    # nonzero torsion twists
+    texts = {"(3; 1 10; 1 10; 1 10)": "Q10", "(3; 0 00; 0 00; 0 00)": "H00",
+             "(6; 1 00; 1 00; 1 00)": "KX"}
+    assert {xclass_to_text(x): tid for x, tid in TRUSTED.items()} == texts
+    for text, tid in texts.items():
         x = lit(text)
         assert trusted_id(x) == tid
         for twist in range(1, 64):
-            twisted = XClass(x.d, x.r0, x.r1, x.r2, x.mask ^ twist)
-            assert trusted_id(twisted) == TRUSTED.get(xclass_to_text(twisted)) is None
+            twisted = x._replace(mask=x.mask ^ twist)
+            assert trusted_id(twisted) is None
+            assert xclass_to_text(twisted) not in texts
 
 
 # --- evidence checks under python -O ----------------------------------------------
@@ -415,7 +423,7 @@ def test_forged_evidence_rejected_under_optimize():
                                            "certificate rejected"]
 
 
-FORGERIES_ON_PACKED_CLASSES = """
+FORGERIES_ON_LABELS_AND_ENDS = """
 import burniat.effective as eff
 from burniat.config import standard_config
 from burniat.picard import GeneratorTable, _key, parse_xclass
@@ -424,7 +432,7 @@ from burniat.picard import GeneratorTable, _key, parse_xclass
 def corrupt_q10(T):
     # Q10 seems to restrict to A3 with label 01 (the labels tuple is
     # immutable, so the table gets a new one)
-    k = _key(T.pack(q10))
+    k = _key(q10)
     T._labels3 = T._labels3[:k] + (T._labels3[k] | 0b01_00_00,) + T._labels3[k + 1:]
 
 
@@ -469,7 +477,7 @@ print("cli exit", code, "verdict" in out.getvalue())
 
 def test_forged_packed_evidence_rejected_under_optimize():
     src = str(Path(burniat.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", FORGERIES_ON_PACKED_CLASSES],
+    proc = subprocess.run([sys.executable, "-O", "-c", FORGERIES_ON_LABELS_AND_ENDS],
                           capture_output=True, text=True, timeout=120, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.splitlines() == ["debug False", "corrupted labels rejected",
@@ -490,8 +498,9 @@ def test_no_assert_statements_in_the_library():
 def test_every_public_name_is_used_by_the_library():
     # a public function, class or method that no other part of the library
     # refers to exists only for its tests; table_to_text writes the --table
-    # files that the README documents
-    allowed = {"table_to_text"}
+    # files that the README documents, and from_y builds the classes of the
+    # benchmark's decide stream
+    allowed = {"table_to_text", "from_y"}
     package = Path(burniat.__file__).resolve().parent
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(package.glob("*.py"))}
@@ -556,8 +565,8 @@ def test_step3_lists_a_failing_twist_and_shift(monkeypatch):
 # --- exceptional induction ----------------------------------------------------------
 
 def _minimal_lift_of(ycls):
-    for bits in MASK_BITS:
-        x = T.from_y(ycls, bits)
+    for mask in range(64):
+        x = XClass(*ycls.coeffs, mask)
         if is_minimal(T, x):
             return x
     raise AssertionError("no minimal lift")
@@ -625,7 +634,7 @@ def test_unresolved_is_reported_not_dropped(monkeypatch):
     # with the trusted list emptied, a minimal non-member must surface as
     # Unresolved carrying its trace and chi (never a silent pass or fail)
     import burniat.effective as eff
-    monkeypatch.setattr(eff, "TRUSTED_PACKED", {})
+    monkeypatch.setattr(eff, "TRUSTED", {})
     reduced = []
     real_minimal_form = eff.minimal_form
 
@@ -676,7 +685,7 @@ def test_decide_reduces_at_most_once(monkeypatch):
 def test_stray_exceptional_part_refused_on_k6():
     # before and after a scan the table refuses the class
     table = GeneratorTable(standard_config(6))
-    x = lit("(3; 0 00; 0 00; 0 00; 5)")
+    x = lit("(4; 0 00; 0 00; 0 00; 5)")
     with pytest.raises(NotARepresentableClass):
         decide(table, x)
     scan(table, 3)
@@ -690,12 +699,11 @@ def test_validate_does_not_read_the_label_table():
     # restriction from preimage_combo and must reject the trace
     table = GeneratorTable(standard_config(6))
     q10 = lit("(3; 1 10; 1 10; 1 10)")
-    p = table.pack(q10)
-    assert symmetric_coords(p[:4])[4] == 0 and table.labels(p) >> 4 & 3 == 0
-    k = _key(p)
+    assert symmetric_coords(q10[:4])[4] == 0 and table.labels(q10) >> 4 & 3 == 0
+    k = _key(q10)
     table._labels3 = (table._labels3[:k] + (table._labels3[k] | 0b01_00_00,)
                       + table._labels3[k + 1:])  # A3 label 01
-    assert table.labels(p) >> 4 & 3 == 0b01
+    assert table.labels(q10) >> 4 & 3 == 0b01
     with pytest.raises(InvalidEvidence, match="A3"):
         scan(table, 3)
 
@@ -716,7 +724,7 @@ def test_validate_labels_agree_with_the_label_table_on_every_key():
     # two derivations of the labels on A3, B3, C3: validate's memo reads
     # column on a preimage combo, labels reads the 1,024-entry table
     for key in range(1024):
-        p = (key >> 9, key >> 8 & 1, key >> 7 & 1, key >> 6 & 1, key & 63)
+        p = XClass(key >> 9, key >> 8 & 1, key >> 7 & 1, key >> 6 & 1, key & 63)
         assert _key(p) == key
         assert _key_labels3(T, key) == T.labels(p) & 63
 
@@ -731,6 +739,18 @@ def test_validate_labels_are_kept_per_table():
     with pytest.raises(InvalidEvidence, match="A3"):
         scan(table, 2)
     assert scan(T, 6).to_text() == before
+
+
+def test_validate_refuses_a_final_class_with_an_exceptional_part():
+    # the end of the steps is a K^2 = 6 class, so a final class with an
+    # exceptional part compares unequal to it and the trace is refused
+    x = T.phi({"A0": 2})
+    final, trace = minimal_form(T, x)
+    stray = final._replace(ns=(0,))
+    assert stray[:5] == final[:5] and stray.d == final.d
+    with pytest.raises(InvalidEvidence, match=r"^trace ends at \(0; 0 00; 0 00; 0 00\), "
+                                              r"not at \(0; 0 00; 0 00; 0 00; 0\)$"):
+        ReductionTrace(x, trace.steps, stray).validate(T)
 
 
 def test_validate_accepts_justified_steps_in_another_order():
@@ -752,11 +772,10 @@ def test_validate_refuses_a_forged_start_on_a_memoised_key():
     trace = minimal_form(T, x)[1]
     assert trace.steps == (ReductionStep("A3", "torsion"),)
     trace.validate(T)
-    p = T.pack(x)
-    forged = (p[0] + 2, *p[1:])  # x + 2h
-    assert _key(forged) == _key(p) and symmetric_coords(forged[:4])[4] != 0
+    forged = x._replace(nh=x.nh + 2)  # x + 2h
+    assert _key(forged) == _key(x) and symmetric_coords(forged[:4])[4] != 0
     hits = _key_labels3.cache_info().hits
-    start, final = unpack(forged), unpack(forged) - T.phi({"A3": 1})
+    start, final = forged, forged - T.phi({"A3": 1})
     with pytest.raises(InvalidEvidence, match="not justified"):
         ReductionTrace(start, trace.steps, final).validate(T)
     assert _key_labels3.cache_info().hits == hits + 1
@@ -768,13 +787,13 @@ def test_table_is_not_changed_by_use():
     table = GeneratorTable(standard_config(6))
     before = copy.deepcopy(vars(table))
     scan(table, 3)
-    for text in TRUSTED:
-        decide(table, lit(text))
+    for x in TRUSTED:
+        decide(table, x)
     decide(table, lit("(9; 1 01; 2 10; 3 11)"))
     assert vars(table) == before
-    # labels is the K^2 = 6 model, as pack is
+    # labels is the K^2 = 6 model, as every query through require_k6 is
     with pytest.raises(NotARepresentableClass):
-        build_generator_table(5).labels((1, 0, 0, 0, 0))
+        build_generator_table(5).labels(XClass(1, 0, 0, 0, 0))
 
 
 def test_a_certificate_for_a_trusted_class_is_refused(monkeypatch):
@@ -783,7 +802,7 @@ def test_a_certificate_for_a_trusted_class_is_refused(monkeypatch):
     import burniat.effective as eff
     a1 = lit("(2; 0 00; 1 01; 0 00)")
     assert T.phi({"A1": 1}) == a1
-    monkeypatch.setattr(eff, "TRUSTED_PACKED", {**eff.TRUSTED_PACKED, pack(a1): "A1"})
+    monkeypatch.setattr(eff, "TRUSTED", {**eff.TRUSTED, a1: "A1"})
     with pytest.raises(TableInconsistent, match="received certificate"):
         s_membership(T, a1)
 
@@ -794,7 +813,7 @@ def test_a_trusted_base_case_in_s_is_refused(monkeypatch):
     # A0 non-effective
     import burniat.effective as eff
     zero = T.phi({})
-    monkeypatch.setattr(eff, "TRUSTED_PACKED", {**eff.TRUSTED_PACKED, pack(zero): "ZERO"})
+    monkeypatch.setattr(eff, "TRUSTED", {**eff.TRUSTED, zero: "ZERO"})
     assert minimal_form(T, T.phi({"A0": 1}))[0] == zero
     with pytest.raises(TableInconsistent, match="is in S"):
         prove_non_effective(T, T.phi({"A0": 1}))

@@ -12,11 +12,11 @@ from burniat.effective import KX
 from burniat.lattice import YClass, canonical_class, subgroup_index
 from burniat.picard import (GeneratorTable, MASK_BITS,
                             NotARepresentableClass, TableInconsistent, VEC,
-                            VEC_COMBO, XClass, _ints, _torsion_solution,
-                            build_generator_table, pack,
+                            VEC_COMBO, XClass, _torsion_solution,
+                            build_generator_table,
                             parse_xclass, picard_image_index, point_vector,
                             table_override_from_text, table_to_text,
-                            torsion_subgroup, unpack, xclass_to_text)
+                            torsion_subgroup, xclass_to_text)
 
 T6 = build_generator_table(6)
 
@@ -116,7 +116,7 @@ def test_table_text_round_trip():
     rebuilt = GeneratorTable(standard_config(6), override)
     assert rebuilt.block == T6.block
     x = T6.phi({"C0": 1})
-    assert rebuilt.labels(rebuilt.pack(x)) == T6.labels(T6.pack(x))
+    assert rebuilt.labels(x) == T6.labels(x)
     with pytest.raises(ValueError):
         table_override_from_text("A9 B0 1 00")
     with pytest.raises(ValueError):
@@ -240,10 +240,13 @@ def test_rows_are_the_strict_transforms_and_their_masks(case):
     for g in GENERATORS:
         mask = sum(table.block[g, f][1] << 4 - 2 * i
                    for i, f in enumerate(("A0", "B0", "C0")))
-        assert table.rows[g] == (*cfg.strict_transform(g).coeffs, mask)
+        row = table.rows[g]
+        assert (*row[:4], *row.ns) == cfg.strict_transform(g).coeffs
+        assert row.mask == mask
     e_labels = [f"E{s}" for s in range(table.k)]
     for s, e in enumerate(e_labels):
-        assert table.rows[e] == (*(2 * cfg.exceptional(s)).coeffs, 0)
+        row = table.rows[e]
+        assert (*row[:4], *row.ns) == (2 * cfg.exceptional(s)).coeffs and row.mask == 0
     assert list(table.rows) == [*GENERATORS, *e_labels]
 
 
@@ -258,9 +261,9 @@ def test_phi_of_each_row_matches_the_block_sums():
                     reference_phi(table, {g: c}), (case, g, c)
 
 
-def test_ints_is_the_lattice_pairing_of_a_row():
-    # the unrolled 5-tuple branch and the branch for longer rows against the
-    # pairings with -K, e_1, e_2, e_3 and the E_s
+def test_printed_coordinates_are_the_lattice_pairings_of_a_row():
+    # d, r0, r1, r2 and emult of a class with and without an exceptional
+    # part against its pairings with -K, e_1, e_2, e_3 and the E_s
     rng = random.Random(43)
     for k in range(5):
         cfg = make_config([("A1", "B1", "C1"), ("A1", "B2", "C2"),
@@ -269,7 +272,8 @@ def test_ints_is_the_lattice_pairing_of_a_row():
         for _ in range(300):
             y = YClass(tuple(rng.randint(-50, 50) for _ in range(4 + k)))
             mask = rng.randrange(64)
-            assert _ints((*y.coeffs, mask)) == (
+            x = XClass(*y.coeffs[:4], mask, y.coeffs[4:])
+            assert (x.d, x.r0, x.r1, x.r2, x.mask, x.emult) == (
                 y.dot(minus_k), *(y.dot(cfg.lattice.e(i)) for i in (1, 2, 3)), mask,
                 tuple(y.dot(cfg.exceptional(s)) for s in range(k)))
 
@@ -312,8 +316,7 @@ def combo_path_restrictions(table, x):
 
 def fast_path_restrictions(table, x):
     """The same pair as the fast path reads it: symmetric_coords and labels."""
-    p = table.pack(x)
-    return symmetric_coords(p[:4])[1:], table.labels(p)
+    return symmetric_coords(x[:4])[1:], table.labels(x)
 
 
 def test_restrictions_match_the_combo_path_on_every_key():
@@ -334,9 +337,9 @@ def test_labels_are_additive():
     # degrees of a sum add and its labels XOR
     rng = random.Random(19)
     for _ in range(20000):
-        p = (*(rng.randint(-40, 40) for _ in range(4)), rng.randrange(64))
-        q = (*(rng.randint(-40, 40) for _ in range(4)), rng.randrange(64))
-        total = (*(a + b for a, b in zip(p[:4], q[:4])), p[4] ^ q[4])
+        p = XClass(*(rng.randint(-40, 40) for _ in range(4)), rng.randrange(64))
+        q = XClass(*(rng.randint(-40, 40) for _ in range(4)), rng.randrange(64))
+        total = XClass(*(a + b for a, b in zip(p[:4], q[:4])), p.mask ^ q.mask)
         assert T6.labels(total) == T6.labels(p) ^ T6.labels(q)
 
 
@@ -363,7 +366,7 @@ def test_restriction_independent_of_preimage(combo, other, mult):
 def test_restrict_examples():
     # pairings with A0, B0, C0, A3, B3, C3 and the labels, A0 bits first;
     # the mask of bits 10 is 2
-    c0, a1, zero = (T6.pack(T6.phi(combo)) for combo in ({"C0": 1}, {"A1": 1}, {}))
+    c0, a1, zero = (T6.phi(combo) for combo in ({"C0": 1}, {"A1": 1}, {}))
     assert symmetric_coords(c0[:4])[4] == 1 and T6.labels(c0) >> 4 & 3 == 2
     assert symmetric_coords(a1[:4])[1] == 0 and T6.labels(a1) >> 10 == 0
     assert symmetric_coords(zero[:4])[5] == 0 and T6.labels(zero) == 0
@@ -377,9 +380,8 @@ def test_restrict_well_defined_on_random_combos():
         combo = {g: rng.randint(-2, 2) for g in GENERATORS}
         x = T6.phi(combo)
         direct = [T6.column(combo, f) for f in ("A3", "B3", "C3")]
-        p = T6.pack(x)
-        derived = [(deg, T6.labels(p) >> 4 - 2 * k & 3)
-                   for k, deg in enumerate(symmetric_coords(p[:4])[4:])]
+        derived = [(deg, T6.labels(x) >> 4 - 2 * k & 3)
+                   for k, deg in enumerate(symmetric_coords(x[:4])[4:])]
         assert direct == derived
 
 
@@ -403,10 +405,10 @@ def test_intersect_x_is_the_lattice_pairing():
 
 def test_to_y_congruence_error():
     with pytest.raises(NotARepresentableClass):
-        T6.to_y(XClass(1, 0, 0, 0, 0))
+        T6.to_y(parse_xclass("(1; 0 00; 0 00; 0 00)"))
     # K^2 = 6 classes have no exceptional part
     with pytest.raises(NotARepresentableClass):
-        T6.labels(T6.pack(parse_xclass("(3; 0 00; 0 00; 0 00; 5)")))
+        T6.labels(parse_xclass("(4; 0 00; 0 00; 0 00; 5)"))
 
 
 # --- torsion and indices ------------------------------------------------------
@@ -478,8 +480,8 @@ def test_canonical_lift_torsion_class():
 
 def test_xclass_text_round_trip():
     # the mask holds the A0 label in its top bits and each label's first digit
-    # above its second: the order of TRUSTED_PACKED and of the scan records
-    assert parse_xclass("(3; 1 10; 1 10; 1 10)") == XClass(3, 1, 1, 1, 0b101010)
+    # above its second: the order of the scan records
+    assert parse_xclass("(3; 1 10; 1 10; 1 10)") == XClass(2, -1, -1, -1, 0b101010)
     assert parse_xclass("(0; 0 10; 0 00; 0 01)") == XClass(0, 0, 0, 0, 0b100001)
     rng = random.Random(23)
     for _ in range(100):
@@ -489,7 +491,7 @@ def test_xclass_text_round_trip():
 
 
 def test_xclass_parse_with_emult():
-    x = XClass(2, 0, 0, 0, 0, (-2, 0))
+    x = XClass(0, 0, 0, 0, 0, (2, 0))
     text = xclass_to_text(x)
     assert text == "(2; 0 00; 0 00; 0 00; -2,0)"
     assert parse_xclass(text) == x
@@ -500,7 +502,7 @@ def test_xclass_text_every_mask_and_sign():
     # for all 64 masks, negative block degrees and a K^2 < 6 exceptional part
     for mask in range(64):
         labels = f"{mask:06b}"
-        for x in (XClass(-7, -3, 0, -12, mask), XClass(5, 2, -1, 4, mask, (1, -2, 0))):
+        for x in (XClass(-3, 3, 0, 12, mask), XClass(3, -2, 1, -4, mask, (-1, 2, 0))):
             text = xclass_to_text(x)
             want = (f"({x.d}; {x.r0} {labels[:2]}; {x.r1} {labels[2:4]}; "
                     f"{x.r2} {labels[4:]}")
@@ -508,6 +510,26 @@ def test_xclass_text_every_mask_and_sign():
             assert parse_xclass(text) == x
     x = build_generator_table(5).phi({"A1": 1, "B3": -2, "E0": 1})
     assert x.emult and parse_xclass(xclass_to_text(x)) == x
+
+
+@pytest.mark.parametrize("case", STANDARD_CASES[1:])
+def test_phi_images_round_trip_through_their_text(case):
+    # the K^2 < 6 tables, whose classes carry an exceptional part
+    table, rng = TABLES[case], random.Random(47)
+    labels = [*GENERATORS, *(f"E{s}" for s in range(table.k))]
+    for _ in range(200):
+        x = table.phi({g: rng.randint(-3, 3) for g in labels})
+        text = str(x)
+        assert x.ns and parse_xclass(text) == x and str(parse_xclass(text)) == text
+
+
+def test_parse_xclass_refuses_a_failed_congruence():
+    # d + r0 + r1 + r2 + sum(emult) is 3 n_h for every class of Y'
+    for text in ("(1; 0 00; 0 00; 0 00)", "(3; 1 10; 1 10; 2 11; 0)",
+                 "(3; 0 00; 0 00; 0 00; 5)", "(-2; -1 00; 0 00; 0 00; -5,1)"):
+        with pytest.raises(NotARepresentableClass, match="congruence fails"):
+            parse_xclass(text)
+    assert parse_xclass("(4; 0 00; 0 00; 0 00; 5)") == XClass(3, 0, 0, 0, 0, (-5,))
 
 
 def test_xclass_parse_rejects():
@@ -525,7 +547,7 @@ def test_xclass_refuses_a_mask_outside_six_bits():
 
 
 def test_xclass_arithmetic_refuses_exceptional_parts_of_different_lengths():
-    stray = parse_xclass("(3; 0 00; 0 00; 0 00; 5)")
+    stray = parse_xclass("(4; 0 00; 0 00; 0 00; 5)")
     with pytest.raises(ValueError):
         KX - stray  # K^2 = 6 has no exceptional part; zip dropped the 5
     with pytest.raises(ValueError):
@@ -533,8 +555,8 @@ def test_xclass_arithmetic_refuses_exceptional_parts_of_different_lengths():
     a0 = build_generator_table(5).phi({"A0": 1})
     with pytest.raises(ValueError):
         a0 - parse_xclass("(3; 0 00; 0 00; 0 00; 5,1)")
-    assert a0 - parse_xclass("(3; 0 00; 0 00; 0 00; 5)") == \
-        parse_xclass("(-2; -1 00; 0 00; 0 00; -5)")
+    assert a0 - parse_xclass("(4; 0 00; 0 00; 0 00; 5)") == \
+        parse_xclass("(-3; -1 00; 0 00; 0 00; -5)")
 
 
 def test_pushforward_pullback_identity():
@@ -548,31 +570,30 @@ def test_pushforward_pullback_identity():
         assert T6.from_y(T6.to_y(x), MASK_BITS[x.mask]) == x
 
 
-# --- packed classes -------------------------------------------------------------
+# --- the K^2 = 6 model -----------------------------------------------------------
 
-def test_pack_round_trip_on_random_classes():
+def test_from_y_round_trip_on_random_classes():
     rng = random.Random(37)
     for _ in range(500):
         y = YClass(tuple(rng.randint(-40, 40) for _ in range(4)))
         mask = rng.randrange(64)
         x = T6.from_y(y, MASK_BITS[mask])
-        p = T6.pack(x)
-        assert p == (*y.coeffs, mask) == pack(x)
-        assert unpack(p) == x and x.mask == mask
+        assert x == XClass(*y.coeffs, mask) and x[:5] == (*y.coeffs, mask)
+        assert T6.require_k6(x) is x and x.mask == mask
         assert T6.to_y(x) == y
 
 
-def test_pack_refusals():
+def test_require_k6_refusals():
     # an exceptional part, a failed congruence, and a table with K^2 != 6:
-    # each query of the packed model refuses it instead of answering with
+    # each query of the K^2 = 6 model refuses it instead of answering with
     # K^2 = 6 results
     with pytest.raises(NotARepresentableClass, match="exceptional part"):
-        T6.pack(parse_xclass("(3; 0 00; 0 00; 0 00; 5)"))
+        T6.require_k6(parse_xclass("(4; 0 00; 0 00; 0 00; 5)"))
     with pytest.raises(NotARepresentableClass, match="congruence"):
-        T6.pack(parse_xclass("(1; 0 00; 0 00; 0 00)"))
+        T6.require_k6(parse_xclass("(1; 0 00; 0 00; 0 00)"))
     t5 = build_generator_table(5)
-    x, p = t5.phi({"A0": 1}), (1, 0, 0, 0, 0)
-    queries = (lambda: t5.pack(x), lambda: t5.to_y(x),
+    x, p = t5.phi({"A0": 1}), XClass(1, 0, 0, 0, 0)
+    queries = (lambda: t5.require_k6(p), lambda: t5.to_y(x),
                lambda: t5.from_y(YClass((1, 0, 0, 0))),
                lambda: t5.preimage_combo(x), lambda: t5.labels(p),
                lambda: t5.maps_to((1,) + (0,) * 11, p))
@@ -581,9 +602,9 @@ def test_pack_refusals():
             query()
 
 
-def test_rows_are_the_packed_generator_images():
+def test_rows_are_the_generator_images():
     for g in GENERATORS:
-        assert T6.rows[g] == T6.pack(T6.phi({g: 1}))
+        assert T6.rows[g] == T6.phi({g: 1})
         one = tuple(int(h == g) for h in GENERATORS)
         assert T6.maps_to(one, T6.rows[g])
         assert not T6.maps_to(tuple(2 * c for c in one), T6.rows[g])

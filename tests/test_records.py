@@ -4,7 +4,7 @@ import pytest
 from burniat.degeneration import SMOOTH, FiberContext, exceptional_collection_check
 from burniat.effective import KX, InS, ReductionStep, ReductionTrace, decide, scan
 from burniat.lattice import YClass
-from burniat.picard import XClass, build_generator_table, parse_xclass, unpack
+from burniat.picard import XClass, build_generator_table, parse_xclass
 
 
 def test_two_scans_do_not_share_a_records_list():
@@ -39,19 +39,21 @@ def test_records_refuse_attribute_assignment(record, attr):
 def test_equal_values_hash_equal():
     table = build_generator_table(6)
     x = parse_xclass("(9; 1 01; 2 10; 3 11)")
-    pairs = [(x, XClass(9, 1, 2, 3, 0b011011)),
+    pairs = [(x, XClass(5, -1, -2, -3, 0b011011)),
              (YClass((2, 1, 0, 0)), YClass((2, 1, 0, 0))),
              (decide(table, KX), decide(table, parse_xclass(str(KX)))),
              (FiberContext("smooth"), SMOOTH)]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)
-    assert x != XClass(9, 1, 2, 3, 0b011010)
+    assert x != XClass(5, -1, -2, -3, 0b011010)
 
 
 def test_an_xclass_never_equals_its_packed_tuple():
+    # the five entries (n_h, n_1, n_2, n_3, mask) without the exceptional
+    # part are no class: the tuple compares unequal to the class it names
     table = build_generator_table(6)
     for r in scan(table, 3).records:
-        assert r.x != table.pack(r.x) and unpack(table.pack(r.x)) == r.x
+        assert r.x != r.x[:5] and XClass(*r.x[:5]) == r.x
 
 
 def test_classes_do_not_repeat_as_tuples():
@@ -78,7 +80,7 @@ def test_validating_types_keep_their_checks():
         XClass(0, 0, 0, 0, 64)
     with pytest.raises(ValueError, match="unknown fibre kind 'generic'"):
         FiberContext("generic")
-    assert repr(XClass(1, 0, 0, 0, 3)) == "XClass(d=1, r0=0, r1=0, r2=0, mask=3, emult=())"
+    assert repr(XClass(1, 0, 0, 0, 3)) == "XClass(nh=1, n1=0, n2=0, n3=0, mask=3, ns=())"
     assert repr(SMOOTH) == "FiberContext(kind='smooth')"
 
 
