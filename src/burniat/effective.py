@@ -159,6 +159,14 @@ class InS(NamedTuple):
         return {g: c for g, c in zip(GENERATORS, self.certificate) if c}
 
 
+def _checked_ins(table: GeneratorTable, cert: tuple[int, ...], x: XClass) -> InS:
+    """InS(cert) once the table re-sums cert to x, checked without assert."""
+    if not table.maps_to(cert, x):
+        raise InvalidEvidence(f"certificate {InS(cert).as_dict()} is not a "
+                              f"nonnegative combination re-summing to {x}")
+    return InS(cert)
+
+
 class NonEffective(NamedTuple):
     trace: ReductionTrace
     base: str  # "negative-degree" or "trusted:<id>"
@@ -351,10 +359,7 @@ def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
     cert = effective_lifts(table.require_k6(x)[:4]).get(x.mask)
     if cert is None:
         return None
-    verdict = InS(cert)
-    if not table.maps_to(cert, x):
-        raise InvalidEvidence(f"certificate {verdict.as_dict()} is not a "
-                              f"nonnegative combination re-summing to {x}")
+    verdict = _checked_ins(table, cert, x)
     if x in TRUSTED:
         raise TableInconsistent(
             f"trusted class {x} received certificate {verdict.as_dict()}")
@@ -582,12 +587,7 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
                 if sub is not None:
                     cert = list(sub.certificate)
                     cert[GENERATORS.index(gen)] += 1
-                    out = InS(tuple(cert))
-                    if not table.maps_to(out.certificate, p):
-                        raise InvalidEvidence(
-                            "induction certificate is not a nonnegative "
-                            f"combination re-summing to {p}")
-                    return out
+                    return _checked_ins(table, tuple(cert), p)
         return None
 
     verdict = resolve(x, et)

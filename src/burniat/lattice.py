@@ -31,12 +31,10 @@ class YClass(NamedTuple):
         return len(self.coeffs) - 1
 
     def __add__(self, other: "YClass") -> "YClass":
-        self._check(other)
-        return YClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "YClass") -> "YClass":
-        self._check(other)
-        return YClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __radd__(self, other: object) -> "YClass":
         # tuple + YClass would concatenate: the reflected sum runs first
@@ -58,6 +56,11 @@ class YClass(NamedTuple):
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
+
+    def _combine(self, other: "YClass", sign: int) -> "YClass":
+        """self + sign * other."""
+        self._check(other)
+        return YClass(tuple(a + sign * b for a, b in zip(self.coeffs, other.coeffs)))
 
     def _check(self, other: "YClass") -> None:
         if not isinstance(other, YClass):

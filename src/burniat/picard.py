@@ -140,33 +140,31 @@ class XClass(_XClassFields):
         return tuple(-n for n in self.ns)
 
     def __add__(self, other: "XClass") -> "XClass":
-        _check_operand(self, other)
-        return XClass(self.nh + other.nh, self.n1 + other.n1, self.n2 + other.n2,
-                      self.n3 + other.n3, self.mask ^ other.mask,
-                      tuple(a + b for a, b in zip(self.ns, other.ns)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "XClass") -> "XClass":
-        _check_operand(self, other)
-        return XClass(self.nh - other.nh, self.n1 - other.n1, self.n2 - other.n2,
-                      self.n3 - other.n3, self.mask ^ other.mask,
-                      tuple(a - b for a, b in zip(self.ns, other.ns)))
+        return self._combine(other, -1)
 
     def __radd__(self, other: object) -> "XClass":
         # tuple + XClass would concatenate: the reflected sum runs first
         raise TypeError(f"an XClass combines only with an XClass, "
                         f"not {type(other).__name__}")
 
+    def _combine(self, other: "XClass", sign: int) -> "XClass":
+        """self + sign * other; masks XOR whatever the sign."""
+        if not isinstance(other, XClass):
+            raise TypeError(f"an XClass combines only with an XClass, "
+                            f"not {type(other).__name__}")
+        # zip would silently truncate the longer exceptional part
+        if len(self.ns) != len(other.ns):
+            raise ValueError(f"{self} and {other} have exceptional parts of different lengths")
+        nh, n1, n2, n3, mask, ns = other
+        return XClass(self.nh + sign * nh, self.n1 + sign * n1, self.n2 + sign * n2,
+                      self.n3 + sign * n3, self.mask ^ mask,
+                      tuple(a + sign * b for a, b in zip(self.ns, ns)))
+
     def __str__(self) -> str:
         return xclass_to_text(self)
-
-
-def _check_operand(x: XClass, y: XClass) -> None:
-    if not isinstance(y, XClass):
-        raise TypeError(f"an XClass combines only with an XClass, "
-                        f"not {type(y).__name__}")
-    # zip would silently truncate the longer exceptional part
-    if len(x.ns) != len(y.ns):
-        raise ValueError(f"{x} and {y} have exceptional parts of different lengths")
 
 
 # _LABEL_TEXT[m] is the 2-bit label m as printed
@@ -305,9 +303,14 @@ class GeneratorTable:
         self.rows = {g: XClass(*y[:4], mask, y[4:]) for g, y, mask in rows}
         # the 6-bit mask of each generator's labels on A3, B3, C3
         self.labels3_rows = {g: six_labels[g] & 63 for g in GENERATORS}
+        # each row of phi as integers (d, emult, block degrees, mask bits),
+        # then the bits of its label mask on A3, B3, C3, 0 on the E_s rows
+        index_rows = [(x.d, *x.emult, x.r0, x.r1, x.r2, *MASK_BITS[x.mask],
+                       *MASK_BITS[self.labels3_rows.get(g, 0)])
+                      for g, x in self.rows.items()]
         # index of the image of phi; check (c) refuses an infinite one
-        self.image_index = subgroup_index(self._index_rows(), 6)
-        self._check_consistency()
+        self.image_index = subgroup_index([row[:-6] for row in index_rows], 6)
+        self._check_consistency(index_rows)
         if not self.k:  # key (see _key) -> 6-bit mask of the A3, B3, C3 labels
             labels = {0: 0}
             for g, m3 in self.labels3_rows.items():
@@ -325,25 +328,20 @@ class GeneratorTable:
     def _row_sum(self, terms: Iterable[tuple[str, int]]) -> XClass:
         """The combination c * rows[g] over (g, c); odd c XOR masks."""
         rows = self.rows
-        if self.k:
-            total, mask = [0] * (4 + self.k), 0
-            for g, c in terms:
-                nh, n1, n2, n3, gmask, ns = rows[g]
-                total = [a + c * b for a, b in zip(total, (nh, n1, n2, n3, *ns))]
-                if c & 1:
-                    mask ^= gmask
-            return XClass(*total[:4], mask, tuple(total[4:]))
-        nh = n1 = n2 = n3 = mask = 0  # K^2 = 6 rows, unrolled for the hot path
+        nh = n1 = n2 = n3 = mask = 0
+        ns = (0,) * self.k
         for g, c in terms:
             if c:
-                gh, g1, g2, g3, gmask, _ = rows[g]
+                gh, g1, g2, g3, gmask, gns = rows[g]
                 nh += c * gh
                 n1 += c * g1
                 n2 += c * g2
                 n3 += c * g3
                 if c & 1:
                     mask ^= gmask
-        return XClass(nh, n1, n2, n3, mask)
+                if gns:  # the E_s rows and the K^2 < 6 strict transforms
+                    ns = tuple(a + c * b for a, b in zip(ns, gns))
+        return XClass(nh, n1, n2, n3, mask, ns)
 
     def column(self, combo: dict[str, int], f: str) -> tuple[int, int]:
         """(deg, 2-bit mask) of the restriction of a generator combination to
@@ -412,19 +410,7 @@ class GeneratorTable:
 
     # -- consistency suite ----------------------------------------------------
 
-    def _index_rows(self, derived: bool = False) -> list[tuple[int, ...]]:
-        """Each row of phi as integers (d, emult, block degrees, mask bits);
-        with derived, also the bits of its label mask on A3, B3, C3, which
-        are 0 on the E_s rows."""
-        rows = []
-        for g, x in self.rows.items():
-            row = (x.d, *x.emult, x.r0, x.r1, x.r2, *MASK_BITS[x.mask])
-            if derived:
-                row += MASK_BITS[self.labels3_rows.get(g, 0)]
-            rows.append(row)
-        return rows
-
-    def _check_consistency(self) -> None:
+    def _check_consistency(self, index_rows: list[tuple[int, ...]]) -> None:
         # (d) block degrees match lattice pairings
         for g in GENERATORS:
             sg = self.cfg.strict_transform(g)
@@ -450,7 +436,7 @@ class GeneratorTable:
         # (b) the derived masks on A3, B3, C3 vanish on ker phi, and so the
         # maps are well defined (their degrees are lattice pairings by (d)),
         # exactly when appending them multiplies the image index by 2^6
-        if subgroup_index(self._index_rows(derived=True), 12) != 64 * index:
+        if subgroup_index(index_rows, 12) != 64 * index:
             raise TableInconsistent(
                 "the restrictions to A3, B3, C3 are not well defined on the image of phi")
         # (e) the filling rule's labels: 00 on a curve that a generator misses
