@@ -22,13 +22,13 @@ has three layers:
   returned as Unresolved, with its trace.
 
 decide is s_membership, else prove_non_effective: one reduction at most.
-Every verdict's evidence is checked where the verdict is made:
-s_membership checks through the table (maps_to) that its certificate
-tuple is nonnegative and re-sums to x, exceptional_induction checks each
-certificate it builds alike, and
-prove_non_effective, the only constructor of NonEffective, re-validates the
-reduction trace step by step before it returns.  Those checks raise
-InvalidEvidence explicitly, so they also run under ``python -O``.
+Every verdict's evidence is checked where the verdict is made.
+s_membership and exceptional_induction build every InS through one helper,
+_checked_ins, which checks through the table (maps_to) that the certificate
+tuple is nonnegative and re-sums to the class.  prove_non_effective, the
+only constructor of NonEffective, re-validates the reduction trace step by
+step before it returns.  Those checks raise InvalidEvidence explicitly, so
+they also run under ``python -O``.
 
 An XClass is a table row (see picard), so minimal_form, is_minimal,
 s_membership, ReductionTrace.validate and exceptional_induction carry the
@@ -51,8 +51,13 @@ Every memo in this module is a functools cache, so each reports its size
 and hits through cache_info().  The first step of a class depends only on
 the class and the table, so _first_step is cached on (table, class), and
 _key_labels3 on (table, key): the table stays read-only and a table built
-later starts cold.  exceptional_induction caches its recursion for one call
-only, since it reads s_membership through the module.
+later starts cold.  Both are bounded LRU caches, as is effective_lifts, at
+2^13, 2^11 and 2^10 entries, above the largest working sets measured for
+scan(12), the verify-all suite and a stream of decide calls (5,480, 721 and
+314).  An entry of a dropped table is evicted once that many later entries
+have filled its cache, and the table can then be freed.  _key_lifts needs
+no bound: its keys are at most 640.  exceptional_induction caches its
+recursion for one call only, since it reads s_membership through the module.
 
 scan builds lift mask of a numerical class y as XClass(*y, mask) and sets
 its minimal flag without another reduction.  y is nef, so its degree on
@@ -141,7 +146,7 @@ class ReductionTrace(NamedTuple):
             raise InvalidEvidence("trace length differs from its degree drop")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**11)
 def _key_labels3(table: GeneratorTable, key: int) -> int:
     """The 6-bit mask of the labels on A3, B3, C3 of every class with this
     key (see picard._key), read with column from the checked
@@ -198,7 +203,7 @@ def _minus(x: XClass, row: XClass) -> XClass:
 # Minimal form
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**13)
 def _first_step(table: GeneratorTable, p: XClass) -> tuple[ReductionStep, XClass] | None:
     """The first base-locus curve of p in the order A0, B0, C0, A3, B3, C3;
     None when p is minimal or has negative degree."""
@@ -304,7 +309,7 @@ def _triples(ycoeffs: tuple[int, ...]):
                         slack if slack < 10 else 8 + (slack & 1)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**10)
 def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
     """All torsion lifts of a numerical class that lie in S.
 

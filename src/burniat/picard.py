@@ -12,8 +12,9 @@ the 2-bit mask m = 2 * t[0] + t[1].  An XClass is the table row
 (nh, n1, n2, n3, mask, ns): a class on Y' with ns = (n_4, ...), empty for
 K^2 = 6, and the 6-bit mask of its labels on A0, B0, C0, A0 bits first.
 The printed coordinates are properties, and parse_xclass, the one way in
-for them, refuses a failed congruence.  Adding classes adds the integers and
-XORs the masks.  That 6-bit int is the one encoding of a torsion vector: the
+for them, refuses a failed congruence.  Adding or subtracting classes, one
+checked combine with a sign, adds or subtracts the integers and XORs the
+masks.  That 6-bit int is the one encoding of a torsion vector: the
 basis VEC, point_vector, torsion_subgroup and the GF(2) solves of linalg use
 it as well (MASK_BITS spells a mask as a 0/1 tuple only for the integer
 rows whose indices the consistency suite compares).
@@ -42,13 +43,17 @@ boundary curve that do not carry 00, 01, 10 and 11 once each.
 
 The table holds one XClass per curve, rows: a generator's strict
 transform and the mask of its labels on A0, B0, C0, and 2E_s under the
-label E{s} with mask 0, so phi is a sum of rows.  Every K^2 = 6 query of
-GeneratorTable (to_y, from_y, preimage_combo, labels, maps_to) goes through
-require_k6, which refuses a table with K^2 != 6 and a class with an
-exceptional part.  Check (d) ties the block degrees to the lattice, so
-every table that constructs has the same phi.  preimage_combo corrects
-torsion bits against the constant basis VEC, so its GF(2) solve has 64
-targets and is memoised; every call checks its combo.
+label E{s} with mask 0, so phi is a sum of rows.  One loop sums rows for
+every K^2; it adds up ns only on a row that has one, an E_s row or a
+K^2 < 6 strict transform.  An override of the blocks is input: each entry
+must be a generator and a boundary curve with an int degree and a label in
+0..3, or construction raises TableInconsistent before any row is built.
+Every K^2 = 6 query of GeneratorTable (to_y, from_y, preimage_combo,
+labels, maps_to) goes through require_k6, which refuses a table with
+K^2 != 6 and a class with an exceptional part.  Check (d) ties the block
+degrees to the lattice, so every table that constructs has the same phi.
+preimage_combo corrects torsion bits against the constant basis VEC, so its
+GF(2) solve has 64 targets and is memoised; every call checks its combo.
 
 labels(x) gives the 2-bit labels of a K^2 = 6 class on the six boundary
 curves, one 12-bit int in BOUNDARY order, without building a combo; the
@@ -290,8 +295,13 @@ class GeneratorTable:
                 else:
                     blk = (0, 0)
                 self.block[(g, f)] = blk
-        if block_override:
-            self.block.update(block_override)
+        for key, blk in (block_override or {}).items():
+            if (key not in self.block or type(blk) is not tuple
+                    or tuple(map(type, blk)) != (int, int) or not 0 <= blk[1] < 4):
+                raise TableInconsistent(
+                    f"block override {key!r}: {blk!r} is not an int degree and a "
+                    "label in 0..3 of a generator on a boundary curve")
+            self.block[key] = blk
         # each generator's six block labels as one 12-bit int in BOUNDARY order
         six_labels = {g: sum(self.block[g, f][1] << 10 - 2 * i
                                  for i, f in enumerate(BOUNDARY)) for g in GENERATORS}

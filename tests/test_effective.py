@@ -1,10 +1,13 @@
 import ast
 import copy
+import gc
 import hashlib
+import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,10 +20,10 @@ from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_chec
 from burniat.delpezzo import classify_exceptional, symmetric_coords
 from burniat.effective import (KX, TRUSTED, InS, InvalidEvidence, NonEffective,
                                ReductionStep, ReductionTrace, ScanReport,
-                               Unresolved, _key_labels3, decide, effective_lifts,
-                               exceptional_induction, is_minimal, minimal_form,
-                               prove_non_effective, s_membership, scan, step3_tables,
-                               trusted_id, verdict_text)
+                               Unresolved, _first_step, _key_labels3, decide,
+                               effective_lifts, exceptional_induction, is_minimal,
+                               minimal_form, prove_non_effective, s_membership,
+                               scan, step3_tables, trusted_id, verdict_text)
 from burniat.lattice import YClass
 from burniat.picard import (GeneratorTable, NotARepresentableClass,
                             TableInconsistent, XClass, _key, build_generator_table,
@@ -215,8 +218,14 @@ def test_scan_rejects_large_degree():
         scan(T, 13)
 
 
-# sha256 of scan(12).to_text() as first recorded for this library
-SCAN12_SHA256 = "3abc0a500641b690409ce615d8d01affe71360b5a1e433b71f10116d62888efc"
+# the scan(12) and exc-check hashes and the verify-all lines, pinned once
+# in the benchmark's reference outputs
+REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                        / "reference.json").read_text())
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +234,7 @@ def scan12():
 
 
 def test_scan12_text_unchanged(scan12):
-    assert hashlib.sha256(scan12.to_text().encode()).hexdigest() == SCAN12_SHA256
+    assert _sha256(scan12.to_text()) == REFERENCE["scan12_sha256"]
 
 
 def test_scan12_classes_round_trip_through_their_text(scan12):
@@ -234,12 +243,7 @@ def test_scan12_classes_round_trip_through_their_text(scan12):
         assert parse_xclass(text) == r.x and str(parse_xclass(text)) == text
 
 
-# sha256 of both exc-check reports, the torsion_subgroup rows of the six
-# standard cases and three verify-all detail lines, as first recorded
-EXC_CHECK_SHA256 = {
-    "smooth": "07e2eb57b72a94ddc3d4b088b9624d9f82a4b4bdd12b337311e967f7d23a91a5",
-    "degenerate": "ccdd8dde12b1f4439ccfd7d39c0a3411e835bf0137fcca5a3277db642f298249",
-}
+# the torsion_subgroup rows of the six standard cases, as first recorded
 TORSION_ROWS = {
     (6, "plain"): ("100000", "010000", "001000", "000100", "000010", "000001"),
     (5, "plain"): ("010000", "101000", "000100", "100010", "000001"),
@@ -248,24 +252,14 @@ TORSION_ROWS = {
     (3, "plain"): ("101000", "100010", "110101"),
     (2, "plain"): ("101000", "100010", "010101"),
 }
-CRITERION_DETAILS = {
-    "torsion-ranks": "dims=(6, 5, 4, 4, 3, 3) expected=(6, 5, 4, 4, 3, 3)",
-    "table-consistency": "tables 6p,5p,4n,4n,3p,2p consistent; A1-A2 -> 00 10 00",
-    "exceptional-collection": "smooth 15/15 pairs, degenerate 15/15, "
-                              "chi tables identical: True",
-}
-
-
-def _sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_exc_check_reports_unchanged(capsys):
     for ctx in (SMOOTH, DEGENERATE):
         assert _sha256(exceptional_collection_check(ctx).to_text()) \
-            == EXC_CHECK_SHA256[ctx.kind]
+            == REFERENCE["exc_check_sha256"][ctx.kind]
         assert cli_main(["exc-check", "--fiber", ctx.kind]) == 0
-        assert _sha256(capsys.readouterr().out) == EXC_CHECK_SHA256[ctx.kind]
+        assert _sha256(capsys.readouterr().out) == REFERENCE["exc_check_sha256"][ctx.kind]
 
 
 def test_torsion_rows_unchanged():
@@ -275,8 +269,9 @@ def test_torsion_rows_unchanged():
 
 
 def test_verify_details_unchanged():
-    for name, detail in CRITERION_DETAILS.items():
-        assert run_all(only=name)[0].detail == detail
+    # formed as the benchmark's verify workload forms them
+    lines = [f"{r.number} {r.name} {r.detail}" for r in run_all()]
+    assert lines == REFERENCE["verify_lines"]
 
 
 def test_table_consistency_checks_building_data_and_negative_curves(monkeypatch):
@@ -297,7 +292,8 @@ def test_table_consistency_checks_building_data_and_negative_curves(monkeypatch)
         m.setattr(verify, "negative_curves", lambda lat, selfint: [])
         assert not run_all(only="table-consistency")[0].passed
     result = run_all(only="table-consistency")[0]
-    assert result.passed and result.detail == CRITERION_DETAILS["table-consistency"]
+    assert result.passed
+    assert f"3 table-consistency {result.detail}" == REFERENCE["verify_lines"][2]
 
 
 @pytest.fixture(scope="module")
@@ -739,6 +735,24 @@ def test_validate_labels_are_kept_per_table():
     with pytest.raises(InvalidEvidence, match="A3"):
         scan(table, 2)
     assert scan(T, 6).to_text() == before
+
+
+def test_a_dropped_table_is_freed_after_bounded_further_work():
+    # the memos keyed on a table are bounded: once other tables have filled
+    # them, no entry refers to a table that was dropped
+    table = GeneratorTable(standard_config(6))
+    scan(table, 3)
+    ref = weakref.ref(table)
+    del table
+    gc.collect()
+    misses = _first_step.cache_info().misses, _key_labels3.cache_info().misses
+    for _ in range(3):
+        scan(GeneratorTable(standard_config(6)), 12)
+    gc.collect()
+    # every entry of the dropped table has been evicted
+    assert _first_step.cache_info().misses - misses[0] >= _first_step.cache_info().maxsize
+    assert _key_labels3.cache_info().misses - misses[1] >= _key_labels3.cache_info().maxsize
+    assert ref() is None
 
 
 def test_validate_refuses_a_final_class_with_an_exceptional_part():

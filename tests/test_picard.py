@@ -70,6 +70,24 @@ def test_check_e_refuses_labels_that_break_the_filling_rule(override, curve):
         GeneratorTable(standard_config(6), override)
 
 
+# entries that fail before any row is built: a label outside 0..3, a key
+# outside GENERATORS x BOUNDARY, and a degree or label that is not an int
+@pytest.mark.parametrize("key, blk", [
+    (("C1", "A0"), (1, 4)),
+    (("C1", "A0"), (1, -1)),
+    (("X9", "A0"), (1, 1)),
+    (("C1", "A0"), (1.0, 1)),
+    (("C1", "A0"), (True, 1)),
+    (("C1", "A0"), (1, 1.0)),
+    (("C1", "A0"), (1,)),
+    (("C1", "A0"), [1, 1]),
+])
+def test_each_malformed_override_entry_is_refused_by_name(key, blk):
+    with pytest.raises(TableInconsistent,
+                       match=f"^block override {re.escape(repr(key))}: {re.escape(repr(blk))} "):
+        GeneratorTable(standard_config(6), {key: blk})
+
+
 def _relabelled(table, g, f):
     """The three blocks (deg, mask) that differ from block (g, f) in the mask."""
     deg, mask = table.block[(g, f)]
@@ -292,6 +310,19 @@ def test_phi_and_column_match_block_sums(case, combo, data):
     for f in BOUNDARY:
         deg, mask2 = table.column(combo, f)
         assert (deg, _label(mask2)) == reference_column(table, combo, f)
+
+
+@PROPERTY
+@given(case=st.sampled_from(STANDARD_CASES), data=st.data())
+def test_phi_of_a_sum_and_a_difference_is_the_sum_and_difference_of_classes(case, data):
+    # the row sum against XClass + and -, with E_s terms on the K^2 < 6 tables
+    table = TABLES[case]
+    labels = [*GENERATORS, *(f"E{s}" for s in range(table.k))]
+    a, b = (data.draw(st.dictionaries(st.sampled_from(labels), COEFFS)) for _ in "ab")
+    total = {g: a.get(g, 0) + b.get(g, 0) for g in labels}
+    difference = {g: a.get(g, 0) - b.get(g, 0) for g in labels}
+    assert table.phi(a) + table.phi(b) == table.phi(total)
+    assert table.phi(a) - table.phi(b) == table.phi(difference)
 
 
 def test_memoised_torsion_solutions_resum():
