@@ -744,7 +744,6 @@ def test_a_dropped_table_is_freed_after_bounded_further_work():
     scan(table, 3)
     ref = weakref.ref(table)
     del table
-    gc.collect()
     misses = _first_step.cache_info().misses, _key_labels3.cache_info().misses
     for _ in range(3):
         scan(GeneratorTable(standard_config(6)), 12)
