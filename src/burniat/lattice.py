@@ -118,24 +118,21 @@ def arithmetic_genus(d: YClass) -> int:
     return twice // 2 + 1
 
 
-def negative_curves(lat: SurfaceLattice, selfint: int) -> list[YClass]:
-    """All classes C with C.C = selfint (-1 or -2) and the matching K-degree.
+def negative_curves(lat: SurfaceLattice) -> list[YClass]:
+    """All classes C with C.C = -1 and C.K = -1, the (-1)-classes.
 
     Bounded coefficient search over |n_h| <= 3, |n_i| <= 2; the bound covers
     every blowup of the plane with k <= 6 points (checked against the known
     line counts for small k).
     """
-    if selfint not in (-1, -2):
-        raise ValueError("selfint must be -1 or -2")
     if lat.k > 6:
         raise ValueError("search bound only validated for k <= 6")
     k_cls = canonical_class(lat)
-    k_degree = -(2 + selfint)  # adjunction with p_a = 0
     found = []
     for nh in range(-3, 4):
         for ni in itertools.product(range(-2, 3), repeat=lat.k):
             c = YClass((nh,) + ni)
-            if c.dot(c) == selfint and c.dot(k_cls) == k_degree:
+            if c.dot(c) == -1 and c.dot(k_cls) == -1:  # adjunction with p_a = 0
                 found.append(c)
     found.sort(key=lambda c: c.coeffs)
     return found

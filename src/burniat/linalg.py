@@ -3,10 +3,10 @@
 Everything here works on plain Python ints (arbitrary precision), so there is
 no floating point anywhere.  Integer matrices are lists of row tuples/lists;
 over Z this module gives the row Hermite normal form and the index of a row
-span.  Over GF(2) one elimination serves the echelon basis, the null space
-and the solve.  A GF(2) vector of length n is one n-bit int with coordinate 0
-as its most significant bit, the encoding of the 6-bit torsion masks of
-picard; a combination of rows comes back as the tuple of its row indices.
+span.  Over GF(2) one elimination serves the null space and the solve.  A
+GF(2) vector of length n is one n-bit int with coordinate 0 as its most
+significant bit, the encoding of the 6-bit torsion masks of picard; a
+combination of rows comes back as the tuple of its row indices.
 """
 from __future__ import annotations
 
@@ -99,12 +99,6 @@ def gf2_eliminate(rows: list[int]) -> dict[int, tuple[int, int]]:
                 pivots[k] = (b ^ r, bc ^ c)
         pivots[lead] = (r, c)
     return pivots
-
-
-def gf2_echelon(rows: list[int]) -> list[int]:
-    """Reduced row echelon basis of the span, first coordinate first."""
-    pivots = gf2_eliminate(rows)
-    return [b for _, (b, _) in sorted(pivots.items(), reverse=True)]
 
 
 def gf2_nullspace(rows: list[int], n: int) -> list[int]:

@@ -20,7 +20,8 @@ it as well (MASK_BITS spells a mask as a 0/1 tuple only for the integer
 rows whose indices the consistency suite compares).
 
 The twelve configuration curves generate the group; their restriction blocks
-form the generator table.  The table is produced by one filling rule:
+form the generator table.  The table is produced by one filling rule, whose
+degrees are the lattice pairings of the strict transforms:
 
 * G restricts to (1, label of the meeting point) on a boundary curve it meets,
 * to (0, 00) on a disjoint boundary curve (a rigid curve cannot restrict to a
@@ -29,31 +30,32 @@ form the generator table.  The table is produced by one filling rule:
 * to (-1, 00) on itself (adjunction against a canonical class with trivial
   torsion data).
 
-A construction-time consistency suite cross-checks the rule: (d) every
-block degree is the lattice pairing, (a) the six standard difference
-divisors have the printed torsion vectors, (c) the torsion vectors span and
-the image index is finite (3 for K^2 = 6, kept as image_index), (b) the
-derived A3/B3/C3 restriction maps are well defined on the image, and (e)
-the labels are the rule's.  Check (b) is one index comparison: appending to
-each row of phi the masks of its restrictions to A3, B3, C3 multiplies the
-image index by 2^6 exactly when those masks vanish on every combination
-that phi sends to zero.  Check (e) refuses what the others let through: a
-nonzero label on a block of degree <= 0, or four meeting points of one
-boundary curve that do not carry 00, 01, 10 and 11 once each.
+An override of the blocks is input, checked entry by entry before any row
+is built: each entry must be a generator and a boundary curve with an int
+degree and a label in 0..3, and (d) its degree must be the lattice pairing.
+So the rows' numerical parts are the strict transforms whatever the
+override, and the image of phi has finite index (3 for K^2 = 6, kept as
+image_index).  A construction-time consistency suite then checks what the
+labels can break: (a) the six standard difference divisors have the printed
+torsion vectors, (b) the derived A3/B3/C3 restriction maps are well defined
+on the image, and (e) the labels are the rule's.  Check (b) is one index
+comparison: appending to each row of phi the masks of its restrictions to
+A3, B3, C3 multiplies the image index by 2^6 exactly when those masks
+vanish on every combination that phi sends to zero.  Check (e) refuses what
+the others let through: a nonzero label on a block of degree <= 0, or four
+meeting points of one boundary curve that do not carry 00, 01, 10 and 11
+once each.
 
 The table holds one XClass per curve, rows: a generator's strict
 transform and the mask of its labels on A0, B0, C0, and 2E_s under the
 label E{s} with mask 0, so phi is a sum of rows.  One loop sums rows for
 every K^2; it adds up ns only on a row that has one, an E_s row or a
-K^2 < 6 strict transform.  An override of the blocks is input: each entry
-must be a generator and a boundary curve with an int degree and a label in
-0..3, or construction raises TableInconsistent before any row is built.
-Every K^2 = 6 query of GeneratorTable (to_y, from_y, preimage_combo,
-labels, maps_to) goes through require_k6, which refuses a table with
-K^2 != 6 and a class with an exceptional part.  Check (d) ties the block
-degrees to the lattice, so every table that constructs has the same phi.
-preimage_combo corrects torsion bits against the constant basis VEC, so its
-GF(2) solve has 64 targets and is memoised; every call checks its combo.
+K^2 < 6 strict transform.  Every K^2 = 6 query of GeneratorTable (to_y,
+from_y, preimage_combo, labels, maps_to) goes through require_k6, which
+refuses a table with K^2 != 6 and a class with an exceptional part.
+preimage_combo corrects torsion bits against the constant basis VEC, which
+spans V, so its GF(2) solve has 64 targets, each solvable, and is memoised;
+every call checks its combo.
 
 labels(x) gives the 2-bit labels of a K^2 = 6 class on the six boundary
 curves, one 12-bit int in BOUNDARY order, without building a combo; the
@@ -74,7 +76,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .lattice import YClass, canonical_class, subgroup_index
-from .linalg import gf2_echelon, gf2_nullspace, gf2_solve, lattice_index
+from .linalg import gf2_nullspace, gf2_solve, lattice_index
 from .config import (BurniatConfig, BOUNDARY, GENERATORS, CURVE_CLASS,
                      standard_config)
 
@@ -287,20 +289,19 @@ class GeneratorTable:
         # (generator, boundary curve) -> (deg, 2-bit mask) of the restriction
         self.block: dict[tuple[str, str], tuple[int, int]] = {}
         for g in GENERATORS:
+            sg = cfg.strict_transform(g)
             for f in BOUNDARY:
-                if g == f:
-                    blk = (-1, 0)
-                elif g in MEET[f]:
-                    blk = (1, MEET[f][g])
-                else:
-                    blk = (0, 0)
-                self.block[(g, f)] = blk
+                self.block[g, f] = (sg.dot(cfg.strict_transform(f)), MEET[f].get(g, 0))
         for key, blk in (block_override or {}).items():
             if (key not in self.block or type(blk) is not tuple
                     or tuple(map(type, blk)) != (int, int) or not 0 <= blk[1] < 4):
                 raise TableInconsistent(
                     f"block override {key!r}: {blk!r} is not an int degree and a "
                     "label in 0..3 of a generator on a boundary curve")
+            # (d) the degree is the lattice pairing
+            if blk[0] != self.block[key][0]:
+                raise TableInconsistent(
+                    f"block degree ({key[0]},{key[1]}) disagrees with the lattice")
             self.block[key] = blk
         # each generator's six block labels as one 12-bit int in BOUNDARY order
         six_labels = {g: sum(self.block[g, f][1] << 10 - 2 * i
@@ -318,7 +319,8 @@ class GeneratorTable:
         index_rows = [(x.d, *x.emult, x.r0, x.r1, x.r2, *MASK_BITS[x.mask],
                        *MASK_BITS[self.labels3_rows.get(g, 0)])
                       for g, x in self.rows.items()]
-        # index of the image of phi; check (c) refuses an infinite one
+        # index of the image of phi: finite for every configuration, as the
+        # numerical parts are the strict transforms and the 2E_s
         self.image_index = subgroup_index([row[:-6] for row in index_rows], 6)
         self._check_consistency(index_rows)
         if not self.k:  # key (see _key) -> 6-bit mask of the A3, B3, C3 labels
@@ -403,10 +405,7 @@ class GeneratorTable:
         combo = {"A3": nh, "B0": nh + n2, "C0": nh + n3, "A0": n1}
         # the rows' numerical parts are fixed curve classes, so this combo
         # lies over x[:4]; the final check covers the whole class
-        correction = _torsion_solution(mask ^ self._row_sum(combo.items()).mask)
-        if correction is None:
-            raise TableInconsistent("torsion vectors do not span V")
-        for v in correction:
+        for v in _torsion_solution(mask ^ self._row_sum(combo.items()).mask):
             for g, c in VEC_COMBO[v].items():
                 combo[g] = combo.get(g, 0) + c
         if self._row_sum(combo.items()) != x:
@@ -421,32 +420,15 @@ class GeneratorTable:
     # -- consistency suite ----------------------------------------------------
 
     def _check_consistency(self, index_rows: list[tuple[int, ...]]) -> None:
-        # (d) block degrees match lattice pairings
-        for g in GENERATORS:
-            sg = self.cfg.strict_transform(g)
-            for f in BOUNDARY:
-                if self.block[(g, f)][0] != sg.dot(self.cfg.strict_transform(f)):
-                    raise TableInconsistent(
-                        f"block degree ({g},{f}) disagrees with the lattice")
         # (a) the six standard difference combos hit the basis vectors
         for v in VEC:
             img = self.phi(VEC_COMBO[v])
             if img.mask != VEC[v]:
                 raise TableInconsistent(f"combo for vec {v} maps to {img.mask:06b}")
-            if self.k == 0 and (img.d or img.r0 or img.r1 or img.r2):
-                raise TableInconsistent(f"combo for vec {v} is not torsion")
-        # (c) the basis vectors span V; the image has finite index, 3 for K^2 = 6
-        if len(gf2_echelon(list(VEC.values()))) != 6:
-            raise TableInconsistent("torsion vectors do not span")
-        index = self.image_index
-        if index is None:
-            raise TableInconsistent("the image of phi has infinite index")
-        if self.k == 0 and index != 3:
-            raise TableInconsistent(f"image index {index} != 3")
         # (b) the derived masks on A3, B3, C3 vanish on ker phi, and so the
         # maps are well defined (their degrees are lattice pairings by (d)),
         # exactly when appending them multiplies the image index by 2^6
-        if subgroup_index(index_rows, 12) != 64 * index:
+        if subgroup_index(index_rows, 12) != 64 * self.image_index:
             raise TableInconsistent(
                 "the restrictions to A3, B3, C3 are not well defined on the image of phi")
         # (e) the filling rule's labels: 00 on a curve that a generator misses
@@ -459,11 +441,10 @@ class GeneratorTable:
 
 
 @lru_cache(maxsize=64)
-def _torsion_solution(target: int) -> tuple[str, ...] | None:
-    """Names of the VEC basis vectors summing to the mask target, or None."""
+def _torsion_solution(target: int) -> tuple[str, ...]:
+    """Names of the VEC basis vectors summing to the mask target."""
     names = tuple(VEC)
-    sol = gf2_solve([VEC[v] for v in names], target)
-    return None if sol is None else tuple(names[i] for i in sol)
+    return tuple(names[i] for i in gf2_solve([VEC[v] for v in names], target))
 
 
 def build_generator_table(ksq: int, variant: str = "plain") -> GeneratorTable:

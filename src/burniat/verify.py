@@ -71,7 +71,7 @@ def _c2_indices(seed: int, table: GeneratorTable) -> tuple[bool, str]:
 
 def _c3_table_consistency(seed: int, table: GeneratorTable) -> tuple[bool, str]:
     # the six boundary curves are all the (-1)-curves of Bl_3 P^2
-    ok = (sorted(c.coeffs for c in negative_curves(LAT, -1))
+    ok = (sorted(c.coeffs for c in negative_curves(LAT))
           == sorted(CURVE_CLASS[f].coeffs for f in BOUNDARY))
     built, minus_two = [], []
     for cfg in all_standard_configs():

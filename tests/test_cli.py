@@ -1,4 +1,6 @@
+import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -263,6 +265,39 @@ def test_verify_all_table_override(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-all", "--only", "torsion",
                        "--table", str(bad))
     assert code == 1 and "override rejected" in out
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _untimed(text):
+    """text without the first "(   x.xxs)" timing column of each line, as
+    the CI workflow drops it with sed."""
+    return "".join(re.sub(r"\( *[0-9]+\.[0-9]+s\)", "", line, count=1)
+                   for line in text.splitlines(keepends=True))
+
+
+def test_cli_texts_match_the_hashes_pinned_in_ci(capsys, tmp_path):
+    # the scan(8), effective, verify-all and verify-all --table texts whose
+    # hashes the CI workflow checks under -O
+    code, out, _ = run(capsys, "scan", "--max-degree", "8")
+    assert code == 0 and _sha256(out) == \
+        "6be95bd1284f2a95821f2eea1dd343a34b9f9a6a679ca434ed4c1aedc515e149"
+    outs = [run(capsys, "effective", "--class", literal) for literal in (
+        "(3; 1 10; 1 10; 1 10)", "(3; 0 00; 0 00; 0 00)", "(6; 1 00; 1 00; 1 00)",
+        "(3; 1 00; 1 00; 1 00)", "(9; 1 01; 2 10; 3 11)")]
+    assert {code for code, _, _ in outs} == {0}
+    assert _sha256("".join(out for _, out, _ in outs)) == \
+        "b9bae5900249977b91a1f0716b6f8d0be68391e50806db3cec67a1c182532f7d"
+    code, out, _ = run(capsys, "verify-all")
+    assert code == 0 and _sha256(_untimed(out)) == \
+        "52a61ee2677ce30eb8106ae58e486fc6916e4d7cc897a5a986afdac2afafda93"
+    table = tmp_path / "table6.txt"
+    table.write_text(table_to_text(build_generator_table(6)))
+    code, out, _ = run(capsys, "verify-all", "--table", str(table))
+    assert code == 0 and _sha256(_untimed(out)) == \
+        "9ab620e3ff57c1e5cb03300f2021f718b0bd9f1cc98e4dacbcf1d26ba770096c"
 
 
 @pytest.mark.parametrize("lines, curve", [

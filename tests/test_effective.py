@@ -289,7 +289,7 @@ def test_table_consistency_checks_building_data_and_negative_curves(monkeypatch)
         m.setattr(verify, "validate_building_data", broken)
         assert not run_all(only="table-consistency")[0].passed
     with monkeypatch.context() as m:
-        m.setattr(verify, "negative_curves", lambda lat, selfint: [])
+        m.setattr(verify, "negative_curves", lambda lat: [])
         assert not run_all(only="table-consistency")[0].passed
     result = run_all(only="table-consistency")[0]
     assert result.passed

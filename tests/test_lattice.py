@@ -44,7 +44,7 @@ def test_genus_additivity_random():
 
 
 def test_minus_one_curves_k3():
-    found = negative_curves(LAT3, -1)
+    found = negative_curves(LAT3)
     h = LAT3.h()
     expected = {LAT3.e(1), LAT3.e(2), LAT3.e(3),
                 h - LAT3.e(1) - LAT3.e(2), h - LAT3.e(1) - LAT3.e(3),
@@ -55,24 +55,13 @@ def test_minus_one_curves_k3():
 
 def test_minus_one_curve_counts_small_k():
     # known line counts on blowups of the plane at 1..4 general points
-    assert [len(negative_curves(SurfaceLattice(k), -1)) for k in range(0, 5)] == \
+    assert [len(negative_curves(SurfaceLattice(k))) for k in range(0, 5)] == \
         [0, 1, 3, 6, 10]
-
-
-def test_minus_two_classes_k3_are_the_roots():
-    # the numerical conditions C.C = -2, C.K = 0 have exactly the 8 root
-    # classes as solutions on the k=3 lattice (none is effective in general
-    # position, but the class enumeration is position-free)
-    roots = negative_curves(LAT3, -2)
-    assert len(roots) == 8
-    e = [None, LAT3.e(1), LAT3.e(2), LAT3.e(3)]
-    assert e[1] - e[2] in roots and e[2] - e[1] in roots
-    assert LAT3.h() - e[1] - e[2] - e[3] in roots
 
 
 def test_minus_curves_symmetry():
     # output is stable under permuting the exceptional classes
-    found = set(negative_curves(LAT3, -1))
+    found = set(negative_curves(LAT3))
     for perm in ((2, 1, 3), (3, 2, 1), (2, 3, 1)):
         permuted = {YClass((c.coeffs[0],) + tuple(c.coeffs[i] for i in perm))
                     for c in found}
@@ -81,7 +70,7 @@ def test_minus_curves_symmetry():
 
 def test_negative_curves_k_bound():
     with pytest.raises(ValueError):
-        negative_curves(SurfaceLattice(7), -1)
+        negative_curves(SurfaceLattice(7))
 
 
 def test_subgroup_index_basics():

@@ -1,8 +1,7 @@
 import itertools
 import random
 
-from burniat.linalg import (gf2_echelon, gf2_nullspace, gf2_solve,
-                            hnf_with_transform, lattice_index)
+from burniat.linalg import gf2_nullspace, gf2_solve, hnf_with_transform, lattice_index
 
 
 def test_hnf_transform_invariant():
@@ -51,10 +50,8 @@ def test_lattice_index_is_the_absolute_determinant():
         assert lattice_index(rows, n) == (abs(det) if det else None)
 
 
-def test_gf2_echelon_and_nullspace():
+def test_gf2_nullspace_example():
     rows = [0b110, 0b011, 0b101]
-    ech = gf2_echelon(rows)
-    assert len(ech) == 2
     null = gf2_nullspace(rows, 3)
     assert len(null) == 1
     v = null[0]
@@ -109,14 +106,6 @@ def test_gf2_routines_against_brute_force():
         rows = _random_rows(rng)
         sums = _subset_sums(rows)
         span = set(sums)
-        # reduced echelon basis of the span: leading coordinates increase and
-        # each leading coordinate is zero in every other row
-        ech = gf2_echelon(rows)
-        assert _is_basis_of(ech, span)
-        leads = [1 << (v.bit_length() - 1) for v in ech]
-        assert leads == sorted(set(leads), reverse=True)
-        for i, lead in enumerate(leads):
-            assert all(not v & lead for j, v in enumerate(ech) if j != i)
         # right null space over all 64 vectors
         null = {v for v in range(64)
                 if all((v & r).bit_count() % 2 == 0 for r in rows)}

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 
@@ -10,7 +11,7 @@ from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
 from burniat.delpezzo import symmetric_coords
 from burniat.effective import KX
 from burniat.lattice import YClass, canonical_class, subgroup_index
-from burniat.picard import (GeneratorTable, MASK_BITS,
+from burniat.picard import (GeneratorTable, MASK_BITS, MEET,
                             NotARepresentableClass, TableInconsistent, VEC,
                             VEC_COMBO, XClass, _torsion_solution,
                             build_generator_table,
@@ -53,13 +54,14 @@ def test_corrupted_table_rejected():
     override = {("C3", "A0"): (1, 0b01)}
     with pytest.raises(TableInconsistent):
         GeneratorTable(standard_config(6), override)
-    override = {("A1", "B0"): (0, 0b01)}  # wrong degree
-    with pytest.raises(TableInconsistent):
+    override = {("A1", "B0"): (0, 0b01)}  # wrong degree, refused at entry
+    with pytest.raises(TableInconsistent,
+                       match=r"^block degree \(A1,B0\) disagrees with the lattice$"):
         GeneratorTable(standard_config(6), override)
 
 
-# two-line overrides that checks (a)-(d) accept: labels on a curve that the
-# generators miss, and B3's meeting points labelled as C0's and A2's
+# two-line overrides that checks (a), (b) and (d) accept: labels on a curve
+# that the generators miss, and B3's meeting points labelled as C0's and A2's
 @pytest.mark.parametrize("override, curve", [
     ({("A0", "A3"): (0, 0b10), ("A2", "A3"): (0, 0b10)}, "A3"),
     ({("A0", "B3"): (1, 0b00), ("A1", "B3"): (1, 0b11)}, "B3"),
@@ -105,6 +107,40 @@ def test_every_relabelled_derived_column_fails_check_b(case):
     for override in overrides:
         with pytest.raises(TableInconsistent, match="A3, B3, C3 are not well defined"):
             GeneratorTable(table.cfg, override)
+
+
+def _relabellings(f, labels):
+    """Each assignment of the labels to the meeting points of f that carry
+    them in the K^2 = 6 table, as a partial override."""
+    points = [g for g, m in MEET[f].items() if m in labels]
+    return [{(g, f): (1, m) for g, m in zip(points, perm)}
+            for perm in itertools.permutations(labels)]
+
+
+def _merged_relabellings(curves, labels):
+    """One override per choice of a relabelling on each of the curves."""
+    return [{key: blk for part in parts for key, blk in part.items()}
+            for parts in itertools.product(*(_relabellings(f, labels) for f in curves))]
+
+
+def test_permuting_01_10_11_on_a3_b3_c3_is_accepted_with_index_3():
+    # the derived columns enter no index but (b)'s, and each of these tables
+    # passes the whole suite with the image index of the standard one
+    overrides = _merged_relabellings(("A3", "B3", "C3"), (1, 2, 3))
+    assert len(overrides) == 216
+    for override in overrides:
+        assert GeneratorTable(T6.cfg, override).image_index == 3
+
+
+def test_check_a_refuses_relabelled_meeting_points_on_a0_b0_c0():
+    # a seeded sample of the per-curve label permutations on A0, B0, C0,
+    # the standard labels left out
+    overrides = [o for o in _merged_relabellings(("A0", "B0", "C0"), (0, 1, 2, 3))
+                 if any(T6.block[key] != blk for key, blk in o.items())]
+    assert len(overrides) == 24 ** 3 - 1
+    for override in random.Random(53).sample(overrides, 200):
+        with pytest.raises(TableInconsistent, match="maps to"):
+            GeneratorTable(T6.cfg, override)
 
 
 def test_every_single_entry_override_of_the_k6_table_is_refused():
@@ -328,7 +364,6 @@ def test_phi_of_a_sum_and_a_difference_is_the_sum_and_difference_of_classes(case
 def test_memoised_torsion_solutions_resum():
     for mask in range(64):
         names = _torsion_solution(mask)
-        assert names is not None
         total = 0
         for v in names:
             total ^= VEC[v]
