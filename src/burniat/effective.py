@@ -56,8 +56,7 @@ later starts cold.  Both are bounded LRU caches, as is effective_lifts, at
 scan(12), the verify-all suite and a stream of decide calls (5,480, 721 and
 314).  An entry of a dropped table is evicted once that many later entries
 have filled its cache, and the table can then be freed.  _key_lifts needs
-no bound: its keys are at most 640.  exceptional_induction caches its
-recursion for one call only, since it reads s_membership through the module.
+no bound: its keys are at most 640.
 
 scan builds lift mask of a numerical class y as XClass(*y, mask) and sets
 its minimal flag without another reduction.  y is nef, so its degree on
@@ -574,7 +573,6 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
     if not is_minimal(table, x):
         raise ValueError(f"{x} is not in minimal form")
 
-    @lru_cache(maxsize=None)  # per call: s_membership is read through the module
     def resolve(p: XClass, fam: ExceptionalType) -> InS | None:
         """fam is the exceptional type of p's numerical class."""
         if p.d <= 8:

@@ -251,6 +251,8 @@ def test_exc_check_both_fibers(capsys):
 def test_verify_all_subset(capsys):
     code, out, _ = run(capsys, "verify-all", "--only", "torsion")
     assert code == 0 and "criterion  1" in out
+    code, out, err = run(capsys, "verify-all", "--only", "nope")
+    assert code == 2 and not out and err == "error: no criterion matches 'nope'\n"
 
 
 def test_verify_all_table_override(capsys, tmp_path):
@@ -272,15 +274,14 @@ def _sha256(text):
 
 
 def _untimed(text):
-    """text without the first "(   x.xxs)" timing column of each line, as
-    the CI workflow drops it with sed."""
+    """text without the first "(   x.xxs)" timing column of each line."""
     return "".join(re.sub(r"\( *[0-9]+\.[0-9]+s\)", "", line, count=1)
                    for line in text.splitlines(keepends=True))
 
 
-def test_cli_texts_match_the_hashes_pinned_in_ci(capsys, tmp_path):
-    # the scan(8), effective, verify-all and verify-all --table texts whose
-    # hashes the CI workflow checks under -O
+def test_cli_texts_match_their_pinned_hashes(capsys, tmp_path):
+    # the scan(8), effective, verify-all and verify-all --table texts, each
+    # pinned here and nowhere else
     code, out, _ = run(capsys, "scan", "--max-degree", "8")
     assert code == 0 and _sha256(out) == \
         "6be95bd1284f2a95821f2eea1dd343a34b9f9a6a679ca434ed4c1aedc515e149"
@@ -300,12 +301,19 @@ def test_cli_texts_match_the_hashes_pinned_in_ci(capsys, tmp_path):
         "9ab620e3ff57c1e5cb03300f2021f718b0bd9f1cc98e4dacbcf1d26ba770096c"
 
 
-@pytest.mark.parametrize("lines, curve", [
-    ({"A0 A3 0 00": "A0 A3 0 10", "A2 A3 0 00": "A2 A3 0 10"}, "A3"),
-    ({"A0 B3 1 10": "A0 B3 1 00", "A1 B3 1 01": "A1 B3 1 11"}, "B3"),
-])
+@pytest.mark.parametrize("lines, message", [
+    ({"A0 A3 0 00": "A0 A3 0 10", "A2 A3 0 00": "A2 A3 0 10"},
+     "the labels on A3 break the filling rule"),
+    ({"A0 B3 1 10": "A0 B3 1 00", "A1 B3 1 01": "A1 B3 1 11"},
+     "the labels on B3 break the filling rule"),
+    # check (b): swapping the labels of A0 and C0 on B3 keeps the filling rule
+    ({"A0 B3 1 10": "A0 B3 1 00", "C0 B3 1 00": "C0 B3 1 10"},
+     "the restrictions to A3, B3, C3 are not well defined on the image of phi"),
+    # refused at entry, before any whole-table check
+    ({"A1 B0 1 01": "A1 B0 0 01"}, "block degree (A1,B0) disagrees with the lattice"),
+], ids=("lines0-A3", "lines1-B3", "lines2-swapped", "lines3-degree"))
 def test_verify_all_rejects_a_table_that_breaks_the_filling_rule(capsys, tmp_path,
-                                                                 lines, curve):
+                                                                 lines, message):
     text = table_to_text(build_generator_table(6))
     for old, new in lines.items():
         assert old in text
@@ -313,8 +321,7 @@ def test_verify_all_rejects_a_table_that_breaks_the_filling_rule(capsys, tmp_pat
     path = tmp_path / "table.txt"
     path.write_text(text)
     code, out, _ = run(capsys, "verify-all", "--table", str(path))
-    assert code == 1 and out == ("[FAIL] generator-table override rejected: "
-                                 f"the labels on {curve} break the filling rule\n")
+    assert code == 1 and out == f"[FAIL] generator-table override rejected: {message}\n"
 
 
 def test_exc_check_reports_an_unresolved_vanishing_as_a_failure(capsys, monkeypatch):

@@ -233,8 +233,10 @@ def scan12():
     return scan(T, 12)
 
 
-def test_scan12_text_unchanged(scan12):
+def test_scan12_text_unchanged(scan12, capsys):
     assert _sha256(scan12.to_text()) == REFERENCE["scan12_sha256"]
+    assert cli_main(["scan", "--max-degree", "12", "--format", "structured"]) == 0
+    assert _sha256(capsys.readouterr().out) == REFERENCE["scan12_sha256"]
 
 
 def test_scan12_classes_round_trip_through_their_text(scan12):
@@ -483,11 +485,13 @@ def test_forged_packed_evidence_rejected_under_optimize():
 
 
 def test_no_assert_statements_in_the_library():
-    # python -O strips assert statements, so no check in the library may be one
+    # python -O strips assert statements and sets __debug__ to False, and
+    # changes nothing else: with neither in the library, -O runs the same code
     package = Path(burniat.__file__).resolve().parent
     found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert found == []
 
 
@@ -591,8 +595,8 @@ def test_exhausted_induction_reports_the_empty_trace(monkeypatch):
     assert reduced == []
 
 
-def test_induction_cache_lives_for_one_call(monkeypatch):
-    # a call that saw every direct search fail leaves nothing cached behind
+def test_induction_reads_s_membership_afresh_on_each_call(monkeypatch):
+    # a call that saw every direct search fail leaves nothing behind
     import burniat.effective as eff
     x = _minimal_lift_of(5 * YClass((1, -1, 0, 0)))
     with monkeypatch.context() as m:
@@ -764,6 +768,15 @@ def test_validate_refuses_a_final_class_with_an_exceptional_part():
     with pytest.raises(InvalidEvidence, match=r"^trace ends at \(0; 0 00; 0 00; 0 00\), "
                                               r"not at \(0; 0 00; 0 00; 0 00; 0\)$"):
         ReductionTrace(x, trace.steps, stray).validate(T)
+
+
+def test_validate_refuses_a_trace_whose_length_is_not_its_degree_drop():
+    # every boundary curve has degree 1, so each step lowers the degree by 1;
+    # an A0 row of degree 2 gives a justified step that lowers it by 2
+    table = GeneratorTable(standard_config(6))
+    table.rows["A0"] = XClass(0, 2, 0, 0, table.rows["A0"].mask)
+    with pytest.raises(InvalidEvidence, match=r"^trace length differs from its degree drop$"):
+        decide(table, lit("(0; -1 00; 2 01; -1 01)"))
 
 
 def test_validate_accepts_justified_steps_in_another_order():
