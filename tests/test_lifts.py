@@ -8,6 +8,9 @@ degree bound through phi, which checks completeness: a lift with no
 certificate is not in S.  The key test checks the table that the search
 reads once per key: the lifts of a key, shifted by a triple's least counts,
 are the first certificates that a full enumeration of the triple finds.
+_all_triples is the full enumeration of the (a3, b3, c3) triples; _triples
+must yield the first triple of every key of it, in its order, and a number
+of triples linear in n_h on the classes that used to need about n_h^2.
 """
 import itertools
 
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from burniat.config import GENERATORS
+import burniat.effective
 from burniat.effective import _key_lifts, _triples, effective_lifts
 from burniat.picard import build_generator_table
 
@@ -115,6 +119,89 @@ def test_matches_reference_when_some_lifts_are_never_found(ycoeffs, lifts):
     assert len(effective_lifts(ycoeffs)) == lifts
 
 
+def _all_triples(ycoeffs):
+    """(a3, b3, c3, la, lb, lc, key) of every triple with la + lb + lc <= r."""
+    nh, n1, n2, n3 = ycoeffs
+    for a3 in range(nh + 1):
+        u = -n2 - a3
+        for b3 in range(nh - a3 + 1):
+            w = -n1 - b3
+            lb = max(-n3 - a3 - b3, 0)
+            top = nh - a3 - b3 - lb  # r - lb at c3 = 0
+            if u > top or w > top:
+                continue
+            key_b = 2 + (lb & 1) if lb else b3 & 1
+            for c3 in range(max(0, u + w - top), top + 1):
+                la = u - c3 if u > c3 else 0
+                lc = w - c3 if w > c3 else 0
+                slack = top - c3 - la - lc
+                yield (a3, b3, c3, la, lb, lc,
+                       (2 + (la & 1) if la else a3 & 1, key_b,
+                        2 + (lc & 1) if lc else c3 & 1,
+                        slack if slack < 10 else 8 + (slack & 1)))
+
+
+def _first_of_each_key(triples):
+    first = {}
+    for t in triples:
+        first.setdefault(t[6], t)
+    return list(first.values())
+
+
+def _yields_the_first_triples(ycoeffs):
+    full = {t[:3]: t for t in _all_triples(ycoeffs)}
+    got = list(_triples(ycoeffs))
+    # a subsequence of the full enumeration, in its order, without repeats
+    assert [t[:3] for t in got] == sorted({t[:3] for t in got}), ycoeffs
+    assert all(full.get(t[:3]) == t for t in got), ycoeffs
+    assert _first_of_each_key(got) == _first_of_each_key(full.values()), ycoeffs
+
+
+def test_triples_yield_the_first_triple_of_every_key_on_a_box():
+    for nh in range(12):
+        for n in itertools.product(range(-nh - 3, 4), repeat=3):
+            _yields_the_first_triples((nh,) + n)
+
+
+# the first two shapes of test_search_visits_a_linear_number_of_triples at
+# n_h = 60, in every letter order
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 60).flatmap(lambda nh: st.tuples(
+    st.just(nh), *(st.integers(-nh - 3, 3),) * 3)))
+@example((60, 0, 0, -60))
+@example((60, 0, -60, 0))
+@example((60, -60, 0, 0))
+@example((60, -59, 1, 1))
+@example((60, 1, -59, 1))
+@example((60, 1, 1, -59))
+def test_triples_yield_the_first_triple_of_every_key_on_draws(ycoeffs):
+    _yields_the_first_triples(ycoeffs)
+
+
+@pytest.mark.parametrize("ycoeffs", [
+    y for nh in (120, 240)
+    for y in ((nh, 0, 0, -nh), (nh, -nh + 1, 1, 1), (nh, -1, 1, -nh + 1))], ids=str)
+def test_search_visits_a_linear_number_of_triples(monkeypatch, ycoeffs):
+    # the full enumeration has about n_h^2 / 2 or n_h^2 triples on these
+    consumed = 0
+
+    def counting(y):
+        nonlocal consumed
+        for t in _triples(y):
+            consumed += 1
+            yield t
+
+    monkeypatch.setattr(burniat.effective, "_triples", counting)
+    got = effective_lifts.__wrapped__(ycoeffs)
+    assert consumed <= 8 * ycoeffs[0], consumed
+    monkeypatch.setattr(burniat.effective, "_triples", _all_triples)
+    assert list(got.items()) == list(effective_lifts.__wrapped__(ycoeffs).items())
+
+
+def test_no_triple_without_a_lattice_solution():
+    assert list(_triples((16, -12, -12, -12))) == []
+
+
 def _first_certificates(r, la, lb, lc, a3, b3, c3):
     """(t_a, t_b, afirst, ka, kb, mask) of the first certificate of every mask
     of one triple, enumerating every count and first bit in order."""
@@ -135,14 +222,14 @@ def _first_certificates(r, la, lb, lc, a3, b3, c3):
 
 
 def test_key_lifts_are_the_first_certificates_of_each_triple():
-    # every triple that effective_lifts visits for a class in the box n_h <= 11,
+    # every triple of the full enumeration for a class in the box n_h <= 11,
     # n_i in [-n_h - 3, 3], which reaches slack 11 above the cap of the key;
     # the first certificates of a triple depend only on r, the least counts
     # and the parities of a3, b3, c3, so each such input is run once
     cases = set()
     for nh in range(12):
         for n in itertools.product(range(-nh - 3, 4), repeat=3):
-            for a3, b3, c3, la, lb, lc, key in _triples((nh,) + n):
+            for a3, b3, c3, la, lb, lc, key in _all_triples((nh,) + n):
                 cases.add((nh - a3 - b3 - c3, la, lb, lc, a3 & 1, b3 & 1, c3 & 1, key))
     assert len(cases) > 4000
     for case in cases:
