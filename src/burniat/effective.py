@@ -6,15 +6,15 @@ has three layers:
 * minimal_form: repeatedly subtract a boundary elliptic curve F that is
   forced into the base locus, i.e. x.F < 0, or x.F = 0 with a nonzero
   torsion restriction to F.  Every step lowers the degree d = x.K by one.
-* s_membership: complete certificate search.  A certificate is a
-  nonnegative integer combination of the twelve curves mapping to x.  Its
-  boundary multiplicities are fixed by a composition of n_h into A3, B3, C3
-  and the three internal letter counts, and the internal splits matter only
-  modulo 2, so the search (effective_lifts) covers every solution on the
-  lattice side and matches the torsion bits exactly: "no certificate" is a
-  proof that x is not in S.  For each (A3, B3, C3) the first certificate
-  of every torsion lift has a closed form, and the search visits only
-  triples whose key can be new: at most 8 n_h on every class probed.
+* s_membership: complete certificate search.  A certificate is a nonnegative
+  integer combination of the twelve curves mapping to x.  Its boundary
+  multiplicities are fixed by a composition of n_h into A3, B3, C3 and the
+  three internal letter counts, and the internal splits matter only modulo 2,
+  so the search (effective_lifts) covers every solution on the lattice side
+  and matches the torsion bits exactly: "no certificate" is a proof that x is
+  not in S.  For each (A3, B3, C3) the first certificate of every torsion
+  lift has a closed form; the search walks only triples whose key can be new,
+  at most 8 n_h on every class probed, and stops at the asked lift.
 * prove_non_effective: one minimal-form reduction into one of the two base
   cases: negative degree, or a member of the trusted list of classes with
   no sections (imported facts about the surface, cross-checked against the
@@ -51,12 +51,11 @@ Every memo in this module is a functools cache, so each reports its size
 and hits through cache_info().  The first step of a class depends only on
 the class and the table, so _first_step is cached on (table, class), and
 _key_labels3 on (table, key): the table stays read-only and a table built
-later starts cold.  Both are bounded LRU caches, as is effective_lifts, at
-2^13, 2^11 and 2^10 entries, above the largest working sets measured for
-scan(12), the verify-all suite and a stream of decide calls (5,480, 721 and
-314).  An entry of a dropped table is evicted once that many later entries
-have filled its cache, and the table can then be freed.  _key_lifts needs
-no bound: its keys are at most 640.
+later starts cold.  Both are bounded LRU caches, as is _search, the walk
+of each class, at 2^13, 2^11 and 2^10 entries, above the largest working
+sets measured for scan(12), the verify-all suite and a stream of decide
+calls (5,480, 721 and 314); a dropped table is freed once that many later
+entries have filled them.  _key_lifts needs no bound: at most 640 keys.
 
 scan builds lift mask of a numerical class y as XClass(*y, mask) and sets
 its minimal flag without another reduction.  y is nef, so its degree on
@@ -340,8 +339,15 @@ def _triples(ycoeffs: tuple[int, ...]):
 
 
 @lru_cache(maxsize=2**10)
-def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-    """All torsion lifts of a numerical class that lie in S.
+def _search(ycoeffs: tuple[int, ...]) -> list:
+    """The walk of a class: triples left (None once spent), lifts, mask bitset."""
+    return [_triples(ycoeffs), {}, 0]
+
+
+def effective_lifts(ycoeffs: tuple[int, ...],
+                    want: int | None = None) -> dict[int, tuple[int, ...]]:
+    """The torsion lifts in S of a numerical class: all of them when want is
+    None, else at least the one of mask want if it is in S.
 
     Maps achievable 6-bit torsion masks to one certificate each: the first
     one in the composition order (a3, b3, c3, t_a, t_b) of n_h into the three
@@ -361,38 +367,50 @@ def effective_lifts(ycoeffs: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
 
     _key_lifts lists these certificates once per key of the triple, shifted
     by its least counts.  A triple is skipped when the masks of its key add
-    none to those found, so the dict is unchanged, and the search stops at
-    64 lifts.  On every class probed up to n_h = 240 it took at most 8 n_h
+    none to those found, so the dict is unchanged.  _search keeps the walk
+    of each class; a call walks on until it has want or 64 lifts, or the
+    triples run out, and a certificate is set once, at the first triple with
+    its mask, so the dict is the complete one cut short, in the same order.
+    On every class probed up to n_h = 240 the whole walk took at most 8 n_h
     triples; the slowest at n_h = 120, such as (120, -1, -119, -1) and
     (120, -119, 1, 1) with 40 lifts, take about 1 ms.
     """
+    walk, out, have = state = _search(ycoeffs)
+    if walk is None or want in out:
+        return out
     nh, n1, n2, n3 = ycoeffs
-    out: dict[int, tuple[int, ...]] = {}
-    have = 0  # bitset of the masks in out
-    for a3, b3, c3, la, lb, lc, key in _triples(ycoeffs):
-        reach, lifts = _key_lifts(key)
-        if not reach & ~have:
-            continue
-        for da, db, afirst, ka, kb, mask in lifts:
-            if have >> mask & 1:
+    try:
+        for a3, b3, c3, la, lb, lc, key in walk:
+            reach, lifts = _key_lifts(key)
+            if not reach & ~have:
                 continue
-            t_a, t_b = la + da, lb + db
-            t_c = nh - a3 - b3 - c3 - t_a - t_b
-            a2, b2, c2 = ((ka >> 1) + a3) & 1, ((kb >> 1) + b3) & 1, (afirst + c3) & 1
-            # in GENERATORS order
-            out[mask] = (n1 + b3 + c3 + t_c, t_a - a2, a2, a3,
-                         n2 + a3 + c3 + t_a, t_b - b2, b2, b3,
-                         n3 + a3 + b3 + t_b, t_c - c2, c2, c3)
-            have |= 1 << mask
-        if len(out) == 64:
-            return out
+            for da, db, afirst, ka, kb, mask in lifts:
+                if have >> mask & 1:
+                    continue
+                t_a, t_b = la + da, lb + db
+                t_c = nh - a3 - b3 - c3 - t_a - t_b
+                a2, b2, c2 = ((ka >> 1) + a3) & 1, ((kb >> 1) + b3) & 1, (afirst + c3) & 1
+                # in GENERATORS order
+                out[mask] = (n1 + b3 + c3 + t_c, t_a - a2, a2, a3,
+                             n2 + a3 + c3 + t_a, t_b - b2, b2, b3,
+                             n3 + a3 + b3 + t_b, t_c - c2, c2, c3)
+                have |= 1 << mask
+            if len(out) == 64:
+                break
+            if want in out:
+                state[2] = have
+                return out
+    except BaseException:  # a walk cut short would read as spent: start over
+        state[:] = _triples(ycoeffs), {}, 0
+        raise
+    state[0] = None  # spent
     return out
 
 
 def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
     """Certificate in S, or None (a proof of non-membership: the search is
     complete over the finitely many lattice-side solutions)."""
-    cert = effective_lifts(table.require_k6(x)[:4]).get(x.mask)
+    cert = effective_lifts(table.require_k6(x)[:4], x.mask).get(x.mask)
     if cert is None:
         return None
     verdict = _checked_ins(table, cert, x)
@@ -428,7 +446,7 @@ def prove_non_effective(table: GeneratorTable, x: XClass) -> NonEffective | Unre
         if tid is None:
             return Unresolved(trace, chi(table, x), f"minimal form {reduced} "
                               "has degree >= 0 and is not a trusted class")
-        if reduced.mask in effective_lifts(reduced[:4]):
+        if reduced.mask in effective_lifts(reduced[:4], reduced.mask):
             raise TableInconsistent(f"trusted class {reduced} is in S")
         base = f"trusted:{tid}"
     trace.validate(table)

@@ -73,6 +73,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .lattice import YClass, canonical_class, subgroup_index
@@ -280,40 +281,38 @@ class GeneratorTable:
     one row per curve (and per 2E_s) and, for K^2 = 6, the A3/B3/C3 labels.
 
     Construction runs the consistency suite, raising TableInconsistent on any
-    failure; nothing changes the table afterwards."""
+    failure; its dicts are read-only views, and no attribute is set twice."""
 
     def __init__(self, cfg: BurniatConfig,
                  block_override: dict[tuple[str, str], tuple[int, int]] | None = None):
         self.cfg = cfg
         self.k = cfg.k
+        strict = {g: cfg.strict_transform(g) for g in GENERATORS}
         # (generator, boundary curve) -> (deg, 2-bit mask) of the restriction
-        self.block: dict[tuple[str, str], tuple[int, int]] = {}
-        for g in GENERATORS:
-            sg = cfg.strict_transform(g)
-            for f in BOUNDARY:
-                self.block[g, f] = (sg.dot(cfg.strict_transform(f)), MEET[f].get(g, 0))
+        block = {(g, f): (strict[g].dot(strict[f]), MEET[f].get(g, 0))
+                 for g in GENERATORS for f in BOUNDARY}
         for key, blk in (block_override or {}).items():
-            if (key not in self.block or type(blk) is not tuple
+            if (key not in block or type(blk) is not tuple
                     or tuple(map(type, blk)) != (int, int) or not 0 <= blk[1] < 4):
                 raise TableInconsistent(
                     f"block override {key!r}: {blk!r} is not an int degree and a "
                     "label in 0..3 of a generator on a boundary curve")
             # (d) the degree is the lattice pairing
-            if blk[0] != self.block[key][0]:
+            if blk[0] != block[key][0]:
                 raise TableInconsistent(
                     f"block degree ({key[0]},{key[1]}) disagrees with the lattice")
-            self.block[key] = blk
+            block[key] = blk
+        self.block = MappingProxyType(block)
         # each generator's six block labels as one 12-bit int in BOUNDARY order
         six_labels = {g: sum(self.block[g, f][1] << 10 - 2 * i
                                  for i, f in enumerate(BOUNDARY)) for g in GENERATORS}
         # one row per curve: its class on Y' and the mask of its labels on
         # A0, B0, C0, then 2E_s under the label E{s} with mask 0
-        rows = [(g, cfg.strict_transform(g).coeffs, six_labels[g] >> 6)
-                for g in GENERATORS]
+        rows = [(g, strict[g].coeffs, six_labels[g] >> 6) for g in GENERATORS]
         rows += [(f"E{s}", (2 * cfg.exceptional(s)).coeffs, 0) for s in range(self.k)]
-        self.rows = {g: XClass(*y[:4], mask, y[4:]) for g, y, mask in rows}
+        self.rows = MappingProxyType({g: XClass(*y[:4], m, y[4:]) for g, y, m in rows})
         # the 6-bit mask of each generator's labels on A3, B3, C3
-        self.labels3_rows = {g: six_labels[g] & 63 for g in GENERATORS}
+        self.labels3_rows = MappingProxyType({g: six_labels[g] & 63 for g in GENERATORS})
         # each row of phi as integers (d, emult, block degrees, mask bits),
         # then the bits of its label mask on A3, B3, C3, 0 on the E_s rows
         index_rows = [(x.d, *x.emult, x.r0, x.r1, x.r2, *MASK_BITS[x.mask],
@@ -330,6 +329,14 @@ class GeneratorTable:
                 if key not in labels:
                     labels.update({k ^ key: m ^ m3 for k, m in labels.items()})
             self._labels3 = tuple(labels[k] for k in range(1024))
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):  # vars(self) would slow every later attribute read
+            raise AttributeError(f"GeneratorTable.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GeneratorTable.{name} is read-only")
 
     # -- generator images ---------------------------------------------------
 

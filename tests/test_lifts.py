@@ -11,15 +11,18 @@ are the first certificates that a full enumeration of the triple finds.
 _all_triples is the full enumeration of the (a3, b3, c3) triples; _triples
 must yield the first triple of every key of it, in its order, and a number
 of triples linear in n_h on the classes that used to need about n_h^2.
+A search asked for one mask at a time resumes its walk: every answer, and
+the dict it ends with, are those of the complete walk.
 """
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from burniat.config import GENERATORS
 import burniat.effective
-from burniat.effective import _key_lifts, _triples, effective_lifts
+from burniat.effective import _key_lifts, _search, _triples, effective_lifts
 from burniat.picard import build_generator_table
 
 T = build_generator_table(6)
@@ -77,9 +80,33 @@ def reference_lifts(ycoeffs):
     return out
 
 
+def _walk_alone(ycoeffs, masks):
+    """The answers of a fresh search of ycoeffs asked for each of masks in
+    turn, and its dict after a last call with want=None."""
+    state = _search.__wrapped__(ycoeffs)  # not the cached walk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(burniat.effective, "_search", lambda y: state)
+        answers = [effective_lifts(ycoeffs, m).get(m) for m in masks]
+        return answers, effective_lifts(ycoeffs)
+
+
+# seeded orders of the 64 masks, one picked per class by its hash, which
+# is the same in every run for a tuple of ints
+ORDERS = [random.Random(seed).sample(range(64), 64) for seed in range(61)]
+
+
+def _resumes_to(ycoeffs, complete):
+    # every mask, absent ones included, one at a time in a seeded order
+    masks = ORDERS[hash(ycoeffs) % len(ORDERS)]
+    answers, got = _walk_alone(ycoeffs, masks)
+    assert answers == [complete.get(m) for m in masks], ycoeffs
+    assert list(got.items()) == list(complete.items()), ycoeffs
+
+
 def _same(ycoeffs):
     got, want = effective_lifts(ycoeffs), reference_lifts(ycoeffs)
     assert list(got.items()) == list(want.items()), ycoeffs
+    _resumes_to(ycoeffs, want)
 
 
 def test_matches_reference_on_a_box():
@@ -148,19 +175,39 @@ def _first_of_each_key(triples):
     return list(first.values())
 
 
-def _yields_the_first_triples(ycoeffs):
-    full = {t[:3]: t for t in _all_triples(ycoeffs)}
+def _yields_the_first_triples(ycoeffs, full):
+    """full is {(a3, b3, c3): triple} of the full enumeration."""
     got = list(_triples(ycoeffs))
     # a subsequence of the full enumeration, in its order, without repeats
-    assert [t[:3] for t in got] == sorted({t[:3] for t in got}), ycoeffs
-    assert all(full.get(t[:3]) == t for t in got), ycoeffs
-    assert _first_of_each_key(got) == _first_of_each_key(full.values()), ycoeffs
+    return ([t[:3] for t in got] == sorted({t[:3] for t in got})
+            and all(full.get(t[:3]) == t for t in got)
+            and _first_of_each_key(got) == _first_of_each_key(full.values()))
 
 
-def test_triples_yield_the_first_triple_of_every_key_on_a_box():
-    for nh in range(12):
-        for n in itertools.product(range(-nh - 3, 4), repeat=3):
-            _yields_the_first_triples((nh,) + n)
+# every class with n_h <= 11 and n_i in [-n_h - 3, 3]
+BOX = [(nh,) + n for nh in range(12)
+       for n in itertools.product(range(-nh - 3, 4), repeat=3)]
+
+
+@pytest.fixture(scope="module")
+def box_triples():
+    """One walk of the full enumeration over BOX for the two tests below:
+    the classes on which _triples does not yield the first triple of every
+    key, and the inputs of the first certificates of every triple.  The
+    first certificates of a triple depend only on r, the least counts and
+    the parities of a3, b3, c3."""
+    unlike, cases = [], set()
+    for y in BOX:
+        full = {t[:3]: t for t in _all_triples(y)}
+        if not _yields_the_first_triples(y, full):
+            unlike.append(y)
+        for a3, b3, c3, la, lb, lc, key in full.values():
+            cases.add((y[0] - a3 - b3 - c3, la, lb, lc, a3 & 1, b3 & 1, c3 & 1, key))
+    return unlike, cases
+
+
+def test_triples_yield_the_first_triple_of_every_key_on_a_box(box_triples):
+    assert box_triples[0] == []
 
 
 # the first two shapes of test_search_visits_a_linear_number_of_triples at
@@ -175,7 +222,7 @@ def test_triples_yield_the_first_triple_of_every_key_on_a_box():
 @example((60, 1, -59, 1))
 @example((60, 1, 1, -59))
 def test_triples_yield_the_first_triple_of_every_key_on_draws(ycoeffs):
-    _yields_the_first_triples(ycoeffs)
+    assert _yields_the_first_triples(ycoeffs, {t[:3]: t for t in _all_triples(ycoeffs)})
 
 
 @pytest.mark.parametrize("ycoeffs", [
@@ -191,11 +238,77 @@ def test_search_visits_a_linear_number_of_triples(monkeypatch, ycoeffs):
             consumed += 1
             yield t
 
+    # a fresh walk on every call, run to its end by want=None
+    monkeypatch.setattr(burniat.effective, "_search", _search.__wrapped__)
     monkeypatch.setattr(burniat.effective, "_triples", counting)
-    got = effective_lifts.__wrapped__(ycoeffs)
+    got = effective_lifts(ycoeffs)
     assert consumed <= 8 * ycoeffs[0], consumed
     monkeypatch.setattr(burniat.effective, "_triples", _all_triples)
-    assert list(got.items()) == list(effective_lifts.__wrapped__(ycoeffs).items())
+    assert list(got.items()) == list(effective_lifts(ycoeffs).items())
+
+
+def test_a_resumed_walk_equals_the_complete_walk_on_a_box():
+    for y in BOX:
+        _resumes_to(y, _walk_alone(y, [])[1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 60).flatmap(lambda nh: st.tuples(
+    st.just(nh), *(st.integers(-nh - 3, 3),) * 3)))
+@example((60, -30, -30, -30))
+@example((60, -59, 1, 1))
+def test_a_resumed_walk_equals_the_complete_walk_on_draws(ycoeffs):
+    _resumes_to(ycoeffs, _walk_alone(ycoeffs, [])[1])
+
+
+def test_a_search_stops_at_the_asked_lift(monkeypatch):
+    consumed = 0
+
+    def counting(y):
+        nonlocal consumed
+        for t in _triples(y):
+            consumed += 1
+            yield t
+
+    def walked(ycoeffs, want):
+        # the triples a fresh walk consumes to answer want
+        nonlocal consumed
+        consumed = 0
+        effective_lifts(ycoeffs, want)
+        return consumed
+
+    monkeypatch.setattr(burniat.effective, "_search", _search.__wrapped__)
+    monkeypatch.setattr(burniat.effective, "_triples", counting)
+    # every lift of a member class is found before the walk ends at 64
+    member = (30, -15, -15, -15)
+    assert len(effective_lifts(member)) == 64
+    assert walked(member, 0) < walked(member, None)
+    # a mask outside S is known only once every triple is walked
+    other = (16, -16, 0, 0)
+    assert 1 not in effective_lifts(other)
+    assert walked(other, 1) == walked(other, None) == len(list(_triples(other)))
+
+
+def test_a_walk_cut_by_an_exception_starts_over(monkeypatch):
+    # an exception in the walk closes the generator of triples; the search
+    # must not read it as spent, which would cut the dict short
+    ycoeffs, walks = (16, -15, 1, 1), []
+
+    def cut_once(y):
+        walks.append(y)
+        for i, t in enumerate(_triples(y)):
+            if len(walks) == 1 and i == 5:
+                raise RuntimeError("cut")
+            yield t
+
+    monkeypatch.setattr(burniat.effective, "_triples", cut_once)
+    state = _search.__wrapped__(ycoeffs)
+    monkeypatch.setattr(burniat.effective, "_search", lambda y: state)
+    with pytest.raises(RuntimeError, match="cut"):
+        effective_lifts(ycoeffs)
+    got = effective_lifts(ycoeffs)
+    assert len(walks) == 2
+    assert list(got.items()) == list(reference_lifts(ycoeffs).items())
 
 
 def test_no_triple_without_a_lattice_solution():
@@ -221,16 +334,11 @@ def _first_certificates(r, la, lb, lc, a3, b3, c3):
     return list(first.values())
 
 
-def test_key_lifts_are_the_first_certificates_of_each_triple():
-    # every triple of the full enumeration for a class in the box n_h <= 11,
-    # n_i in [-n_h - 3, 3], which reaches slack 11 above the cap of the key;
-    # the first certificates of a triple depend only on r, the least counts
-    # and the parities of a3, b3, c3, so each such input is run once
-    cases = set()
-    for nh in range(12):
-        for n in itertools.product(range(-nh - 3, 4), repeat=3):
-            for a3, b3, c3, la, lb, lc, key in _all_triples((nh,) + n):
-                cases.add((nh - a3 - b3 - c3, la, lb, lc, a3 & 1, b3 & 1, c3 & 1, key))
+def test_key_lifts_are_the_first_certificates_of_each_triple(box_triples):
+    # every triple of the full enumeration for a class in BOX, which reaches
+    # slack 11 above the cap of the key, each input of its first
+    # certificates once
+    cases = box_triples[1]
     assert len(cases) > 4000
     for case in cases:
         r, la, lb, lc, a3, b3, c3, key = case

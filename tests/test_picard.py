@@ -45,6 +45,24 @@ def test_tables_build_for_all_cases():
         GeneratorTable(standard_config(ksq, variant))
 
 
+def test_a_table_refuses_changes_after_construction():
+    # its dicts are read-only views, and no attribute is set twice, so
+    # nothing skips the consistency suite or leaves stale memo entries
+    table = GeneratorTable(standard_config(6))
+    with pytest.raises(TypeError):
+        table.block["C1", "A3"] = (1, 0b00)
+    with pytest.raises(TypeError):
+        table.rows["A0"] = XClass(0, 2, 0, 0, 0)
+    with pytest.raises(TypeError):
+        table.labels3_rows["A0"] ^= 0b01_00_00
+    for name in ("block", "rows", "labels3_rows", "_labels3"):
+        with pytest.raises(AttributeError, match=f"^GeneratorTable.{name} is read-only$"):
+            setattr(table, name, getattr(table, name))
+        with pytest.raises(AttributeError, match=f"^GeneratorTable.{name} is read-only$"):
+            delattr(table, name)
+    assert table_to_text(table) == table_to_text(T6)
+
+
 def test_standard_table_is_built_once_however_the_variant_is_passed():
     assert build_generator_table(6) is build_generator_table(6, "plain")
     assert build_generator_table(2) is build_generator_table(ksq=2, variant="plain")
