@@ -5,7 +5,8 @@ has three layers:
 
 * minimal_form: repeatedly subtract a boundary elliptic curve F that is
   forced into the base locus, i.e. x.F < 0, or x.F = 0 with a nonzero
-  torsion restriction to F.  Every step lowers the degree d = x.K by one.
+  torsion restriction to F.  Every step lowers the degree d = x.K by one,
+  in one loop over the class's fields and labels with no memo.
 * s_membership: complete certificate search.  A certificate is a nonnegative
   integer combination of the twelve curves mapping to x.  Its boundary
   multiplicities are fixed by a composition of n_h into A3, B3, C3 and the
@@ -32,13 +33,15 @@ they also run under ``python -O``.
 
 An XClass is a table row (see picard), so minimal_form, is_minimal,
 s_membership, ReductionTrace.validate and exceptional_induction carry the
-class itself and subtract a curve's row at each step; the table's
+class, or its fields, and subtract a curve's row at each step; the table's
 require_k6 refuses a class or table outside the K^2 = 6 model once, where
 each of them starts.  Throughout, the boundary curve BOUNDARY[i] pairs with
 a class as symmetric_coords(y)[1 + i] and has the label
 labels >> 10 - 2 * i & 3 in the 12-bit int of the six labels.  minimal_form
-and is_minimal apply the base-locus rule in _first_step, which reads the
-table's labels (see picard).  ReductionTrace.validate never reads them: it
+and is_minimal apply the base-locus rule in _forced to the table's labels
+(see picard); minimal_form reads them once per class and XORs in the step
+curve's table.boundary_labels entry at each step, which is exact as labels
+is additive.  ReductionTrace.validate never reads them: it
 reads the start's labels on A3, B3, C3 from _key_labels3, which reads them
 with column from the checked preimage_combo of the key's least
 representative once per (table, key); they depend only on the 10-bit key
@@ -48,14 +51,13 @@ and, on a zero pairing, its label, and compares its end with the final
 class: an independent re-check of every trace.
 
 Every memo in this module is a functools cache, so each reports its size
-and hits through cache_info().  The first step of a class depends only on
-the class and the table, so _first_step is cached on (table, class), and
-_key_labels3 on (table, key): the table stays read-only and a table built
-later starts cold.  Both are bounded LRU caches, as is _search, the walk
-of each class, at 2^13, 2^11 and 2^10 entries, above the largest working
-sets measured for scan(12), the verify-all suite and a stream of decide
-calls (5,480, 721 and 314); a dropped table is freed once that many later
-entries have filled them.  _key_lifts needs no bound: at most 640 keys.
+and hits through cache_info().  _key_labels3 is cached on (table, key): the
+table stays read-only and a table built later starts cold.  It is a bounded
+LRU cache, as is _search, the walk of each class, at 2^11 and 2^10 entries,
+above the largest working sets measured for the verify-all suite and a
+stream of decide calls (721 and 314); a dropped table is freed once that
+many later entries have filled them.  _key_lifts needs no bound: at most
+640 keys.
 
 scan builds lift mask of a numerical class y as XClass(*y, mask) and sets
 its minimal flag without another reduction.  y is nef, so its degree on
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .lattice import YClass, arithmetic_genus
@@ -189,50 +192,47 @@ def trusted_id(x: XClass) -> str | None:
     return TRUSTED.get(x)
 
 
-def _minus(x: XClass, row: XClass) -> XClass:
-    """x minus a K^2 = 6 curve row, built unchecked as a reduction steps on:
-    XClass masks are 6-bit, so is the XOR of two, and require_k6 refused an
-    exceptional part where the reduction began."""
-    nh, n1, n2, n3, mask, _ = x
-    rh, r1, r2, r3, rmask, _ = row
-    return tuple.__new__(XClass, (nh - rh, n1 - r1, n2 - r2, n3 - r3, mask ^ rmask, ()))
-
-
 # ---------------------------------------------------------------------------
 # Minimal form
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=2**13)
-def _first_step(table: GeneratorTable, p: XClass) -> tuple[ReductionStep, XClass] | None:
-    """The first base-locus curve of p in the order A0, B0, C0, A3, B3, C3;
-    None when p is minimal or has negative degree."""
-    d, *pairings = symmetric_coords(p[:4])
-    if d < 0:
-        return None
-    labels = table.labels(p)
-    for i, deg in enumerate(pairings):
+def _forced(labels: int, coords: tuple[int, ...]) -> int:
+    """The base-locus rule: the index in BOUNDARY of the first curve F with
+    x.F < 0, or x.F = 0 and a nonzero label, given the 12-bit labels and the
+    symmetric_coords of x; -1 when there is none."""
+    for i in range(6):
+        deg = coords[1 + i]
         if deg < 0 or (deg == 0 and labels >> 10 - 2 * i & 3):
-            return _STEPS[i][deg < 0], _minus(p, table.rows[BOUNDARY[i]])
-    return None
+            return i
+    return -1
 
 
 def minimal_form(table: GeneratorTable, x: XClass) -> tuple[XClass, ReductionTrace]:
     """Reduce x by base-locus boundary curves until minimal or d < 0.
 
-    Scan order A0, B0, C0, A3, B3, C3, restarting after each subtraction;
-    each step is read from the cache of _first_step.
+    Scan order A0, B0, C0, A3, B3, C3, restarting after each subtraction.
+    One loop carries the fields and the labels of the class: a step
+    subtracts the curve's row and XORs in its boundary_labels entry, exact
+    since labels is additive; the final class is built once.
     """
-    p = table.require_k6(x)  # refuses a class outside the K^2 = 6 model, even if d < 0
+    nh, n1, n2, n3, _, _ = table.require_k6(x)  # refuses a non-K^2 = 6 class even if d < 0
+    labels, rows, row_labels = table.labels(x), table.rows, table.boundary_labels
     steps: list[ReductionStep] = []
-    while (nxt := _first_step(table, p)) is not None:
-        steps.append(nxt[0])
-        p = nxt[1]
+    while (coords := symmetric_coords((nh, n1, n2, n3)))[0] >= 0:
+        i = _forced(labels, coords)
+        if i < 0:
+            break
+        steps.append(_STEPS[i][coords[1 + i] < 0])
+        rh, r1, r2, r3, _, _ = rows[BOUNDARY[i]]
+        nh, n1, n2, n3, labels = nh - rh, n1 - r1, n2 - r2, n3 - r3, labels ^ row_labels[i]
+    p = XClass(nh, n1, n2, n3, labels >> 6)  # the labels on A0, B0, C0 are the mask
     return p, ReductionTrace(x, tuple(steps), p)
 
 
 def is_minimal(table: GeneratorTable, x: XClass) -> bool:
     # require_k6 first: it refuses a class outside the K^2 = 6 model, even if d < 0
-    return _first_step(table, table.require_k6(x)) is None and x.d >= 0
+    coords = symmetric_coords(table.require_k6(x)[:4])
+    return coords[0] >= 0 and _forced(table.labels(x), coords) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +340,14 @@ def _triples(ycoeffs: tuple[int, ...]):
 
 @lru_cache(maxsize=2**10)
 def _search(ycoeffs: tuple[int, ...]) -> list:
-    """The walk of a class: triples left (None once spent), lifts, mask bitset."""
-    return [_triples(ycoeffs), {}, 0]
+    """The walk of a class: triples left (None once spent), lifts, mask
+    bitset, and the read-only view of the lifts that callers get."""
+    out: dict[int, tuple[int, ...]] = {}
+    return [_triples(ycoeffs), out, 0, MappingProxyType(out)]
 
 
 def effective_lifts(ycoeffs: tuple[int, ...],
-                    want: int | None = None) -> dict[int, tuple[int, ...]]:
+                    want: int | None = None) -> MappingProxyType[int, tuple[int, ...]]:
     """The torsion lifts in S of a numerical class: all of them when want is
     None, else at least the one of mask want if it is in S.
 
@@ -371,13 +373,15 @@ def effective_lifts(ycoeffs: tuple[int, ...],
     of each class; a call walks on until it has want or 64 lifts, or the
     triples run out, and a certificate is set once, at the first triple with
     its mask, so the dict is the complete one cut short, in the same order.
+    The dict is returned as its read-only view, built with it by _search, so
+    a caller cannot change what later calls read.
     On every class probed up to n_h = 240 the whole walk took at most 8 n_h
     triples; the slowest at n_h = 120, such as (120, -1, -119, -1) and
     (120, -119, 1, 1) with 40 lifts, take about 1 ms.
     """
-    walk, out, have = state = _search(ycoeffs)
+    walk, out, have, view = state = _search(ycoeffs)
     if walk is None or want in out:
-        return out
+        return view
     nh, n1, n2, n3 = ycoeffs
     try:
         for a3, b3, c3, la, lb, lc, key in walk:
@@ -399,12 +403,13 @@ def effective_lifts(ycoeffs: tuple[int, ...],
                 break
             if want in out:
                 state[2] = have
-                return out
+                return view
     except BaseException:  # a walk cut short would read as spent: start over
-        state[:] = _triples(ycoeffs), {}, 0
+        out.clear()
+        state[0], state[2] = _triples(ycoeffs), 0
         raise
     state[0] = None  # spent
-    return out
+    return view
 
 
 def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
@@ -629,14 +634,14 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
             return s_membership(table, p)
         for gens in zip(INTERNAL[::2], INTERNAL[1::2]):
             # both internal curves of a letter have the ruling fibre's class
-            rest = YClass(_minus(p, table.rows[gens[0]])[:4])
+            rest = YClass((p - table.rows[gens[0]])[:4])
             if not is_nef_class(rest):
                 continue
             rest_et = classify_exceptional(rest)
             if rest_et.family != fam.family or (fam.n or 0) - (rest_et.n or 0) != 1:
                 continue
             for gen in gens:
-                sub = resolve(_minus(p, table.rows[gen]), rest_et)
+                sub = resolve(p - table.rows[gen], rest_et)
                 if sub is not None:
                     cert = list(sub.certificate)
                     cert[GENERATORS.index(gen)] += 1

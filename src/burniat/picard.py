@@ -66,7 +66,8 @@ the class modulo twice the group, and check (b) makes restriction to A3,
 B3, C3 a homomorphism into 2-torsion, which vanishes on twice the group.  A
 K^2 = 6 table builds this GF(2)-linear map once, as a 1,024-entry tuple
 spanned by the generators' keys and their labels3_rows masks, so labels
-is additive: labels(p + q) == labels(p) ^ labels(q).
+is additive: labels(p + q) == labels(p) ^ labels(q).  It also keeps the
+labels of the six boundary rows, boundary_labels, read once through labels.
 """
 from __future__ import annotations
 
@@ -329,6 +330,8 @@ class GeneratorTable:
                 if key not in labels:
                     labels.update({k ^ key: m ^ m3 for k, m in labels.items()})
             self._labels3 = tuple(labels[k] for k in range(1024))
+            # the labels of each boundary curve's row, in BOUNDARY order
+            self.boundary_labels = tuple(self.labels(self.rows[f]) for f in BOUNDARY)
 
     def __setattr__(self, name, value):
         if hasattr(self, name):  # vars(self) would slow every later attribute read

@@ -21,7 +21,7 @@ from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_chec
 from burniat.delpezzo import classify_exceptional, symmetric_coords
 from burniat.effective import (KX, TRUSTED, InS, InvalidEvidence, NonEffective,
                                ReductionStep, ReductionTrace, ScanReport,
-                               Unresolved, _first_step, _key_labels3, decide,
+                               Unresolved, _key_labels3, decide,
                                effective_lifts, exceptional_induction, is_minimal,
                                minimal_form, prove_non_effective, s_membership,
                                scan, step3_tables, trusted_id, verdict_text)
@@ -160,6 +160,18 @@ def test_effective_lifts_of_the_conic_class():
     assert len(lifts) == 9
     assert 0b00_00_00 not in lifts
     assert 0b10_10_10 not in lifts
+
+
+def test_effective_lifts_cannot_be_changed_by_a_caller():
+    # the lifts are cached per class: a caller that deleted mask 0 would make
+    # decide miss the certificate of the class's lift 0 later on
+    lifts = effective_lifts((12, -6, -6, -5))
+    assert 0 in lifts
+    with pytest.raises(TypeError):
+        lifts[0] = lifts[0]
+    with pytest.raises(TypeError):
+        del lifts[0]
+    assert isinstance(decide(T, XClass(12, -6, -6, -5, 0)), InS)
 
 
 def test_monotonicity_under_adding_generators():
@@ -334,7 +346,7 @@ def test_scan_minimal_flag_agrees_with_is_minimal(scan12):
 
 def test_is_minimal_agrees_with_the_combo_path(scan8):
     # the base-locus rule on the pairings with CURVE_CLASS and the labels of
-    # the columns of preimage_combo, against the fast path of _first_step
+    # the columns of preimage_combo, against the fast path of is_minimal
     for r in scan8.records:
         y, pre = T.to_y(r.x), T.preimage_combo(r.x)
         reference = r.x.d >= 0 and all(
@@ -344,9 +356,9 @@ def test_is_minimal_agrees_with_the_combo_path(scan8):
         assert is_minimal(T, r.x) == reference
 
 
-def test_first_step_memo_gives_the_same_traces(scan8):
-    # a cold memo (a fresh table) and a warm one (the same table again, and
-    # the shared table after scan8) reduce every candidate alike
+def test_a_fresh_table_gives_the_same_traces(scan8):
+    # a fresh table, the same table again and the shared table after scan8,
+    # whose lift searches are warm, reduce every candidate alike
     table = GeneratorTable(standard_config(6))
     cold = scan(table, 8)
     warm = scan(table, 8)
@@ -354,10 +366,10 @@ def test_first_step_memo_gives_the_same_traces(scan8):
         assert len({(r.x, r.minimal, r.verdict) for r in reports}) == 1
 
 
-def test_first_step_memo_is_kept_per_table(scan8):
-    # scan8 warmed the shared table's memo; a forged table with a corrupted
-    # A3 label entry for Q10 still takes the forged step, and its trace is
-    # refused
+def test_reduction_reads_the_labels_of_its_table(scan8):
+    # scan8 reduced on the shared table; a forged table with a corrupted A3
+    # label entry for Q10 takes the forged step, and its trace is refused,
+    # while the shared table still finds Q10 minimal
     q10 = lit("(3; 1 10; 1 10; 1 10)")
     assert minimal_form(T, q10)[1].steps == ()
     table = Forged(_labels3=q10_labels_with_a3_01())
@@ -753,19 +765,18 @@ def test_validate_labels_are_kept_per_table():
 
 
 def test_a_dropped_table_is_freed_after_bounded_further_work():
-    # the memos keyed on a table are bounded: once other tables have filled
-    # them, no entry refers to a table that was dropped
+    # the memo keyed on a table is bounded: once other tables have filled
+    # it, no entry refers to a table that was dropped
     table = GeneratorTable(standard_config(6))
     scan(table, 3)
     ref = weakref.ref(table)
     del table
-    misses = _first_step.cache_info().misses, _key_labels3.cache_info().misses
+    misses = _key_labels3.cache_info().misses
     for _ in range(3):
         scan(GeneratorTable(standard_config(6)), 12)
     gc.collect()
     # every entry of the dropped table has been evicted
-    assert _first_step.cache_info().misses - misses[0] >= _first_step.cache_info().maxsize
-    assert _key_labels3.cache_info().misses - misses[1] >= _key_labels3.cache_info().maxsize
+    assert _key_labels3.cache_info().misses - misses >= _key_labels3.cache_info().maxsize
     assert ref() is None
 
 
