@@ -62,8 +62,10 @@ many later entries have filled them.  _key_lifts needs no bound: at most
 scan builds lift mask of a numerical class y as XClass(*y, mask) and sets
 its minimal flag without another reduction.  y is nef, so its degree on
 each boundary curve is >= 0; once per y, scan builds the int of the label
-bits of the curves of degree 0, and a lift is minimal exactly when its
-labels have none of those bits.
+bits of the curves of degree 0 and the labels of its lift with mask 0; by
+additivity a lift's labels are those XOR the labels of XClass(0, 0, 0, 0,
+mask), read once per scan, and it is minimal exactly when they have none
+of those bits.  to_text prints a class's 64 lifts with one picard.lift_texts.
 """
 from __future__ import annotations
 
@@ -76,8 +78,8 @@ from .lattice import YClass, arithmetic_genus
 from .delpezzo import (ExceptionalType, classify_exceptional, enumerate_nef,
                        is_nef_class, symmetric_coords)
 from .config import BOUNDARY, GENERATORS, INTERNAL
-from .picard import (GeneratorTable, XClass, _key, parse_xclass, xclass_to_text,
-                     TableInconsistent)
+from .picard import (GeneratorTable, XClass, _key, lift_texts, parse_xclass,
+                     xclass_to_text, TableInconsistent)
 
 _BOUNDARY_INDEX = {f: i for i, f in enumerate(BOUNDARY)}
 
@@ -512,12 +514,12 @@ class ScanReport(NamedTuple):
 
     def to_text(self) -> str:
         lines = ["burniat-scan v1", f"d_max={self.d_max}"]
-        ycls = None
-        for r in self.records:
-            if r.ycls is not ycls:  # scan shares one YClass among its 64 lifts
-                ycls, ytext = r.ycls, str(r.ycls)
-            lines.append(f"record {xclass_to_text(r.x)} y={ytext} "
-                         f"minimal={int(r.minimal)} {verdict_text(r.verdict)}")
+        key = None
+        for x, ycls, minimal, verdict in self.records:
+            if (k := (ycls, x[:4], x.ns)) != key:  # scan's 64 lifts of a class share it
+                key, ytext, texts = k, str(ycls), lift_texts(x)
+            lines.append(f"record {texts[x.mask]} y={ytext} "
+                         f"minimal={int(minimal)} {verdict_text(verdict)}")
         c = self.counts()
         lines.append("summary " + " ".join(f"{k}={v}" for k, v in c.items()))
         lines.append("trusted_hits " + " ".join(f"{tid}:{txt}"
@@ -569,9 +571,10 @@ def scan(table: GeneratorTable, d_max: int) -> ScanReport:
         # the label bits of the boundary curves on which y has degree 0
         zero = sum(3 << 10 - 2 * i for i, deg in enumerate(symmetric_coords(y)[1:])
                    if deg == 0)
-        for mask in range(64):
+        labels = table.labels(XClass(*y, 0))
+        for mask, torsion_labels in enumerate(table.mask_labels):
             x = XClass(*y, mask)
-            records.append(ScanRecord(x, ycls, not table.labels(x) & zero,
+            records.append(ScanRecord(x, ycls, not (labels ^ torsion_labels) & zero,
                                       decide(table, x)))
     return report
 

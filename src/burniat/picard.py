@@ -67,7 +67,8 @@ B3, C3 a homomorphism into 2-torsion, which vanishes on twice the group.  A
 K^2 = 6 table builds this GF(2)-linear map once, as a 1,024-entry tuple
 spanned by the generators' keys and their labels3_rows masks, so labels
 is additive: labels(p + q) == labels(p) ^ labels(q).  It also keeps the
-labels of the six boundary rows, boundary_labels, read once through labels.
+labels of the six boundary rows, boundary_labels, and of the 64 classes
+XClass(0, 0, 0, 0, mask), mask_labels, each read once through labels.
 """
 from __future__ import annotations
 
@@ -180,14 +181,18 @@ class XClass(_XClassFields):
 _LABEL_TEXT = ("00", "01", "10", "11")
 
 
+def lift_texts(x: XClass, masks: Iterable[int] = range(64)) -> list[str]:
+    """The text of XClass(*x[:4], m, x.ns) for each m in masks: the numbers
+    are printed once, so scan prints the 64 lifts of a class in one call."""
+    nh, n1, n2, n3, _, ns = x
+    head, b0, c0 = f"({3 * nh + n1 + n2 + n3 + sum(ns)}; {-n1} ", f"; {-n2} ", f"; {-n3} "
+    tail = ("; " + ",".join(str(-n) for n in ns) if ns else "") + ")"
+    return [f"{head}{_LABEL_TEXT[m >> 4]}{b0}{_LABEL_TEXT[m >> 2 & 3]}{c0}"
+            f"{_LABEL_TEXT[m & 3]}{tail}" for m in masks]
+
+
 def xclass_to_text(x: XClass) -> str:
-    # the fields, not the properties: scan prints 13,056 classes
-    nh, n1, n2, n3, m, ns = x
-    text = (f"({3 * nh + n1 + n2 + n3 + sum(ns)}; {-n1} {_LABEL_TEXT[m >> 4]}; "
-            f"{-n2} {_LABEL_TEXT[m >> 2 & 3]}; {-n3} {_LABEL_TEXT[m & 3]}")
-    if ns:
-        text += "; " + ",".join(str(-n) for n in ns)
-    return text + ")"
+    return lift_texts(x, (x.mask,))[0]
 
 
 _X_RE = re.compile(r"^\(\s*(-?\d+)\s*;([^;]+);([^;]+);([^;)]+)(?:;([^)]+))?\)$")
@@ -330,8 +335,10 @@ class GeneratorTable:
                 if key not in labels:
                     labels.update({k ^ key: m ^ m3 for k, m in labels.items()})
             self._labels3 = tuple(labels[k] for k in range(1024))
-            # the labels of each boundary curve's row, in BOUNDARY order
+            # the labels of each boundary curve's row, in BOUNDARY order, and
+            # of each torsion class XClass(0, 0, 0, 0, mask), by mask
             self.boundary_labels = tuple(self.labels(self.rows[f]) for f in BOUNDARY)
+            self.mask_labels = tuple(self.labels(XClass(0, 0, 0, 0, m)) for m in range(64))
 
     def __setattr__(self, name, value):
         if hasattr(self, name):  # vars(self) would slow every later attribute read
@@ -345,10 +352,12 @@ class GeneratorTable:
 
     def phi(self, combo: dict[str, int]) -> XClass:
         """Image of an integer combination of generators and of 2E_s (E{s})."""
-        return self._row_sum(combo.items())
+        return XClass(*self._row_sum(combo.items()))
 
-    def _row_sum(self, terms: Iterable[tuple[str, int]]) -> XClass:
-        """The combination c * rows[g] over (g, c); odd c XOR masks."""
+    def _row_sum(self, terms: Iterable[tuple[str, int]]) -> tuple:
+        """The fields of the sum of c * rows[g] over (g, c), odd c XORing
+        masks, as a plain tuple (an XOR of row masks is 6-bit): maps_to and
+        preimage_combo compare it with a class, phi alone builds an XClass."""
         rows = self.rows
         nh = n1 = n2 = n3 = mask = 0
         ns = (0,) * self.k
@@ -363,7 +372,7 @@ class GeneratorTable:
                     mask ^= gmask
                 if gns:  # the E_s rows and the K^2 < 6 strict transforms
                     ns = tuple(a + c * b for a, b in zip(ns, gns))
-        return XClass(nh, n1, n2, n3, mask, ns)
+        return nh, n1, n2, n3, mask, ns
 
     def column(self, combo: dict[str, int], f: str) -> tuple[int, int]:
         """(deg, 2-bit mask) of the restriction of a generator combination to
@@ -415,7 +424,7 @@ class GeneratorTable:
         combo = {"A3": nh, "B0": nh + n2, "C0": nh + n3, "A0": n1}
         # the rows' numerical parts are fixed curve classes, so this combo
         # lies over x[:4]; the final check covers the whole class
-        for v in _torsion_solution(mask ^ self._row_sum(combo.items()).mask):
+        for v in _torsion_solution(mask ^ self._row_sum(combo.items())[4]):
             for g, c in VEC_COMBO[v].items():
                 combo[g] = combo.get(g, 0) + c
         if self._row_sum(combo.items()) != x:

@@ -20,7 +20,7 @@ from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
 from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_check
 from burniat.delpezzo import classify_exceptional, symmetric_coords
 from burniat.effective import (KX, TRUSTED, InS, InvalidEvidence, NonEffective,
-                               ReductionStep, ReductionTrace, ScanReport,
+                               ReductionStep, ReductionTrace, ScanRecord, ScanReport,
                                Unresolved, _key_labels3, decide,
                                effective_lifts, exceptional_induction, is_minimal,
                                minimal_form, prove_non_effective, s_membership,
@@ -342,6 +342,50 @@ def test_scan_minimal_flag_agrees_with_is_minimal(scan12):
     # scan reads the flag from the degree-0 curves of each numerical class
     for r in scan12.records:
         assert is_minimal(T, r.x) == r.minimal
+
+
+def test_scan_makes_the_calls_the_benchmark_counts(monkeypatch):
+    # one module-level decide per candidate and one certificate search per
+    # numerical class: the counts the benchmark's tracer self-check pins
+    import burniat.effective as eff
+    decided, searched = [], set()
+    real_decide, real_lifts = eff.decide, eff.effective_lifts
+
+    def counting_decide(table, x):
+        decided.append(x)
+        return real_decide(table, x)
+
+    def counting_lifts(ycoeffs, *args):
+        searched.add(ycoeffs)
+        return real_lifts(ycoeffs, *args)
+
+    monkeypatch.setattr(eff, "decide", counting_decide)
+    monkeypatch.setattr(eff, "effective_lifts", counting_lifts)
+    scan(T, 3)
+    assert len(decided) == 384 and len(searched) == 6
+    searched.clear()
+    scan(T, 12)
+    assert len(searched) == 204
+
+
+def test_scan_and_the_reduction_refuse_a_k5_table():
+    # each asks the table's require_k6 before any work, scan too
+    t5, x = build_generator_table(5), XClass(1, 0, 0, 0, 0)
+    for call in (lambda: scan(t5, 3), lambda: decide(t5, x),
+                 lambda: minimal_form(t5, x), lambda: is_minimal(t5, x)):
+        with pytest.raises(NotARepresentableClass, match=r"K\^2=6"):
+            call()
+
+
+def test_a_hand_built_report_prints_each_record_s_own_class():
+    # consecutive records share one YClass object but not their class: each
+    # prints its own, as criterion 6's filtered reports must
+    y = YClass((1, 0, 0, 0))
+    xs = [XClass(1, 0, 0, 0, 5), XClass(2, -1, 0, 0, 5), XClass(1, 0, 0, 0, 9)]
+    report = ScanReport(3, [ScanRecord(x, y, is_minimal(T, x), decide(T, x)) for x in xs])
+    lines = report.to_text().splitlines()[2:5]
+    assert [line.split(" y=")[0] for line in lines] == [
+        f"record {xclass_to_text(x)}" for x in xs]
 
 
 def test_is_minimal_agrees_with_the_combo_path(scan8):

@@ -416,6 +416,30 @@ def test_restrictions_match_the_combo_path_on_every_key():
                 assert fast_path_restrictions(table, x) == combo_path_restrictions(table, x)
 
 
+def test_maps_to_compares_every_field_of_the_re_sum():
+    # a certificate whose re-sum differs from x in the mask alone, or in one
+    # numerical field alone, is refused
+    cert = tuple(range(12))
+    x = T6.phi(dict(zip(GENERATORS, cert)))
+    assert T6.maps_to(cert, x)
+    for mask in range(1, 64):
+        assert not T6.maps_to(cert, x._replace(mask=x.mask ^ mask))
+    for field in ("nh", "n1", "n2", "n3"):
+        for step in (-1, 1, 2):
+            assert not T6.maps_to(cert, x._replace(**{field: getattr(x, field) + step}))
+
+
+def test_table_methods_return_checked_classes():
+    # the row sums are plain tuples inside the table; what it hands out is
+    # an XClass, on every K^2
+    t5 = build_generator_table(5)
+    classes = [T6.phi({}), T6.phi({"A1": 2, "B3": -1}), t5.phi({"A0": 1, "E0": 1}),
+               T6.from_y(YClass((1, 0, 0, 0)), (1, 0, 1, 0, 0, 1)),
+               *T6.rows.values(), *t5.rows.values()]
+    assert all(type(x) is XClass for x in classes)
+    assert t5.phi({"E0": 1}).ns == t5.rows["E0"].ns
+
+
 def test_labels_are_additive():
     # labels is a homomorphism into the 2-torsion of the six curves: the
     # degrees of a sum add and its labels XOR
