@@ -27,27 +27,13 @@ from .picard import (GeneratorTable, TableInconsistent, build_generator_table,
 # Largest n_h (the h-coefficient of the numerical class) that `effective`
 # accepts.  The search stops at the asked lift, but a class outside S walks
 # all its triples, at most 8 n_h on every class probed; the slowest at n_h =
-# 120, such as (120, -1, -119, -1), take about 1.5 ms of search (0.12 s end
-# to end) on a 2-vCPU x86 host, about twofold each time n_h doubles.  The
-# degree is bounded by 3 * EFFECTIVE_MAX_NH, the largest degree of a nef
-# class within that budget, as the reduction takes one step per unit of
-# degree, about 1-2 us each (0.45 ms for a trace of 250 steps at n_h = 120).
+# 120, such as (120, -1, -119, -1) and (120, -119, 1, 1), take 0.5-1.2 ms of
+# search (0.07 s end to end) on a 2-vCPU x86 host with Python 3.11, about
+# twofold each time n_h doubles.  The degree is bounded by 3 *
+# EFFECTIVE_MAX_NH, the largest degree of a nef class within that budget, as
+# the reduction takes one step per unit of degree, about 1-2 us each (0.45 ms
+# for a trace of 250 steps at n_h = 120).
 EFFECTIVE_MAX_NH = 120
-
-
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ksq", type=int, default=6, help="K^2 of the configuration")
-    p.add_argument("--variant", default="plain",
-                   help="nodal / non-nodal for K^2=4; default plain")
-    p.add_argument("--config", default=None,
-                   help="plain-text configuration file (overrides --ksq)")
-
-
-def _load_config(args):
-    if args.config:
-        with open(args.config) as fh:
-            return config_from_text(fh.read())
-    return standard_config(args.ksq, args.variant)
 
 
 def cmd_verify_all(args) -> int:
@@ -75,7 +61,11 @@ def cmd_verify_all(args) -> int:
 
 
 def cmd_torsion(args) -> int:
-    cfg = _load_config(args)
+    if args.config:
+        with open(args.config) as fh:
+            cfg = config_from_text(fh.read())
+    else:
+        cfg = standard_config(args.ksq, args.variant)
     basis = torsion_subgroup(cfg)
     print(f"# torsion basis, K^2={cfg.ksq} variant={cfg.variant}"
           f" (dimension {len(basis)})")
@@ -164,7 +154,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_verify_all)
 
     p = sub.add_parser("torsion", help="torsion basis of a configuration")
-    _add_config_flags(p)
+    p.add_argument("--ksq", type=int, default=6, help="K^2 of the configuration")
+    p.add_argument("--variant", default="plain",
+                   help="nodal / non-nodal for K^2=4; default plain")
+    p.add_argument("--config", default=None,
+                   help="plain-text configuration file (overrides --ksq)")
     p.set_defaults(fn=cmd_torsion)
 
     p = sub.add_parser("effective", help="decide one class literal")

@@ -293,8 +293,11 @@ def _triples(ycoeffs: tuple[int, ...]):
     slack 6).  effective_lifts gains nothing from a key it has seen, so
     triples whose key repeats an earlier one are skipped (some still come):
     * along c3 the slack rises before min(u, w), is constant up to max(u, w)
-      and falls to 0 at top, so the key is period 2 on each stretch once the
-      slack is constant or at least 8, and two triples stand for the rest;
+      and falls to 0 at top, so the key is period 2 on the constant stretch
+      and two triples stand for the rest; the other two stretches repeat a
+      key only at slack >= 10, but from slack 5 a key reaches every mask
+      whose counts sum to r mod 2, so the two triples before it reach all
+      64 masks and effective_lifts has stopped;
     * along b3, while lb > 0, w <= 0 and c3 starts at 0, top = n_h + n3 and
       row b3 + 2 has the keys of row b3;
     * u and w act only as max(u, 0) and max(w, 0), which the code keeps in u
@@ -321,7 +324,7 @@ def _triples(ycoeffs: tuple[int, ...]):
                 continue
             rows.add(row)
             mid, hi = (u, w) if u < w else (w, u)
-            c3 = lo = u + w - top if u + w > top else 0
+            c3 = u + w - top if u + w > top else 0
             while c3 <= top:
                 la = u - c3 if u > c3 else 0
                 lc = w - c3 if w > c3 else 0
@@ -331,13 +334,9 @@ def _triples(ycoeffs: tuple[int, ...]):
                         2 + (lc & 1) if lc else c3 & 1,
                         slack if slack < 10 else 8 + (slack & 1)))
                 c3 += 1
-                # two triples of a stretch of period 2 stand for the rest of it
-                if la and lc and slack > 8 and c3 > lo + 1:
-                    c3 = mid
-                elif (la or lc) and c3 == mid + 2:
+                # two triples of the constant stretch stand for the rest of it
+                if (la or lc) and c3 == mid + 2:
                     c3 = hi
-                elif c3 == hi + 2 < top - 7:
-                    c3 = top - 7
 
 
 @lru_cache(maxsize=2**10)
@@ -378,8 +377,7 @@ def effective_lifts(ycoeffs: tuple[int, ...],
     The dict is returned as its read-only view, built with it by _search, so
     a caller cannot change what later calls read.
     On every class probed up to n_h = 240 the whole walk took at most 8 n_h
-    triples; the slowest at n_h = 120, such as (120, -1, -119, -1) and
-    (120, -119, 1, 1) with 40 lifts, take about 1 ms.
+    triples; cli.EFFECTIVE_MAX_NH states the time of the slowest.
     """
     walk, out, have, view = state = _search(ycoeffs)
     if walk is None or want in out:
@@ -476,7 +474,6 @@ def decide(table: GeneratorTable, x: XClass) -> Verdict:
 
 class ScanRecord(NamedTuple):
     x: XClass
-    ycls: YClass
     minimal: bool
     verdict: Verdict
 
@@ -515,9 +512,9 @@ class ScanReport(NamedTuple):
     def to_text(self) -> str:
         lines = ["burniat-scan v1", f"d_max={self.d_max}"]
         key = None
-        for x, ycls, minimal, verdict in self.records:
-            if (k := (ycls, x[:4], x.ns)) != key:  # scan's 64 lifts of a class share it
-                key, ytext, texts = k, str(ycls), lift_texts(x)
+        for x, minimal, verdict in self.records:
+            if (k := (*x[:4], *x.ns)) != key:  # scan's 64 lifts of a class share it
+                key, ytext, texts = k, str(YClass(k)), lift_texts(x)
             lines.append(f"record {texts[x.mask]} y={ytext} "
                          f"minimal={int(minimal)} {verdict_text(verdict)}")
         c = self.counts()
@@ -574,7 +571,7 @@ def scan(table: GeneratorTable, d_max: int) -> ScanReport:
         labels = table.labels(XClass(*y, 0))
         for mask, torsion_labels in enumerate(table.mask_labels):
             x = XClass(*y, mask)
-            records.append(ScanRecord(x, ycls, not (labels ^ torsion_labels) & zero,
+            records.append(ScanRecord(x, not (labels ^ torsion_labels) & zero,
                                       decide(table, x)))
     return report
 

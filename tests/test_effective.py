@@ -2,6 +2,7 @@ import ast
 import copy
 import gc
 import hashlib
+import importlib
 import json
 import os
 import random
@@ -248,8 +249,8 @@ def test_scan_rejects_large_degree():
 
 # the scan(12) and exc-check hashes and the verify-all lines, pinned once
 # in the benchmark's reference outputs
-REFERENCE = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
-                        / "reference.json").read_text())
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 
 
 def _sha256(text):
@@ -265,6 +266,17 @@ def test_scan12_text_unchanged(scan12, capsys):
     assert _sha256(scan12.to_text()) == REFERENCE["scan12_sha256"]
     assert cli_main(["scan", "--max-degree", "12", "--format", "structured"]) == 0
     assert _sha256(capsys.readouterr().out) == REFERENCE["scan12_sha256"]
+
+
+def test_decide_digests_unchanged(monkeypatch):
+    # the benchmark's decide passes: certificates at n_h 12-30, beyond scan(12)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workload")
+    for key, digest in REFERENCE["decide_sha256"].items():
+        seed, index = map(int, key.split(":"))
+        lines = [f"{x} {verdict_text(decide(T, x))}"
+                 for x in workload.decide_items(T, seed, index)]
+        assert _sha256("\n".join(lines)) == digest, key
 
 
 def test_scan12_classes_round_trip_through_their_text(scan12):
@@ -378,14 +390,13 @@ def test_scan_and_the_reduction_refuse_a_k5_table():
 
 
 def test_a_hand_built_report_prints_each_record_s_own_class():
-    # consecutive records share one YClass object but not their class: each
-    # prints its own, as criterion 6's filtered reports must
-    y = YClass((1, 0, 0, 0))
+    # consecutive records need not share their class: each prints its own,
+    # as criterion 6's filtered reports must
     xs = [XClass(1, 0, 0, 0, 5), XClass(2, -1, 0, 0, 5), XClass(1, 0, 0, 0, 9)]
-    report = ScanReport(3, [ScanRecord(x, y, is_minimal(T, x), decide(T, x)) for x in xs])
+    report = ScanReport(3, [ScanRecord(x, is_minimal(T, x), decide(T, x)) for x in xs])
     lines = report.to_text().splitlines()[2:5]
-    assert [line.split(" y=")[0] for line in lines] == [
-        f"record {xclass_to_text(x)}" for x in xs]
+    assert [line.split(" minimal=")[0] for line in lines] == [
+        f"record {xclass_to_text(x)} y={T.to_y(x)}" for x in xs]
 
 
 def test_is_minimal_agrees_with_the_combo_path(scan8):

@@ -348,6 +348,16 @@ def test_key_lifts_are_the_first_certificates_of_each_triple(box_triples):
         assert reach == sum(1 << f[5] for f in want), case
 
 
+def test_from_slack_5_a_key_reaches_every_mask_of_the_parity_of_r():
+    # t_a + t_b + t_c = r fixes only the sum of their parities: two
+    # consecutive triples of a row with slack >= 5 reach all 64 masks, so
+    # _triples needs no shortcut where the slack rises or falls past 10
+    for key in itertools.product(range(4), range(4), range(4), range(5, 10)):
+        r = sum(4 - k if k > 1 else 0 for k in key[:3]) + key[3]
+        parity = sum(1 << m for m in range(64) if (m >> 4 ^ m >> 2 ^ m) & 1 == r & 1)
+        assert _key_lifts(key)[0] == parity, key
+
+
 def test_complete_against_brute_force_oracle():
     # every nonnegative generator combination of degree <= D, summed by phi
     D = 8
