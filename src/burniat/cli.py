@@ -169,7 +169,8 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=cmd_effective)
 
     p = sub.add_parser("scan", help="classify all candidates up to a degree")
-    p.add_argument("--max-degree", type=int, required=True)
+    p.add_argument("--max-degree", type=int, required=True,
+                   help="largest degree D.(-K) of the candidates, 0..12")
     p.add_argument("--out", default=None, help="write the report to a file")
     p.add_argument("--format", choices=("human", "structured"), default="human")
     p.set_defaults(fn=cmd_scan)

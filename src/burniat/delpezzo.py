@@ -17,14 +17,20 @@ The configuration symmetry group (letter permutations times the 0<->3 swap,
 YClass is the boundary type: every public function takes and returns one.
 The arithmetic runs on the coefficient tuple (n_h, n_1, n_2, n_3): the
 pairings with the five nef generators (nef_pairings) and the symmetric
-coordinates (symmetric_coords) are written out once each, D is effective
-when the first are all >= 0 and nef when the second are, and the greedy
-decompositions subtract 4-tuples.
+coordinates (symmetric_coords) are written out once each, and D is
+effective when the first are all >= 0 and nef when the second are.  Each
+function works on the pairings where it can: eff_decompose counts the five
+nef pairings down (each curve lowers exactly two of them by one),
+enumerate_nef loops over n_h and the pairings with A0, B0, C0 inside the
+nef and degree bounds, and classify_exceptional looks the symmetric
+coordinates up in each family's symmetry orbit, built once per degree.
+nef_decompose subtracts 4-tuples.
 """
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import lru_cache
 from typing import NamedTuple
 
 from .lattice import SurfaceLattice, YClass, arithmetic_genus
@@ -100,6 +106,26 @@ _CURVE_ROWS = tuple((name, CURVE_CLASS[name].coeffs) for name in BOUNDARY)
 _NEF_ROWS = tuple((name, NEF_CLASS[name].coeffs) for name in NEF_ORDER)
 
 
+def _curve_pairs(rows) -> tuple[tuple[str, int, int], ...]:
+    """(name, i, j) per curve: the two NEF_ORDER positions it pairs 1 with.
+
+    Every boundary curve pairs 1, 1, 0, 0, 0 with the nef generators (A0 with
+    f1 and h2, A3 with f1 and h1, and so on by letter), so subtracting it
+    lowers exactly those two pairings by one."""
+    out = []
+    for name, row in rows:
+        p = nef_pairings(row)
+        if sorted(p) != [0, 0, 0, 1, 1]:
+            raise AssertionError(f"{name} pairs {p} with {NEF_ORDER}, "
+                                 "not 1, 1, 0, 0, 0")
+        i, j = (k for k, v in enumerate(p) if v)
+        out.append((name, i, j))
+    return tuple(out)
+
+
+_CURVE_PAIRS = _curve_pairs(_CURVE_ROWS)
+
+
 def eff_decompose(d: YClass) -> Counter | None:
     """Write d as a nonnegative combination of the six (-1)-curves.
 
@@ -107,23 +133,27 @@ def eff_decompose(d: YClass) -> Counter | None:
     nef generators.  Otherwise the greedy round-robin subtraction below always
     reaches zero because the integral points of the effective cone are
     generated by the six curves; a stall would be a library bug and raises.
-    Deterministic: curves are tried cyclically in scan order.
+    Deterministic: curves are tried cyclically in scan order.  The walk runs
+    on the five pairings (_CURVE_PAIRS): the rest after a curve is effective
+    exactly when both pairings the curve lowers are still positive.
     """
-    cur = _coeffs(d)
-    if min(nef_pairings(cur)) < 0:
+    p = list(nef_pairings(_coeffs(d)))
+    if min(p) < 0:
         return None
     out: Counter = Counter()
-    while any(cur):
+    while any(p):
         subtracted = False
-        for name, row in _CURVE_ROWS:
-            rest = _minus(cur, row)
-            if min(nef_pairings(rest)) >= 0:
+        for name, i, j in _CURVE_PAIRS:
+            if p[i] and p[j]:
+                p[i] -= 1
+                p[j] -= 1
                 out[name] += 1
-                cur = rest
                 subtracted = True
         if not subtracted:
+            nh = p[3]
+            cur = YClass((nh, p[0] - nh, p[1] - nh, p[2] - nh))
             raise AssertionError(
-                f"effective cone not totally generated at {YClass(cur)}")
+                f"effective cone not totally generated at {cur}")
     return out
 
 
@@ -156,16 +186,18 @@ def nef_decompose(d: YClass) -> Counter | None:
 def enumerate_nef(d_max: int) -> list[YClass]:
     """All nef classes with degree D.(-K) <= d_max, sorted by (degree, coeffs).
 
-    For nef D one has n_h = D.h1 in [0, d] and each e-coefficient in
-    [-n_h, 0], so the search box below is exhaustive.
+    The loops run over n_h = D.h1 and the pairings a, b, c = -n_1, -n_2, -n_3
+    with A0, B0, C0.  D is nef when a, b, c >= 0 and the pairings with C3, B3,
+    A3 (n_h - a - b, n_h - a - c, n_h - b - c) are >= 0; its degree is
+    3 n_h - a - b - c.  The A3, B3, C3 and degree bounds cut the ranges
+    below, and n_h <= d because -K = h1 + h2 with h2 nef.
     """
     found = []
     for nh in range(0, d_max + 1):
-        for ni in itertools.product(range(-nh, 1), repeat=3):
-            c = (nh, *ni)
-            s = symmetric_coords(c)
-            if s[0] <= d_max and min(s) >= 0:
-                found.append((s[0], c))
+        for a in range(nh + 1):
+            for b in range(nh - a + 1):
+                for c in range(max(0, 3 * nh - a - b - d_max), nh - max(a, b) + 1):
+                    found.append((3 * nh - a - b - c, (nh, -a, -b, -c)))
     found.sort()
     return [YClass(c) for _, c in found]
 
@@ -198,6 +230,17 @@ def _normal_forms(d: int):
         yield "Type4", None, (6, 2, 2, 2, 0, 0, 0)
 
 
+@lru_cache(maxsize=64)
+def _orbits(d: int) -> tuple[tuple[str, int | None, frozenset], ...]:
+    """(family, n, symmetry orbit of its normal form) per _normal_forms(d).
+
+    The index maps of _SYMMETRY_INDEX form a group, so a class is moved onto
+    the normal form by some element exactly when it lies in this orbit."""
+    return tuple((family, n, frozenset(tuple(form[i] for i in idx)
+                                       for idx in _SYMMETRY_INDEX))
+                 for family, n, form in _normal_forms(d))
+
+
 def classify_exceptional(d: YClass) -> ExceptionalType:
     """Match a nef class against the four low-genus families, up to symmetry.
 
@@ -209,15 +252,13 @@ def classify_exceptional(d: YClass) -> ExceptionalType:
     if min(s) < 0:
         raise ValueError(f"{d} is not nef")
     p_a = arithmetic_genus(d)
-    moved = [tuple(s[i] for i in idx) for idx in _SYMMETRY_INDEX]
-    for family, n, form in _normal_forms(s[0]):
-        for m in moved:
-            if m == form:
-                expected = -(n - 1) if family == "Type1" else 0
-                if p_a != expected:
-                    raise AssertionError(f"{d} classified {family} n={n} "
-                                         f"but p_a={p_a}")
-                return ExceptionalType(family, n, p_a)
+    for family, n, orbit in _orbits(s[0]):
+        if s in orbit:
+            expected = -(n - 1) if family == "Type1" else 0
+            if p_a != expected:
+                raise AssertionError(f"{d} classified {family} n={n} "
+                                     f"but p_a={p_a}")
+            return ExceptionalType(family, n, p_a)
     if p_a <= 0 and not d.is_zero():
         raise AssertionError(f"unclassified nef class {d} with p_a={p_a}")
     return ExceptionalType("NonExceptional", None, p_a)

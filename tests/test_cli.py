@@ -233,6 +233,12 @@ def test_scan_degree_cap(capsys):
     assert "d_max <= 12" in err
 
 
+def test_scan_help_states_the_degree_range(capsys):
+    code, out, _ = run(capsys, "scan", "--help")
+    assert code == 0
+    assert "--max-degree MAX_DEGREE" in out and "0..12" in out
+
+
 def test_scan_refuses_a_negative_degree_bound(capsys):
     code, out, err = run(capsys, "scan", "--max-degree", "-1")
     assert code == 2 and not out

@@ -14,6 +14,7 @@ import pytest
 
 from burniat.config import BOUNDARY, CURVE_CLASS
 from burniat.delpezzo import (LAT, NEF_CLASS, NEF_ORDER, SYMMETRY_GROUP,
+                              _CURVE_PAIRS, _CURVE_ROWS, _curve_pairs,
                               ExceptionalType, NotInLattice, classify_exceptional,
                               eff_decompose, enumerate_nef, is_nef_class,
                               nef_decompose, nef_pairings, symmetric_coords)
@@ -128,13 +129,62 @@ def test_decompositions_match_the_reference():
         assert is_nef_class(d) == ref_is_nef(d)
 
 
+def test_decompositions_match_the_reference_beyond_the_box():
+    # seeded sums of the six curves and of the five nef generators at
+    # n_h 11..60, all outside criterion 5's box
+    rng = random.Random(35)
+    classes = []
+    for gens in (CURVE_CLASS, NEF_CLASS):
+        rows = [gens[name].coeffs for name in sorted(gens)]
+        sums = []
+        while len(sums) < 150:
+            mult = [rng.randint(0, 20) for _ in rows]
+            c = tuple(sum(m * row[i] for m, row in zip(mult, rows)) for i in range(4))
+            if 11 <= c[0] <= 60:
+                sums.append(YClass(c))
+        classes += sums
+    assert sum(ref_is_nef(d) for d in classes) >= 150
+    for d in classes:
+        assert ref_is_effective(d)
+        assert eff_decompose(d) == ref_eff_decompose(d)
+        assert nef_decompose(d) == ref_nef_decompose(d)
+
+
+def test_curve_pairs_match_the_pairings():
+    # each curve pairs 1 with the two nef generators named here, 0 with the rest
+    expected = {"A0": ("f1", "h2"), "B0": ("f2", "h2"), "C0": ("f3", "h2"),
+                "A3": ("f1", "h1"), "B3": ("f2", "h1"), "C3": ("f3", "h1")}
+    assert [name for name, _, _ in _CURVE_PAIRS] == list(BOUNDARY)
+    for name, i, j in _CURVE_PAIRS:
+        assert (NEF_ORDER[i], NEF_ORDER[j]) == expected[name]
+        pairings = tuple(CURVE_CLASS[name].dot(NEF_CLASS[n]) for n in NEF_ORDER)
+        assert pairings == tuple(int(k in (i, j)) for k in range(5))
+    assert _curve_pairs(_CURVE_ROWS) == _CURVE_PAIRS
+    # h1 pairs (1, 1, 1, 1, 2); 2h-e1-2e2-2e3 pairs (1, 0, 0, 2, -1), also sum 2
+    for row in ((1, 0, 0, 0), (2, -1, -2, -2)):
+        with pytest.raises(AssertionError, match="not 1, 1, 0, 0, 0"):
+            _curve_pairs((("D", row),))
+
+
 def test_enumerate_nef_matches_the_reference():
-    assert enumerate_nef(12) == ref_enumerate_nef(12)
+    # to degree 18, the bound of the nef check on M; degree 12 is a prefix
+    classes = ref_enumerate_nef(18)
+    assert len(classes) == 748
+    assert enumerate_nef(18) == classes
+    assert enumerate_nef(12) == classes[:204]
+
+
+def test_enumerate_nef_to_degree_40_is_distinct_sorted_and_nef():
+    classes = enumerate_nef(40)
+    assert len(classes) == len({d.coeffs for d in classes}) == 12453
+    keys = [(symmetric_coords(d.coeffs)[0], d.coeffs) for d in classes]
+    assert keys == sorted(keys) and keys[-1][0] == 40
+    assert all(min(symmetric_coords(d.coeffs)) >= 0 for d in classes)
 
 
 def test_classify_matches_the_reference():
-    classes = ref_enumerate_nef(12)
-    assert len(classes) == 204
+    classes = ref_enumerate_nef(18)
+    assert len(classes) == 748
     for d in classes:
         assert classify_exceptional(d) == ref_classify(d)
 
