@@ -24,7 +24,6 @@ nef pairings down (each curve lowers exactly two of them by one),
 enumerate_nef loops over n_h and the pairings with A0, B0, C0 inside the
 nef and degree bounds, and classify_exceptional looks the symmetric
 coordinates up in each family's symmetry orbit, built once per degree.
-nef_decompose subtracts 4-tuples.
 """
 from __future__ import annotations
 
@@ -75,10 +74,6 @@ def _coeffs(d: YClass) -> tuple[int, ...]:
     return d.coeffs
 
 
-def _minus(c: tuple[int, ...], row: tuple[int, ...]) -> tuple[int, ...]:
-    return c[0] - row[0], c[1] - row[1], c[2] - row[2], c[3] - row[3]
-
-
 # --- the 12-element symmetry group ------------------------------------------
 # A group element is (letter permutation sigma on (a,b,c), swap 0<->3 flag).
 
@@ -103,7 +98,6 @@ _SYMMETRY_INDEX = [_symmetry_index(sym) for sym in SYMMETRY_GROUP]
 # --- effective and nef decomposition ----------------------------------------
 
 _CURVE_ROWS = tuple((name, CURVE_CLASS[name].coeffs) for name in BOUNDARY)
-_NEF_ROWS = tuple((name, NEF_CLASS[name].coeffs) for name in NEF_ORDER)
 
 
 def _curve_pairs(rows) -> tuple[tuple[str, int, int], ...]:
@@ -162,25 +156,22 @@ def is_nef_class(d: YClass) -> bool:
 
 
 def nef_decompose(d: YClass) -> Counter | None:
-    """Greedy decomposition over f1, f2, f3, h1, h2, or None if not nef."""
-    cur = _coeffs(d)
-    if min(symmetric_coords(cur)) < 0:
+    """d as a nonnegative combination of f1, f2, f3, h1, h2, or None if not nef.
+
+    Per letter the pairing with X3 minus the pairing with X0 is the same
+    number, s = n_h + n_1 + n_2 + n_3 (a3 - a0 = b3 - b0 = c3 - c0).  Each
+    f_i pairs 1 with its letter's X0 and X3 and 0 elsewhere, h1 pairs 1 with
+    A3, B3, C3 and h2 with A0, B0, C0, so min(x0, x3) fibres f_i per letter
+    leave every x0 at 0 (s >= 0) or every x3 at 0 (s < 0), i.e. s h1 or
+    -s h2.  Zero counts are left out; the keys come in NEF_ORDER.
+    """
+    coords = symmetric_coords(_coeffs(d))
+    if min(coords) < 0:
         return None
-    out: Counter = Counter()
-    progress = True
-    while any(cur) and progress:
-        progress = False
-        for name, row in _NEF_ROWS:
-            while True:
-                rest = _minus(cur, row)
-                if min(symmetric_coords(rest)) < 0:
-                    break
-                out[name] += 1
-                cur = rest
-                progress = True
-    if any(cur):
-        raise AssertionError(f"nef semigroup not totally generated at {YClass(cur)}")
-    return out
+    _, a0, b0, c0, a3, b3, c3 = coords
+    s = a3 - a0
+    counts = min(a0, a3), min(b0, b3), min(c0, c3), max(s, 0), max(-s, 0)
+    return Counter({name: m for name, m in zip(NEF_ORDER, counts) if m})
 
 
 def enumerate_nef(d_max: int) -> list[YClass]:

@@ -298,31 +298,33 @@ def _triples(ycoeffs: tuple[int, ...]):
       key only at slack >= 10, but from slack 5 a key reaches every mask
       whose counts sum to r mod 2, so the two triples before it reach all
       64 masks and effective_lifts has stopped;
-    * along b3, while lb > 0, w <= 0 and c3 starts at 0, top = n_h + n3 and
-      row b3 + 2 has the keys of row b3;
     * u and w act only as max(u, 0) and max(w, 0), which the code keeps in u
-      and w, so a row's keys depend only on (a3 mod 2, u, key_b, w, top) and
-      a row repeating that tuple is skipped.
+      and w, so a row's keys depend only on (a3 mod 2, u, key_b, w, top);
+    * from a3 = max(first a3, -n2) + 2 on, u = 0 on rows a3 and a3 - 2, so a
+      row with lb > 0 repeats row (a3 - 2, b3) and a row with w = 0 repeats
+      row (a3 - 2, b3 + 2): only the rows with lb = 0 < w are walked;
+    * below that a3, along b3, while lb > 0 = w, top = n_h + n3 and row
+      b3 + 2 has the keys of row b3, so two rows of each such run are walked.
     """
     nh, n1, n2, n3 = ycoeffs
     if nh + n3 < 0:  # then top < 0 on every row
         return
-    rows = set()
-    b_lo = max(0, -nh - n1 - n3)
-    for a3 in range(max(0, -nh - n2 - n3), min(nh, nh + n1) + 1):
+    a_lo, b_lo = max(0, -nh - n2 - n3), max(0, -nh - n1 - n3)
+    a_new = max(a_lo, -n2) + 2
+    # rows skip, skip + 1, ... repeat rows skip - 2, skip - 1 while lb > 0
+    skip = max(b_lo, -n1) + 2
+    for a3 in range(a_lo, min(nh, nh + n1) + 1):
         u = -n2 - a3 if a3 < -n2 else 0
         b_hi = (nh + n2 if u else nh - a3) + 1
-        # rows skip, skip + 1, ... repeat rows skip - 2, skip - 1 while lb > 0
-        skip = max(b_lo, -n1, -nh - n1 - n2 - n3 - a3) + 2
-        for b3 in chain(range(b_lo, min(skip, b_hi)), range(max(skip, -n3 - a3), b_hi)):
+        if a3 < a_new:
+            b3s = chain(range(b_lo, min(skip, b_hi)), range(max(skip, -n3 - a3), b_hi))
+        else:  # the rows with lb = 0 < w
+            b3s = range(max(b_lo, -n3 - a3), min(-n1, b_hi))
+        for b3 in b3s:
             w = -n1 - b3 if b3 < -n1 else 0
             lb = -n3 - a3 - b3 if b3 < -n3 - a3 else 0
             top = nh - a3 - b3 - lb
             key_b = 2 + (lb & 1) if lb else b3 & 1
-            row = (a3 & 1, u, key_b, w, top)
-            if row in rows:
-                continue
-            rows.add(row)
             mid, hi = (u, w) if u < w else (w, u)
             c3 = u + w - top if u + w > top else 0
             while c3 <= top:

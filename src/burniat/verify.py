@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 from .lattice import YClass, arithmetic_genus, negative_curves
 from .delpezzo import (LAT, NEF_CLASS, classify_exceptional, eff_decompose,
                        enumerate_nef, nef_decompose, symmetric_coords)
-from .config import (BOUNDARY, CURVE_CLASS, InvalidBuildingData,
+from .config import (BOUNDARY, CURVE_CLASS, STANDARD_CASES, InvalidBuildingData,
                      all_standard_configs, minus_two_curves,
                      ramification_span_index, validate_building_data)
 from .picard import (GeneratorTable, XClass, build_generator_table,
@@ -47,9 +47,8 @@ def _c1_torsion_ranks(seed: int, table: GeneratorTable) -> tuple[bool, str]:
 def _c2_indices(seed: int, table: GeneratorTable) -> tuple[bool, str]:
     notes = []
     ok = True
-    expected_span = {(6, "plain"): 3, (5, "plain"): 6, (4, "nodal"): 12,
-                     (4, "non-nodal"): 12, (3, "plain"): 24}
-    for case, want in expected_span.items():
+    # the span index of every case before K^2 = 2, which follows
+    for case, want in zip(STANDARD_CASES, (3, 6, 12, 12, 24)):
         case_table = build_generator_table(*case)
         got = case_table.image_index
         full = picard_image_index(case_table.cfg)

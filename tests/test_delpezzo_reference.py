@@ -187,6 +187,32 @@ def test_classify_matches_the_reference():
     assert len(classes) == 748
     for d in classes:
         assert classify_exceptional(d) == ref_classify(d)
+        assert nef_decompose(d) == ref_nef_decompose(d)
+
+
+def test_nef_decompose_re_sums_at_n_h_up_to_a_million():
+    # seeded nef classes, built as in enumerate_nef with the letters shuffled,
+    # where the greedy reference is too slow: each decomposition has positive
+    # counts only and re-sums to the class
+    rng = random.Random(36)
+    # 10^6 h1, 10^6 h2 and 5 10^5 (f1 + f2), one per sign of n_h + n1 + n2 + n3
+    classes = [YClass((10**6, 0, 0, 0)), YClass((2 * 10**6, *[-10**6] * 3)),
+               YClass((10**6, -5 * 10**5, -5 * 10**5, 0))]
+    while len(classes) < 200:
+        nh = rng.randint(0, 10**6)
+        a = rng.randint(0, nh)
+        b = rng.randint(0, nh - a)
+        c = rng.randint(0, nh - max(a, b))
+        classes.append(YClass((nh, *rng.sample((-a, -b, -c), 3))))
+    signs = set()
+    for d in classes:
+        dec = nef_decompose(d)
+        assert set(dec) <= set(NEF_ORDER) and min(dec.values()) > 0, d
+        assert sum((m * NEF_CLASS[name] for name, m in dec.items()),
+                   YClass((0, 0, 0, 0))) == d
+        signs.add(("h1" in dec) - ("h2" in dec))
+    assert signs == {-1, 0, 1}
+    assert nef_decompose(YClass((10**6, -10**6 - 1, 0, 0))) is None
 
 
 def test_arithmetic_genus_equals_the_pairing_formula_for_any_k():

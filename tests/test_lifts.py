@@ -9,8 +9,9 @@ certificate is not in S.  The key test checks the table that the search
 reads once per key: the lifts of a key, shifted by a triple's least counts,
 are the first certificates that a full enumeration of the triple finds.
 _all_triples is the full enumeration of the (a3, b3, c3) triples; _triples
-must yield the first triple of every key of it, in its order, and a number
-of triples linear in n_h on the classes that used to need about n_h^2.
+must yield the first triple of every key of it, in its order, from rows
+(a3, b3) whose row keys are distinct, and a number of triples linear in n_h
+on the classes that used to need about n_h^2.
 A search asked for one mask at a time resumes its walk: every answer, and
 the dict it ends with, are those of the complete walk.
 """
@@ -177,11 +178,18 @@ def _first_of_each_key(triples):
 
 def _yields_the_first_triples(ycoeffs, full):
     """full is {(a3, b3, c3): triple} of the full enumeration."""
+    nh, n1, n2, _ = ycoeffs
     got = list(_triples(ycoeffs))
-    # a subsequence of the full enumeration, in its order, without repeats
+    # the row key of each (a3, b3) walked, on which all its keys depend
+    rows = {(a3, b3): (a3 & 1, max(-n2 - a3, 0), key[1], max(-n1 - b3, 0),
+                       nh - a3 - b3 - lb)
+            for a3, b3, _, _, lb, _, key in got}
+    # a subsequence of the full enumeration, in its order, without repeats,
+    # that walks no row whose keys an earlier row has
     return ([t[:3] for t in got] == sorted({t[:3] for t in got})
             and all(full.get(t[:3]) == t for t in got)
-            and _first_of_each_key(got) == _first_of_each_key(full.values()))
+            and _first_of_each_key(got) == _first_of_each_key(full.values())
+            and len(set(rows.values())) == len(rows))
 
 
 # every class with n_h <= 11 and n_i in [-n_h - 3, 3]
