@@ -19,21 +19,20 @@ The arithmetic runs on the coefficient tuple (n_h, n_1, n_2, n_3): the
 pairings with the five nef generators (nef_pairings) and the symmetric
 coordinates (symmetric_coords) are written out once each, and D is
 effective when the first are all >= 0 and nef when the second are.  Each
-function works on the pairings where it can: eff_decompose counts the five
-nef pairings down (each curve lowers exactly two of them by one),
-enumerate_nef loops over n_h and the pairings with A0, B0, C0 inside the
-nef and degree bounds, and classify_exceptional looks the symmetric
-coordinates up in each family's symmetry orbit, built once per degree.
+function works on the pairings where it can: eff_decompose shares the
+pairings with h1 and h2 out over the ruling-fibre pairings (each curve
+lowers exactly two of the five by one), enumerate_nef loops over n_h and
+the pairings with A0, B0, C0 inside the nef and degree bounds, and
+classify_exceptional tests (a0, b0, c0) and (a3, b3, c3) against one
+normal form per family, which a symmetry permutes alike and may swap.
 """
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from functools import lru_cache
 from typing import NamedTuple
 
 from .lattice import SurfaceLattice, YClass, arithmetic_genus
-from .config import BOUNDARY, CURVE_CLASS
+from .config import BOUNDARY
 
 
 class NotInLattice(ValueError):
@@ -74,80 +73,53 @@ def _coeffs(d: YClass) -> tuple[int, ...]:
     return d.coeffs
 
 
-# --- the 12-element symmetry group ------------------------------------------
-# A group element is (letter permutation sigma on (a,b,c), swap 0<->3 flag).
-
-SYMMETRY_GROUP = [
-    (perm, swap)
-    for perm in itertools.permutations((0, 1, 2))
-    for swap in (False, True)
-]
-
-
-def _symmetry_index(sym: tuple[tuple[int, int, int], bool]) -> tuple[int, ...]:
-    """Positions in (d; a0, b0, c0; a3, b3, c3) that sym moves to each slot."""
-    perm, swap = sym
-    lo = tuple(1 + i for i in perm)
-    hi = tuple(4 + i for i in perm)
-    return (0, *hi, *lo) if swap else (0, *lo, *hi)
-
-
-_SYMMETRY_INDEX = [_symmetry_index(sym) for sym in SYMMETRY_GROUP]
-
-
 # --- effective and nef decomposition ----------------------------------------
 
-_CURVE_ROWS = tuple((name, CURVE_CLASS[name].coeffs) for name in BOUNDARY)
-
-
-def _curve_pairs(rows) -> tuple[tuple[str, int, int], ...]:
-    """(name, i, j) per curve: the two NEF_ORDER positions it pairs 1 with.
-
-    Every boundary curve pairs 1, 1, 0, 0, 0 with the nef generators (A0 with
-    f1 and h2, A3 with f1 and h1, and so on by letter), so subtracting it
-    lowers exactly those two pairings by one."""
-    out = []
-    for name, row in rows:
-        p = nef_pairings(row)
-        if sorted(p) != [0, 0, 0, 1, 1]:
-            raise AssertionError(f"{name} pairs {p} with {NEF_ORDER}, "
-                                 "not 1, 1, 0, 0, 0")
-        i, j = (k for k, v in enumerate(p) if v)
-        out.append((name, i, j))
-    return tuple(out)
-
-
-_CURVE_PAIRS = _curve_pairs(_CURVE_ROWS)
+def _share(wants: list[int], supply: int) -> list[int]:
+    """Hand supply <= sum(wants) out over three wants, one unit per want per
+    round in A, B, C order: r = the largest t with sum(min(w, t)) <= supply
+    full rounds, then one unit each to the first wants above r."""
+    lo, mid, _ = sorted(wants)
+    r = max(supply // 3, (supply - lo) // 2, supply - lo - mid)
+    out = [w if w < r else r for w in wants]
+    left = supply - sum(out)
+    for i, w in enumerate(wants):
+        if left and w > r:
+            out[i] += 1
+            left -= 1
+    return out
 
 
 def eff_decompose(d: YClass) -> Counter | None:
     """Write d as a nonnegative combination of the six (-1)-curves.
 
     None when d is not effective, i.e. pairs negatively with one of the five
-    nef generators.  Otherwise the greedy round-robin subtraction below always
-    reaches zero because the integral points of the effective cone are
-    generated by the six curves; a stall would be a library bug and raises.
-    Deterministic: curves are tried cyclically in scan order.  The walk runs
-    on the five pairings (_CURVE_PAIRS): the rest after a curve is effective
-    exactly when both pairings the curve lowers are still positive.
+    nef generators: (a, b, c, h1, h2) = nef_pairings, with f = (a, b, c).
+    Otherwise the counts of the greedy that subtracts A0, B0, C0, A3, B3, C3
+    in rounds, each while the rest stays effective, in closed form.  X0
+    pairs 1 with f_X and h2, X3 pairs 1 with f_X and h1, each 0 with the
+    rest, and a + b + c = h1 + h2.  So while h2 and h1 last, round r gives
+    letter X one X0 if f_X >= 2r - 1 and one X3 if f_X >= 2r, up to
+    ceil(f_X / 2) and floor(f_X / 2) in all.  If h2 <= sum ceil(f / 2), h2
+    runs out first: X0 = _share(ceil(f / 2), h2) and X3 = f - X0; otherwise
+    h1 does: X3 = _share(floor(f / 2), h1) and X0 = f - X3.  Keys come in
+    BOUNDARY order, zero counts left out.
     """
-    p = list(nef_pairings(_coeffs(d)))
+    p = nef_pairings(_coeffs(d))
     if min(p) < 0:
         return None
+    f, h1, h2 = p[:3], p[3], p[4]
+    ceil = [(x + 1) // 2 for x in f]
+    if h2 <= sum(ceil):
+        x0 = _share(ceil, h2)
+        x3 = [x - y for x, y in zip(f, x0)]
+    else:
+        x3 = _share([x // 2 for x in f], h1)
+        x0 = [x - y for x, y in zip(f, x3)]
     out: Counter = Counter()
-    while any(p):
-        subtracted = False
-        for name, i, j in _CURVE_PAIRS:
-            if p[i] and p[j]:
-                p[i] -= 1
-                p[j] -= 1
-                out[name] += 1
-                subtracted = True
-        if not subtracted:
-            nh = p[3]
-            cur = YClass((nh, p[0] - nh, p[1] - nh, p[2] - nh))
-            raise AssertionError(
-                f"effective cone not totally generated at {cur}")
+    for name, m in zip(BOUNDARY, x0 + x3):
+        if m:
+            out[name] = m
     return out
 
 
@@ -171,7 +143,11 @@ def nef_decompose(d: YClass) -> Counter | None:
     _, a0, b0, c0, a3, b3, c3 = coords
     s = a3 - a0
     counts = min(a0, a3), min(b0, b3), min(c0, c3), max(s, 0), max(-s, 0)
-    return Counter({name: m for name, m in zip(NEF_ORDER, counts) if m})
+    out: Counter = Counter()
+    for name, m in zip(NEF_ORDER, counts):
+        if m:
+            out[name] = m
+    return out
 
 
 def enumerate_nef(d_max: int) -> list[YClass]:
@@ -207,49 +183,36 @@ class ExceptionalType(NamedTuple):
     p_a: int
 
 
-def _normal_forms(d: int):
-    """(family, n, normal form in symmetric coordinates) of each family with
-    a member of degree d, in matching order."""
-    if d >= 2 and d % 2 == 0:
-        n = d // 2
-        yield "Type1", n, (d, n, 0, 0, n, 0, 0)
-        yield "Type2", n, (d, n - 1, 1, 0, n - 1, 1, 0)
-    if d >= 3 and d % 2 == 1:
-        n = (d - 1) // 2
-        yield "Type3", n, (d, n, 1, 1, n - 1, 0, 0)
-    if d == 6:
-        yield "Type4", None, (6, 2, 2, 2, 0, 0, 0)
-
-
-@lru_cache(maxsize=64)
-def _orbits(d: int) -> tuple[tuple[str, int | None, frozenset], ...]:
-    """(family, n, symmetry orbit of its normal form) per _normal_forms(d).
-
-    The index maps of _SYMMETRY_INDEX form a group, so a class is moved onto
-    the normal form by some element exactly when it lies in this orbit."""
-    return tuple((family, n, frozenset(tuple(form[i] for i in idx)
-                                       for idx in _SYMMETRY_INDEX))
-                 for family, n, form in _normal_forms(d))
-
-
 def classify_exceptional(d: YClass) -> ExceptionalType:
     """Match a nef class against the four low-genus families, up to symmetry.
 
-    Families are tried in order across the whole symmetry group, so the
-    verdict is constant on symmetry orbits even where families overlap
-    (a single ruling fibre also fits the fibre-plus-section pattern at n=1).
+    With lo = (a0, b0, c0) and hi = (a3, b3, c3), a symmetry permutes lo
+    and hi alike and may swap them, so each family's orbit is one test on
+    the pair, and the degree d gives n:
+    Type1 (n, 0, 0) on both, n = d/2; Type2 (n - 1, 1, 0) on both, n = d/2;
+    Type3 (n, 1, 1) and (n - 1, 0, 0), n = (d - 1)/2; Type4 (2, 2, 2) and
+    (0, 0, 0).  Families are tried in that order, so the verdict is constant
+    on symmetry orbits where they overlap (a single ruling fibre also fits
+    Type2 at n=1, and is Type1).
     """
     s = symmetric_coords(_coeffs(d))
     if min(s) < 0:
         raise ValueError(f"{d} is not nef")
     p_a = arithmetic_genus(d)
-    for family, n, orbit in _orbits(s[0]):
-        if s in orbit:
-            expected = -(n - 1) if family == "Type1" else 0
-            if p_a != expected:
-                raise AssertionError(f"{d} classified {family} n={n} "
-                                     f"but p_a={p_a}")
-            return ExceptionalType(family, n, p_a)
-    if p_a <= 0 and not d.is_zero():
-        raise AssertionError(f"unclassified nef class {d} with p_a={p_a}")
-    return ExceptionalType("NonExceptional", None, p_a)
+    deg, lo, hi = s[0], s[1:4], s[4:]
+    small, big = sorted((lo, hi))
+    if lo == hi and lo.count(0) == 2:
+        family, n = "Type1", deg // 2
+    elif lo == hi and lo.count(0) == 1 and 1 in lo:
+        family, n = "Type2", deg // 2
+    elif small.count(0) >= 2 and big == tuple(x + 1 for x in small):
+        family, n = "Type3", (deg - 1) // 2
+    elif (small, big) == ((0, 0, 0), (2, 2, 2)):
+        family, n = "Type4", None
+    else:
+        if p_a <= 0 and not d.is_zero():
+            raise AssertionError(f"unclassified nef class {d} with p_a={p_a}")
+        return ExceptionalType("NonExceptional", None, p_a)
+    if p_a != (-(n - 1) if family == "Type1" else 0):
+        raise AssertionError(f"{d} classified {family} n={n} but p_a={p_a}")
+    return ExceptionalType(family, n, p_a)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from burniat.config import BOUNDARY, CURVE_CLASS
-from burniat.delpezzo import (LAT, NEF_CLASS, _SYMMETRY_INDEX, classify_exceptional,
+from burniat.delpezzo import (LAT, NEF_CLASS, classify_exceptional,
                               eff_decompose, enumerate_nef, is_nef_class,
                               nef_decompose, nef_pairings, symmetric_coords)
 from burniat.lattice import YClass, arithmetic_genus, canonical_class
@@ -93,12 +93,25 @@ def test_classify_requires_nef():
         classify_exceptional(E1)
 
 
+# the 12 configuration symmetries, each as the position in
+# (d; a0, b0, c0; a3, b3, c3) that every slot takes: a letter permutation,
+# then (second column) the 0 <-> 3 swap
+SYMMETRY_INDEX = [
+    (0, 1, 2, 3, 4, 5, 6), (0, 4, 5, 6, 1, 2, 3),
+    (0, 1, 3, 2, 4, 6, 5), (0, 4, 6, 5, 1, 3, 2),
+    (0, 2, 1, 3, 5, 4, 6), (0, 5, 4, 6, 2, 1, 3),
+    (0, 2, 3, 1, 5, 6, 4), (0, 5, 6, 4, 2, 3, 1),
+    (0, 3, 1, 2, 6, 4, 5), (0, 6, 4, 5, 3, 1, 2),
+    (0, 3, 2, 1, 6, 5, 4), (0, 6, 5, 4, 3, 2, 1),
+]
+
+
 def test_classify_symmetry_invariance():
     # the verdict family/n is constant on symmetry orbits
-    for cls in enumerate_nef(8):
+    for cls in enumerate_nef(18):
         et = classify_exceptional(cls)
         s = symmetric_coords(cls.coeffs)
-        for idx in _SYMMETRY_INDEX:
+        for idx in SYMMETRY_INDEX:
             moved = tuple(s[i] for i in idx)
             image = from_symmetric(moved)
             assert symmetric_coords(image.coeffs) == moved  # the image is a class

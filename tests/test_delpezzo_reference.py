@@ -13,8 +13,7 @@ from collections import Counter
 import pytest
 
 from burniat.config import BOUNDARY, CURVE_CLASS
-from burniat.delpezzo import (LAT, NEF_CLASS, NEF_ORDER, SYMMETRY_GROUP,
-                              _CURVE_PAIRS, _CURVE_ROWS, _curve_pairs,
+from burniat.delpezzo import (LAT, NEF_CLASS, NEF_ORDER,
                               ExceptionalType, NotInLattice, classify_exceptional,
                               eff_decompose, enumerate_nef, is_nef_class,
                               nef_decompose, nef_pairings, symmetric_coords)
@@ -74,6 +73,11 @@ def ref_enumerate_nef(d_max):
                 out.append(c)
     out.sort(key=lambda c: (c.dot(MINUS_K), c.coeffs))
     return out
+
+
+# the configuration symmetries: a letter permutation, times the 0 <-> 3 swap
+SYMMETRY_GROUP = [(perm, swap) for perm in itertools.permutations((0, 1, 2))
+                  for swap in (False, True)]
 
 
 def ref_symmetric(d):
@@ -151,19 +155,16 @@ def test_decompositions_match_the_reference_beyond_the_box():
 
 
 def test_curve_pairs_match_the_pairings():
-    # each curve pairs 1 with the two nef generators named here, 0 with the rest
-    expected = {"A0": ("f1", "h2"), "B0": ("f2", "h2"), "C0": ("f3", "h2"),
-                "A3": ("f1", "h1"), "B3": ("f2", "h1"), "C3": ("f3", "h1")}
-    assert [name for name, _, _ in _CURVE_PAIRS] == list(BOUNDARY)
-    for name, i, j in _CURVE_PAIRS:
-        assert (NEF_ORDER[i], NEF_ORDER[j]) == expected[name]
-        pairings = tuple(CURVE_CLASS[name].dot(NEF_CLASS[n]) for n in NEF_ORDER)
-        assert pairings == tuple(int(k in (i, j)) for k in range(5))
-    assert _curve_pairs(_CURVE_ROWS) == _CURVE_PAIRS
-    # h1 pairs (1, 1, 1, 1, 2); 2h-e1-2e2-2e3 pairs (1, 0, 0, 2, -1), also sum 2
-    for row in ((1, 0, 0, 0), (2, -1, -2, -2)):
-        with pytest.raises(AssertionError, match="not 1, 1, 0, 0, 0"):
-            _curve_pairs((("D", row),))
+    # the identity eff_decompose rests on: X0 pairs 1 with f_X and h2, X3
+    # pairs 1 with f_X and h1, each 0 with the rest, and the three fibre
+    # pairings of any class sum to its h1 and h2 pairings
+    for letter, f in zip("ABC", ("f1", "f2", "f3")):
+        for end, h in (("0", "h2"), ("3", "h1")):
+            pairings = [CURVE_CLASS[letter + end].dot(NEF_CLASS[n]) for n in NEF_ORDER]
+            assert pairings == [int(n in (f, h)) for n in NEF_ORDER]
+    for d in BOX:
+        a, b, c, h1, h2 = nef_pairings(d.coeffs)
+        assert a + b + c == h1 + h2
 
 
 def test_enumerate_nef_matches_the_reference():
@@ -213,6 +214,20 @@ def test_nef_decompose_re_sums_at_n_h_up_to_a_million():
         signs.add(("h1" in dec) - ("h2" in dec))
     assert signs == {-1, 0, 1}
     assert nef_decompose(YClass((10**6, -10**6 - 1, 0, 0))) is None
+    # eff_decompose on seeded sums of the six curves with multiplicities up
+    # to 10^6, and at n_h = 10^30, where a subtraction walk cannot go
+    rows = [CURVE_CLASS[name].coeffs for name in BOUNDARY]
+    classes = [YClass((10**30, -10**30 + 7, -3 * 10**29, -11))]
+    for _ in range(100):
+        mult = [rng.randint(0, 10**6) for _ in rows]
+        classes.append(YClass(tuple(sum(m * row[i] for m, row in zip(mult, rows))
+                                    for i in range(4))))
+    for d in classes:
+        dec = eff_decompose(d)
+        assert set(dec) <= set(BOUNDARY) and min(dec.values()) > 0, d
+        assert sum((m * CURVE_CLASS[name] for name, m in dec.items()),
+                   YClass((0, 0, 0, 0))) == d
+    assert eff_decompose(YClass((10**30, -10**30 - 1, 0, 0))) is None
 
 
 def test_arithmetic_genus_equals_the_pairing_formula_for_any_k():

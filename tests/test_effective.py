@@ -609,6 +609,25 @@ def test_every_public_name_is_used_by_the_library():
     assert unused == []
 
 
+def test_every_module_import_is_used_in_its_module():
+    # no linter runs here: a module-level import that its module never
+    # names is left over from deleted code (__init__.py only re-exports)
+    package = Path(burniat.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}:{alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in names]
+    assert unused == []
+
+
 # --- canonical-class tables -------------------------------------------------------
 
 def test_step3_spot_checks():
