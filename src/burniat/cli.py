@@ -27,9 +27,9 @@ from .picard import (GeneratorTable, TableInconsistent, build_generator_table,
 # Largest n_h (the h-coefficient of the numerical class) that `effective`
 # accepts.  The search stops at the asked lift, but a class outside S walks
 # all its triples, at most 8 n_h on every class probed; the slowest at n_h =
-# 120, such as (120, -1, -119, -1) and (120, -119, 1, 1), take 0.4-0.7 ms of
-# search (0.07 s end to end) on a 2-vCPU x86 host with Python 3.11, about
-# twofold each time n_h doubles.  The degree is bounded by 3 *
+# 120, (120, -1, -119, -1) and (120, -119, 1, 1), walk them in 0.5-0.7 ms
+# from cold caches (0.07 s end to end) on a 2-vCPU x86 host with Python
+# 3.11, about twofold each time n_h doubles.  The degree is bounded by 3 *
 # EFFECTIVE_MAX_NH, the largest degree of a nef class within that budget, as
 # the reduction takes one step per unit of degree, about 1-2 us each (0.45 ms
 # for a trace of 250 steps at n_h = 120).

@@ -15,7 +15,9 @@ has three layers:
   and matches the torsion bits exactly: "no certificate" is a proof that x is
   not in S.  For each (A3, B3, C3) the first certificate of every torsion
   lift has a closed form; the search walks only triples whose key can be new,
-  at most 8 n_h on every class probed, and stops at the asked lift.
+  at most 8 n_h on every class probed, and stops at the asked lift.  The
+  walk reads only which lifts each key reaches, and the search builds the
+  certificate of the asked lift alone, or, asked for all, every one of them.
 * prove_non_effective: one minimal-form reduction into one of the two base
   cases: negative degree, or a member of the trusted list of classes with
   no sections (imported facts about the surface, cross-checked against the
@@ -56,8 +58,8 @@ table stays read-only and a table built later starts cold.  It is a bounded
 LRU cache, as is _search, the walk of each class, at 2^11 and 2^10 entries,
 above the largest working sets measured for the verify-all suite and a
 stream of decide calls (721 and 314); a dropped table is freed once that
-many later entries have filled them.  _key_lifts needs no bound: at most
-640 keys.
+many later entries have filled them.  _key_reach and _key_lifts need no
+bound: at most 640 keys each.
 
 scan builds lift mask of a numerical class y as XClass(*y, mask) and sets
 its minimal flag without another reduction.  y is nef, so its degree on
@@ -241,43 +243,61 @@ def is_minimal(table: GeneratorTable, x: XClass) -> bool:
 # Certificate search
 # ---------------------------------------------------------------------------
 
-def _least_counts(lo: int, three: int) -> tuple[int, int, int, int]:
-    """Least internal-curve count t >= lo for each (first bit, parity of t).
+def _least(lo: int, three: int, k: int) -> int:
+    """Least internal-curve count t >= lo with first torsion bit k >> 1 and
+    parity k & 1.
 
-    Indexed by 2 * first + parity.  A count t splits as t = x1 + x2 with the
-    first torsion bit equal to (x2 + three) mod 2; any first bit is
-    reachable for t >= 1, while t = 0 forces the first bit to three mod 2.
-    Every t above the least one of its parity is admissible as well.
+    A count t splits as t = x1 + x2 with the first torsion bit equal to
+    (x2 + three) mod 2; any first bit is reachable for t >= 1, while t = 0
+    forces the first bit to three mod 2.  Every t above the least one of its
+    parity is admissible as well.
     """
-    even, odd = lo + (lo & 1), lo + 1 - (lo & 1)
-    if lo:
-        return even, odd, even, odd
-    return (0, 1, 2, 1) if three & 1 == 0 else (2, 1, 0, 1)
+    return lo + ((lo ^ k) & 1) if lo else (k & 1 or 2 * ((k >> 1 ^ three) & 1))
+
+
+# the excess _least(l, three, j) - l of the count of index j = 2 * first bit
+# + parity over its letter's least count l; it depends only on the letter's
+# key entry k (see _triples), read at l = 0, 0, 2, 1 and three = k
+_EXCESS = [[_least(lo, k, j) - lo for j in range(4)] for k, lo in enumerate((0, 0, 2, 1))]
+# per letter A, B, C (the place of its j in a mask: j << 2, j, j << 4) and
+# key entry k, the sum over j of x ** excess * 2 ** place, x = 2 ** 64
+_LEVELS = [[sum(1 << 64 * e + (j << shift) for j, e in enumerate(ex)) for ex in _EXCESS]
+           for shift in (2, 0, 4)]
+
+
+@lru_cache(maxsize=None)
+def _key_reach(key: tuple[int, ...]) -> int:
+    """The bitset of the masks that every triple with this key reaches (see
+    _triples): mask kc << 4 | ka << 2 | kb, each k indexing _least of its
+    letter, is reached iff r - t_a - t_b at the least t_a and t_b is at
+    least the least t_c of kc, that is, iff the excesses sum to E <= slack,
+    E of its parity, as each least count has the parity of its k.
+
+    The product of the letters' _LEVELS is the sum over masks of
+    x ** E * 2 ** mask: the places add up to the mask, so no terms meet and
+    digit E lists the masks of excess sum E.  Times 1 + x^2 + ... + x^8,
+    digit s unites the disjoint digits s, s - 2, ... down to 0 or 1 (E <= 6
+    and slack <= 9), so nothing carries.
+    """
+    levels = sum(1 << 128 * i for i in range(5))
+    for letter, k in zip(_LEVELS, key):
+        levels *= letter[k]
+    return levels >> 64 * key[3] & 2**64 - 1
 
 
 @lru_cache(maxsize=None)
 def _key_lifts(key: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(bitset of masks, lifts) of every triple with this key (see _triples).
+    """(_key_reach, lifts) of every triple with this key.
 
     A lift (t_a - la, t_b - lb, afirst, ka, kb, mask) is the first
     certificate of one mask, in the order (t_a, t_b, first bits) of a full
-    enumeration of the triple; ka, kb index _least_counts of the A and B
-    letters.  All of it depends only on the key, so it is computed on the
-    key's least representative.
+    enumeration of the triple; ka, kb index _least of the A and B letters,
+    and t_a - la, t_b - lb are their _EXCESS.  effective_lifts reads only
+    the order of the masks, when it builds every certificate of a class.
     """
-    la, lb, lc = (4 - k if k > 1 else 0 for k in key[:3])
-    least_c = _least_counts(lc, key[2])
-    lifts = []
-    for ka, t_a in enumerate(_least_counts(la, key[0])):
-        for kb, t_b in enumerate(_least_counts(lb, key[1])):
-            t_c = la + lb + lc + key[3] - t_a - t_b
-            for afirst in (0, 1):
-                if t_c >= least_c[2 * afirst + (t_c & 1)]:
-                    # mask: A-block from C-letter, B from A, C from B
-                    lifts.append((t_a - la, t_b - lb, afirst, ka, kb,
-                                  afirst << 5 | (t_c & 1) << 4 | ka << 2 | kb))
-    lifts.sort()
-    return sum(1 << f[5] for f in lifts), tuple(lifts)
+    reach, a, b = _key_reach(key), _EXCESS[key[0]], _EXCESS[key[1]]
+    return reach, tuple(sorted((a[m >> 2 & 3], b[m & 3], m >> 5, m >> 2 & 3, m & 3, m)
+                               for m in range(64) if reach >> m & 1))
 
 
 def _triples(ycoeffs: tuple[int, ...]):
@@ -287,7 +307,7 @@ def _triples(ycoeffs: tuple[int, ...]):
     u = -n2 - a3, w = -n1 - b3 and top = r - lb at c3 = 0, la + lc + c3 =
     max(u + w - c3, u, w, c3) <= top, so the rows (a3, b3) with u, w <= top
     form two closed-form ranges and a row's triples one c3 range.  The key is
-    what _least_counts needs besides l, per letter: 2 + l mod 2 if l > 0, else
+    what _least needs besides l and k, per letter: 2 + l mod 2 if l > 0, else
     the parity of three; then the slack r - la - lb - lc, capped at 8 or 9
     with its parity kept (t_c = r - t_a - t_b meets every least count from
     slack 6).  effective_lifts gains nothing from a key it has seen, so
@@ -343,10 +363,10 @@ def _triples(ycoeffs: tuple[int, ...]):
 
 @lru_cache(maxsize=2**10)
 def _search(ycoeffs: tuple[int, ...]) -> list:
-    """The walk of a class: triples left (None once spent), lifts, mask
-    bitset, and the read-only view of the lifts that callers get."""
-    out: dict[int, tuple[int, ...]] = {}
-    return [_triples(ycoeffs), out, 0, MappingProxyType(out)]
+    """The walk of a class: triples left, mask bitset, (masks added, triple)
+    of each triple that added masks in walk order, kept until the complete
+    lifts are built, those lifts, and the read-only view that callers get."""
+    return [_triples(ycoeffs), 0, [], out := {}, MappingProxyType(out)]
 
 
 def effective_lifts(ycoeffs: tuple[int, ...],
@@ -365,53 +385,58 @@ def effective_lifts(ycoeffs: tuple[int, ...],
 
     Closed-form inner step: given (a3, b3, c3) and r = n_h - a3 - b3 - c3,
     a target mask fixes the parities of t_a, t_b and t_c, and a zero
-    count fixes the matching first bit (see _least_counts).  The admissible
+    count fixes the matching first bit (see _least).  The admissible
     values of each count are therefore all values of its parity from a least
     one up, so the first certificate takes the least t_a and t_b, and one
     exists iff t_c = r - t_a - t_b is at least its own least value.
 
-    _key_lifts lists these certificates once per key of the triple, shifted
-    by its least counts.  A triple is skipped when the masks of its key add
-    none to those found, so the dict is unchanged.  _search keeps the walk
-    of each class; a call walks on until it has want or 64 lifts, or the
-    triples run out, and a certificate is set once, at the first triple with
-    its mask, so the dict is the complete one cut short, in the same order.
-    The dict is returned as its read-only view, built with it by _search, so
-    a caller cannot change what later calls read.
+    The walk finds which masks a class reaches before it builds any
+    certificate.  _search keeps it per class: a call walks on until the
+    masks found hold want, or all 64 when want is None, or the triples run
+    out, and records the masks that each triple adds, read from _key_reach;
+    a triple that adds none is skipped.  The first certificate of a mask is
+    the one at the first triple that reaches it, as every certificate of an
+    earlier triple comes first in the composition order.  So a call with
+    want builds want's certificate alone, in closed form at the triple that
+    added want, and returns it as a read-only view of one entry.  A call
+    with want None builds every certificate, in walk order and per triple in
+    the order of its sorted _key_lifts: the dict of a full enumeration, in
+    its order, which _search keeps; from then on every call returns its
+    read-only view, built with it by _search, so a caller cannot change what
+    later calls read.  scan makes this call before its 64 asks of a class.
     On every class probed up to n_h = 240 the whole walk took at most 8 n_h
     triples; cli.EFFECTIVE_MAX_NH states the time of the slowest.
     """
-    walk, out, have, view = state = _search(ycoeffs)
-    if walk is None or want in out:
+    walk, have, found, out, view = state = _search(ycoeffs)
+    if out:  # the complete dict, built once
         return view
-    nh, n1, n2, n3 = ycoeffs
+    goal = 2**64 - 1 if want is None else 1 << want
+    lifts = out if want is None else {}  # want's certificate alone, or all
     try:
-        for a3, b3, c3, la, lb, lc, key in walk:
-            reach, lifts = _key_lifts(key)
-            if not reach & ~have:
-                continue
-            for da, db, afirst, ka, kb, mask in lifts:
-                if have >> mask & 1:
-                    continue
-                t_a, t_b = la + da, lb + db
-                t_c = nh - a3 - b3 - c3 - t_a - t_b
-                a2, b2, c2 = ((ka >> 1) + a3) & 1, ((kb >> 1) + b3) & 1, (afirst + c3) & 1
-                # in GENERATORS order
-                out[mask] = (n1 + b3 + c3 + t_c, t_a - a2, a2, a3,
-                             n2 + a3 + c3 + t_a, t_b - b2, b2, b3,
-                             n3 + a3 + b3 + t_b, t_c - c2, c2, c3)
-                have |= 1 << mask
-            if len(out) == 64:
-                break
-            if want in out:
-                state[2] = have
-                return view
-    except BaseException:  # a walk cut short would read as spent: start over
+        while goal & ~have and (triple := next(walk, None)):
+            if new := _key_reach(triple[6]) & ~have:
+                have |= new
+                found.append((new, triple))
+        state[1] = have
+        nh, n1, n2, n3 = ycoeffs
+        for new, (a3, b3, c3, la, lb, _, key) in found:
+            # want at the triple that added it, or every mask in walk order
+            for lift in _key_lifts(key)[1] if want is None else [(want,)]:
+                if new >> (mask := lift[-1]) & 1:
+                    t_a, t_b = la + _EXCESS[key[0]][mask >> 2 & 3], lb + _EXCESS[key[1]][mask & 3]
+                    t_c = nh - a3 - b3 - c3 - t_a - t_b
+                    a2, b2, c2 = (mask >> 3 ^ a3) & 1, (mask >> 1 ^ b3) & 1, (mask >> 5 ^ c3) & 1
+                    # in GENERATORS order
+                    lifts[mask] = (n1 + b3 + c3 + t_c, t_a - a2, a2, a3,
+                                   n2 + a3 + c3 + t_a, t_b - b2, b2, b3,
+                                   n3 + a3 + b3 + t_b, t_c - c2, c2, c3)
+        if want is None:  # out is complete, and no call reads the walk again
+            found.clear()
+    except BaseException:  # a walk or dict cut short would read as whole: start over
         out.clear()
-        state[0], state[2] = _triples(ycoeffs), 0
+        state[:3] = _triples(ycoeffs), 0, []
         raise
-    state[0] = None  # spent
-    return view
+    return view if want is None else MappingProxyType(lifts)
 
 
 def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
@@ -496,12 +521,8 @@ class ScanReport(NamedTuple):
     @property
     def trusted_hits(self) -> list[tuple[str, str]]:
         """Trusted base cases actually used, as (id, endpoint literal)."""
-        hits = []
-        for r in self.records:
-            if isinstance(r.verdict, NonEffective) and r.verdict.base.startswith("trusted:"):
-                hits.append((r.verdict.base.split(":", 1)[1],
-                             xclass_to_text(r.verdict.trace.final)))
-        return sorted(set(hits))
+        return sorted({(v.base[8:], xclass_to_text(v.trace.final)) for _, _, v in self.records
+                       if isinstance(v, NonEffective) and v.base.startswith("trusted:")})
 
     def counts(self) -> dict[str, int]:
         out = {"candidates": len(self.records),
@@ -571,6 +592,7 @@ def scan(table: GeneratorTable, d_max: int) -> ScanReport:
         zero = sum(3 << 10 - 2 * i for i, deg in enumerate(symmetric_coords(y)[1:])
                    if deg == 0)
         labels = table.labels(XClass(*y, 0))
+        effective_lifts(y)  # every certificate of y at once, for the 64 asks below
         for mask, torsion_labels in enumerate(table.mask_labels):
             x = XClass(*y, mask)
             records.append(ScanRecord(x, not (labels ^ torsion_labels) & zero,

@@ -200,6 +200,13 @@ _BLOCK_RE = re.compile(r"\s*(-?\d+)\s+([01][01])\s*")
 _EMULT_RE = re.compile(r"\s*-?\d+\s*(?:,\s*-?\d+\s*)*")
 
 
+def _int(digits: str, field: str) -> int:
+    """int(digits), refused past CPython's 4,300 digits naming the field."""
+    if (n := sum(map(str.isdigit, digits))) > 4300:
+        raise ValueError(f"the {field} has {n:,} digits; a class literal takes at most 4,300")
+    return int(digits)
+
+
 def parse_xclass(text: str) -> XClass:
     """Parse the bit-exact literal, e.g. ``(3; 1 10; 1 10; 1 10)``; a class of
     Y' has 3 | d + r0 + r1 + r2 + sum(emult)."""
@@ -207,18 +214,19 @@ def parse_xclass(text: str) -> XClass:
     if not m:
         raise ValueError(f"cannot parse class literal {text!r}")
     degs, mask = [], 0
-    for part in m.groups()[1:4]:
+    for letter, part in zip("ABC", m.groups()[1:4]):
         block = _BLOCK_RE.fullmatch(part)
         if not block:
             raise ValueError(f"bad block {part!r} in {text!r}")
-        degs.append(int(block[1]))
+        degs.append(_int(block[1], f"degree of block {letter}"))
         mask = mask << 2 | int(block[2], 2)
     emult: tuple[int, ...] = ()
     if m.group(5) is not None:
         if not _EMULT_RE.fullmatch(m.group(5)):
             raise ValueError(f"bad exceptional part {m.group(5)!r} in {text!r}")
-        emult = tuple(int(v) for v in m.group(5).split(","))
-    nh, rest = divmod(int(m.group(1)) + sum(degs) + sum(emult), 3)
+        emult = tuple(_int(v, f"exceptional multiplicity {i}")
+                      for i, v in enumerate(m.group(5).split(","), 1))
+    nh, rest = divmod(_int(m.group(1), "degree") + sum(degs) + sum(emult), 3)
     if rest:
         raise NotARepresentableClass(f"congruence fails for {text!r}")
     return XClass(nh, *(-r for r in degs), mask, tuple(-v for v in emult))

@@ -160,6 +160,12 @@ def test_effective_malformed_numbers_exit_2(capsys):
         assert code == 2 and not out and message in err and "int()" not in err
 
 
+def test_effective_refuses_a_literal_past_4300_digits(capsys):
+    code, out, err = run(capsys, "effective", "--class", f"({'9' * 5000}; 0 00; 0 00; 0 00)")
+    assert code == 2 and not out
+    assert err.startswith("usage error: the degree has 5,000 digits")
+
+
 def test_effective_congruence_error_exit_2(capsys):
     code, _, err = run(capsys, "effective", "--class", "(1; 0 00; 0 00; 0 00)")
     assert code == 2

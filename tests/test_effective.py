@@ -380,6 +380,25 @@ def test_scan_makes_the_calls_the_benchmark_counts(monkeypatch):
     assert len(searched) == 204
 
 
+def test_scan_and_decide_search_through_the_module_global(monkeypatch):
+    # the benchmark's tracer counts the certificate search by rebinding the
+    # module-level effective_lifts, so every search must look it up there
+    import burniat.effective as eff
+    searched, real_lifts = [], eff.effective_lifts
+
+    def counting_lifts(ycoeffs, *args):
+        searched.append(ycoeffs)
+        return real_lifts(ycoeffs, *args)
+
+    monkeypatch.setattr(eff, "effective_lifts", counting_lifts)
+    scan(T, 3)
+    assert len(searched) >= 384 and len(set(searched)) == 6
+    for x, verdict in ((XClass(12, -6, -6, -5, 0), InS), (KX, NonEffective)):
+        searched.clear()
+        assert isinstance(decide(T, x), verdict)
+        assert searched and set(searched) == {x[:4]}
+
+
 def test_scan_and_the_reduction_refuse_a_k5_table():
     # each asks the table's require_k6 before any work, scan too
     t5, x = build_generator_table(5), XClass(1, 0, 0, 0, 0)

@@ -13,7 +13,9 @@ must yield the first triple of every key of it, in its order, from rows
 (a3, b3) whose row keys are distinct, and a number of triples linear in n_h
 on the classes that used to need about n_h^2.
 A search asked for one mask at a time resumes its walk: every answer, and
-the dict it ends with, are those of the complete walk.
+the dict it ends with, are those of the complete walk.  The walk reads only
+the reach bitset of each key, checked on every key against the first
+certificates, and an ask for one mask builds that mask's certificate alone.
 """
 import itertools
 import random
@@ -23,7 +25,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from burniat.config import GENERATORS
 import burniat.effective
-from burniat.effective import _key_lifts, _search, _triples, effective_lifts
+from burniat.effective import (_key_lifts, _key_reach, _least, _search, _triples,
+                               effective_lifts)
 from burniat.picard import build_generator_table
 
 T = build_generator_table(6)
@@ -265,6 +268,8 @@ def test_a_resumed_walk_equals_the_complete_walk_on_a_box():
     st.just(nh), *(st.integers(-nh - 3, 3),) * 3)))
 @example((60, -30, -30, -30))
 @example((60, -59, 1, 1))
+@example((120, -1, -119, -1))
+@example((120, -119, 1, 1))
 def test_a_resumed_walk_equals_the_complete_walk_on_draws(ycoeffs):
     _resumes_to(ycoeffs, _walk_alone(ycoeffs, [])[1])
 
@@ -295,6 +300,22 @@ def test_a_search_stops_at_the_asked_lift(monkeypatch):
     other = (16, -16, 0, 0)
     assert 1 not in effective_lifts(other)
     assert walked(other, 1) == walked(other, None) == len(list(_triples(other)))
+
+
+def test_an_ask_for_one_lift_builds_its_certificate_alone(monkeypatch):
+    # the walk reads only the reach bitsets: the sorted lifts of a key serve
+    # the complete dict, which a later call builds from the same walk
+    def refused(key):
+        raise AssertionError("an ask for one lift read the sorted lifts")
+
+    for ycoeffs, mask in (((30, 0, 0, 0), 0b011010), ((30, -15, -15, -15), 0b101101)):
+        want = reference_lifts(ycoeffs)
+        state = _search.__wrapped__(ycoeffs)
+        monkeypatch.setattr(burniat.effective, "_search", lambda y: state)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(burniat.effective, "_key_lifts", refused)
+            assert dict(effective_lifts(ycoeffs, mask)) == {mask: want[mask]}
+        assert list(effective_lifts(ycoeffs).items()) == list(want.items())
 
 
 def test_a_walk_cut_by_an_exception_starts_over(monkeypatch):
@@ -364,6 +385,31 @@ def test_from_slack_5_a_key_reaches_every_mask_of_the_parity_of_r():
         r = sum(4 - k if k > 1 else 0 for k in key[:3]) + key[3]
         parity = sum(1 << m for m in range(64) if (m >> 4 ^ m >> 2 ^ m) & 1 == r & 1)
         assert _key_lifts(key)[0] == parity, key
+
+
+def _least_counts(lo, three):
+    """The table of least counts that _least replaced, indexed by
+    2 * first bit + parity."""
+    even, odd = lo + (lo & 1), lo + 1 - (lo & 1)
+    if lo:
+        return even, odd, even, odd
+    return (0, 1, 2, 1) if three & 1 == 0 else (2, 1, 0, 1)
+
+
+def test_the_closed_form_least_count_is_the_table_it_replaced():
+    for lo, three, k in itertools.product(range(50), range(6), range(4)):
+        assert _least(lo, three, k) == _least_counts(lo, three)[k], (lo, three, k)
+
+
+def test_key_reach_is_the_bitset_of_the_key_lifts():
+    # every key, at its least representative (see _triples): l = 4 - k for
+    # a key entry k > 1, else l = 0 with three of parity k
+    keys = list(itertools.product(range(4), range(4), range(4), range(10)))
+    assert len(keys) == 640
+    for key in keys:
+        la, lb, lc = (4 - k if k > 1 else 0 for k in key[:3])
+        first = _first_certificates(la + lb + lc + key[3], la, lb, lc, *key[:3])
+        assert _key_reach(key) == _key_lifts(key)[0] == sum(1 << f[5] for f in first), key
 
 
 def test_complete_against_brute_force_oracle():

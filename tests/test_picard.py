@@ -631,6 +631,20 @@ def test_phi_images_round_trip_through_their_text(case):
         assert x.ns and parse_xclass(text) == x and str(parse_xclass(text)) == text
 
 
+def test_parse_xclass_refuses_numbers_past_4300_digits():
+    # CPython's int() refuses them with its own text; the parser names the field
+    nines = "9" * 5000
+    for text, field in ((f"({nines}; 0 00; 0 00; 0 00)", "degree"),
+                        (f"(3; -{nines} 00; 0 00; 0 00)", "degree of block A"),
+                        (f"(3; 0 00; 0 00; {nines} 00)", "degree of block C"),
+                        (f"(3; 0 00; 0 00; 0 00; 1, {nines})", "exceptional multiplicity 2")):
+        with pytest.raises(ValueError, match=f"^the {field} has 5,000 digits; "
+                                             "a class literal takes at most 4,300$"):
+            parse_xclass(text)
+    # 4,300 digits still parse: (10^4300 - 1) / 3 = 33...3
+    assert parse_xclass(f"({'9' * 4300}; 0 00; 0 00; 0 00)").nh == int("3" * 4300)
+
+
 def test_parse_xclass_refuses_a_failed_congruence():
     # d + r0 + r1 + r2 + sum(emult) is 3 n_h for every class of Y'
     for text in ("(1; 0 00; 0 00; 0 00)", "(3; 1 10; 1 10; 2 11; 0)",
