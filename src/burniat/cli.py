@@ -24,16 +24,10 @@ from .picard import (GeneratorTable, TableInconsistent, build_generator_table,
                      parse_xclass, table_override_from_text, torsion_subgroup,
                      xclass_to_text)
 
-# Largest n_h (the h-coefficient of the numerical class) that `effective`
-# accepts.  The search stops at the asked lift, but a class outside S walks
-# all its triples, at most 8 n_h on every class probed; the slowest at n_h =
-# 120, (120, -1, -119, -1) and (120, -119, 1, 1), walk them in 0.5-0.7 ms
-# from cold caches (0.07 s end to end) on a 2-vCPU x86 host with Python
-# 3.11, about twofold each time n_h doubles.  The degree is bounded by 3 *
-# EFFECTIVE_MAX_NH, the largest degree of a nef class within that budget, as
-# the reduction takes one step per unit of degree, about 1-2 us each (0.45 ms
-# for a trace of 250 steps at n_h = 120).
-EFFECTIVE_MAX_NH = 120
+# Largest degree d = x.K that `effective` accepts.  The certificate search
+# is O(1) in n_h, but the reduction takes one step per unit of degree, about
+# 1-2 us each, so this caps it at 361 steps.
+EFFECTIVE_MAX_DEGREE = 360
 
 
 def cmd_verify_all(args) -> int:
@@ -82,13 +76,9 @@ def cmd_effective(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if x.d > 3 * EFFECTIVE_MAX_NH:
+    if x.d > EFFECTIVE_MAX_DEGREE:
         print(f"usage error: the class has degree {x.d}; the reduction "
-              f"accepts degree <= {3 * EFFECTIVE_MAX_NH}", file=sys.stderr)
-        return 2
-    if x.nh > EFFECTIVE_MAX_NH:
-        print(f"usage error: the class has n_h = {x.nh}; the certificate search "
-              f"accepts n_h <= {EFFECTIVE_MAX_NH}", file=sys.stderr)
+              f"accepts degree <= {EFFECTIVE_MAX_DEGREE}", file=sys.stderr)
         return 2
     v = decide(table, x)
     print(f"class {xclass_to_text(x)}")
@@ -164,8 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("effective", help="decide one class literal")
     p.add_argument("--class", dest="cls", required=True,
                    help="class literal, e.g. '(3; 0 00; 0 00; 0 00)'; its "
-                        f"degree must be <= {3 * EFFECTIVE_MAX_NH} and its "
-                        f"numerical part must have n_h <= {EFFECTIVE_MAX_NH}")
+                        f"degree must be <= {EFFECTIVE_MAX_DEGREE}")
     p.set_defaults(fn=cmd_effective)
 
     p = sub.add_parser("scan", help="classify all candidates up to a degree")

@@ -13,11 +13,11 @@ has three layers:
   three internal letter counts, and the internal splits matter only modulo 2,
   so the search (effective_lifts) covers every solution on the lattice side
   and matches the torsion bits exactly: "no certificate" is a proof that x is
-  not in S.  For each (A3, B3, C3) the first certificate of every torsion
-  lift has a closed form; the search walks only triples whose key can be new,
-  at most 8 n_h on every class probed, and stops at the asked lift.  The
-  walk reads only which lifts each key reaches, and the search builds the
-  certificate of the asked lift alone, or, asked for all, every one of them.
+  not in S.  effective_lifts finds the first certificate of one torsion
+  lift in closed form, in O(1) time for any n_h: per parity class of
+  (A3, B3, C3), the triples whose least internal counts fit are a box cut
+  by a slab, and the class's least triple is a corner of it (the lemma in
+  effective_lifts).
 * prove_non_effective: one minimal-form reduction into one of the two base
   cases: negative degree, or a member of the trusted list of classes with
   no sections (imported facts about the surface, cross-checked against the
@@ -52,14 +52,13 @@ mask, checks each step in O(1) with the curve's symmetric_coords entry
 and, on a zero pairing, its label, and compares its end with the final
 class: an independent re-check of every trace.
 
-Every memo in this module is a functools cache, so each reports its size
-and hits through cache_info().  _key_labels3 is cached on (table, key): the
-table stays read-only and a table built later starts cold.  It is a bounded
-LRU cache, as is _search, the walk of each class, at 2^11 and 2^10 entries,
-above the largest working sets measured for the verify-all suite and a
-stream of decide calls (721 and 314); a dropped table is freed once that
-many later entries have filled them.  _key_reach and _key_lifts need no
-bound: at most 640 keys each.
+The one memo in this module, _key_labels3, is a functools cache, so it
+reports its size and hits through cache_info().  It is cached on
+(table, key): the table stays read-only and a table built later starts
+cold.  It is a bounded LRU cache of 2^11 entries, above the largest working
+set measured for the verify-all suite (721); a dropped table is freed once
+that many later entries have filled it.  effective_lifts keeps nothing: each
+call builds a fresh dict.
 
 scan builds lift mask of a numerical class y as XClass(*y, mask) and sets
 its minimal flag without another reduction.  y is nef, so its degree on
@@ -72,8 +71,6 @@ of those bits.  to_text prints a class's 64 lifts with one picard.lift_texts.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .lattice import YClass, arithmetic_genus
@@ -255,188 +252,79 @@ def _least(lo: int, three: int, k: int) -> int:
     return lo + ((lo ^ k) & 1) if lo else (k & 1 or 2 * ((k >> 1 ^ three) & 1))
 
 
-# the excess _least(l, three, j) - l of the count of index j = 2 * first bit
-# + parity over its letter's least count l; it depends only on the letter's
-# key entry k (see _triples), read at l = 0, 0, 2, 1 and three = k
-_EXCESS = [[_least(lo, k, j) - lo for j in range(4)] for k, lo in enumerate((0, 0, 2, 1))]
-# per letter A, B, C (the place of its j in a mask: j << 2, j, j << 4) and
-# key entry k, the sum over j of x ** excess * 2 ** place, x = 2 ** 64
-_LEVELS = [[sum(1 << 64 * e + (j << shift) for j, e in enumerate(ex)) for ex in _EXCESS]
-           for shift in (2, 0, 4)]
+def effective_lifts(ycoeffs: tuple[int, ...], mask: int) -> dict[int, tuple[int, ...]]:
+    """{mask: its first certificate} if the torsion lift of ycoeffs with this
+    mask is in S, else {}.
 
-
-@lru_cache(maxsize=None)
-def _key_reach(key: tuple[int, ...]) -> int:
-    """The bitset of the masks that every triple with this key reaches (see
-    _triples): mask kc << 4 | ka << 2 | kb, each k indexing _least of its
-    letter, is reached iff r - t_a - t_b at the least t_a and t_b is at
-    least the least t_c of kc, that is, iff the excesses sum to E <= slack,
-    E of its parity, as each least count has the parity of its k.
-
-    The product of the letters' _LEVELS is the sum over masks of
-    x ** E * 2 ** mask: the places add up to the mask, so no terms meet and
-    digit E lists the masks of excess sum E.  Times 1 + x^2 + ... + x^8,
-    digit s unites the disjoint digits s, s - 2, ... down to 0 or 1 (E <= 6
-    and slack <= 9), so nothing carries.
-    """
-    levels = sum(1 << 128 * i for i in range(5))
-    for letter, k in zip(_LEVELS, key):
-        levels *= letter[k]
-    return levels >> 64 * key[3] & 2**64 - 1
-
-
-@lru_cache(maxsize=None)
-def _key_lifts(key: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(_key_reach, lifts) of every triple with this key.
-
-    A lift (t_a - la, t_b - lb, afirst, ka, kb, mask) is the first
-    certificate of one mask, in the order (t_a, t_b, first bits) of a full
-    enumeration of the triple; ka, kb index _least of the A and B letters,
-    and t_a - la, t_b - lb are their _EXCESS.  effective_lifts reads only
-    the order of the masks, when it builds every certificate of a class.
-    """
-    reach, a, b = _key_reach(key), _EXCESS[key[0]], _EXCESS[key[1]]
-    return reach, tuple(sorted((a[m >> 2 & 3], b[m & 3], m >> 5, m >> 2 & 3, m & 3, m)
-                               for m in range(64) if reach >> m & 1))
-
-
-def _triples(ycoeffs: tuple[int, ...]):
-    """(a3, b3, c3, la, lb, lc, key) in order, with the first triple of each key.
-
-    la, lb, lc are the least t_a, t_b, t_c that a0, b0, c0 >= 0 allow.  With
-    u = -n2 - a3, w = -n1 - b3 and top = r - lb at c3 = 0, la + lc + c3 =
-    max(u + w - c3, u, w, c3) <= top, so the rows (a3, b3) with u, w <= top
-    form two closed-form ranges and a row's triples one c3 range.  The key is
-    what _least needs besides l and k, per letter: 2 + l mod 2 if l > 0, else
-    the parity of three; then the slack r - la - lb - lc, capped at 8 or 9
-    with its parity kept (t_c = r - t_a - t_b meets every least count from
-    slack 6).  effective_lifts gains nothing from a key it has seen, so
-    triples whose key repeats an earlier one are skipped (some still come):
-    * along c3 the slack rises before min(u, w), is constant up to max(u, w)
-      and falls to 0 at top, so the key is period 2 on the constant stretch
-      and two triples stand for the rest; the other two stretches repeat a
-      key only at slack >= 10, but from slack 5 a key reaches every mask
-      whose counts sum to r mod 2, so the two triples before it reach all
-      64 masks and effective_lifts has stopped;
-    * u and w act only as max(u, 0) and max(w, 0), which the code keeps in u
-      and w, so a row's keys depend only on (a3 mod 2, u, key_b, w, top);
-    * from a3 = max(first a3, -n2) + 2 on, u = 0 on rows a3 and a3 - 2, so a
-      row with lb > 0 repeats row (a3 - 2, b3) and a row with w = 0 repeats
-      row (a3 - 2, b3 + 2): only the rows with lb = 0 < w are walked;
-    * below that a3, along b3, while lb > 0 = w, top = n_h + n3 and row
-      b3 + 2 has the keys of row b3, so two rows of each such run are walked.
-    """
-    nh, n1, n2, n3 = ycoeffs
-    if nh + n3 < 0:  # then top < 0 on every row
-        return
-    a_lo, b_lo = max(0, -nh - n2 - n3), max(0, -nh - n1 - n3)
-    a_new = max(a_lo, -n2) + 2
-    # rows skip, skip + 1, ... repeat rows skip - 2, skip - 1 while lb > 0
-    skip = max(b_lo, -n1) + 2
-    for a3 in range(a_lo, min(nh, nh + n1) + 1):
-        u = -n2 - a3 if a3 < -n2 else 0
-        b_hi = (nh + n2 if u else nh - a3) + 1
-        if a3 < a_new:
-            b3s = chain(range(b_lo, min(skip, b_hi)), range(max(skip, -n3 - a3), b_hi))
-        else:  # the rows with lb = 0 < w
-            b3s = range(max(b_lo, -n3 - a3), min(-n1, b_hi))
-        for b3 in b3s:
-            w = -n1 - b3 if b3 < -n1 else 0
-            lb = -n3 - a3 - b3 if b3 < -n3 - a3 else 0
-            top = nh - a3 - b3 - lb
-            key_b = 2 + (lb & 1) if lb else b3 & 1
-            mid, hi = (u, w) if u < w else (w, u)
-            c3 = u + w - top if u + w > top else 0
-            while c3 <= top:
-                la = u - c3 if u > c3 else 0
-                lc = w - c3 if w > c3 else 0
-                slack = top - c3 - la - lc
-                yield (a3, b3, c3, la, lb, lc,
-                       (2 + (la & 1) if la else a3 & 1, key_b,
-                        2 + (lc & 1) if lc else c3 & 1,
-                        slack if slack < 10 else 8 + (slack & 1)))
-                c3 += 1
-                # two triples of the constant stretch stand for the rest of it
-                if (la or lc) and c3 == mid + 2:
-                    c3 = hi
-
-
-@lru_cache(maxsize=2**10)
-def _search(ycoeffs: tuple[int, ...]) -> list:
-    """The walk of a class: triples left, mask bitset, (masks added, triple)
-    of each triple that added masks in walk order, kept until the complete
-    lifts are built, those lifts, and the read-only view that callers get."""
-    return [_triples(ycoeffs), 0, [], out := {}, MappingProxyType(out)]
-
-
-def effective_lifts(ycoeffs: tuple[int, ...],
-                    want: int | None = None) -> MappingProxyType[int, tuple[int, ...]]:
-    """The torsion lifts in S of a numerical class: all of them when want is
-    None, else at least the one of mask want if it is in S.
-
-    Maps achievable 6-bit torsion masks to one certificate each: the first
-    one in the composition order (a3, b3, c3, t_a, t_b) of n_h into the three
-    boundary multiplicities A3, B3, C3 and the internal letter counts
+    A certificate is a composition (a3, b3, c3, t_a, t_b, t_c) of n_h into
+    the boundary multiplicities A3, B3, C3 and the internal letter counts
     t_a = A1 + A2, t_b = B1 + B2, t_c = C1 + C2.  The other boundary
     multiplicities are then fixed, a0 = n1 + b3 + c3 + t_c,
     b0 = n2 + a3 + c3 + t_a and c0 = n3 + a3 + b3 + t_b, and the internal
-    splits only matter modulo 2, so this enumerates every certificate up to
-    those splits: the search is complete.
+    splits only matter modulo 2, so this covers every certificate up to
+    those splits: "no certificate" is complete.  The first one is the least
+    in the composition order (a3, b3, c3, t_a, t_b).
 
-    Closed-form inner step: given (a3, b3, c3) and r = n_h - a3 - b3 - c3,
-    a target mask fixes the parities of t_a, t_b and t_c, and a zero
-    count fixes the matching first bit (see _least).  The admissible
-    values of each count are therefore all values of its parity from a least
-    one up, so the first certificate takes the least t_a and t_b, and one
-    exists iff t_c = r - t_a - t_b is at least its own least value.
-
-    The walk finds which masks a class reaches before it builds any
-    certificate.  _search keeps it per class: a call walks on until the
-    masks found hold want, or all 64 when want is None, or the triples run
-    out, and records the masks that each triple adds, read from _key_reach;
-    a triple that adds none is skipped.  The first certificate of a mask is
-    the one at the first triple that reaches it, as every certificate of an
-    earlier triple comes first in the composition order.  So a call with
-    want builds want's certificate alone, in closed form at the triple that
-    added want, and returns it as a read-only view of one entry.  A call
-    with want None builds every certificate, in walk order and per triple in
-    the order of its sorted _key_lifts: the dict of a full enumeration, in
-    its order, which _search keeps; from then on every call returns its
-    read-only view, built with it by _search, so a caller cannot change what
-    later calls read.  scan makes this call before its 64 asks of a class.
-    On every class probed up to n_h = 240 the whole walk took at most 8 n_h
-    triples; cli.EFFECTIVE_MAX_NH states the time of the slowest.
+    The lemma.  The mask fixes each count's parity p and first bit f (A at
+    mask >> 2, B at mask, C at mask >> 4).  A count takes every value of
+    its parity from its least one up (see _least), and on a parity class
+    (qa, qb, qc) of (a3, b3, c3) the least one is max(lam - l, m), where
+    l_A, l_B, l_C are a3 + c3, a3 + b3, b3 + c3; lam_A, lam_B, lam_C are
+    -n2, -n3, -n1 rounded up to the parity of p + l; and m = 1 if p, else
+    2 (f xor q).  So a triple has a certificate iff the least counts fit in
+    r = n_h - a3 - b3 - c3 with r's parity, which needs
+    qa + qb + qc = n_h + pa + pb + pc mod 2.  On such a class, the fit is
+    eight linear bounds, one per choice in the three maxima, each of its
+    variable's parity: a box in (a3, b3, c3) cut by a slab in a3 + b3 + c3.
+    The class's lex-least triple is the box's lower corner with c3 raised
+    to the slab, which never lifts c3 past its upper bound, and it is there
+    iff it meets the four upper bounds.  The first certificate is at the
+    least of at most four such triples, with the least t_a and t_b.
     """
-    walk, have, found, out, view = state = _search(ycoeffs)
-    if out:  # the complete dict, built once
-        return view
-    goal = 2**64 - 1 if want is None else 1 << want
-    lifts = out if want is None else {}  # want's certificate alone, or all
-    try:
-        while goal & ~have and (triple := next(walk, None)):
-            if new := _key_reach(triple[6]) & ~have:
-                have |= new
-                found.append((new, triple))
-        state[1] = have
-        nh, n1, n2, n3 = ycoeffs
-        for new, (a3, b3, c3, la, lb, _, key) in found:
-            # want at the triple that added it, or every mask in walk order
-            for lift in _key_lifts(key)[1] if want is None else [(want,)]:
-                if new >> (mask := lift[-1]) & 1:
-                    t_a, t_b = la + _EXCESS[key[0]][mask >> 2 & 3], lb + _EXCESS[key[1]][mask & 3]
-                    t_c = nh - a3 - b3 - c3 - t_a - t_b
-                    a2, b2, c2 = (mask >> 3 ^ a3) & 1, (mask >> 1 ^ b3) & 1, (mask >> 5 ^ c3) & 1
-                    # in GENERATORS order
-                    lifts[mask] = (n1 + b3 + c3 + t_c, t_a - a2, a2, a3,
-                                   n2 + a3 + c3 + t_a, t_b - b2, b2, b3,
-                                   n3 + a3 + b3 + t_b, t_c - c2, c2, c3)
-        if want is None:  # out is complete, and no call reads the walk again
-            found.clear()
-    except BaseException:  # a walk or dict cut short would read as whole: start over
-        out.clear()
-        state[:3] = _triples(ycoeffs), 0, []
-        raise
-    return view if want is None else MappingProxyType(lifts)
+    nh, n1, n2, n3 = ycoeffs
+    pa, pb, pc = mask >> 2 & 1, mask & 1, mask >> 4 & 1
+    fa, fb, fc = mask >> 3 & 1, mask >> 1 & 1, mask >> 5
+    s = (nh ^ pa ^ pb ^ pc) & 1  # qa ^ qb ^ qc on the classes that count
+    best = None
+    for qa, qb in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        if best is not None and best < (qa, qb, 0):  # no later class has a lesser triple
+            break
+        qc = s ^ qa ^ qb
+        ma = 1 if pa else 2 * (fa ^ qa)
+        mb = 1 if pb else 2 * (fb ^ qb)
+        mc = 1 if pc else 2 * (fc ^ qc)
+        la = ((n2 ^ pa ^ s ^ qb) & 1) - n2  # qa ^ qc = s ^ qb
+        lb = ((n3 ^ pb ^ qa ^ qb) & 1) - n3
+        lc = ((n1 ^ pc ^ s ^ qa) & 1) - n1  # qb ^ qc = s ^ qa
+        a3 = la + lb + mc - nh
+        if a3 < qa:
+            a3 = qa
+        if a3 > nh - lc - ma - mb:
+            continue
+        b3 = lb + lc + ma - nh
+        if b3 < qb:
+            b3 = qb
+        if b3 > nh - la - mb - mc:
+            continue
+        c3 = la + lc + mb - nh
+        if c3 < qc:
+            c3 = qc
+        if c3 < la + lb + lc - nh - a3 - b3:  # the slab
+            c3 = la + lb + lc - nh - a3 - b3
+        if c3 <= nh - lb - ma - mc and a3 + b3 + c3 <= nh - ma - mb - mc and (
+                best is None or (a3, b3, c3) < best):
+            best = a3, b3, c3
+    if best is None:
+        return {}
+    a3, b3, c3 = best
+    t_a = _least(max(0, -n2 - a3 - c3), a3, mask >> 2 & 3)
+    t_b = _least(max(0, -n3 - a3 - b3), b3, mask & 3)
+    t_c = nh - a3 - b3 - c3 - t_a - t_b
+    a2, b2, c2 = fa ^ a3 & 1, fb ^ b3 & 1, fc ^ c3 & 1
+    # in GENERATORS order
+    return {mask: (n1 + b3 + c3 + t_c, t_a - a2, a2, a3,
+                   n2 + a3 + c3 + t_a, t_b - b2, b2, b3,
+                   n3 + a3 + b3 + t_b, t_c - c2, c2, c3)}
 
 
 def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
@@ -592,7 +480,6 @@ def scan(table: GeneratorTable, d_max: int) -> ScanReport:
         zero = sum(3 << 10 - 2 * i for i, deg in enumerate(symmetric_coords(y)[1:])
                    if deg == 0)
         labels = table.labels(XClass(*y, 0))
-        effective_lifts(y)  # every certificate of y at once, for the 64 asks below
         for mask, torsion_labels in enumerate(table.mask_labels):
             x = XClass(*y, mask)
             records.append(ScanRecord(x, not (labels ^ torsion_labels) & zero,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import burniat
-from burniat.cli import EFFECTIVE_MAX_NH, main
+from burniat.cli import EFFECTIVE_MAX_DEGREE, main
 from burniat.config import standard_config
 from burniat.effective import scan
 from burniat.lattice import YClass
@@ -181,18 +181,22 @@ def _literal_with_nh(nh):
     return xclass_to_text(build_generator_table(6).from_y(YClass((nh, -nh, 0, 0))))
 
 
-def test_effective_refuses_classes_over_the_budget(capsys, monkeypatch):
-    def no_search(*args):
-        raise AssertionError("decide ran on a class over the budget")
-    monkeypatch.setattr("burniat.cli.decide", no_search)
-    code, out, err = run(capsys, "effective", "--class",
-                         _literal_with_nh(EFFECTIVE_MAX_NH + 1))
-    assert code == 2 and not out
-    assert f"n_h = {EFFECTIVE_MAX_NH + 1}" in err and "usage error" in err
+def test_effective_decides_a_class_with_n_h_10_to_the_30(capsys):
+    # the certificate search is O(1) in n_h, so only the degree is bounded.
+    # Every generator has n_h <= its degree, so this class of degree 6 is not
+    # in S, and its reduction reaches negative degree in d + 1 steps
+    n = 10**30
+    literal = xclass_to_text(build_generator_table(6).from_y(YClass((n, -n, -n, -n + 6))))
+    code, out, _ = run(capsys, "effective", "--class", literal)
+    assert code == 0 and "verdict: NonEffective  base: negative-degree" in out
+    assert out.count("A3-") == 7
 
 
 def test_effective_decides_a_class_at_the_budget(capsys):
-    code, out, _ = run(capsys, "effective", "--class", _literal_with_nh(EFFECTIVE_MAX_NH))
+    # 180 times C1's numerical class, of degree 360
+    literal = _literal_with_nh(EFFECTIVE_MAX_DEGREE // 2)
+    assert parse_xclass(literal).d == EFFECTIVE_MAX_DEGREE
+    code, out, _ = run(capsys, "effective", "--class", literal)
     assert code == 0 and "verdict: InS" in out
 
 
@@ -209,8 +213,8 @@ def test_effective_refuses_degrees_over_the_budget(capsys, monkeypatch):
 
 def test_effective_decides_a_class_at_the_degree_budget(capsys):
     literal = xclass_to_text(build_generator_table(6).from_y(
-        YClass((EFFECTIVE_MAX_NH, 0, 0, 0))))
-    assert parse_xclass(literal).d == 3 * EFFECTIVE_MAX_NH
+        YClass((EFFECTIVE_MAX_DEGREE // 3, 0, 0, 0))))
+    assert parse_xclass(literal).d == EFFECTIVE_MAX_DEGREE
     code, out, _ = run(capsys, "effective", "--class", literal)
     assert code == 0 and "verdict: InS" in out
 

@@ -157,22 +157,22 @@ def test_s_membership_rejects_trusted():
 
 def test_effective_lifts_of_the_conic_class():
     # the conic-degree class 2h-e1-e2-e3 has exactly 9 effective torsion lifts
-    lifts = effective_lifts((2, -1, -1, -1))
+    lifts = [m for m in range(64) if effective_lifts((2, -1, -1, -1), m)]
     assert len(lifts) == 9
     assert 0b00_00_00 not in lifts
     assert 0b10_10_10 not in lifts
 
 
 def test_effective_lifts_cannot_be_changed_by_a_caller():
-    # the lifts are cached per class: a caller that deleted mask 0 would make
-    # decide miss the certificate of the class's lift 0 later on
-    lifts = effective_lifts((12, -6, -6, -5))
-    assert 0 in lifts
-    with pytest.raises(TypeError):
-        lifts[0] = lifts[0]
-    with pytest.raises(TypeError):
-        del lifts[0]
-    assert isinstance(decide(T, XClass(12, -6, -6, -5, 0)), InS)
+    # each call builds a fresh dict: a caller that changes or empties one
+    # cannot make a later decide miss or misread the certificate
+    y, mask = (12, -6, -6, -5), 0
+    lifts = effective_lifts(y, mask)
+    cert = lifts[mask]
+    lifts[mask] = (0,) * 12
+    assert effective_lifts(y, mask) == {mask: cert}
+    del lifts[mask]
+    assert decide(T, XClass(*y, mask)) == InS(cert)
 
 
 def test_monotonicity_under_adding_generators():
@@ -216,7 +216,7 @@ def test_s_membership_refuses_a_certificate_with_a_negative_entry(monkeypatch):
     import burniat.effective as eff
     x = T.phi({"A1": 2, "A2": -1})
     monkeypatch.setattr(eff, "effective_lifts",
-                        lambda y, want=None: {x.mask: _A1_TWICE_LESS_A2})
+                        lambda y, mask: {x.mask: _A1_TWICE_LESS_A2})
     with pytest.raises(InvalidEvidence, match="nonnegative"):
         s_membership(T, x)
 
@@ -357,8 +357,8 @@ def test_scan_minimal_flag_agrees_with_is_minimal(scan12):
 
 
 def test_scan_makes_the_calls_the_benchmark_counts(monkeypatch):
-    # one module-level decide per candidate and one certificate search per
-    # numerical class: the counts the benchmark's tracer self-check pins
+    # one module-level decide per candidate, and certificate searches on
+    # each numerical class: the counts the benchmark's tracer self-check pins
     import burniat.effective as eff
     decided, searched = [], set()
     real_decide, real_lifts = eff.decide, eff.effective_lifts
@@ -431,8 +431,8 @@ def test_is_minimal_agrees_with_the_combo_path(scan8):
 
 
 def test_a_fresh_table_gives_the_same_traces(scan8):
-    # a fresh table, the same table again and the shared table after scan8,
-    # whose lift searches are warm, reduce every candidate alike
+    # a fresh table, the same table again and the shared table after scan8
+    # reduce every candidate alike
     table = GeneratorTable(standard_config(6))
     cold = scan(table, 8)
     warm = scan(table, 8)
@@ -502,7 +502,7 @@ except eff.InvalidEvidence:
 # A2 has the numerical class of A1 but other torsion bits
 x = T.phi({"A1": 1})
 wrong = tuple(int(g == "A2") for g in GENERATORS)
-eff.effective_lifts = lambda ycoeffs, want=None: {x.mask: wrong}
+eff.effective_lifts = lambda ycoeffs, mask: {x.mask: wrong}
 try:
     eff.s_membership(T, x)
     print("certificate accepted")
