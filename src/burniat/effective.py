@@ -57,8 +57,8 @@ reports its size and hits through cache_info().  It is cached on
 (table, key): the table stays read-only and a table built later starts
 cold.  It is a bounded LRU cache of 2^11 entries, above the largest working
 set measured for the verify-all suite (721); a dropped table is freed once
-that many later entries have filled it.  effective_lifts keeps nothing: each
-call builds a fresh dict.
+that many later entries have filled it.  effective_lifts keeps nothing: it
+returns the certificate tuple it computes.
 
 scan builds lift mask of a numerical class y as XClass(*y, mask) and sets
 its minimal flag without another reduction.  y is nef, so its degree on
@@ -74,8 +74,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .lattice import YClass, arithmetic_genus
-from .delpezzo import (ExceptionalType, classify_exceptional, enumerate_nef,
-                       is_nef_class, symmetric_coords)
+from .delpezzo import (classify_exceptional, enumerate_nef, is_nef_class,
+                       symmetric_coords)
 from .config import BOUNDARY, GENERATORS, INTERNAL
 from .picard import (GeneratorTable, XClass, _key, lift_texts, parse_xclass,
                      xclass_to_text, TableInconsistent)
@@ -252,9 +252,9 @@ def _least(lo: int, three: int, k: int) -> int:
     return lo + ((lo ^ k) & 1) if lo else (k & 1 or 2 * ((k >> 1 ^ three) & 1))
 
 
-def effective_lifts(ycoeffs: tuple[int, ...], mask: int) -> dict[int, tuple[int, ...]]:
-    """{mask: its first certificate} if the torsion lift of ycoeffs with this
-    mask is in S, else {}.
+def effective_lifts(ycoeffs: tuple[int, ...], mask: int) -> tuple[int, ...] | None:
+    """The first certificate of the torsion lift of ycoeffs with this mask,
+    or None if the lift is not in S.
 
     A certificate is a composition (a3, b3, c3, t_a, t_b, t_c) of n_h into
     the boundary multiplicities A3, B3, C3 and the internal letter counts
@@ -315,22 +315,22 @@ def effective_lifts(ycoeffs: tuple[int, ...], mask: int) -> dict[int, tuple[int,
                 best is None or (a3, b3, c3) < best):
             best = a3, b3, c3
     if best is None:
-        return {}
+        return None
     a3, b3, c3 = best
     t_a = _least(max(0, -n2 - a3 - c3), a3, mask >> 2 & 3)
     t_b = _least(max(0, -n3 - a3 - b3), b3, mask & 3)
     t_c = nh - a3 - b3 - c3 - t_a - t_b
     a2, b2, c2 = fa ^ a3 & 1, fb ^ b3 & 1, fc ^ c3 & 1
     # in GENERATORS order
-    return {mask: (n1 + b3 + c3 + t_c, t_a - a2, a2, a3,
-                   n2 + a3 + c3 + t_a, t_b - b2, b2, b3,
-                   n3 + a3 + b3 + t_b, t_c - c2, c2, c3)}
+    return (n1 + b3 + c3 + t_c, t_a - a2, a2, a3,
+            n2 + a3 + c3 + t_a, t_b - b2, b2, b3,
+            n3 + a3 + b3 + t_b, t_c - c2, c2, c3)
 
 
 def s_membership(table: GeneratorTable, x: XClass) -> InS | None:
     """Certificate in S, or None (a proof of non-membership: the search is
     complete over the finitely many lattice-side solutions)."""
-    cert = effective_lifts(table.require_k6(x)[:4], x.mask).get(x.mask)
+    cert = effective_lifts(table.require_k6(x)[:4], x.mask)
     if cert is None:
         return None
     verdict = _checked_ins(table, cert, x)
@@ -366,7 +366,7 @@ def prove_non_effective(table: GeneratorTable, x: XClass) -> NonEffective | Unre
         if tid is None:
             return Unresolved(trace, chi(table, x), f"minimal form {reduced} "
                               "has degree >= 0 and is not a trusted class")
-        if reduced.mask in effective_lifts(reduced[:4], reduced.mask):
+        if effective_lifts(reduced[:4], reduced.mask) is not None:
             raise TableInconsistent(f"trusted class {reduced} is in S")
         base = f"trusted:{tid}"
     trace.validate(table)
@@ -526,9 +526,12 @@ def step3_tables(table: GeneratorTable) -> Step3Report:
 def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
     """Decide a minimal-form class of exceptional type with d >= 9.
 
-    Subtracts an internal curve whose numerical class is the family's ruling
-    fibre (both torsion variants are tried) and recurses; degrees <= 8 are
-    grounded in the direct certificate search.
+    Both internal curves X1, X2 of a letter have the class f of a ruling
+    fibre.  The descent takes k = (d - 7) // 2 of them, for the letter whose
+    y - i f (1 <= i <= k) stay nef and in the family of y = to_y(x) with n
+    lowered by i, down to degree 7 or 8.  X1 and X2 differ only in torsion,
+    so the direct search runs on the two bases x - k X1 and
+    x - (k - 1) X1 - X2, and a base's certificate plus its curves is x's.
     """
     ycls = table.to_y(x)
     et = classify_exceptional(ycls)
@@ -538,29 +541,23 @@ def exceptional_induction(table: GeneratorTable, x: XClass) -> Verdict:
         raise ValueError("induction applies to degrees >= 9; use the search")
     if not is_minimal(table, x):
         raise ValueError(f"{x} is not in minimal form")
-
-    def resolve(p: XClass, fam: ExceptionalType) -> InS | None:
-        """fam is the exceptional type of p's numerical class."""
-        if p.d <= 8:
-            return s_membership(table, p)
-        for gens in zip(INTERNAL[::2], INTERNAL[1::2]):
-            # both internal curves of a letter have the ruling fibre's class
-            rest = YClass((p - table.rows[gens[0]])[:4])
-            if not is_nef_class(rest):
-                continue
-            rest_et = classify_exceptional(rest)
-            if rest_et.family != fam.family or (fam.n or 0) - (rest_et.n or 0) != 1:
-                continue
-            for gen in gens:
-                sub = resolve(p - table.rows[gen], rest_et)
-                if sub is not None:
-                    cert = list(sub.certificate)
-                    cert[GENERATORS.index(gen)] += 1
-                    return _checked_ins(table, tuple(cert), p)
-        return None
-
-    verdict = resolve(x, et)
-    if verdict is None:  # x is minimal, so its reduction is the empty trace
-        return Unresolved(ReductionTrace(x, (), x), chi(table, x),
-                          "exceptional induction exhausted")
-    return verdict
+    k = (x.d - 7) // 2
+    for x1, x2 in zip(INTERNAL[::2], INTERNAL[1::2]):
+        row1, row2 = table.rows[x1], table.rows[x2]
+        fibre = YClass(row1[:4])
+        if not all(is_nef_class(rest := ycls - i * fibre)
+                   and classify_exceptional(rest)[:2] == (et.family, et.n - i)
+                   for i in range(1, k + 1)):
+            continue
+        # x - k X1: each subtraction XORs in X1's mask
+        base = XClass(*(ycls - k * fibre).coeffs, x.mask ^ (k & 1) * row1.mask)
+        for odd in (0, 1):  # the count of X2, mod 2
+            sub = s_membership(table, base + row1 - row2 if odd else base)
+            if sub is not None:
+                cert = list(sub.certificate)
+                cert[GENERATORS.index(x1)] += k - odd
+                cert[GENERATORS.index(x2)] += odd
+                return _checked_ins(table, tuple(cert), x)
+    # x is minimal, so its reduction is the empty trace
+    return Unresolved(ReductionTrace(x, (), x), chi(table, x),
+                      "exceptional induction exhausted")

@@ -19,7 +19,8 @@ from burniat.cli import main as cli_main
 from burniat.config import (BOUNDARY, CURVE_CLASS, GENERATORS, STANDARD_CASES,
                             InvalidBuildingData, standard_config)
 from burniat.degeneration import DEGENERATE, SMOOTH, exceptional_collection_check
-from burniat.delpezzo import classify_exceptional, symmetric_coords
+from burniat.delpezzo import (classify_exceptional, enumerate_nef, is_nef_class,
+                              symmetric_coords)
 from burniat.effective import (KX, TRUSTED, InS, InvalidEvidence, NonEffective,
                                ReductionStep, ReductionTrace, ScanRecord, ScanReport,
                                Unresolved, _key_labels3, decide,
@@ -157,22 +158,20 @@ def test_s_membership_rejects_trusted():
 
 def test_effective_lifts_of_the_conic_class():
     # the conic-degree class 2h-e1-e2-e3 has exactly 9 effective torsion lifts
-    lifts = [m for m in range(64) if effective_lifts((2, -1, -1, -1), m)]
+    lifts = [m for m in range(64) if effective_lifts((2, -1, -1, -1), m) is not None]
     assert len(lifts) == 9
     assert 0b00_00_00 not in lifts
     assert 0b10_10_10 not in lifts
 
 
-def test_effective_lifts_cannot_be_changed_by_a_caller():
-    # each call builds a fresh dict: a caller that changes or empties one
-    # cannot make a later decide miss or misread the certificate
+def test_effective_lifts_returns_the_certificate_decide_returns():
+    # the search returns the certificate tuple that decide wraps in InS,
+    # and None for a lift outside S
     y, mask = (12, -6, -6, -5), 0
-    lifts = effective_lifts(y, mask)
-    cert = lifts[mask]
-    lifts[mask] = (0,) * 12
-    assert effective_lifts(y, mask) == {mask: cert}
-    del lifts[mask]
+    cert = effective_lifts(y, mask)
+    assert type(cert) is tuple and len(cert) == len(GENERATORS)
     assert decide(T, XClass(*y, mask)) == InS(cert)
+    assert effective_lifts(KX[:4], KX.mask) is None
 
 
 def test_monotonicity_under_adding_generators():
@@ -216,7 +215,7 @@ def test_s_membership_refuses_a_certificate_with_a_negative_entry(monkeypatch):
     import burniat.effective as eff
     x = T.phi({"A1": 2, "A2": -1})
     monkeypatch.setattr(eff, "effective_lifts",
-                        lambda y, mask: {x.mask: _A1_TWICE_LESS_A2})
+                        lambda y, mask: _A1_TWICE_LESS_A2)
     with pytest.raises(InvalidEvidence, match="nonnegative"):
         s_membership(T, x)
 
@@ -502,7 +501,7 @@ except eff.InvalidEvidence:
 # A2 has the numerical class of A1 but other torsion bits
 x = T.phi({"A1": 1})
 wrong = tuple(int(g == "A2") for g in GENERATORS)
-eff.effective_lifts = lambda ycoeffs, mask: {x.mask: wrong}
+eff.effective_lifts = lambda ycoeffs, mask: wrong
 try:
     eff.s_membership(T, x)
     print("certificate accepted")
@@ -739,6 +738,89 @@ def test_induction_refuses_a_class_outside_minimal_form():
     assert classify_exceptional(T.to_y(x)).family not in ("NonExceptional", "Type4")
     with pytest.raises(ValueError, match=r"^\(9; 3 00; 0 00; 0 01\) is not in minimal form$"):
         exceptional_induction(T, x)
+
+
+def _inductive_classes(d_max):
+    """The minimal lifts of every nef class of inductive exceptional type with
+    degree 9 to d_max: criterion 8's induction cases at d_max = 12."""
+    out = []
+    for ycls in enumerate_nef(d_max):
+        if (symmetric_coords(ycls.coeffs)[0] >= 9 and classify_exceptional(ycls).family
+                not in ("NonExceptional", "Type4")):
+            out += [x for mask in range(64)
+                    if is_minimal(T, x := XClass(*ycls.coeffs, mask))]
+    return out
+
+
+def test_a_refused_descent_makes_at_most_two_searches(monkeypatch):
+    # at d = 60 the descent takes k = 26 fibres and searches two bases; a
+    # search that backtracked over both curves of every fibre would make
+    # 2^26, so the stand-in raises on its 9th call instead of running on
+    import burniat.effective as eff
+    x = _minimal_lift_of(30 * YClass((1, -1, 0, 0)))
+    assert x.d == 60 and classify_exceptional(T.to_y(x)).family == "Type1"
+    searched = []
+
+    def refusing(table, base):
+        searched.append(base)
+        if len(searched) > 8:
+            raise AssertionError("the induction searched more than 8 bases")
+        return None
+
+    monkeypatch.setattr(eff, "s_membership", refusing)
+    v = exceptional_induction(T, x)
+    assert isinstance(v, Unresolved) and v.note == "exceptional induction exhausted"
+    assert 1 <= len(searched) <= 2
+
+
+def test_the_descent_searches_bases_of_degree_seven_or_eight_in_the_family(monkeypatch):
+    # every base handed to the search is nef, of degree 7 or 8 and in x's
+    # family with n lowered by the k = (d - 7) // 2 fibres taken
+    import burniat.effective as eff
+    real, bases = eff.s_membership, []
+
+    def recording(table, base):
+        bases.append(base)
+        return real(table, base)
+
+    monkeypatch.setattr(eff, "s_membership", recording)
+    classes = _inductive_classes(12)
+    assert len(classes) == 156
+    for x in classes:
+        bases.clear()
+        assert isinstance(exceptional_induction(T, x), InS)
+        et, k = classify_exceptional(T.to_y(x)), (x.d - 7) // 2
+        assert 1 <= len(bases) <= 2
+        for base in bases:
+            yb = T.to_y(base)
+            assert base.d in (7, 8) and is_nef_class(yb)
+            assert classify_exceptional(yb)[:2] == (et.family, et.n - k)
+
+
+def test_the_descent_falls_back_to_the_base_with_one_second_curve(monkeypatch):
+    # with x - k C1 refused, the verdict comes from x - (k - 1) C1 - C2, and
+    # its certificate is that base's plus k - 1 C1 and one C2
+    import burniat.effective as eff
+    real = eff.s_membership
+    x = _minimal_lift_of(6 * YClass((1, -1, 0, 0)))  # d = 12: k = 2 fibres of C
+    c1, c2 = T.rows["C1"], T.rows["C2"]
+    first, second = x - c1 - c1, x - c1 - c2
+    monkeypatch.setattr(eff, "s_membership",
+                        lambda table, y: None if y == first else real(table, y))
+    v = exceptional_induction(T, x)
+    assert isinstance(v, InS) and T.maps_to(v.certificate, x)
+    raised = {"C1": 1, "C2": 1}
+    assert v.certificate == tuple(c + raised.get(g, 0) for g, c in
+                                  zip(GENERATORS, real(T, second).certificate))
+
+
+def test_induction_agrees_with_the_search_up_to_degree_24():
+    # the descent's verdict and certificate are the direct search's on every
+    # inductive class of degree 9-24
+    classes = _inductive_classes(24)
+    assert len(classes) == 624
+    for x in classes:
+        assert exceptional_induction(T, x) == s_membership(T, x)
 
 
 def test_every_minimal_class_of_degree_seven_up_is_in_s(scan8):

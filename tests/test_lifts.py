@@ -31,7 +31,7 @@ T = build_generator_table(6)
 
 def all_lifts(ycoeffs):
     """{mask: first certificate} of every torsion lift of ycoeffs in S."""
-    return {m: c for m in range(64) for c in effective_lifts(ycoeffs, m).values()}
+    return {m: c for m in range(64) if (c := effective_lifts(ycoeffs, m)) is not None}
 
 
 def _letter_split(total, three, first_bit):
@@ -155,9 +155,9 @@ def test_matches_the_triple_enumeration_on_seeded_draws(ycoeffs, mask):
     got = effective_lifts(ycoeffs, mask)
     want = first_triple(ycoeffs, mask)
     if want is None:
-        assert got == {}
+        assert got is None
         return
-    cert = got[mask]
+    cert = got
     a1, a2, a3, b1, b2, b3, c3 = cert[1], cert[2], cert[3], cert[5], cert[6], cert[7], cert[11]
     assert (a3, b3, c3, a1 + a2, b1 + b2) == want
     assert T.maps_to(cert, XClass(*ycoeffs, mask))
@@ -214,7 +214,7 @@ def test_the_least_counts_fit_exactly_on_the_box_cut_by_the_slab():
                                and ls <= a3 + b3 + c3 <= us]
                 assert fits == sorted(inside), (y, mask)
                 got = effective_lifts(y, mask)
-                assert [(c[3], c[7], c[11]) for c in got.values()] == fits[:1], (y, mask)
+                assert ([] if got is None else [(got[3], got[7], got[11])]) == fits[:1], (y, mask)
 
 
 def _first_certificates(r, la, lb, lc, a3, b3, c3):
